@@ -86,23 +86,8 @@ def _eval_poly(node, sess: _Session, line: int) -> Polynomial:
 
 def polynomial_from_text(text: str, ring: BlockRing) -> Polynomial:
     """Evaluate a standalone polynomial expression in the given ring."""
-    node = parse_polynomial(text)
-
-    def ev(n) -> Polynomial:
-        if isinstance(n, IntNode):
-            return Polynomial.constant(ring, n.value)
-        if isinstance(n, VarNode):
-            return Polynomial.variable(ring, n.block, n.pos)
-        if isinstance(n, OpNode):
-            if n.op == "^":
-                return ev(n.args[0]) ** n.args[1].value
-            if n.op == "neg":
-                return -ev(n.args[0])
-            a, b = ev(n.args[0]), ev(n.args[1])
-            return a + b if n.op == "+" else a - b if n.op == "-" else a * b
-        raise ScriptError(f"cannot evaluate {n!r} as a polynomial", 0)
-
-    return ev(node)
+    sess = _Session(ring, build_arg_parser().parse_args(["-"]))
+    return _eval_poly(parse_polynomial(text), sess, 0)
 
 
 def _eval_call(call: CallNode, sess: _Session) -> Ideal:
@@ -168,7 +153,12 @@ def _resolve_order(sess: _Session, value, line: int):
     if value == "lex":
         return lex(sess.ring)
     if isinstance(value, tuple) and value[0] == "weight":
-        return weight_order(sess.ring, value[1])
+        order = weight_order(sess.ring, value[1])
+        if not order.respects_block_convention(sess.ring):
+            raise ScriptError(
+                f"order {order.name} breaks x[i,j] > x[i,k] for j < k "
+                "within a block", line)
+        return order
     raise ScriptError(f"unknown order {value!r}", line)
 
 
@@ -528,6 +518,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_arg_parser()
     flags = parser.parse_args(argv)
+    if flags.trials < 1 or flags.max_basis < 1:
+        print("error: --trials and --max-basis must be at least 1",
+              file=sys.stderr)
+        return 2
     if flags.order is not None and ":" in flags.order:
         name, csv = flags.order.split(":", 1)
         try:

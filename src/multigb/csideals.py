@@ -123,6 +123,8 @@ def stable_gin(I: Ideal, order: TermOrder | None = None, trials: int = 3,
     randomness is the documented caller-side remedy.  The returned report
     is the first agreeing one (its seeds identify the run).
     """
+    if attempts < 1:
+        raise ValueError(f"stable_gin needs attempts >= 1, got {attempts}")
     last = None
     for attempt in range(attempts):
         rep = gin(I, order, trials=trials, seed=seed + 97 * attempt)

@@ -110,6 +110,8 @@ def gin(I: Ideal, order: TermOrder | None = None, trials: int = 3,
         seed: int = 0) -> GinReport:
     """in(b(I)) over ``trials`` random Borel elements; agreement required for
     a definitive result.  An agreeing result must be Borel fixed."""
+    if trials < 1:
+        raise ValueError(f"gin needs trials >= 1, got {trials}")
     ring = I.ring
     order = order or ring.storage_order
     if not order.respects_block_convention(ring):

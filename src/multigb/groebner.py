@@ -1,10 +1,10 @@
 """Buchberger engine and the ideal operations built on it.
 
 The driver keeps the Gebauer-Moeller pair bookkeeping and the normal
-selection strategy in Python; per-term arithmetic lives in the kernel
-(compiled when available).  All computations are deterministic: the
-reduced Groebner basis of an ideal under an order is unique, so caches
-and cross-checks can compare results structurally.
+selection strategy in Python; per-term arithmetic lives in the kernel.
+All computations are deterministic: the reduced Groebner basis of an
+ideal under an order is unique, so caches and cross-checks can compare
+results structurally.
 """
 
 from __future__ import annotations

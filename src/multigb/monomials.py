@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
                             PolarizationCapacityError, RingMismatchError)
-from multigb.ring import BlockRing, exp_divides, exp_gcd, exp_lcm, total_degree
+from multigb.ring import BlockRing, exp_divides, exp_gcd, exp_lcm
 
 
 def _minimal_antichain(exps: Iterable[tuple]) -> list:

@@ -40,18 +40,9 @@ def _is_prime(n: int) -> bool:
 
 # -- exponent-vector helpers -------------------------------------------------
 
-def exp_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def exp_divides(a: tuple, b: tuple) -> bool:
     """True when monomial ``a`` divides ``b``."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def exp_div(a: tuple, b: tuple) -> tuple:
-    """Exact quotient a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def exp_lcm(a: tuple, b: tuple) -> tuple:
@@ -60,10 +51,6 @@ def exp_lcm(a: tuple, b: tuple) -> tuple:
 
 def exp_gcd(a: tuple, b: tuple) -> tuple:
     return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def total_degree(a: tuple) -> int:
-    return sum(a)
 
 
 class BlockRing:
@@ -184,10 +171,6 @@ class BlockRing:
             yield exp
 
 
-def multidegree_of(exp: tuple, ring: BlockRing) -> tuple:
-    return ring.multidegree(exp)
-
-
 # -- term orders --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -286,8 +269,3 @@ def elimination_order(n: int, front: Iterable[int], inner: TermOrder | None = No
     inner = inner if inner is not None else degrevlex(n)
     indicator = tuple(1 if k in front else 0 for k in range(n))
     return TermOrder(f"elim{sorted(front)}+{inner.name}", (indicator,) + inner.rows)
-
-
-def compare_monomials(order: TermOrder, a: tuple, b: tuple) -> int:
-    """Three-way monomial comparison under a term order."""
-    return order.compare(a, b)

@@ -138,6 +138,12 @@ def test_gin_rejects_convention_violating_order():
         gin(I, order=bad)
 
 
+def test_gin_rejects_fewer_than_one_trial():
+    R = BlockRing((2, 2))
+    with pytest.raises(ValueError):
+        gin(Ideal(R, [x(R, 1, 1)]), trials=0)
+
+
 def test_gin_alternative_orders():
     R = BlockRing((2, 2))
     I = Ideal(R, [x(R, 1, 2)])

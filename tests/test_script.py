@@ -1,8 +1,13 @@
 """Script language: tokenizer, parser, and the command-line driver."""
 
+import io
 import json
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multigb.cli import main, polynomial_from_text
 from multigb.poly import Polynomial
@@ -277,6 +282,7 @@ def test_cli_order_flag(tmp_path, capsys):
     assert run_cli(tmp_path, text, "--order", "lex") == 0
     assert run_cli(tmp_path, text, "--order", "weight:3,1") == 0
     assert run_cli(tmp_path, text, "--order", "weight:bad") == 2
+    assert run_cli(tmp_path, text, "--order", "weight:1,3") == 2
 
 
 def test_cli_ugb_and_bounds_and_closure(tmp_path, capsys):
@@ -316,7 +322,76 @@ def test_cli_dual_polarize_minors_commands(tmp_path, capsys):
 
 
 def test_cli_stdin(tmp_path, capsys, monkeypatch):
-    import io
     text = "ring v=1 blocks=[2] char=32003\nideal I = x[1,1]\nmember I x[1,1] expect=yes\n"
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert main(["-"]) == 0
+
+
+TINY = "ring v=1 blocks=[2] char=32003\nideal I = x[1,1]^2 - x[1,2]^3\n"
+
+
+@pytest.mark.parametrize("command", [
+    "gin I trials=0", "cs I trials=0", "csstar I trials=0",
+    "gb I order=weight:1,5",
+])
+def test_cli_invalid_command_options_exit_2(tmp_path, capsys, command):
+    assert run_cli(tmp_path, TINY + command + "\n") == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--trials", "0"), ("--max-basis", "0"), ("--max-basis", "-1"),
+])
+def test_cli_invalid_count_flags_exit_2(tmp_path, capsys, flags):
+    assert run_cli(tmp_path, TINY + "gin I\n", *flags) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+# -- robustness: mutated scripts -----------------------------------------------
+
+VALID_SCRIPTS = [
+    TINY + "gb I order=lex\ngin I trials=2 seed=1\n",
+    "ring v=2 blocks=[2,1] char=101\n"
+    "poly f = x[1,2]\n"
+    "ideal I = x[1,1]*x[2,1], x[1,2]^2\n"
+    "cs I trials=2 expect=yes\n"
+    "member I x[1,1]*x[2,1] expect=yes\n"
+    "colon I f\n",
+    "ring v=2 blocks=[2,2] char=101\n"
+    "matrix A rowgraded 2 x 2 { x[1,1], x[1,2] ; x[2,1], x[2,2] }\n"
+    "ideal I = minors(A, 2)\n"
+    "hilbert I\n"
+    "csstar I trials=1\n",
+]
+# Whitespace runs are kept as pieces so that "".join(pieces) is the script.
+PIECES = re.compile(r"\s+|\d+|\w+|[^\w\s]")
+# "Large" is bounded: nothing guards ring size or trial counts, and a block
+# of 40 variables with 40 gin trials already takes a few seconds.
+INTEGER_REPLACEMENTS = ["0", "-1", "40"]
+
+
+@st.composite
+def mutated_scripts(draw):
+    pieces = PIECES.findall(draw(st.sampled_from(VALID_SCRIPTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        tokens = [k for k, piece in enumerate(pieces) if piece.strip()]
+        k = draw(st.sampled_from(tokens))
+        mutation = draw(st.sampled_from(["drop", "duplicate", "integer"]))
+        if mutation == "drop":
+            pieces[k] = ""
+        elif mutation == "duplicate":
+            pieces[k] = f"{pieces[k]} {pieces[k]}"
+        else:
+            integers = [j for j, piece in enumerate(pieces)
+                        if piece.isdigit()]
+            pieces[draw(st.sampled_from(integers))] = draw(
+                st.sampled_from(INTEGER_REPLACEMENTS))
+    return "".join(pieces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_scripts())
+@example(TINY + "gin I trials=0\n")
+def test_cli_mutated_scripts_never_raise(text):
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        assert main(["-"]) in (0, 1, 2, 3)
