@@ -315,7 +315,8 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
         report["evidence"] = {
             "orders_tested": rep.orders_tested,
             "failures": rep.failures,
-            "candidate_degrees": [list(d) for d in rep.degree_profile],
+            "candidate_degrees": [None if d is None else list(d)
+                                  for d in rep.degree_profile],
             "note": rep.note,
         }
     elif cmd.name == "closure":

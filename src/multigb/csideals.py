@@ -22,6 +22,7 @@ from multigb.groebner import (Ideal, ideal_from_monomials,
                               quotient_by_linear_form, coordinate_section,
                               regular_sequence_test, _graded_linear_block)
 from multigb.monomials import (MonomialIdeal, alexander_dual,
+                               hilbert_numerator,
                                is_extended_from_first_variables,
                                is_radical_monomial, polarize)
 from multigb.poly import Polynomial
@@ -53,6 +54,7 @@ class UGBReport:
     degree_profile: list
     records: list
     note: str = "sampled, not certified"
+    certified: int = 0    # orders settled by the Hilbert series, not Buchberger
 
     @property
     def passed(self) -> bool:
@@ -347,7 +349,11 @@ def closure_suite(I: Ideal, L: Polynomial, trials: int = 3, seed: int = 0) -> di
 def ugb_check(candidates: Sequence[Polynomial], I: Ideal, n_orders: int = 200,
               seed: int = 0, include_permutations: bool = True) -> UGBReport:
     """Sampled universal-GB check: under every sampled order, the candidate
-    lead terms must generate the initial ideal of I."""
+    lead terms must generate the initial ideal of I.
+
+    An order whose candidate lead terms have I's Hilbert series is settled
+    without a Groebner basis; any other order, and every order when I is not
+    multigraded, runs Buchberger, which also names a missing lead term."""
     ring = I.ring
     candidates = [c for c in candidates if not c.is_zero]
     if not candidates:
@@ -359,27 +365,41 @@ def ugb_check(candidates: Sequence[Polynomial], I: Ideal, n_orders: int = 200,
         raise HypothesisNotSatisfiedError("candidates do not generate the ideal")
     orders = sample_orders(ring, n_orders, seed=seed,
                            include_permutations=include_permutations)
+    # The candidates lie in I, so their lead terms generate a subideal of
+    # in_o(I); for multigraded I the two are equal exactly when their
+    # Hilbert series are (Macaulay).  Buchberger runs only where they differ.
+    series = I.hilbert_series() if I.is_multihomogeneous else None
     failures = []
     records = []
+    certified = 0
     for o in orders:
-        gb = I.groebner_basis(o)
         cand_leads = MonomialIdeal(ring, [c.lead_exp(o) for c in candidates])
-        lead_exps = gb.lead_exponents()
-        for e in lead_exps:
-            if not cand_leads.contains_monomial(e):
-                failures.append({"order": o.name,
-                                 "lead": cand_leads.monomial_str(e)})
+        if series is not None and hilbert_numerator(cand_leads) == series:
+            certified += 1
+            lead_exps = sorted(cand_leads.gens, key=o.key, reverse=True)
+            degrees = [ring.multidegree(e) for e in lead_exps]
+        else:
+            gb = I.groebner_basis(o)
+            lead_exps = gb.lead_exponents()
+            degrees = [g.multidegree() for g in gb]
+            for e in lead_exps:
+                if not cand_leads.contains_monomial(e):
+                    failures.append({"order": o.name,
+                                     "lead": cand_leads.monomial_str(e)})
         records.append({
             "order": o.name,
             "lead_exps": lead_exps,
-            "gb_multidegrees": [g.multidegree() for g in gb],
+            "gb_multidegrees": degrees,
         })
     return UGBReport(
         orders_tested=len(orders),
         order_names=[o.name for o in orders],
         failures=failures,
-        degree_profile=sorted(c.multidegree() for c in candidates),
+        # an inhomogeneous candidate has multidegree None; it sorts last
+        degree_profile=sorted((c.multidegree() for c in candidates),
+                              key=lambda d: (d is None, d or ())),
         records=records,
+        certified=certified,
     )
 
 

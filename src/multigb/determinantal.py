@@ -173,11 +173,6 @@ def variable_matrix(m: int, n: int, grading: str = "row",
     return GradedMatrix(ring, rows, grading)
 
 
-def from_entries(ring: BlockRing, rows: Sequence[Sequence[Polynomial]],
-                 grading: str) -> GradedMatrix:
-    return GradedMatrix(ring, rows, grading)
-
-
 def _determinant(rows: list) -> Polynomial:
     """Cofactor expansion along the first row."""
     n = len(rows)

@@ -64,28 +64,29 @@ def random_borel(ring: BlockRing, seed: int) -> BorelElement:
     return BorelElement(ring, tuple(blocks))
 
 
-def _variable_images(g: BorelElement) -> dict:
+def _variable_images(g: BorelElement, variables) -> dict:
+    """Images under ``g`` of the given flat variable indices."""
     ring = g.ring
     images = {}
-    for block in range(1, ring.v + 1):
+    for var in variables:
+        block, j = ring.var_pair(var)
         mat = g.blocks[block - 1]
-        n = ring.block_sizes[block - 1]
-        for j in range(1, n + 1):
-            terms = []
-            for k in range(1, j + 1):
-                c = mat[k - 1][j - 1]
-                if c:
-                    terms.append((ring.unit_exp(ring.var_index(block, k)), c))
-            images[ring.var_index(block, j)] = Polynomial(ring, terms)
+        terms = []
+        for k in range(1, j + 1):
+            c = mat[k - 1][j - 1]
+            if c:
+                terms.append((ring.unit_exp(ring.var_index(block, k)), c))
+        images[var] = Polynomial(ring, terms)
     return images
 
 
 def apply_change_poly(g: BorelElement, f: Polynomial) -> Polynomial:
-    return f.substitute(_variable_images(g))
+    return f.substitute(_variable_images(g, f.support_vars()))
 
 
 def apply_change(g: BorelElement, I: Ideal) -> Ideal:
-    images = _variable_images(g)
+    support = set().union(*(f.support_vars() for f in I.gens))
+    images = _variable_images(g, support)
     return Ideal(I.ring, [f.substitute(images) for f in I.gens], I.limits)
 
 

@@ -123,7 +123,16 @@ class Polynomial:
             raise ValueError("zero polynomial has no lead term")
         if order is None or order.rows == self.ring.storage_order.rows:
             return self._terms[0]
-        return max(self._terms, key=lambda t: order.key(t[0]))
+        # The lexicographic max of the order keys, one matrix row at a time:
+        # only the terms tied on every earlier row are scored on the next.
+        terms = self._terms
+        for row in order.rows:
+            if len(terms) == 1:
+                break
+            scores = [sum(r * e for r, e in zip(row, exp)) for exp, _ in terms]
+            best = max(scores)
+            terms = [t for t, s in zip(terms, scores) if s == best]
+        return terms[0]
 
     def lead_exp(self, order: TermOrder | None = None) -> tuple:
         return self.lead_term(order)[0]

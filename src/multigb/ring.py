@@ -196,11 +196,13 @@ class TermOrder:
 
     def respects_block_convention(self, ring: BlockRing) -> bool:
         """True when x[i,j] > x[i,k] for j < k within every block."""
+        if ring.nvars != self.nvars:
+            raise RingMismatchError("order and ring have different variable counts")
+        columns = list(zip(*self.rows))  # the key of x_a is column a
         for block in range(1, ring.v + 1):
-            vars_ = list(ring.block_vars(block))
-            for a, b in zip(vars_, vars_[1:]):
-                if self.compare(ring.unit_exp(a), ring.unit_exp(b)) <= 0:
-                    return False
+            vars_ = ring.block_vars(block)
+            if any(columns[a] <= columns[b] for a, b in zip(vars_, vars_[1:])):
+                return False
         return True
 
     def __str__(self):

@@ -43,8 +43,10 @@ def test_sample_orders_permutation_family():
     # 2 block orders x 2 x 2 within-block orders, each with lex and degrevlex
     assert len(orders) == 2 * 2 * 2 * 2 + 5
     assert len({o.rows for o in orders}) == len(orders)
-    for o in orders:
-        assert o.respects_block_convention(R) or True  # permuted families may flip
+    # only the 4 priorities that keep each block in its natural order (either
+    # block first, lex and degrevlex) respect x[i,1] > x[i,2]
+    family = orders[:16]
+    assert sum(o.respects_block_convention(R) for o in family) == 4
     # weight orders are deterministic per seed
     again = sample_orders(R, 5, seed=1)
     assert [o.rows for o in again] == [o.rows for o in orders]
@@ -285,6 +287,79 @@ def test_ugb_check_failure_detected():
     rep = ugb_check([f, g], I, n_orders=30, seed=11)
     assert not rep.passed
     assert rep.failures
+
+
+def ugb_oracle(candidates, I, orders):
+    """Records and failures of a fresh Buchberger run under every order."""
+    ring = I.ring
+    records, failures = [], []
+    for o in orders:
+        gb = Ideal(ring, I.gens).groebner_basis(o)
+        cand_leads = MonomialIdeal(ring, [c.lead_exp(o) for c in candidates])
+        for e in gb.lead_exponents():
+            if not cand_leads.contains_monomial(e):
+                failures.append({"order": o.name,
+                                 "lead": cand_leads.monomial_str(e)})
+        records.append({"order": o.name, "lead_exps": gb.lead_exponents(),
+                        "gb_multidegrees": [g.multidegree() for g in gb]})
+    return records, failures
+
+
+def assert_matches_oracle(rep, candidates, I, orders):
+    records, failures = ugb_oracle(candidates, I, orders)
+    assert rep.order_names == [o.name for o in orders]
+    assert rep.records == records
+    assert rep.failures == failures
+
+
+@pytest.mark.parametrize("make", [
+    lambda: variable_matrix(2, 3, grading="column"),
+    lambda: build_column_graded(3, (3, 3, 3, 3), seed=5),
+], ids=["variables-2x3", "column-graded-3x4"])
+def test_ugb_check_certified_records_match_buchberger(make):
+    A = make()
+    cands = minors(A, A.nrows)
+    I = Ideal(A.ring, cands)
+    rep = ugb_check(cands, I, n_orders=20, seed=6)
+    assert rep.orders_tested >= 22
+    assert rep.certified == rep.orders_tested
+    assert_matches_oracle(rep, cands, I,
+                          sample_orders(A.ring, 20, seed=6))
+
+
+def test_ugb_check_inhomogeneous_ideal_runs_buchberger():
+    R = BlockRing((2, 2))
+    f = x(R, 1, 1) ** 2 - x(R, 2, 1)
+    g = x(R, 1, 2) * x(R, 2, 2) - x(R, 1, 1)
+    I = Ideal(R, [f, g])
+    assert not I.is_multihomogeneous
+    rep = ugb_check([f, g], I, n_orders=8, seed=2)
+    assert rep.certified == 0
+    assert_matches_oracle(rep, [f, g], I, sample_orders(R, 8, seed=2))
+
+
+def test_ugb_check_failures_match_buchberger():
+    R = BlockRing((2,))
+    f = x(R, 1, 1) ** 2 - x(R, 1, 2) ** 2
+    g = x(R, 1, 1) * x(R, 1, 2)
+    I = Ideal(R, [f, g])
+    rep = ugb_check([f, g], I, n_orders=30, seed=11)
+    assert rep.failures
+    assert rep.certified < rep.orders_tested
+    assert_matches_oracle(rep, [f, g], I, sample_orders(R, 30, seed=11))
+
+
+def test_ugb_check_maximal_minors_run_buchberger_once():
+    # the 3x5 generic maximal minors form a universal basis, so every order
+    # is settled by the Hilbert series computed from the one storage-order
+    # basis the membership prechecks need
+    B = build_column_graded(3, (3, 3, 3, 3, 3), seed=7)
+    cands = minors(B, 3)
+    I = Ideal(B.ring, cands)
+    rep = ugb_check(cands, I, n_orders=200, include_permutations=False)
+    assert rep.passed
+    assert rep.certified == rep.orders_tested == 202
+    assert len(I._gb_cache) == 1
 
 
 def test_ugb_check_hypothesis_errors():

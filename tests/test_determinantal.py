@@ -7,7 +7,7 @@ import pytest
 from multigb.determinantal import (GradedMatrix, _determinant,
                                    _determinant_leibniz, _rank_mod_p,
                                    build_column_graded, build_row_graded,
-                                   from_entries, ideal_of_minors, minors,
+                                   ideal_of_minors, minors,
                                    variable_matrix, verify_main_theorem)
 from multigb.errors import HypothesisNotSatisfiedError, ResourceLimitError
 from multigb.groebner import EngineLimits
@@ -99,7 +99,7 @@ def test_graded_matrix_validation():
     with pytest.raises(ValueError):
         GradedMatrix(R, [[x(R, 1, 1), x(R, 2, 1), x(R, 2, 2)]], "column")
     # zero entries are always allowed
-    A = from_entries(R, [[Polynomial.zero(R), x(R, 2, 1)]], "column")
+    A = GradedMatrix(R, [[Polynomial.zero(R), x(R, 2, 1)]], "column")
     assert A.shape == (1, 2)
 
 
@@ -123,7 +123,7 @@ def test_minors_of_variable_matrix():
 def test_minors_discard_zero_determinants():
     R = BlockRing((2, 2))
     z = Polynomial.zero(R)
-    A = from_entries(R, [[x(R, 1, 1), z], [x(R, 1, 2), z]], "column")
+    A = GradedMatrix(R, [[x(R, 1, 1), z], [x(R, 1, 2), z]], "column")
     assert minors(A, 2) == []
     assert len(minors(A, 1)) == 2
 

@@ -48,6 +48,14 @@ def test_borel_action_drifts_to_first_variable():
     assert img.support_vars() <= set(R.block_vars(1))
 
 
+def test_gin_in_a_large_ring():
+    # the Borel images are built only for variables the generators use
+    R = BlockRing((200,))
+    I = Ideal(R, [x(R, 1, 1) ** 2])
+    rep = gin(I, trials=1)
+    assert rep.require() == MonomialIdeal(R, [R.unit_exp(0, 2)])
+
+
 def test_gin_of_principal_variable():
     # gin of (x[1,2]) is (x[1,1]): a generic coordinate change moves any
     # linear form of block 1 onto its first variable

@@ -1,9 +1,12 @@
 """Polynomial arithmetic over a block ring."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigb.poly import Polynomial
-from multigb.ring import BlockRing, lex
+from multigb.ring import (BlockRing, degrevlex, elimination_order, lex,
+                          weight_order)
 
 
 @pytest.fixture
@@ -103,3 +106,34 @@ def test_mixed_ring_rejected():
     B = BlockRing((3,))
     with pytest.raises(Exception):
         Polynomial.variable(A, 1, 1) + Polynomial.variable(B, 1, 1)
+
+
+@st.composite
+def polys_and_orders(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    R = BlockRing(sizes)
+    n = R.nvars
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.lists(st.tuples(exps, st.integers(1, 100)),
+                          min_size=1, max_size=12))
+    f = Polynomial(R, terms)
+    prio = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["lex", "degrevlex", "weight", "elim"]))
+    if kind == "lex":
+        order = lex(R, prio)
+    elif kind == "degrevlex":
+        order = degrevlex(R, prio)
+    elif kind == "weight":
+        order = weight_order(R, draw(st.lists(st.integers(1, 5),
+                                              min_size=n, max_size=n)))
+    else:
+        front = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        order = elimination_order(n, front, degrevlex(R, prio))
+    return f, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_and_orders())
+def test_lead_term_is_max_of_order_keys(case):
+    f, order = case
+    assert f.lead_term(order) == max(f.terms, key=lambda t: order.key(t[0]))

@@ -305,6 +305,19 @@ def test_cli_ugb_and_bounds_and_closure(tmp_path, capsys):
         ["ugb", "bounds", "closure", "main-theorem"]
 
 
+def test_cli_ugb_of_inhomogeneous_ideal(tmp_path, capsys):
+    # the candidates have no multidegree; the report says so instead of
+    # ending in a traceback, and lex with x[1,1] first needs a new lead
+    text = ("ring v=2 blocks=[2,2] char=32003\n"
+            "ideal I = x[1,1]^2 - x[2,1], x[1,2]*x[2,2] - x[1,1]\n"
+            "ugb I orders=3\n")
+    assert run_cli(tmp_path, text, "--json") == 1
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["verdict"] == "fail"
+    assert report["evidence"]["candidate_degrees"] == [None, None]
+    assert report["evidence"]["failures"]
+
+
 def test_cli_dual_polarize_minors_commands(tmp_path, capsys):
     text = ("ring v=2 blocks=[2,2] char=32003\n"
             "matrix X rowgraded 2 x 2 { x[1,1], x[1,2] ; x[2,1], x[2,2] }\n"
