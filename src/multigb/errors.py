@@ -10,7 +10,22 @@ class RingMismatchError(MultigbError):
 
 
 class ResourceLimitError(MultigbError):
-    """A Groebner computation exceeded its configured resource guard."""
+    """A Groebner computation exceeded its configured resource guard.
+
+    When raised by the Buchberger driver it carries the partial state at the
+    abort: ``basis_size``, ``pending_pairs`` and ``degree`` (the lcm total
+    degree reached); all three are None otherwise.
+    """
+
+    def __init__(self, message: str, *, basis_size: int | None = None,
+                 pending_pairs: int | None = None, degree: int | None = None):
+        if basis_size is not None:
+            message = (f"{message} (basis size {basis_size}, "
+                       f"{pending_pairs} pending pairs, degree {degree})")
+        super().__init__(message)
+        self.basis_size = basis_size
+        self.pending_pairs = pending_pairs
+        self.degree = degree
 
 
 class NotSquarefreeError(MultigbError):

@@ -19,7 +19,8 @@ from multigb.errors import (HypothesisNotSatisfiedError,
                             InternalConsistencyError, ResourceLimitError,
                             RingMismatchError)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
-                               hilbert_numerator)
+                               ambient_dimension, hilbert_numerator,
+                               quotient_dimension_from_numerator)
 from multigb.poly import Polynomial
 from multigb.ring import (BlockRing, TermOrder, degrevlex, elimination_order,
                           exp_divides, exp_gcd, exp_lcm)
@@ -42,22 +43,26 @@ def _monic(f: list, p: int) -> list:
     return kernel.poly_scale(f, pow(c, p - 2, p), p)
 
 
-def _gm_update(basis: list, pairs: set, f: list) -> None:
+def _gm_update(basis: list, pairs: dict, f: list, matrix: tuple) -> None:
     """Add ``f`` to the basis, pruning S-pairs by the Gebauer-Moeller
-    criteria (lcm chain rule, duplicate-lcm collapse, coprime leads)."""
+    criteria (lcm chain rule, duplicate-lcm collapse, coprime leads).
+
+    ``pairs`` maps ``(i, j)`` to the selection key of the pair's lcm,
+    ``(total degree, order key, lcm)``, computed once when the pair is made.
+    """
     m = len(basis)
     lf = f[0][0]
     leads = [g[0][0] for g in basis]
     zero = (0,) * len(lf)
 
-    survivors = set()
-    for i, j in pairs:
-        gamma = exp_lcm(leads[i], leads[j])
+    survivors = {}
+    for (i, j), key in pairs.items():
+        gamma = key[2]
         if (exp_divides(lf, gamma)
                 and gamma != exp_lcm(leads[i], lf)
                 and gamma != exp_lcm(leads[j], lf)):
             continue
-        survivors.add((i, j))
+        survivors[(i, j)] = key
 
     by_lcm: dict = {}
     for i in range(m):
@@ -70,55 +75,133 @@ def _gm_update(basis: list, pairs: set, f: list) -> None:
         group = by_lcm[gamma]
         if any(exp_gcd(leads[i], lf) == zero for i in group):
             continue
-        survivors.add((group[0], m))
+        survivors[(group[0], m)] = (sum(gamma), kernel.order_key(matrix, gamma),
+                                    gamma)
 
     basis.append(f)
     pairs.clear()
     pairs.update(survivors)
 
 
+class _SeriesCutoff:
+    """Decides when the Hilbert series of a multihomogeneous ideal I proves
+    that every S-polynomial of a multidegree reduces to zero (Traverso).
+
+    in(G) is inside in(I), so the monomials of degree a outside in(G) are
+    at least dim (S/I)_a; once the two counts agree, in(G)_a = in(I)_a and
+    a degree-a element of I has no nonzero normal form modulo G.  The
+    monomials of in(G)_a are collected incrementally: each lead is
+    multiplied out once per degree, when the degree is next checked.
+    ``dims`` memoizes dim (S/I)_a and may be shared by runs on the same I.
+    """
+
+    def __init__(self, ring: BlockRing, series: HilbertNumerator, dims: dict):
+        self.ring = ring
+        self.series = series
+        self.dims = dims
+        self.full: set = set()
+        self.lead_degrees: list = []  # multidegree of basis[k]'s lead
+        self.degrees: dict = {}  # a -> [leads seen, monomials of in(G)_a]
+        self.monomials: dict = {}  # b -> monomials of multidegree b
+
+    def settled(self, lcm: tuple, basis: list) -> bool:
+        ring = self.ring
+        a = ring.multidegree(lcm)
+        if a in self.full:
+            return True
+        state = self.degrees.setdefault(a, [0, set()])
+        seen, covered = state
+        if seen == len(basis):
+            return False
+        for g in basis[len(self.lead_degrees):]:
+            self.lead_degrees.append(ring.multidegree(g[0][0]))
+        for k in range(seen, len(basis)):
+            b = tuple(x - y for x, y in zip(a, self.lead_degrees[k]))
+            if min(b) < 0:
+                continue
+            if b not in self.monomials:
+                self.monomials[b] = list(ring.monomials_of_multidegree(b))
+            lead = basis[k][0][0]
+            covered.update(tuple(x + y for x, y in zip(lead, m))
+                           for m in self.monomials[b])
+        state[0] = len(basis)
+        if a not in self.dims:
+            self.dims[a] = quotient_dimension_from_numerator(self.series, ring, a)
+        if ambient_dimension(ring, a) - len(covered) == self.dims[a]:
+            self.full.add(a)
+            del self.degrees[a]
+            return True
+        return False
+
+
 def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
-                       limits: EngineLimits) -> list:
-    """Reduced Groebner basis as raw term lists sorted under ``matrix``."""
+                       limits: EngineLimits, series: _SeriesCutoff | None = None,
+                       max_degree: int | None = None) -> list:
+    """Reduced Groebner basis as raw term lists sorted under ``matrix``.
+
+    Pairs are selected by lowest lcm total degree, then by order.  With
+    ``series`` (multihomogeneous generators only), pairs of a multidegree
+    it settles are skipped.  With ``max_degree`` d (homogeneous generators
+    only), generators of total degree > d are dropped and the loop stops
+    at the first pair of lcm degree > d: the result is a d-truncated,
+    unreduced Groebner basis, enough to decide membership in degrees <= d.
+    A resource abort reports the basis size, pending pairs and the lcm
+    degree reached.
+    """
     basis: list = []
-    pairs: set = set()
-    for g in gens:
-        g = kernel.sort_terms(list(g), matrix, p)
-        if not g:
-            continue
-        r = kernel.normal_form(g, basis, matrix, p, limits.max_terms) if basis else g
-        if r:
-            _gm_update(basis, pairs, _monic(r, p))
+    pairs: dict = {}
+    degree = 0
+    try:
+        for g in gens:
+            g = kernel.sort_terms(list(g), matrix, p)
+            if not g:
+                continue
+            degree = sum(g[0][0])
+            if max_degree is not None and degree > max_degree:
+                continue
+            r = kernel.normal_form(g, basis, matrix, p, limits.max_terms) if basis else g
+            if r:
+                _gm_update(basis, pairs, _monic(r, p), matrix)
 
-    while pairs:
-        if len(basis) > limits.max_basis:
-            raise ResourceLimitError(
-                f"basis exceeded {limits.max_basis} elements")
-        best = min(pairs, key=lambda ij: (
-            sum(exp_lcm(basis[ij[0]][0][0], basis[ij[1]][0][0])),
-            kernel.order_key(matrix, exp_lcm(basis[ij[0]][0][0], basis[ij[1]][0][0]))))
-        pairs.remove(best)
-        s = kernel.spoly(basis[best[0]], basis[best[1]], matrix, p)
-        r = kernel.normal_form(s, basis, matrix, p, limits.max_terms)
-        if r:
-            if len(r) > limits.max_terms:
+        while pairs:
+            if len(basis) > limits.max_basis:
                 raise ResourceLimitError(
-                    f"element exceeded {limits.max_terms} terms")
-            _gm_update(basis, pairs, _monic(r, p))
+                    f"basis exceeded {limits.max_basis} elements")
+            best = min(pairs, key=pairs.__getitem__)
+            degree, _, lcm = pairs.pop(best)
+            if max_degree is not None and degree > max_degree:
+                break
+            if series is not None and series.settled(lcm, basis):
+                continue
+            s = kernel.spoly(basis[best[0]], basis[best[1]], matrix, p)
+            r = kernel.normal_form(s, basis, matrix, p, limits.max_terms)
+            if r:
+                if len(r) > limits.max_terms:
+                    raise ResourceLimitError(
+                        f"element exceeded {limits.max_terms} terms")
+                _gm_update(basis, pairs, _monic(r, p), matrix)
+        if max_degree is not None:
+            return basis
 
-    # minimal heads, then full tail reduction
-    keep = []
-    for i, g in enumerate(basis):
-        lead = g[0][0]
-        if any(j != i and exp_divides(basis[j][0][0], lead)
-               and (basis[j][0][0] != lead or j < i) for j in range(len(basis))):
-            continue
-        keep.append(g)
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = kernel.normal_form(g, others, matrix, p, limits.max_terms)
-        reduced.append(_monic(r, p))
+        # minimal heads, then full tail reduction
+        keep = []
+        for i, g in enumerate(basis):
+            lead = g[0][0]
+            if any(j != i and exp_divides(basis[j][0][0], lead)
+                   and (basis[j][0][0] != lead or j < i) for j in range(len(basis))):
+                continue
+            keep.append(g)
+        reduced = []
+        for i, g in enumerate(keep):
+            others = keep[:i] + keep[i + 1:]
+            r = kernel.normal_form(g, others, matrix, p, limits.max_terms)
+            reduced.append(_monic(r, p))
+    except ResourceLimitError as e:
+        if e.basis_size is not None:
+            raise
+        raise ResourceLimitError(str(e), basis_size=len(basis),
+                                 pending_pairs=len(pairs),
+                                 degree=degree) from None
     reduced.sort(key=lambda g: kernel.order_key(matrix, g[0][0]), reverse=True)
     return reduced
 
@@ -189,6 +272,7 @@ class Ideal:
         self.gens = tuple(cleaned)
         self.limits = limits if limits is not None else DEFAULT_LIMITS
         self._gb_cache: dict = {}
+        self._series: tuple | None = None  # (Hilbert series, its dims by degree)
         self._lock = threading.Lock()
 
     def __repr__(self):
@@ -218,12 +302,23 @@ class Ideal:
             return hit
         p = self.ring.characteristic
         raw = _reduced_basis_raw([g.terms for g in self.gens], order.rows, p,
-                                 self.limits)
+                                 self.limits, series=self._series_cutoff())
         gb = GroebnerBasis(self.ring, order,
                            [Polynomial(self.ring, g) for g in raw], self.limits)
         with self._lock:
             self._gb_cache.setdefault(key, gb)
             return self._gb_cache[key]
+
+    def _series_cutoff(self) -> _SeriesCutoff | None:
+        """Pair skipping by the Hilbert series, read off a basis already
+        cached under some order; None before the first basis or for an
+        ideal that is not multihomogeneous."""
+        with self._lock:
+            series = self._series
+            cached = next(iter(self._gb_cache.values()), None)
+        if series is None and cached is not None and self.is_multihomogeneous:
+            series = self._series = (self.hilbert_series(cached.order), {})
+        return None if series is None else _SeriesCutoff(self.ring, *series)
 
     def initial_ideal(self, order: TermOrder | None = None) -> MonomialIdeal:
         gb = self.groebner_basis(order)
@@ -320,10 +415,18 @@ class Ideal:
                 "minimal generators need multigraded input")
         gens = sorted(self.gens, key=lambda g: (sum(g.lead_exp()), g.lead_exp()))
         kept = list(gens)
+        matrix = self.ring.storage_order.rows
+        p = self.ring.characteristic
         i = 0
         while i < len(kept):
-            rest = kept[:i] + kept[i + 1:]
-            if Ideal(self.ring, rest, self.limits).contains(kept[i]):
+            # a generator of degree d lies in the ideal of the others iff it
+            # reduces to zero modulo their d-truncated Groebner basis
+            f = kept[i]
+            rest = [g.terms for g in kept[:i] + kept[i + 1:]]
+            basis = _reduced_basis_raw(rest, matrix, p, self.limits,
+                                       max_degree=f.total_degree())
+            if not kernel.normal_form(f.terms, basis, matrix, p,
+                                      self.limits.max_terms):
                 kept.pop(i)
             else:
                 i += 1

@@ -6,10 +6,15 @@ import pytest
 
 from multigb.errors import (HypothesisNotSatisfiedError,
                             InternalConsistencyError, ResourceLimitError)
-from multigb.groebner import (EngineLimits, Ideal, colon, coordinate_section,
+from multigb import kernel
+from multigb.csideals import sample_orders
+from multigb.determinantal import build_column_graded, minors
+from multigb.groebner import (EngineLimits, Ideal, _reduced_basis_raw, colon,
+                              coordinate_section,
                               eliminate, exact_divide, ideal_from_monomials,
                               ideal_membership, intersect,
                               quotient_by_linear_form, regular_sequence_test)
+from multigb.instances import cs_instance_pool
 from multigb.monomials import (MonomialIdeal, colon_monomial,
                                intersect_monomial, minimalize)
 from multigb.poly import Polynomial
@@ -195,6 +200,19 @@ def test_resource_limits(R33):
     J = Ideal(R33, gens, limits=EngineLimits(max_terms=1))
     with pytest.raises(ResourceLimitError):
         J.groebner_basis()
+    # the abort carries the driver's partial state, also in its message
+    for limits in (EngineLimits(max_basis=2), EngineLimits(max_terms=1)):
+        with pytest.raises(ResourceLimitError) as info:
+            Ideal(R33, gens, limits=limits).groebner_basis()
+        err = info.value
+        assert isinstance(err.basis_size, int) and err.basis_size >= 1
+        assert isinstance(err.pending_pairs, int) and err.pending_pairs >= 0
+        assert err.degree >= 2
+        assert (f"basis size {err.basis_size}, {err.pending_pairs} pending "
+                f"pairs, degree {err.degree}") in str(err)
+    with pytest.raises(ResourceLimitError) as info:
+        Ideal(R33, gens, limits=EngineLimits(max_basis=2)).groebner_basis()
+    assert info.value.basis_size > 2
 
 
 def test_monomial_ideal_extraction():
@@ -300,3 +318,127 @@ def test_gb_under_lex(R33):
     G = Ideal(R33, [f]).groebner_basis(lex(R33))
     assert G.order.name == "lex"
     assert G[0].lead_exp(G.order)[R33.var_index(1, 1)] == 1
+
+
+# -- degree truncation and Hilbert-driven pair skipping -------------------------
+
+def _minimal_generators_by_full_membership(I):
+    """Oracle: the greedy loop with one full Groebner basis per generator."""
+    kept = sorted(I.gens, key=lambda g: (sum(g.lead_exp()), g.lead_exp()))
+    i = 0
+    while i < len(kept):
+        rest = kept[:i] + kept[i + 1:]
+        if Ideal(I.ring, rest).contains(kept[i]):
+            kept.pop(i)
+        else:
+            i += 1
+    return kept
+
+
+def _with_redundant_generators(I):
+    """I with multihomogeneous generators added that already lie in I."""
+    extra = [I.gens[0] * Polynomial.monomial(I.ring, I.ring.unit_exp(0))]
+    same = [g for g in I.gens[1:] if g.multidegree() == I.gens[0].multidegree()]
+    if same:
+        extra.append(I.gens[0] + same[0] * 3)
+    return Ideal(I.ring, extra + list(I.gens))
+
+
+@pytest.fixture(scope="module")
+def column_graded_3x4():
+    return build_column_graded(3, (3, 3, 3, 3))
+
+
+def test_minimal_generators_match_full_membership_on_pool():
+    for I in cs_instance_pool(15, 4):
+        for J in (I, _with_redundant_generators(I)):
+            assert J.minimal_generators() == \
+                _minimal_generators_by_full_membership(J)
+
+
+def test_minimal_generators_match_full_membership_on_minors(column_graded_3x4):
+    A = column_graded_3x4
+    for t in (2, 3):
+        I = Ideal(A.ring, minors(A, t))
+        J = _with_redundant_generators(I)
+        for K in (I, J):
+            assert K.minimal_generators() == \
+                _minimal_generators_by_full_membership(K)
+        assert len(J.minimal_generators()) == len(I.gens)
+
+
+def test_minimal_generators_match_full_membership_mixed_degrees(R33):
+    f = two_minor(R33, (1, 2), (1, 2))
+    g = two_minor(R33, (1, 2), (1, 3))
+    h = two_minor(R33, (2, 3), (2, 3))
+    gens = [x(R33, 1, 3) * f + x(R33, 1, 1) * g,       # in (f, g), degree 3
+            x(R33, 1, 1) * x(R33, 2, 1) * x(R33, 3, 1),  # not in (f, g, h)
+            x(R33, 2, 2) * f, h, g, f,
+            x(R33, 1, 2) * x(R33, 2, 3) * h + x(R33, 2, 3) * x(R33, 3, 3) * f]
+    I = Ideal(R33, gens)
+    mins = I.minimal_generators()
+    assert mins == _minimal_generators_by_full_membership(I)
+    assert sorted(m.total_degree() for m in mins) == [2, 2, 2, 3]
+
+
+def test_truncated_basis_decides_membership_up_to_its_degree(column_graded_3x4):
+    A = column_graded_3x4
+    I = Ideal(A.ring, minors(A, 2))
+    matrix = A.ring.storage_order.rows
+    p = A.ring.characteristic
+    full = I.groebner_basis()
+    # the reduced basis has degree-3 elements, which only degree-3 S-pairs make
+    assert {g.total_degree() for g in full} == {2, 3}
+    extra = Polynomial.monomial(A.ring, A.ring.unit_exp(0)) ** 4
+    gens = [g.terms for g in I.gens] + [extra.terms]
+    for d in (2, 3):
+        basis = _reduced_basis_raw(gens, matrix, p, I.limits, max_degree=d)
+        assert all(sum(e) <= d for g in basis for e, _ in g)
+        for g in full:
+            if g.total_degree() <= d:
+                assert not kernel.normal_form(g.terms, basis, matrix, p)
+        assert kernel.normal_form(extra.terms, basis, matrix, p)
+
+
+def _count_normal_forms(monkeypatch):
+    calls = [0]
+    inner = kernel.normal_form
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "normal_form", counted)
+    return calls
+
+
+def test_cached_series_skips_pairs_with_same_bases(column_graded_3x4, monkeypatch):
+    A = column_graded_3x4
+    I = Ideal(A.ring, minors(A, 2))
+    I.groebner_basis()
+    calls = _count_normal_forms(monkeypatch)
+    cached = fresh = 0
+    for o in sample_orders(A.ring, 10, seed=1):
+        calls[0] = 0
+        from_series = I.groebner_basis(o)
+        cached += calls[0]
+        calls[0] = 0
+        assert from_series == Ideal(A.ring, I.gens).groebner_basis(o)
+        fresh += calls[0]
+    assert cached < fresh
+
+
+def test_inhomogeneous_ideal_runs_without_series(R33, monkeypatch):
+    f = two_minor(R33, (1, 2), (1, 2)) + x(R33, 3, 1)
+    g = x(R33, 1, 1) ** 2 - x(R33, 2, 3) * x(R33, 3, 2)
+    I = Ideal(R33, [f, g, two_minor(R33, (1, 3), (2, 3))])
+    assert not I.is_multihomogeneous
+    I.groebner_basis()  # degrevlex, the first sampled order
+    calls = _count_normal_forms(monkeypatch)
+    for o in sample_orders(R33, 4, seed=2, include_permutations=False)[1:]:
+        calls[0] = 0
+        from_cache = I.groebner_basis(o)
+        cached = calls[0]
+        calls[0] = 0
+        assert from_cache == Ideal(R33, I.gens).groebner_basis(o)
+        assert cached == calls[0]

@@ -221,6 +221,8 @@ def test_cli_resource_limit_exit_code(tmp_path, capsys):
             "ideal I = minors(X, 2)\n"
             "gb I\n")
     assert run_cli(tmp_path, text, "--max-basis", "2") == 3
+    err = capsys.readouterr().err
+    assert "basis size" in err and "pending pairs" in err and "degree" in err
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):
