@@ -12,8 +12,8 @@ from multigb.csideals import (MembershipReport, UGBReport,
                               gamma_sequence, is_cs, is_csstar, sample_orders,
                               stable_gin, ugb_check, verify_dual_theorem)
 from multigb.determinantal import (GradedMatrix, build_column_graded,
-                                   build_row_graded, ideal_of_minors, minors,
-                                   variable_matrix, verify_main_theorem)
+                                   build_row_graded, minors, variable_matrix,
+                                   verify_main_theorem)
 from multigb.errors import (HypothesisNotSatisfiedError, InconclusiveError,
                             InternalConsistencyError, MultigbError,
                             NotSquarefreeError, PolarizationCapacityError,
@@ -21,19 +21,17 @@ from multigb.errors import (HypothesisNotSatisfiedError, InconclusiveError,
 from multigb.gin import (BorelElement, GinReport, apply_change, gin,
                          gin_order_independence, identity_borel, random_borel)
 from multigb.groebner import (DEFAULT_LIMITS, EngineLimits, GroebnerBasis,
-                              Ideal, buchberger, colon, coordinate_section,
-                              eliminate, exact_divide, hilbert_series,
-                              ideal_from_monomials, ideal_membership,
-                              initial_ideal, intersect, normal_form,
-                              quotient_by_linear_form, regular_sequence_test)
+                              Ideal, coordinate_section, exact_divide,
+                              ideal_from_monomials, quotient_by_linear_form,
+                              regular_sequence_test)
 from multigb.kernel import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                alexander_dual, alexander_dual_bruteforce,
                                graded_dimension, hilbert_numerator,
                                hilbert_numerator_inclusion_exclusion,
                                is_borel_fixed, is_extended_from_first_variables,
-                               is_radical_monomial, is_squarefree,
-                               is_strongly_stable, polarize,
+                               is_radical_monomial, is_strongly_stable,
+                               polarize,
                                regularity_strongly_stable)
 from multigb.poly import Polynomial
 from multigb.ring import (DEFAULT_CHARACTERISTIC, BlockRing, TermOrder,
@@ -46,22 +44,19 @@ __all__ = [
     "BlockRing", "TermOrder", "Polynomial", "Ideal", "GroebnerBasis",
     "MonomialIdeal", "HilbertNumerator", "GradedMatrix", "GinReport",
     "BorelElement", "MembershipReport", "UGBReport", "EngineLimits",
-    "DEFAULT_LIMITS", "DEFAULT_CHARACTERISTIC", "KERNEL_IMPLEMENTATION",
-    "lex", "degrevlex", "degrevlex_blocks_reversed", "weight_order",
-    "elimination_order", "buchberger", "normal_form", "initial_ideal",
-    "ideal_membership", "colon", "intersect", "eliminate", "hilbert_series",
-    "exact_divide", "ideal_from_monomials", "regular_sequence_test",
-    "quotient_by_linear_form", "coordinate_section", "hilbert_numerator",
-    "hilbert_numerator_inclusion_exclusion", "graded_dimension",
-    "alexander_dual", "alexander_dual_bruteforce", "polarize",
-    "is_radical_monomial", "is_squarefree", "is_borel_fixed",
-    "is_strongly_stable", "is_extended_from_first_variables",
-    "regularity_strongly_stable", "gin", "random_borel", "identity_borel",
-    "apply_change", "gin_order_independence", "stable_gin", "is_cs",
-    "is_csstar", "csstar_canonical_C", "check_incomparable_degrees",
-    "verify_dual_theorem", "closure_suite", "ugb_check", "degree_bound_check",
-    "sample_orders", "gamma_sequence", "minors", "ideal_of_minors",
-    "build_column_graded", "build_row_graded", "variable_matrix",
+    "DEFAULT_LIMITS", "DEFAULT_CHARACTERISTIC", "KERNEL_IMPLEMENTATION", "lex",
+    "degrevlex", "degrevlex_blocks_reversed", "weight_order",
+    "elimination_order", "exact_divide", "ideal_from_monomials",
+    "regular_sequence_test", "quotient_by_linear_form", "coordinate_section",
+    "hilbert_numerator", "hilbert_numerator_inclusion_exclusion",
+    "graded_dimension", "alexander_dual", "alexander_dual_bruteforce",
+    "polarize", "is_radical_monomial", "is_borel_fixed", "is_strongly_stable",
+    "is_extended_from_first_variables", "regularity_strongly_stable", "gin",
+    "random_borel", "identity_borel", "apply_change", "gin_order_independence",
+    "stable_gin", "is_cs", "is_csstar", "csstar_canonical_C",
+    "check_incomparable_degrees", "verify_dual_theorem", "closure_suite",
+    "ugb_check", "degree_bound_check", "sample_orders", "gamma_sequence",
+    "minors", "build_column_graded", "build_row_graded", "variable_matrix",
     "verify_main_theorem", "MultigbError", "RingMismatchError",
     "ResourceLimitError", "NotSquarefreeError", "PolarizationCapacityError",
     "HypothesisNotSatisfiedError", "InconclusiveError",

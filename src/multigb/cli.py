@@ -8,7 +8,8 @@ with expect=yes|no) contribute to it: exit 0 only if all of them pass.
 
 Exit codes: 0 all asserted checks pass; 1 a check failed or the engine
 detected an internal inconsistency; 2 usage, parse, or semantic error;
-3 resource-guard abort (partial JSON still flushed).
+3 resource-guard abort (partial JSON still flushed, ending with an
+"aborted" report for the command that hit the guard).
 """
 
 from __future__ import annotations
@@ -332,15 +333,17 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
     elif cmd.name == "bounds":
         I = _ideal_arg(cmd, sess)
         mode = "le"
-        bound = None
+        bounds = [cmd.options["bound"]] if "bound" in cmd.options else []
         for arg in cmd.args[1:]:
             if isinstance(arg, NameNode) and arg.name in ("le", "eq"):
                 mode = arg.name
             elif isinstance(arg, VectorNode):
-                bound = arg.values
-        if bound is None:
-            bound = (1,) * sess.ring.v
-        if len(bound) != sess.ring.v:
+                bounds.append(arg.values)
+        if len(bounds) > 1:
+            raise ScriptError("bounds takes one bound, [..] or bound=[..]",
+                              cmd.line)
+        bound = bounds[0] if bounds else (1,) * sess.ring.v
+        if not isinstance(bound, tuple) or len(bound) != sess.ring.v:
             raise ScriptError(f"bound needs {sess.ring.v} entries", cmd.line)
         passed, details = degree_bound_check(
             I, bound, n_orders=n_orders, seed=seed, mode=mode)
@@ -390,6 +393,16 @@ def _human_lines(report: dict) -> list:
         for item in items:
             lines.append(f"  {item}")
     return lines
+
+
+def _unfinished_report(cmd: Command, verdict: str, evidence: dict) -> dict:
+    """Report of a command that ended without a result: "inconclusive"
+    (contradictory gin trials) or "aborted" (a resource limit)."""
+    return {"command": cmd.name,
+            "inputs": [_arg_text(a) for a in cmd.args],
+            "verdict": verdict, "evidence": evidence,
+            "seeds": [], "orders": [], "timings": {},
+            "asserted": cmd.name in ASSERTING, "passed": False}
 
 
 def run_script(script: SessionScript, flags, out=None, err=None) -> int:
@@ -448,13 +461,14 @@ def run_script(script: SessionScript, flags, out=None, err=None) -> int:
                 try:
                     report = _execute_command(stmt, sess)
                 except InconclusiveError as e:
-                    report = {"command": stmt.name,
-                              "inputs": [_arg_text(a) for a in stmt.args],
-                              "verdict": "inconclusive",
-                              "evidence": {"error": str(e)},
-                              "seeds": [], "orders": [], "timings": {},
-                              "asserted": stmt.name in ASSERTING,
-                              "passed": False}
+                    report = _unfinished_report(stmt, "inconclusive",
+                                                {"error": str(e)})
+                except ResourceLimitError as e:
+                    reports.append(_unfinished_report(stmt, "aborted", {
+                        "error": str(e), "basis_size": e.basis_size,
+                        "pending_pairs": e.pending_pairs,
+                        "degree": e.degree}))
+                    raise
                 except (RingMismatchError, HypothesisNotSatisfiedError,
                         NotSquarefreeError, PolarizationCapacityError,
                         ValueError) as e:

@@ -82,7 +82,12 @@ def sample_orders(ring: BlockRing, n_weight: int, seed: int = 0,
                   include_permutations: bool = True) -> list:
     """Deterministic order sample: lex and degrevlex over the block-respecting
     variable permutations (when the ring has at most 8 variables), followed by
-    ``n_weight`` distinct random positive weight orders with degrevlex ties."""
+    ``n_weight`` distinct random positive weight orders with degrevlex ties
+    (weights 1..1000, so at most 1000^nvars of them exist)."""
+    if not 0 <= n_weight <= 1000 ** ring.nvars:
+        raise ValueError(f"n_weight must be in 0..1000^{ring.nvars}, the "
+                         f"number of weight vectors with entries 1..1000; "
+                         f"got {n_weight}")
     orders = []
     if include_permutations and ring.nvars <= 8:
         for prio in _block_respecting_priorities(ring):
@@ -309,17 +314,20 @@ def closure_suite(I: Ideal, L: Polynomial, trials: int = 3, seed: int = 0) -> di
         record(item, label, rep.verdict,
                detail=f"dropped {ring.var_label(var)}")
 
+    # I : L serves items 2 and 4, and item 3 as I cap (L) = L * (I : L),
+    # which holds in a domain
+    colon = I.colon(L)
     if in_star:
         quotient_check(1, I, is_csstar,
                        "quotient by the form stays first-variables", seed + 11)
-        rep = is_csstar(I.colon(L), trials=trials, seed=seed + 12)
+        rep = is_csstar(colon, trials=trials, seed=seed + 12)
         record(2, "colon by the form stays first-variables", rep.verdict)
-        rep = is_csstar(I.intersect(Ideal(ring, [L], I.limits)),
-                        trials=trials, seed=seed + 13)
+        meet = Ideal(ring, [L * g for g in colon.gens], I.limits)
+        rep = is_csstar(meet, trials=trials, seed=seed + 13)
         record(3, "intersection with the form stays first-variables",
                rep.verdict)
     if in_cs:
-        rep = is_cs(I.colon(L), trials=trials, seed=seed + 14)
+        rep = is_cs(colon, trials=trials, seed=seed + 14)
         record(4, "colon by the form stays radical-gin", rep.verdict)
         rep = is_cs(I + L, trials=trials, seed=seed + 15)
         record(5, "sum with the form stays radical-gin", rep.verdict)
@@ -358,11 +366,16 @@ def ugb_check(candidates: Sequence[Polynomial], I: Ideal, n_orders: int = 200,
     candidates = [c for c in candidates if not c.is_zero]
     if not candidates:
         raise HypothesisNotSatisfiedError("no nonzero candidates")
-    generated = Ideal(ring, candidates, I.limits)
     if not all(I.contains(c) for c in candidates):
         raise HypothesisNotSatisfiedError("a candidate lies outside the ideal")
-    if not all(generated.contains(g) for g in I.gens):
-        raise HypothesisNotSatisfiedError("candidates do not generate the ideal")
+    # a generator of I that is itself a candidate lies in their ideal
+    named = set(candidates)
+    others = [g for g in I.gens if g not in named]
+    if others:
+        generated = Ideal(ring, candidates, I.limits)
+        if not all(generated.contains(g) for g in others):
+            raise HypothesisNotSatisfiedError(
+                "candidates do not generate the ideal")
     orders = sample_orders(ring, n_orders, seed=seed,
                            include_permutations=include_permutations)
     # The candidates lie in I, so their lead terms generate a subideal of
@@ -385,7 +398,7 @@ def ugb_check(candidates: Sequence[Polynomial], I: Ideal, n_orders: int = 200,
             for e in lead_exps:
                 if not cand_leads.contains_monomial(e):
                     failures.append({"order": o.name,
-                                     "lead": cand_leads.monomial_str(e)})
+                                     "lead": ring.monomial_str(e)})
         records.append({
             "order": o.name,
             "lead_exps": lead_exps,
@@ -416,6 +429,8 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
     if mode not in ("le", "eq"):
         raise ValueError("mode must be 'le' or 'eq'")
     bound = tuple(bound)
+    if len(bound) != I.ring.v:
+        raise ValueError(f"bound needs {I.ring.v} entries, got {len(bound)}")
 
     def fits(deg: tuple) -> bool:
         if mode == "eq":

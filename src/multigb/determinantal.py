@@ -16,7 +16,7 @@ from typing import Sequence
 
 from multigb.csideals import degree_bound_check, is_cs, is_csstar, ugb_check
 from multigb.errors import HypothesisNotSatisfiedError
-from multigb.groebner import EngineLimits, Ideal
+from multigb.groebner import Ideal
 from multigb.monomials import regularity_strongly_stable
 from multigb.poly import Polynomial
 from multigb.ring import DEFAULT_CHARACTERISTIC, BlockRing
@@ -114,25 +114,37 @@ def _linear_form(ring: BlockRing, block: int, coeffs: Sequence[int]) -> Polynomi
     return Polynomial(ring, terms)
 
 
+def _build_graded(k: int, block_sizes: Sequence[int], seed: int,
+                  characteristic: int, coefficient_matrices: Sequence | None,
+                  grading: str) -> GradedMatrix:
+    """Block j contributes the k linear forms A_j x_j, for a k x n_j
+    coefficient matrix A_j (random full-rank from the seed when not
+    supplied); they fill column j of a column-graded matrix, row j of a
+    row-graded one."""
+    ring = BlockRing(tuple(block_sizes), characteristic)
+    if coefficient_matrices is None:
+        rng = random.Random(seed)
+        coefficient_matrices = [
+            _random_full_rank(rng, k, nj, ring.characteristic)
+            for nj in ring.block_sizes]
+    if len(coefficient_matrices) != ring.v:
+        raise ValueError(f"need {ring.v} coefficient matrices")
+    for j, (A, nj) in enumerate(zip(coefficient_matrices, ring.block_sizes)):
+        if len(A) != k or any(len(row) != nj for row in A):
+            raise ValueError(f"coefficient matrix {j + 1} must be {k}x{nj}")
+    forms = [[_linear_form(ring, j + 1, A[i]) for i in range(k)]
+             for j, A in enumerate(coefficient_matrices)]
+    rows = forms if grading == "row" else list(zip(*forms))
+    return GradedMatrix(ring, rows, grading)
+
+
 def build_column_graded(m: int, block_sizes: Sequence[int], seed: int = 0,
                         characteristic: int = DEFAULT_CHARACTERISTIC,
                         coefficient_matrices: Sequence | None = None) -> GradedMatrix:
     """m x v matrix whose column j is A_j x_j for an m x n_j coefficient
     matrix A_j (random full-rank from the seed when not supplied)."""
-    ring = BlockRing(tuple(block_sizes), characteristic)
-    if coefficient_matrices is None:
-        rng = random.Random(seed)
-        coefficient_matrices = [
-            _random_full_rank(rng, m, nj, ring.characteristic)
-            for nj in ring.block_sizes]
-    if len(coefficient_matrices) != ring.v:
-        raise ValueError(f"need {ring.v} coefficient matrices")
-    for j, (A, nj) in enumerate(zip(coefficient_matrices, ring.block_sizes)):
-        if len(A) != m or any(len(row) != nj for row in A):
-            raise ValueError(f"coefficient matrix {j + 1} must be {m}x{nj}")
-    rows = [[_linear_form(ring, j + 1, coefficient_matrices[j][i])
-             for j in range(ring.v)] for i in range(m)]
-    return GradedMatrix(ring, rows, "column")
+    return _build_graded(m, block_sizes, seed, characteristic,
+                         coefficient_matrices, "column")
 
 
 def build_row_graded(n: int, block_sizes: Sequence[int], seed: int = 0,
@@ -140,20 +152,8 @@ def build_row_graded(n: int, block_sizes: Sequence[int], seed: int = 0,
                      coefficient_matrices: Sequence | None = None) -> GradedMatrix:
     """v x n matrix whose row i consists of n linear forms in the block-i
     variables, with full-rank n x n_i coefficient matrices."""
-    ring = BlockRing(tuple(block_sizes), characteristic)
-    if coefficient_matrices is None:
-        rng = random.Random(seed)
-        coefficient_matrices = [
-            _random_full_rank(rng, n, ni, ring.characteristic)
-            for ni in ring.block_sizes]
-    if len(coefficient_matrices) != ring.v:
-        raise ValueError(f"need {ring.v} coefficient matrices")
-    for i, (B, ni) in enumerate(zip(coefficient_matrices, ring.block_sizes)):
-        if len(B) != n or any(len(row) != ni for row in B):
-            raise ValueError(f"coefficient matrix {i + 1} must be {n}x{ni}")
-    rows = [[_linear_form(ring, i + 1, coefficient_matrices[i][j])
-             for j in range(n)] for i in range(ring.v)]
-    return GradedMatrix(ring, rows, "row")
+    return _build_graded(n, block_sizes, seed, characteristic,
+                         coefficient_matrices, "row")
 
 
 def variable_matrix(m: int, n: int, grading: str = "row",
@@ -206,25 +206,19 @@ def _determinant_leibniz(rows: list) -> Polynomial:
     return total
 
 
-def minors(A: GradedMatrix, t: int, method: str = "cofactor") -> list:
+def minors(A: GradedMatrix, t: int) -> list:
     """All t x t minors in lexicographic row/column-subset order, zero
     determinants discarded."""
     m, n = A.shape
     if not 1 <= t <= min(m, n):
         raise ValueError(f"minor size {t} out of range for shape {m}x{n}")
-    det = _determinant if method == "cofactor" else _determinant_leibniz
     out = []
     for rows in itertools.combinations(range(m), t):
         for cols in itertools.combinations(range(n), t):
-            d = det([[A.entries[i][j] for j in cols] for i in rows])
+            d = _determinant([[A.entries[i][j] for j in cols] for i in rows])
             if not d.is_zero:
                 out.append(d)
     return out
-
-
-def ideal_of_minors(A: GradedMatrix, t: int,
-                    limits: EngineLimits | None = None) -> Ideal:
-    return Ideal(A.ring, minors(A, t), limits=limits)
 
 
 def verify_main_theorem(A: GradedMatrix, n_orders: int = 25, seed: int = 0,

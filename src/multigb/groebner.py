@@ -9,7 +9,6 @@ results structurally.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -22,8 +21,8 @@ from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                ambient_dimension, hilbert_numerator,
                                quotient_dimension_from_numerator)
 from multigb.poly import Polynomial
-from multigb.ring import (BlockRing, TermOrder, degrevlex, elimination_order,
-                          exp_divides, exp_gcd, exp_lcm)
+from multigb.ring import (BlockRing, TermOrder, elimination_order, exp_divides,
+                          exp_gcd, exp_lcm)
 
 
 @dataclass(frozen=True)
@@ -290,11 +289,8 @@ class Ideal:
     def is_monomial(self) -> bool:
         return all(g.is_monomial for g in self.gens)
 
-    def _default_order(self) -> TermOrder:
-        return self.ring.storage_order
-
     def groebner_basis(self, order: TermOrder | None = None) -> GroebnerBasis:
-        order = order or self._default_order()
+        order = order or self.ring.storage_order
         key = order.rows
         with self._lock:
             hit = self._gb_cache.get(key)
@@ -437,40 +433,6 @@ class Ideal:
         if not self.is_monomial:
             raise HypothesisNotSatisfiedError("generators are not monomials")
         return MonomialIdeal(self.ring, [g.lead_exp() for g in self.gens])
-
-
-# -- free-function forms -------------------------------------------------------
-
-def buchberger(I: Ideal, order: TermOrder | None = None) -> GroebnerBasis:
-    return I.groebner_basis(order)
-
-
-def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
-    return G.normal_form(f)
-
-
-def initial_ideal(I: Ideal, order: TermOrder | None = None) -> MonomialIdeal:
-    return I.initial_ideal(order)
-
-
-def ideal_membership(f: Polynomial, I: Ideal) -> bool:
-    return I.contains(f)
-
-
-def colon(I: Ideal, f: Polynomial) -> Ideal:
-    return I.colon(f)
-
-
-def intersect(I: Ideal, J: Ideal) -> Ideal:
-    return I.intersect(J)
-
-
-def eliminate(I: Ideal, variables: Iterable[int]) -> Ideal:
-    return I.eliminate(variables)
-
-
-def hilbert_series(I: Ideal, order: TermOrder | None = None) -> HilbertNumerator:
-    return I.hilbert_series(order)
 
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:

@@ -14,6 +14,9 @@ Data conventions:
 
 from functools import lru_cache
 
+from multigb.errors import ResourceLimitError
+from multigb.ring import exp_divides
+
 IMPLEMENTATION = "pure"
 
 
@@ -21,13 +24,6 @@ IMPLEMENTATION = "pure"
 def order_key(matrix, exp):
     """Sort key of an exponent vector under an order matrix."""
     return tuple(sum(r * e for r, e in zip(row, exp)) for row in matrix)
-
-
-def compare(matrix, a, b):
-    """Three-way comparison of exponent vectors: 1, 0 or -1."""
-    ka = order_key(matrix, a)
-    kb = order_key(matrix, b)
-    return (ka > kb) - (ka < kb)
 
 
 def sort_terms(terms, matrix, p):
@@ -64,7 +60,7 @@ def poly_mul_term(f, shift, c, p):
     ]
 
 
-def _merge(f, g, matrix, p):
+def poly_add(f, g, matrix, p):
     """Sum of two sorted term lists."""
     out = []
     i = j = 0
@@ -89,12 +85,8 @@ def _merge(f, g, matrix, p):
     return out
 
 
-def poly_add(f, g, matrix, p):
-    return _merge(f, g, matrix, p)
-
-
 def poly_sub(f, g, matrix, p):
-    return _merge(f, poly_neg(g, p), matrix, p)
+    return poly_add(f, poly_neg(g, p), matrix, p)
 
 
 def poly_mul(f, g, matrix, p):
@@ -108,10 +100,6 @@ def poly_mul(f, g, matrix, p):
         key=lambda t: order_key(matrix, t[0]),
         reverse=True,
     )
-
-
-def _divides(small, big):
-    return all(a <= b for a, b in zip(small, big))
 
 
 def spoly(f, g, matrix, p):
@@ -142,7 +130,7 @@ def normal_form(f, basis, matrix, p, max_terms=0):
         exp, coeff = work[pos]
         hit = -1
         for idx, (lexp, _) in enumerate(leads):
-            if _divides(lexp, exp):
+            if exp_divides(lexp, exp):
                 hit = idx
                 break
         if hit < 0:
@@ -155,10 +143,9 @@ def normal_form(f, basis, matrix, p, max_terms=0):
         factor = (coeff * pow(glc, p - 2, p)) % p
         # work[pos] cancels against factor * x^shift * lead(g)
         tail = poly_mul_term(g[1:], shift, p - factor, p)
-        work = _merge(work[pos + 1:], tail, matrix, p)
+        work = poly_add(work[pos + 1:], tail, matrix, p)
         pos = 0
         if max_terms and len(work) + len(out) > max_terms:
-            from multigb.errors import ResourceLimitError
             raise ResourceLimitError(
                 f"reduction exceeded {max_terms} terms")
     return out

@@ -64,41 +64,18 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and not any(self.gens[0])
 
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
     def contains_monomial(self, exp: tuple) -> bool:
         return any(exp_divides(g, exp) for g in self.gens)
 
-    def monomial_str(self, exp: tuple) -> str:
-        if not any(exp):
-            return "1"
-        parts = []
-        for v, e in enumerate(exp):
-            if e == 1:
-                parts.append(self.ring.var_label(v))
-            elif e > 1:
-                parts.append(f"{self.ring.var_label(v)}^{e}")
-        return "*".join(parts)
-
     def generator_strings(self) -> list:
-        return [self.monomial_str(g) for g in self.gens]
+        return [self.ring.monomial_str(g) for g in self.gens]
 
     def __repr__(self):
         inside = ", ".join(self.generator_strings()) if self.gens else "0"
         return f"MonomialIdeal({inside})"
 
-    def multidegrees(self) -> list:
-        return [self.ring.multidegree(g) for g in self.gens]
-
     def max_total_degree(self) -> int:
         return max((sum(g) for g in self.gens), default=0)
-
-
-def minimalize(ring: BlockRing, gens: Iterable[tuple]) -> MonomialIdeal:
-    """Minimal generating antichain of the ideal the monomials generate."""
-    return MonomialIdeal(ring, gens)
 
 
 def colon_monomial(I: MonomialIdeal, exp: tuple) -> MonomialIdeal:
@@ -125,10 +102,6 @@ def support(exp: tuple) -> tuple:
 def is_radical_monomial(I: MonomialIdeal) -> bool:
     """A monomial ideal is radical iff its minimal generators are squarefree."""
     return all(all(e <= 1 for e in g) for g in I.gens)
-
-
-def is_squarefree(I: MonomialIdeal) -> bool:
-    return is_radical_monomial(I)
 
 
 def is_extended_from_first_variables(I: MonomialIdeal) -> bool:

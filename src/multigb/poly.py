@@ -243,23 +243,14 @@ class Polynomial:
         p = self.ring.characteristic
         return c - p if c > p // 2 else c
 
-    def _monomial_str(self, exp: tuple) -> str:
-        parts = []
-        for v, e in enumerate(exp):
-            if e == 1:
-                parts.append(self.ring.var_label(v))
-            elif e > 1:
-                parts.append(f"{self.ring.var_label(v)}^{e}")
-        return "*".join(parts)
-
     def __str__(self):
         if not self._terms:
             return "0"
         chunks = []
         for exp, coeff in self._terms:
             c = self._balanced(coeff)
-            mono = self._monomial_str(exp)
-            if not mono:
+            mono = self.ring.monomial_str(exp)
+            if not any(exp):
                 body = str(abs(c))
             elif abs(c) == 1:
                 body = mono

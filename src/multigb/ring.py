@@ -89,10 +89,6 @@ class BlockRing:
     def __repr__(self):
         return f"BlockRing(blocks={list(self.block_sizes)}, char={self.characteristic})"
 
-    def block_of(self, var: int) -> int:
-        """0-based block index of a flat variable index."""
-        return self._block_of[var]
-
     def var_index(self, block: int, pos: int) -> int:
         """Flat index of ``x[block,pos]`` (both 1-based)."""
         if not 1 <= block <= self.v:
@@ -109,6 +105,16 @@ class BlockRing:
     def var_label(self, var: int) -> str:
         i, j = self._var_pairs[var]
         return f"x[{i},{j}]"
+
+    def monomial_str(self, exp: tuple) -> str:
+        """``x[1,1]^2*x[2,3]``-style text of an exponent tuple; "1" for 1."""
+        parts = []
+        for v, e in enumerate(exp):
+            if e == 1:
+                parts.append(self.var_label(v))
+            elif e > 1:
+                parts.append(f"{self.var_label(v)}^{e}")
+        return "*".join(parts) or "1"
 
     def block_vars(self, block: int) -> range:
         """Flat indices of the variables in a 1-based block."""
@@ -141,10 +147,6 @@ class BlockRing:
     def storage_order(self) -> "TermOrder":
         """Canonical order used to store polynomial term lists."""
         return degrevlex(self)
-
-    def variable(self, block: int, pos: int):
-        from multigb.poly import Polynomial
-        return Polynomial.variable(self, block, pos)
 
     def monomials_of_multidegree(self, degree: Sequence[int]) -> Iterable[tuple]:
         """All exponent tuples with the given multidegree."""
@@ -186,13 +188,6 @@ class TermOrder:
 
     def key(self, exp: tuple) -> tuple:
         return tuple(sum(r * e for r, e in zip(row, exp)) for row in self.rows)
-
-    def compare(self, a: tuple, b: tuple) -> int:
-        """1 if a > b, -1 if a < b, 0 if equal."""
-        if len(a) != self.nvars or len(b) != self.nvars:
-            raise RingMismatchError("exponent length does not match order")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
 
     def respects_block_convention(self, ring: BlockRing) -> bool:
         """True when x[i,j] > x[i,k] for j < k within every block."""

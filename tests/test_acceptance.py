@@ -292,3 +292,9 @@ def test_engine_self_consistency():
         again = stable_gin(ideal_from_monomials(G), trials=3,
                            seed=7 * k + 3).require()
         assert again == G
+
+
+def test_public_names_resolve():
+    import multigb
+    assert len(set(multigb.__all__)) == len(multigb.__all__)
+    assert [n for n in multigb.__all__ if not hasattr(multigb, n)] == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from multigb import csideals
 from multigb.csideals import (MembershipReport, check_incomparable_degrees,
                               closure_suite, csstar_canonical_C,
                               degree_bound_check, gamma_sequence, is_cs,
@@ -58,6 +59,16 @@ def test_sample_orders_canonical_only():
     assert len(orders) == 2 + 7
     assert orders[0].name == "degrevlex"
     assert orders[1].name == "lex"
+
+
+def test_sample_orders_rejects_impossible_counts():
+    # weights are drawn from 1..1000: one variable has 1000 weight orders
+    R = BlockRing((1,))
+    assert len(sample_orders(R, 1000)) == 2 + 1000
+    for n in (1001, -1):
+        with pytest.raises(ValueError, match="n_weight"):
+            sample_orders(R, n)
+    assert len(sample_orders(R, 0)) == 2
 
 
 def test_sample_orders_large_ring_skips_permutations():
@@ -299,7 +310,7 @@ def ugb_oracle(candidates, I, orders):
         for e in gb.lead_exponents():
             if not cand_leads.contains_monomial(e):
                 failures.append({"order": o.name,
-                                 "lead": cand_leads.monomial_str(e)})
+                                 "lead": ring.monomial_str(e)})
         records.append({"order": o.name, "lead_exps": gb.lead_exponents(),
                         "gb_multidegrees": [g.multidegree() for g in gb]})
     return records, failures
@@ -374,6 +385,26 @@ def test_ugb_check_hypothesis_errors():
         ugb_check([x(R, 1, 1) ** 2], I)  # does not generate
 
 
+def test_ugb_check_builds_candidate_ideal_only_when_needed(monkeypatch):
+    # every generator of I a candidate: I lies in their ideal, no basis of it
+    built = []
+
+    class Recording(Ideal):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(csideals, "Ideal", Recording)
+    A = variable_matrix(2, 3, grading="column")
+    maximal = minors(A, 2)
+    assert ugb_check(maximal, Ideal(A.ring, maximal), n_orders=4).passed
+    assert built == []
+    # a generator that is not a candidate is checked against their ideal
+    I = Ideal(A.ring, [maximal[0] + maximal[1]] + maximal[1:])
+    assert ugb_check(maximal, I, n_orders=4).passed
+    assert len(built) == 1 and built[0].gens == tuple(maximal)
+
+
 def test_degree_bound_check_le():
     A = variable_matrix(2, 3, grading="column")
     I = Ideal(A.ring, minors(A, 2))
@@ -395,3 +426,12 @@ def test_degree_bound_check_eq():
     assert ok
     with pytest.raises(ValueError):
         degree_bound_check(I, (1, 1), mode="between")
+
+
+def test_degree_bound_check_rejects_bound_of_wrong_length():
+    A = variable_matrix(2, 3, grading="row")
+    I = Ideal(A.ring, minors(A, 2))
+    for bound in ((1,), (1, 1, 1)):
+        for mode in ("le", "eq"):
+            with pytest.raises(ValueError, match="bound needs 2 entries"):
+                degree_bound_check(I, bound, n_orders=2, mode=mode)

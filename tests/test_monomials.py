@@ -14,7 +14,7 @@ from multigb.monomials import (HilbertNumerator, MonomialIdeal, alexander_dual,
                                intersect_monomial, is_borel_fixed,
                                is_extended_from_first_variables,
                                is_radical_monomial, is_strongly_stable,
-                               minimalize, polarize,
+                               polarize,
                                quotient_dimension_from_numerator,
                                regularity_strongly_stable, sum_monomial,
                                support)
@@ -114,7 +114,7 @@ def test_alexander_dual_against_bruteforce():
             for var in rng.sample(range(R.nvars), rng.randrange(1, min(4, R.nvars + 1))):
                 e[var] = 1
             gens.append(tuple(e))
-        I = minimalize(R, gens)
+        I = MonomialIdeal(R, gens)
         if I.is_zero or I.is_unit:
             continue
         D = alexander_dual(I)
@@ -211,7 +211,7 @@ def test_hilbert_numerator_against_inclusion_exclusion():
         gens = [tuple(rng.randrange(3) for _ in range(R.nvars))
                 for _ in range(rng.randrange(0, 5))]
         gens = [g for g in gens if any(g)]
-        I = minimalize(R, gens)
+        I = MonomialIdeal(R, gens)
         assert hilbert_numerator(I) == hilbert_numerator_inclusion_exclusion(I)
 
 
@@ -222,7 +222,7 @@ def test_numerator_counts_standard_monomials():
         gens = [tuple(rng.randrange(3) for _ in range(4))
                 for _ in range(rng.randrange(1, 4))]
         gens = [g for g in gens if any(g)]
-        I = minimalize(R, gens)
+        I = MonomialIdeal(R, gens)
         num = hilbert_numerator(I)
         for a in ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2)):
             assert quotient_dimension_from_numerator(num, R, a) == \

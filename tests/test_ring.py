@@ -3,7 +3,6 @@
 import pytest
 
 from multigb.errors import RingMismatchError
-from multigb.kernel import compare
 from multigb.monomials import ambient_dimension
 from multigb.ring import (BlockRing, degrevlex, degrevlex_blocks_reversed,
                           elimination_order, lex, weight_order)
@@ -56,8 +55,8 @@ def test_lex_order_within_block():
     o = lex(R)
     x1 = R.unit_exp(0)
     x2 = R.unit_exp(1)
-    assert compare(o.rows, x1, x2) == 1
-    assert compare(o.rows, x2, x1) == -1
+    assert o.key(x1) > o.key(x2)
+    assert o.key(x2) < o.key(x1)
 
 
 def test_degrevlex_degree_dominates():
@@ -65,7 +64,7 @@ def test_degrevlex_degree_dominates():
     o = degrevlex(R)
     quad = (2, 0, 0)
     lin = (0, 0, 1)
-    assert compare(o.rows, quad, lin) == 1
+    assert o.key(quad) > o.key(lin)
 
 
 def test_degrevlex_revlex_tie():
@@ -74,7 +73,7 @@ def test_degrevlex_revlex_tie():
     o = degrevlex(R)
     ac = (1, 0, 1)
     bb = (0, 2, 0)
-    assert compare(o.rows, bb, ac) == 1
+    assert o.key(bb) > o.key(ac)
 
 
 def test_degrevlex_cross_block_tie():
@@ -88,7 +87,7 @@ def test_degrevlex_cross_block_tie():
     b = [0] * 9
     b[R.var_index(1, 2)] = 1
     b[R.var_index(2, 1)] = 1
-    assert compare(o.rows, tuple(b), tuple(a)) == 1
+    assert o.key(tuple(b)) > o.key(tuple(a))
 
 
 def test_one_is_minimal():
@@ -97,7 +96,7 @@ def test_one_is_minimal():
     for o in (lex(R), degrevlex(R), degrevlex_blocks_reversed(R),
               weight_order(R, (5, 3, 7, 2))):
         for flat in range(4):
-            assert compare(o.rows, R.unit_exp(flat), one) == 1
+            assert o.key(R.unit_exp(flat)) > o.key(one)
 
 
 def test_block_convention_checks():
@@ -114,16 +113,16 @@ def test_degrevlex_blocks_reversed_priority():
     R = BlockRing((2, 2))
     o = degrevlex_blocks_reversed(R)
     # block 2 outranks block 1 at equal total degree
-    assert compare(o.rows, R.unit_exp(2), R.unit_exp(0)) == 1
+    assert o.key(R.unit_exp(2)) > o.key(R.unit_exp(0))
     # within a block the convention still holds
-    assert compare(o.rows, R.unit_exp(2), R.unit_exp(3)) == 1
+    assert o.key(R.unit_exp(2)) > o.key(R.unit_exp(3))
 
 
 def test_elimination_order():
     o = elimination_order(4, front=(0, 1))
     # any power of a front variable beats any back monomial
-    assert compare(o.rows, (1, 0, 0, 0), (0, 0, 5, 5)) == 1
-    assert compare(o.rows, (0, 0, 5, 5), (0, 1, 0, 0)) == -1
+    assert o.key((1, 0, 0, 0)) > o.key((0, 0, 5, 5))
+    assert o.key((0, 0, 5, 5)) < o.key((0, 1, 0, 0))
 
 
 def test_weight_order_requires_positive_weights():

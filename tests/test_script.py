@@ -362,6 +362,60 @@ def test_cli_invalid_count_flags_exit_2(tmp_path, capsys, flags):
     assert "error:" in capsys.readouterr().err
 
 
+BOUNDS = ("ring v=2 blocks=[2,2] char=32003\n"
+          "ideal I = x[1,1]^2*x[2,1]^2, x[1,2]*x[2,2]\n")
+
+
+@pytest.mark.parametrize("command", ["bounds I bound=[2,2] orders=2",
+                                     "bounds I [2,2] orders=2"])
+def test_cli_bounds_reads_either_bound_form(tmp_path, capsys, command):
+    assert run_cli(tmp_path, BOUNDS + command + "\n", "--json") == 0
+    report = json.loads(capsys.readouterr().out)["reports"][-1]
+    assert report["verdict"] == "pass"
+    assert report["evidence"]["bound"] == [2, 2]
+
+
+@pytest.mark.parametrize("command", [
+    "bounds I [2,2] bound=[2,2]", "bounds I [2,2] [1,1]", "bounds I bound=[2]",
+    "bounds I bound=2", "bounds I bound=le",
+])
+def test_cli_bounds_rejects_bad_bounds(tmp_path, capsys, command):
+    assert run_cli(tmp_path, BOUNDS + command + "\n") == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_ugb_rejects_more_orders_than_weights(tmp_path, capsys):
+    # a one-variable ring has only 1000 weight orders (weights 1..1000)
+    text = "ring v=1 blocks=[1] char=32003\nideal I = x[1,1]^2\n"
+    assert run_cli(tmp_path, text + "ugb I orders=1001\n") == 2
+    assert "n_weight" in capsys.readouterr().err
+
+
+def test_cli_resource_limit_json_ends_with_aborted_report(tmp_path, capsys):
+    text = ("ring v=2 blocks=[3,3] char=32003\n"
+            "matrix X rowgraded 2 x 3 {\n"
+            "  x[1,1], x[1,2], x[1,3] ;\n"
+            "  x[2,1], x[2,2], x[2,3]\n"
+            "}\n"
+            "ideal I = minors(X, 2)\n"
+            "minors X 2\n"
+            "gb I\n"
+            "cs I\n")
+    assert run_cli(tmp_path, text, "--max-basis", "2", "--json") == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == 1
+    assert [r["command"] for r in payload["reports"]] == ["minors", "gb"]
+    aborted = payload["reports"][-1]
+    assert aborted["verdict"] == "aborted"
+    assert aborted["inputs"] == ["I"]
+    assert not aborted["passed"]
+    evidence = aborted["evidence"]
+    assert set(evidence) == {"error", "basis_size", "pending_pairs", "degree"}
+    assert evidence["basis_size"] == 3
+    assert evidence["pending_pairs"] >= 0 and evidence["degree"] >= 2
+    assert "basis size 3" in evidence["error"]
+
+
 # -- robustness: mutated scripts -----------------------------------------------
 
 VALID_SCRIPTS = [
