@@ -9,7 +9,8 @@ with expect=yes|no) contribute to it: exit 0 only if all of them pass.
 Exit codes: 0 all asserted checks pass; 1 a check failed or the engine
 detected an internal inconsistency; 2 usage, parse, or semantic error;
 3 resource-guard abort (partial JSON still flushed, ending with an
-"aborted" report for the command that hit the guard).
+"aborted" report for the command, or the call defining an ideal, that hit
+the guard).
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from multigb.csideals import (closure_suite, degree_bound_check, is_cs,
                               is_csstar, ugb_check)
 from multigb.determinantal import GradedMatrix, minors, verify_main_theorem
 from multigb.errors import (HypothesisNotSatisfiedError, InconclusiveError,
-                            InternalConsistencyError, MultigbError,
-                            NotSquarefreeError, PolarizationCapacityError,
-                            ResourceLimitError, RingMismatchError)
+                            InternalConsistencyError, NotSquarefreeError,
+                            PolarizationCapacityError, ResourceLimitError,
+                            RingMismatchError)
 from multigb.gin import gin
 from multigb.groebner import EngineLimits, Ideal
 from multigb.monomials import (alexander_dual, is_borel_fixed,
@@ -395,14 +396,22 @@ def _human_lines(report: dict) -> list:
     return lines
 
 
-def _unfinished_report(cmd: Command, verdict: str, evidence: dict) -> dict:
-    """Report of a command that ended without a result: "inconclusive"
-    (contradictory gin trials) or "aborted" (a resource limit)."""
-    return {"command": cmd.name,
-            "inputs": [_arg_text(a) for a in cmd.args],
+def _unfinished_report(name: str, args: list, verdict: str,
+                       evidence: dict) -> dict:
+    """Report of a command, or of the call defining an ideal, that ended
+    without a result: "inconclusive" (contradictory gin trials) or
+    "aborted" (a resource limit)."""
+    return {"command": name,
+            "inputs": [_arg_text(a) for a in args],
             "verdict": verdict, "evidence": evidence,
             "seeds": [], "orders": [], "timings": {},
-            "asserted": cmd.name in ASSERTING, "passed": False}
+            "asserted": name in ASSERTING, "passed": False}
+
+
+def _aborted_report(name: str, args: list, e: ResourceLimitError) -> dict:
+    return _unfinished_report(name, args, "aborted", {
+        "error": str(e), "basis_size": e.basis_size,
+        "pending_pairs": e.pending_pairs, "degree": e.degree})
 
 
 def run_script(script: SessionScript, flags, out=None, err=None) -> int:
@@ -435,7 +444,12 @@ def run_script(script: SessionScript, flags, out=None, err=None) -> int:
             elif isinstance(stmt, IdealDef):
                 try:
                     if isinstance(stmt.expr, CallNode):
-                        value = _eval_call(stmt.expr, sess)
+                        try:
+                            value = _eval_call(stmt.expr, sess)
+                        except ResourceLimitError as e:
+                            reports.append(_aborted_report(
+                                stmt.expr.func, stmt.expr.args, e))
+                            raise
                     elif (isinstance(stmt.expr, tuple) and len(stmt.expr) == 1
                             and isinstance(stmt.expr[0], NameNode)
                             and sess.env.get(stmt.expr[0].name, ("",))[0]
@@ -461,13 +475,11 @@ def run_script(script: SessionScript, flags, out=None, err=None) -> int:
                 try:
                     report = _execute_command(stmt, sess)
                 except InconclusiveError as e:
-                    report = _unfinished_report(stmt, "inconclusive",
+                    report = _unfinished_report(stmt.name, stmt.args,
+                                                "inconclusive",
                                                 {"error": str(e)})
                 except ResourceLimitError as e:
-                    reports.append(_unfinished_report(stmt, "aborted", {
-                        "error": str(e), "basis_size": e.basis_size,
-                        "pending_pairs": e.pending_pairs,
-                        "degree": e.degree}))
+                    reports.append(_aborted_report(stmt.name, stmt.args, e))
                     raise
                 except (RingMismatchError, HypothesisNotSatisfiedError,
                         NotSquarefreeError, PolarizationCapacityError,

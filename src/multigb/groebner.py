@@ -9,7 +9,6 @@ results structurally.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -150,6 +149,13 @@ def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
     basis: list = []
     pairs: dict = {}
     degree = 0
+
+    def grow(r: list) -> None:
+        _gm_update(basis, pairs, _monic(r, p), matrix)
+        if len(basis) > limits.max_basis:
+            raise ResourceLimitError(
+                f"basis exceeded {limits.max_basis} elements")
+
     try:
         for g in gens:
             g = kernel.sort_terms(list(g), matrix, p)
@@ -160,12 +166,9 @@ def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
                 continue
             r = kernel.normal_form(g, basis, matrix, p, limits.max_terms) if basis else g
             if r:
-                _gm_update(basis, pairs, _monic(r, p), matrix)
+                grow(r)
 
         while pairs:
-            if len(basis) > limits.max_basis:
-                raise ResourceLimitError(
-                    f"basis exceeded {limits.max_basis} elements")
             best = min(pairs, key=pairs.__getitem__)
             degree, _, lcm = pairs.pop(best)
             if max_degree is not None and degree > max_degree:
@@ -178,7 +181,7 @@ def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
                 if len(r) > limits.max_terms:
                     raise ResourceLimitError(
                         f"element exceeded {limits.max_terms} terms")
-                _gm_update(basis, pairs, _monic(r, p), matrix)
+                grow(r)
         if max_degree is not None:
             return basis
 
@@ -272,7 +275,6 @@ class Ideal:
         self.limits = limits if limits is not None else DEFAULT_LIMITS
         self._gb_cache: dict = {}
         self._series: tuple | None = None  # (Hilbert series, its dims by degree)
-        self._lock = threading.Lock()
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"
@@ -292,8 +294,7 @@ class Ideal:
     def groebner_basis(self, order: TermOrder | None = None) -> GroebnerBasis:
         order = order or self.ring.storage_order
         key = order.rows
-        with self._lock:
-            hit = self._gb_cache.get(key)
+        hit = self._gb_cache.get(key)
         if hit is not None:
             return hit
         p = self.ring.characteristic
@@ -301,17 +302,14 @@ class Ideal:
                                  self.limits, series=self._series_cutoff())
         gb = GroebnerBasis(self.ring, order,
                            [Polynomial(self.ring, g) for g in raw], self.limits)
-        with self._lock:
-            self._gb_cache.setdefault(key, gb)
-            return self._gb_cache[key]
+        return self._gb_cache.setdefault(key, gb)
 
     def _series_cutoff(self) -> _SeriesCutoff | None:
         """Pair skipping by the Hilbert series, read off a basis already
         cached under some order; None before the first basis or for an
         ideal that is not multihomogeneous."""
-        with self._lock:
-            series = self._series
-            cached = next(iter(self._gb_cache.values()), None)
+        series = self._series
+        cached = next(iter(self._gb_cache.values()), None)
         if series is None and cached is not None and self.is_multihomogeneous:
             series = self._series = (self.hilbert_series(cached.order), {})
         return None if series is None else _SeriesCutoff(self.ring, *series)

@@ -15,7 +15,6 @@ Data conventions:
 from functools import lru_cache
 
 from multigb.errors import ResourceLimitError
-from multigb.ring import exp_divides
 
 IMPLEMENTATION = "pure"
 
@@ -122,15 +121,20 @@ def normal_form(f, basis, matrix, p, max_terms=0):
     """
     if not f or not basis:
         return list(f)
-    leads = [g[0] for g in basis]
+    # a lead divides a term iff the term is at least as large on each
+    # variable of the lead's support; leads use few of the variables
+    supports = [[(v, e) for v, e in enumerate(g[0][0]) if e] for g in basis]
     work = list(f)
     pos = 0
     out = []
     while pos < len(work):
         exp, coeff = work[pos]
         hit = -1
-        for idx, (lexp, _) in enumerate(leads):
-            if exp_divides(lexp, exp):
+        for idx, support in enumerate(supports):
+            for v, e in support:
+                if exp[v] < e:
+                    break
+            else:
                 hit = idx
                 break
         if hit < 0:

@@ -212,30 +212,57 @@ class Polynomial:
         return out
 
     def substitute(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Replace each flat variable index in ``images`` by its image."""
+        """Replace each flat variable index in ``images`` by its image.
+
+        Every image must live in this polynomial's ring.  Result exponents
+        are packed into one int, ``width`` bits per variable: no exponent of
+        the result exceeds deg(self) * max deg(image), so no bit field
+        overflows into the next.  The image of a monomial m is the image of
+        m / x_v times the image of x_v, x_v the last variable of m; images
+        of monomials are memoized for this call, the terms of the result
+        are collected in one dict and sorted once.
+        """
         ring = self.ring
-        cache: dict = {}
+        for image in images.values():
+            if image.ring != ring:
+                raise RingMismatchError("substitution image in a different ring")
+        if not self._terms:
+            return self
+        p = ring.characteristic
+        top = self.total_degree() * max(
+            [1] + [g.total_degree() for g in images.values()])
+        width = max(1, top.bit_length())
+        shifts = [v * width for v in range(ring.nvars)]
+        var_images = [[(1 << shifts[v], 1)] if v not in images
+                      else [(sum(e << s for e, s in zip(exp, shifts)), c)
+                            for exp, c in images[v]._terms]
+                      for v in range(ring.nvars)]
+        memo: dict = {(0,) * ring.nvars: {0: 1}}
 
-        def var_power(v: int, e: int) -> Polynomial:
-            key = (v, e)
-            if key not in cache:
-                base = images.get(v)
-                if base is None:
-                    cache[key] = Polynomial.monomial(ring, ring.unit_exp(v, e))
-                else:
-                    if base.ring != ring:
-                        raise RingMismatchError("substitution image in a different ring")
-                    cache[key] = base ** e
-            return cache[key]
+        def image_of(m: tuple) -> dict:
+            # walk down to a memoized divisor, then multiply back up
+            chain = []
+            while m not in memo:
+                v = max(k for k, e in enumerate(m) if e)
+                chain.append((m, v))
+                m = m[:v] + (m[v] - 1,) + m[v + 1:]
+            image = memo[m]
+            for m, v in reversed(chain):
+                acc: dict = {}
+                for b, cb in var_images[v]:
+                    for a, ca in image.items():
+                        k = a + b
+                        acc[k] = acc.get(k, 0) + ca * cb
+                image = memo[m] = {k: c % p for k, c in acc.items() if c % p}
+            return image
 
-        total = Polynomial.zero(ring)
+        total: dict = {}
         for exp, coeff in self._terms:
-            part = Polynomial.constant(ring, coeff)
-            for v, e in enumerate(exp):
-                if e:
-                    part = part * var_power(v, e)
-            total = total + part
-        return total
+            for k, c in image_of(exp).items():
+                total[k] = total.get(k, 0) + coeff * c
+        mask = (1 << width) - 1
+        return Polynomial(ring, [(tuple((k >> s) & mask for s in shifts), c)
+                                 for k, c in total.items()])
 
     # -- printing ---------------------------------------------------------------
 

@@ -21,7 +21,6 @@ execution time so every error can cite the statement's line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 COMMAND_NAMES = frozenset({
     "gb", "gin", "hilbert", "radical", "borel", "dual", "polarize", "minors",

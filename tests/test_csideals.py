@@ -11,7 +11,7 @@ from multigb.csideals import (MembershipReport, check_incomparable_degrees,
 from multigb.determinantal import build_column_graded, minors, variable_matrix
 from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError)
 from multigb.groebner import Ideal, ideal_from_monomials
-from multigb.monomials import MonomialIdeal, hilbert_numerator
+from multigb.monomials import MonomialIdeal
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing
 

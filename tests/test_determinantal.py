@@ -4,10 +4,9 @@ import itertools
 
 import pytest
 
-from multigb.determinantal import (GradedMatrix, _determinant,
-                                   _determinant_leibniz, _rank_mod_p,
-                                   build_column_graded, build_row_graded,
-                                   minors, variable_matrix,
+from multigb.determinantal import (GradedMatrix, _determinant_leibniz,
+                                   _rank_mod_p, build_column_graded,
+                                   build_row_graded, minors, variable_matrix,
                                    verify_main_theorem)
 from multigb.errors import HypothesisNotSatisfiedError, ResourceLimitError
 from multigb.groebner import EngineLimits, Ideal

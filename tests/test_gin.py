@@ -5,9 +5,8 @@ import random
 import pytest
 
 from multigb.errors import InconclusiveError
-from multigb.gin import (BorelElement, GinReport, apply_change,
-                         apply_change_poly, gin, gin_order_independence,
-                         identity_borel, random_borel)
+from multigb.gin import (GinReport, apply_change_poly, gin,
+                         gin_order_independence, identity_borel, random_borel)
 from multigb.groebner import Ideal, ideal_from_monomials
 from multigb.monomials import MonomialIdeal, is_borel_fixed
 from multigb.poly import Polynomial

@@ -17,7 +17,7 @@ from multigb.instances import cs_instance_pool
 from multigb.monomials import (MonomialIdeal, colon_monomial,
                                intersect_monomial)
 from multigb.poly import Polynomial
-from multigb.ring import BlockRing, degrevlex, lex
+from multigb.ring import BlockRing, lex
 
 
 def x(R, i, j):
@@ -210,6 +210,17 @@ def test_resource_limits(R33):
     with pytest.raises(ResourceLimitError) as info:
         Ideal(R33, gens, limits=EngineLimits(max_basis=2)).groebner_basis()
     assert info.value.basis_size > 2
+
+
+def test_max_basis_is_checked_as_the_basis_grows(R33):
+    # the nine 2-minors are independent: the generator loop alone would
+    # grow the basis to 9 elements before the first pair is taken
+    gens = [two_minor(R33, rows, cols)
+            for rows in ((1, 2), (1, 3), (2, 3))
+            for cols in ((1, 2), (1, 3), (2, 3))]
+    with pytest.raises(ResourceLimitError) as info:
+        Ideal(R33, gens, limits=EngineLimits(max_basis=2)).groebner_basis()
+    assert info.value.basis_size <= 3
 
 
 def test_monomial_ideal_extraction():

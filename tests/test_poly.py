@@ -1,9 +1,10 @@
 """Polynomial arithmetic over a block ring."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multigb.errors import RingMismatchError
 from multigb.poly import Polynomial
 from multigb.ring import (BlockRing, degrevlex, elimination_order, lex,
                           weight_order)
@@ -137,3 +138,89 @@ def polys_and_orders(draw):
 def test_lead_term_is_max_of_order_keys(case):
     f, order = case
     assert f.lead_term(order) == max(f.terms, key=lambda t: order.key(t[0]))
+
+
+def substitute_oracle(f: Polynomial, images: dict) -> Polynomial:
+    """Reference for ``Polynomial.substitute``: a sum over the terms of f of
+    products of powers of the images, in whole-``Polynomial`` arithmetic."""
+    ring = f.ring
+    cache: dict = {}
+
+    def var_power(v: int, e: int) -> Polynomial:
+        key = (v, e)
+        if key not in cache:
+            base = images.get(v)
+            if base is None:
+                cache[key] = Polynomial.monomial(ring, ring.unit_exp(v, e))
+            else:
+                if base.ring != ring:
+                    raise RingMismatchError("substitution image in a different ring")
+                cache[key] = base ** e
+        return cache[key]
+
+    total = Polynomial.zero(ring)
+    for exp, coeff in f.terms:
+        part = Polynomial.constant(ring, coeff)
+        for v, e in enumerate(exp):
+            if e:
+                part = part * var_power(v, e)
+        total = total + part
+    return total
+
+
+@st.composite
+def sparse_exps(draw, n, top, max_vars):
+    """An exponent vector with entries up to ``top`` on at most
+    ``max_vars`` of the ``n`` variables."""
+    exp = [0] * n
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=max_vars)):
+        exp[v] = draw(st.integers(1, top))
+    return tuple(exp)
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial (possibly zero, exponents up to 6) and images for a
+    subset of its ring's variables: linear forms, non-linear polynomials
+    and constants; the other variables stay unmapped.  Terms and images
+    are sparse, which keeps the expansions small."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    R = BlockRing(sizes, draw(st.sampled_from([7, 101, 32003])))
+    n = R.nvars
+    coeffs = st.integers(1, 100)
+    f = Polynomial(R, draw(st.lists(
+        st.tuples(sparse_exps(n, 6, 3), coeffs), max_size=6)))
+    images = {}
+    for v in draw(st.sets(st.integers(0, n - 1))):
+        kind = draw(st.sampled_from(["linear", "nonlinear", "constant"]))
+        if kind == "constant":
+            images[v] = Polynomial.constant(R, draw(st.integers(0, 100)))
+        elif kind == "linear":
+            images[v] = Polynomial(R, draw(st.lists(
+                st.tuples(sparse_exps(n, 1, 1), coeffs), max_size=3)))
+        else:
+            images[v] = Polynomial(R, draw(st.lists(
+                st.tuples(sparse_exps(n, 2, 2), coeffs), max_size=3)))
+    return f, images
+
+
+@settings(max_examples=200, deadline=None)
+@given(substitutions())
+# exponents that fill the bit field: one bit less overflows
+@example((Polynomial(BlockRing((1,)), [((4,), 1)]), {}))
+@example((Polynomial(BlockRing((2,)), [((3, 0), 1)]),
+          {0: Polynomial(BlockRing((2,)), [((1, 0), 1), ((0, 1), 1)])}))
+def test_substitute_matches_polynomial_arithmetic(case):
+    f, images = case
+    assert f.substitute(images) == substitute_oracle(f, images)
+
+
+@settings(max_examples=50, deadline=None)
+@given(substitutions(), st.data())
+def test_substitute_rejects_image_in_another_ring(case, data):
+    f, images = case
+    other = BlockRing(f.ring.block_sizes + (1,), f.ring.characteristic)
+    v = data.draw(st.integers(0, f.ring.nvars - 1))
+    images[v] = Polynomial.variable(other, 1, 1)
+    with pytest.raises(RingMismatchError):
+        f.substitute(images)

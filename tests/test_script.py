@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from multigb.cli import main, polynomial_from_text
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing
-from multigb.script import (CallNode, Command, IdealDef, MatrixDef, PolyDef,
-                            RingDecl, ScriptError, VarNode, parse,
-                            parse_polynomial, tokenize)
+from multigb.script import (RingDecl, ScriptError, parse, parse_polynomial,
+                            tokenize)
 
 REMARK = """\
 # 2-minors of a 3x3 matrix with three zero entries
@@ -414,6 +413,32 @@ def test_cli_resource_limit_json_ends_with_aborted_report(tmp_path, capsys):
     assert evidence["basis_size"] == 3
     assert evidence["pending_pairs"] >= 0 and evidence["degree"] >= 2
     assert "basis size 3" in evidence["error"]
+
+
+def test_cli_resource_limit_in_definition_ends_with_aborted_report(
+        tmp_path, capsys):
+    text = ("ring v=3 blocks=[3,3,3] char=32003\n"
+            "matrix X rowgraded 3 x 3 {\n"
+            "  x[1,1], x[1,2], x[1,3] ;\n"
+            "  x[2,1], x[2,2], x[2,3] ;\n"
+            "  x[3,1], x[3,2], x[3,3]\n"
+            "}\n"
+            "ideal I = minors(X, 2)\n"
+            "minors X 2\n"
+            "ideal J = colon(I, x[1,1])\n"
+            "gb J\n")
+    assert run_cli(tmp_path, text, "--max-basis", "2", "--json") == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == 1
+    assert [r["command"] for r in payload["reports"]] == ["minors", "colon"]
+    aborted = payload["reports"][-1]
+    assert aborted["verdict"] == "aborted"
+    assert aborted["inputs"] == ["I", "x[1,1]"]
+    assert not aborted["asserted"] and not aborted["passed"]
+    evidence = aborted["evidence"]
+    assert set(evidence) == {"error", "basis_size", "pending_pairs", "degree"}
+    assert evidence["basis_size"] <= 3
+    assert f"basis size {evidence['basis_size']}" in evidence["error"]
 
 
 # -- robustness: mutated scripts -----------------------------------------------
