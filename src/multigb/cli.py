@@ -300,7 +300,7 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
         result = I.colon(f)
         report["verdict"] = "computed"
         report["evidence"] = {
-            "generators": [str(g) for g in result.minimal_generators()]}
+            "generators": [str(g.monic()) for g in result.minimal_generators()]}
     elif cmd.name == "intersect":
         I = _ideal_arg(cmd, sess)
         J = _ideal_arg(cmd, sess, 1)

@@ -20,8 +20,8 @@ from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                ambient_dimension, hilbert_numerator,
                                quotient_dimension_from_numerator)
 from multigb.poly import Polynomial
-from multigb.ring import (BlockRing, TermOrder, elimination_order, exp_divides,
-                          exp_gcd, exp_lcm)
+from multigb.ring import (BlockRing, TermOrder, degrevlex, elimination_order,
+                          exp_divides, exp_gcd, exp_lcm)
 
 
 @dataclass(frozen=True)
@@ -385,11 +385,35 @@ class Ideal:
         return Ideal(self.ring, kept, self.limits)
 
     def colon(self, f: Polynomial) -> "Ideal":
-        """I : f, via (1/f) * (I cap (f))."""
+        """I : f.
+
+        For I multihomogeneous (hence homogeneous) and f a linear form,
+        one Groebner basis G of the moved ideal, in coordinates where f is
+        the variable x_v, under degrevlex with x_v last (Bayer-Stillman):
+        {g / x_v if x_v divides in(g), else g : g in G} is a basis of the
+        moved I : x_v, mapped back with x_v -> f.  Any other input takes
+        (1/f) * (I cap (f)), the intersection by elimination.
+        """
         if f.is_zero:
             raise ValueError("colon by zero")
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
+        if _is_linear_form(f) and self.is_multihomogeneous:
+            moved, v, back, order = _linear_move(self, f)
+            gens = []
+            for g in moved.groebner_basis(order):
+                if g.lead_exp(order)[v]:
+                    # g is homogeneous and x_v is last in revlex, so x_v
+                    # divides in(g) only if it divides every term
+                    terms = [(e[:v] + (e[v] - 1,) + e[v + 1:], c)
+                             for e, c in g.terms]
+                    if any(e[v] < 0 for e, _ in terms):
+                        raise InternalConsistencyError(
+                            "x_v divides the lead of a basis element but "
+                            "not the element")
+                    g = Polynomial(self.ring, terms, _normalized=True)
+                gens.append(g.substitute(back))
+            return Ideal(self.ring, gens, self.limits)
         meet = self.intersect(Ideal(self.ring, [f], self.limits))
         return Ideal(self.ring, [exact_divide(g, f) for g in meet.gens],
                      self.limits)
@@ -463,13 +487,25 @@ def ideal_from_monomials(M: MonomialIdeal, limits: EngineLimits = DEFAULT_LIMITS
 def regular_sequence_test(I: Ideal, forms: Sequence[Polynomial],
                           allow_unit: bool = False) -> bool:
     """True iff the forms are a regular sequence on S/I, in the given order:
-    each colon (I + earlier forms) : f equals the ideal itself, and the final
-    sum stays proper unless ``allow_unit``."""
+    each f is a nonzerodivisor modulo J = I + earlier forms, and the final
+    sum stays proper unless ``allow_unit``.
+
+    For J multihomogeneous and f a linear form, f is regular on S/J exactly
+    when no lead of J's basis in moved coordinates, where f is x_v, under
+    degrevlex with x_v last, uses x_v (Bayer-Stillman): no colon is taken.
+    Any other f is tested as J : f == J.
+    """
     current = I
     for f in forms:
         if f.is_zero:
             raise ValueError("regular sequence test with a zero form")
-        if not current.colon(f).equals(current):
+        if _is_linear_form(f) and current.is_multihomogeneous:
+            moved, v, _, order = _linear_move(current, f)
+            regular = not any(e[v] for e in
+                              moved.groebner_basis(order).lead_exponents())
+        else:
+            regular = current.colon(f).equals(current)
+        if not regular:
             return False
         current = current + f
     if not allow_unit and current.contains(Polynomial.one(I.ring)):
@@ -478,6 +514,30 @@ def regular_sequence_test(I: Ideal, forms: Sequence[Polynomial],
 
 
 # -- ring surgery (quotient by a linear form, coordinate subrings) -------------
+
+def _is_linear_form(L: Polynomial) -> bool:
+    """Nonzero, every term of total degree 1 (no constant term)."""
+    return not L.is_zero and all(sum(e) == 1 for e, _ in L.terms)
+
+
+def _linear_move(I: Ideal, L: Polynomial) -> tuple:
+    """Coordinates in which the linear form L is a variable.
+
+    With v the highest variable L uses and c its coefficient, the
+    substitution phi: x_v -> (x_v - (L - c*x_v)) / c sends L to x_v.
+    Returns (phi(I), v, the inverse images {v: L}, degrevlex with x_v
+    last).
+    """
+    ring = I.ring
+    p = ring.characteristic
+    v = max(L.support_vars())
+    c = next(c for e, c in L.terms if e[v])
+    x_v = Polynomial.monomial(ring, ring.unit_exp(v))
+    image = (x_v - (L - x_v * c)) * pow(c, p - 2, p)
+    moved = Ideal(ring, [g.substitute({v: image}) for g in I.gens], I.limits)
+    order = degrevlex(ring, [k for k in range(ring.nvars) if k != v] + [v])
+    return moved, v, {v: L}, order
+
 
 def _graded_linear_block(L: Polynomial) -> int:
     """1-based block of a Z^v-graded linear form; raises otherwise."""
@@ -511,26 +571,18 @@ def project_out_variable(f: Polynomial, small: BlockRing, var: int) -> Polynomia
 def quotient_by_linear_form(I: Ideal, L: Polynomial) -> tuple:
     """(I + (L))/(L) in S/(L), identified with the ring that drops one variable.
 
-    The dropped variable is the highest-position variable of L's block with a
-    nonzero coefficient, so the remaining variables keep their order.
+    The dropped variable x_v is the highest-position variable of L's block
+    with a nonzero coefficient, so the remaining variables keep their order.
+    I is moved to coordinates where L is x_v, then x_v is set to 0.
     Returns (ideal in the smaller ring, smaller ring, dropped flat index).
     """
-    ring = I.ring
     _graded_linear_block(L)
-    var = max(L.support_vars())
-    small = ring_without_variable(ring, var)
-    coeff = 0
-    for e, c in L.terms:
-        if e[var]:
-            coeff = c
-    inv = pow(coeff, ring.characteristic - 2, ring.characteristic)
-    x_var = Polynomial.monomial(ring, ring.unit_exp(var))
-    image = x_var - (L * inv)
-    gens = []
-    for g in I.gens:
-        h = g.substitute({var: image})
-        if not h.is_zero:
-            gens.append(project_out_variable(h, small, var))
+    small = ring_without_variable(I.ring, max(L.support_vars()))
+    moved, var, _, _ = _linear_move(I, L)
+    gens = [project_out_variable(
+                Polynomial(I.ring, [t for t in g.terms if not t[0][var]],
+                           _normalized=True), small, var)
+            for g in moved.gens]
     return Ideal(small, gens, I.limits), small, var
 
 

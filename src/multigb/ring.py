@@ -118,6 +118,8 @@ class BlockRing:
 
     def block_vars(self, block: int) -> range:
         """Flat indices of the variables in a 1-based block."""
+        if not 1 <= block <= self.v:
+            raise RingMismatchError(f"block {block} out of range 1..{self.v}")
         start = sum(self.block_sizes[:block - 1])
         return range(start, start + self.block_sizes[block - 1])
 

@@ -3,21 +3,25 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from multigb import groebner, kernel
 from multigb.errors import (HypothesisNotSatisfiedError,
                             InternalConsistencyError, ResourceLimitError)
-from multigb import kernel
-from multigb.csideals import sample_orders
+from multigb.csideals import gamma_sequence, sample_orders
 from multigb.determinantal import build_column_graded, minors
 from multigb.groebner import (EngineLimits, Ideal, _reduced_basis_raw,
                               coordinate_section, exact_divide,
                               ideal_from_monomials, quotient_by_linear_form,
                               regular_sequence_test)
-from multigb.instances import cs_instance_pool
+from multigb.instances import (cs_instance_pool, random_graded_ideal,
+                               random_linear_form, random_monomial_ideal,
+                               random_ring)
 from multigb.monomials import (MonomialIdeal, colon_monomial,
                                intersect_monomial)
 from multigb.poly import Polynomial
-from multigb.ring import BlockRing, lex
+from multigb.ring import BlockRing, degrevlex, lex
 
 
 def x(R, i, j):
@@ -450,3 +454,153 @@ def test_inhomogeneous_ideal_runs_without_series(R33, monkeypatch):
         calls[0] = 0
         assert from_cache == Ideal(R33, I.gens).groebner_basis(o)
         assert cached == calls[0]
+
+
+# -- colon and regularity by a linear form in moved coordinates -----------------
+
+def colon_by_elimination(I, f):
+    """I : f as (1/f) * (I cap (f)), the extended-ring route."""
+    meet = I.intersect(Ideal(I.ring, [f]))
+    return Ideal(I.ring, [exact_divide(g, f) for g in meet.gens])
+
+
+def regular_by_colons(I, forms, allow_unit=False):
+    """The regular-sequence definition, with every colon by elimination."""
+    current = I
+    for f in forms:
+        if not colon_by_elimination(current, f).equals(current):
+            return False
+        current = current + f
+    return allow_unit or not current.contains(Polynomial.one(I.ring))
+
+
+@st.composite
+def graded_colons(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                 .filter(lambda s: sum(s) <= 6))
+    R = BlockRing(sizes)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    I = random_graded_ideal(R, rng, max_gens=3, max_block_degree=2)
+    kind = draw(st.sampled_from(["variable", "scaled", "random", "mixed"]))
+    vars_ = R.block_vars(draw(st.integers(1, R.v)))
+    if kind == "variable":
+        v = draw(st.sampled_from(vars_))
+        L = Polynomial.monomial(R, R.unit_exp(v))
+    elif kind == "scaled":
+        # the last support variable's coefficient is not 1
+        v = draw(st.sampled_from(vars_))
+        L = Polynomial.monomial(R, R.unit_exp(v), draw(st.integers(2, 32002)))
+        for u in range(vars_[0], v):
+            L = L + Polynomial.monomial(R, R.unit_exp(u), draw(st.integers(0, 3)))
+    elif kind == "random":
+        L = random_linear_form(R, rng, block=R.var_pair(vars_[0])[0])
+    else:
+        # a linear form across blocks: not multigraded, still linear
+        L = sum((Polynomial.monomial(R, R.unit_exp(v), rng.randrange(1, 32003))
+                 for v in rng.sample(range(R.nvars), min(2, R.nvars))),
+                Polynomial.zero(R))
+    if L.is_multihomogeneous and draw(st.booleans()):
+        # L times a generator lies in I, so the colon can grow
+        I = Ideal(R, [I.gens[0] * L] + list(I.gens[1:]))
+    return I, L
+
+
+R22 = BlockRing((2, 2))
+# the last support variable x[1,2] has coefficient 7
+SCALED_COLON = (Ideal(R22, [x(R22, 1, 1) ** 2 * x(R22, 2, 2),
+                            x(R22, 1, 2) * x(R22, 2, 1)]),
+                x(R22, 1, 1) * 5 + x(R22, 1, 2) * 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_colons())
+@example(SCALED_COLON)
+def test_linear_colon_matches_elimination(case):
+    I, L = case
+    assert I.colon(L).equals(colon_by_elimination(I, L))
+
+
+def test_linear_colon_matches_elimination_on_pool():
+    rng = random.Random(3)
+    for I in cs_instance_pool(6, seed=4):
+        R = I.ring
+        for L in (x(R, 1, R.block_sizes[0]), random_linear_form(R, rng)):
+            assert I.colon(L).equals(colon_by_elimination(I, L))
+
+
+def test_regular_sequence_test_matches_colons_on_monomial_ideals():
+    rng = random.Random(11)
+    for _ in range(25):
+        R = random_ring(rng, max_vars=6)
+        I = ideal_from_monomials(random_monomial_ideal(R, rng))
+        forms = gamma_sequence(R) + [random_linear_form(R, rng)]
+        for k in range(len(forms) + 1):
+            assert (regular_sequence_test(I, forms[:k])
+                    == regular_by_colons(I, forms[:k])), (I, forms[:k])
+
+
+def test_regular_sequence_test_matches_colons_on_pool():
+    for I in cs_instance_pool(6, seed=4):
+        forms = gamma_sequence(I.ring)
+        unit = I.is_unit_ideal
+        assert (regular_sequence_test(I, forms, allow_unit=unit)
+                == regular_by_colons(I, forms, allow_unit=unit))
+
+
+def _count_intersections(monkeypatch):
+    calls = [0]
+    original = Ideal.intersect
+
+    def counted(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Ideal, "intersect", counted)
+    return calls
+
+
+def test_linear_colon_of_graded_ideal_skips_intersect(R33, monkeypatch):
+    I = Ideal(R33, [two_minor(R33, (1, 2), (1, 2)) * x(R33, 3, 1),
+                    two_minor(R33, (1, 3), (2, 3))])
+    L = x(R33, 2, 1) * 3 + x(R33, 2, 3) * 5
+    forms = gamma_sequence(R33)
+    calls = _count_intersections(monkeypatch)
+    J = I.colon(L)
+    regular = regular_sequence_test(I, forms)
+    assert calls[0] == 0
+    assert J.equals(colon_by_elimination(I, L))
+    assert regular == regular_by_colons(I, forms)
+
+
+def test_colon_falls_back_to_intersect(R33, monkeypatch):
+    calls = _count_intersections(monkeypatch)
+    # a cubic form: the README's worked colon example
+    I = Ideal(R33, [two_minor(R33, (1, 2), (1, 2))])
+    F = (x(R33, 1, 1) * x(R33, 2, 1) * x(R33, 3, 2)
+         + x(R33, 1, 3) * x(R33, 2, 3) * x(R33, 3, 3))
+    I.colon(F)
+    assert calls[0] == 1
+    # an inhomogeneous ideal and a linear form
+    g = two_minor(R33, (1, 2), (1, 2)) + x(R33, 3, 1)
+    K = Ideal(R33, [g * x(R33, 1, 1)])
+    assert not K.is_multihomogeneous
+    assert K.colon(x(R33, 1, 1)).equals(Ideal(R33, [g]))
+    assert calls[0] == 2
+    assert not regular_sequence_test(K, [x(R33, 1, 1)])
+    assert calls[0] == 3
+
+
+def test_linear_colon_guard_catches_a_wrong_order(monkeypatch):
+    # with x_v first instead of last, a basis element can have x_v in its
+    # lead but not in every term; the division must refuse it
+    R = BlockRing((3,))
+    I = Ideal(R, [x(R, 1, 1) ** 2 + x(R, 1, 2) * x(R, 1, 3)])
+    move = groebner._linear_move
+
+    def first_not_last(I, L):
+        moved, v, back, _ = move(I, L)
+        return moved, v, back, degrevlex(I.ring)
+
+    monkeypatch.setattr(groebner, "_linear_move", first_not_last)
+    with pytest.raises(InternalConsistencyError):
+        I.colon(x(R, 1, 1))

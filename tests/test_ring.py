@@ -41,6 +41,15 @@ def test_variable_indexing_round_trip():
         R.var_index(1, 3)
 
 
+def test_block_vars_rejects_out_of_range_blocks():
+    R = BlockRing((2, 3))
+    assert list(R.block_vars(1)) == [0, 1]
+    assert list(R.block_vars(2)) == [2, 3, 4]
+    for block in (0, -1, 3):
+        with pytest.raises(RingMismatchError):
+            R.block_vars(block)
+
+
 def test_multidegree():
     R = BlockRing((2, 2))
     assert R.multidegree((1, 0, 2, 0)) == (1, 2)

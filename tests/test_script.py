@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multigb.cli import main, polynomial_from_text
+from multigb.groebner import Ideal, exact_divide
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing
 from multigb.script import (RingDecl, ScriptError, parse, parse_polynomial,
@@ -208,6 +209,43 @@ def test_cli_out_of_range_variable(tmp_path, capsys):
     text = ("ring v=1 blocks=[2] char=32003\n"
             "poly f = x[3,1]\n")
     assert run_cli(tmp_path, text) == 2
+
+
+@pytest.mark.parametrize("block", [0, 3])
+def test_cli_eliminate_block_out_of_range_exit_2(tmp_path, capsys, block):
+    text = ("ring v=2 blocks=[2,3] char=32003\n"
+            "ideal I = x[1,1]*x[2,1], x[1,2]*x[2,3]\n"
+            f"ideal J = eliminate(I, {block})\n")
+    assert run_cli(tmp_path, text) == 2
+    assert "block" in capsys.readouterr().err
+
+
+def test_cli_colon_prints_monic_generators(tmp_path, capsys):
+    text = ("ring v=1 blocks=[2] char=32003\n"
+            "ideal I = x[1,1]^2\n"
+            "colon I 3\n")
+    assert run_cli(tmp_path, text, "--json") == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["evidence"]["generators"] == ["x[1,1]^2"]
+
+
+def test_cli_linear_colon_generates_the_elimination_colon(tmp_path, capsys):
+    text = ("ring v=2 blocks=[2,2] char=32003\n"
+            "ideal I = x[1,1]^2*x[2,2] - x[1,2]^2*x[2,1], "
+            "x[1,1]*x[1,2]*x[2,1]\n"
+            "colon I 2*x[1,1] + 5*x[1,2]\n")
+    assert run_cli(tmp_path, text, "--json") == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    R = BlockRing((2, 2))
+    printed = [polynomial_from_text(g, R) for g in report["evidence"]["generators"]]
+    assert all(g == g.monic() for g in printed)
+    I = Ideal(R, [polynomial_from_text("x[1,1]^2*x[2,2] - x[1,2]^2*x[2,1]", R),
+                  polynomial_from_text("x[1,1]*x[1,2]*x[2,1]", R)])
+    L = polynomial_from_text("2*x[1,1] + 5*x[1,2]", R)
+    meet = I.intersect(Ideal(R, [L]))
+    by_elimination = Ideal(R, [exact_divide(g, L) for g in meet.gens])
+    assert Ideal(R, printed).equals(by_elimination)
+    assert not by_elimination.equals(I)
 
 
 def test_cli_resource_limit_exit_code(tmp_path, capsys):
