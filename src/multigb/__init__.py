@@ -19,20 +19,17 @@ from multigb.errors import (HypothesisNotSatisfiedError, InconclusiveError,
                             NotSquarefreeError, PolarizationCapacityError,
                             ResourceLimitError, RingMismatchError)
 from multigb.gin import (BorelElement, GinReport, apply_change, gin,
-                         gin_order_independence, identity_borel, random_borel)
+                         gin_order_independence, random_borel)
 from multigb.groebner import (DEFAULT_LIMITS, EngineLimits, GroebnerBasis,
                               Ideal, coordinate_section, exact_divide,
                               ideal_from_monomials, quotient_by_linear_form,
                               regular_sequence_test)
 from multigb.kernel import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
-                               alexander_dual, alexander_dual_bruteforce,
-                               graded_dimension, hilbert_numerator,
-                               hilbert_numerator_inclusion_exclusion,
+                               alexander_dual, hilbert_numerator,
                                is_borel_fixed, is_extended_from_first_variables,
                                is_radical_monomial, is_strongly_stable,
-                               polarize,
-                               regularity_strongly_stable)
+                               polarize, regularity_strongly_stable)
 from multigb.poly import Polynomial
 from multigb.ring import (DEFAULT_CHARACTERISTIC, BlockRing, TermOrder,
                           degrevlex, degrevlex_blocks_reversed,
@@ -48,17 +45,15 @@ __all__ = [
     "degrevlex", "degrevlex_blocks_reversed", "weight_order",
     "elimination_order", "exact_divide", "ideal_from_monomials",
     "regular_sequence_test", "quotient_by_linear_form", "coordinate_section",
-    "hilbert_numerator", "hilbert_numerator_inclusion_exclusion",
-    "graded_dimension", "alexander_dual", "alexander_dual_bruteforce",
-    "polarize", "is_radical_monomial", "is_borel_fixed", "is_strongly_stable",
-    "is_extended_from_first_variables", "regularity_strongly_stable", "gin",
-    "random_borel", "identity_borel", "apply_change", "gin_order_independence",
-    "stable_gin", "is_cs", "is_csstar", "csstar_canonical_C",
-    "check_incomparable_degrees", "verify_dual_theorem", "closure_suite",
-    "ugb_check", "degree_bound_check", "sample_orders", "gamma_sequence",
-    "minors", "build_column_graded", "build_row_graded", "variable_matrix",
-    "verify_main_theorem", "MultigbError", "RingMismatchError",
-    "ResourceLimitError", "NotSquarefreeError", "PolarizationCapacityError",
-    "HypothesisNotSatisfiedError", "InconclusiveError",
-    "InternalConsistencyError",
+    "hilbert_numerator", "alexander_dual", "polarize", "is_radical_monomial",
+    "is_borel_fixed", "is_strongly_stable", "is_extended_from_first_variables",
+    "regularity_strongly_stable", "gin", "random_borel", "apply_change",
+    "gin_order_independence", "stable_gin", "is_cs", "is_csstar",
+    "csstar_canonical_C", "check_incomparable_degrees", "verify_dual_theorem",
+    "closure_suite", "ugb_check", "degree_bound_check", "sample_orders",
+    "gamma_sequence", "minors", "build_column_graded", "build_row_graded",
+    "variable_matrix", "verify_main_theorem", "MultigbError",
+    "RingMismatchError", "ResourceLimitError", "NotSquarefreeError",
+    "PolarizationCapacityError", "HypothesisNotSatisfiedError",
+    "InconclusiveError", "InternalConsistencyError",
 ]

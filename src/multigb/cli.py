@@ -36,10 +36,11 @@ from multigb.poly import Polynomial
 from multigb.ring import BlockRing, lex, weight_order
 from multigb.script import (CallNode, Command, IdealDef, IntNode, MatrixDef,
                             NameNode, OpNode, PolyDef, ScriptError,
-                            SessionScript, VarNode, VectorNode, parse,
-                            parse_polynomial)
+                            SessionScript, VarNode, VectorNode, parse)
 
 ASSERTING = {"ugb", "closure", "bounds", "main-theorem"}
+OPTION_KEYS = frozenset({"seed", "trials", "orders", "order", "expect",
+                         "bound"})
 
 
 class _Session:
@@ -84,12 +85,6 @@ def _eval_poly(node, sess: _Session, line: int) -> Polynomial:
         if node.op == "*":
             return a * b
     raise ScriptError(f"cannot evaluate {node!r} as a polynomial", line)
-
-
-def polynomial_from_text(text: str, ring: BlockRing) -> Polynomial:
-    """Evaluate a standalone polynomial expression in the given ring."""
-    sess = _Session(ring, build_arg_parser().parse_args(["-"]))
-    return _eval_poly(parse_polynomial(text), sess, 0)
 
 
 def _eval_call(call: CallNode, sess: _Session) -> Ideal:
@@ -198,11 +193,22 @@ def _expectation(cmd: Command) -> str | None:
     return expect
 
 
+def _int_option(cmd: Command, key: str, default: int) -> int:
+    value = cmd.options.get(key, default)
+    if not isinstance(value, int):
+        raise ScriptError(f"{key}= takes an integer, got {value!r}", cmd.line)
+    return value
+
+
 def _execute_command(cmd: Command, sess: _Session) -> dict:
     flags = sess.flags
-    seed = cmd.options.get("seed", flags.seed)
-    trials = cmd.options.get("trials", flags.trials)
-    n_orders = cmd.options.get("orders", 20)
+    unknown = sorted(set(cmd.options) - OPTION_KEYS)
+    if unknown:
+        raise ScriptError(f"unknown option {unknown[0]}= (options: "
+                          f"{', '.join(sorted(OPTION_KEYS))})", cmd.line)
+    seed = _int_option(cmd, "seed", flags.seed)
+    trials = _int_option(cmd, "trials", flags.trials)
+    n_orders = _int_option(cmd, "orders", 200 if cmd.name == "ugb" else 20)
     report = {
         "command": cmd.name,
         "inputs": [_arg_text(a) for a in cmd.args],
@@ -309,7 +315,6 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
         report["evidence"] = {"generators": [str(g) for g in result.gens]}
     elif cmd.name == "ugb":
         I = _ideal_arg(cmd, sess)
-        n_orders = cmd.options.get("orders", 200)
         rep = ugb_check(list(I.gens), I, n_orders=n_orders, seed=seed)
         ok = rep.passed
         report["verdict"] = "pass" if ok else "fail"

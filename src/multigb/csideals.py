@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from multigb.errors import (HypothesisNotSatisfiedError, InconclusiveError,
@@ -38,7 +38,6 @@ class MembershipReport:
     criterion: str
     evidence: dict
     gin_result: MonomialIdeal | None = None
-    extra_gins: dict = field(default_factory=dict)
 
     @property
     def is_yes(self) -> bool:
@@ -122,18 +121,20 @@ def gamma_sequence(ring: BlockRing) -> list:
     return out
 
 
+STABLE_GIN_ATTEMPTS = 3
+
+
 def stable_gin(I: Ideal, order: TermOrder | None = None, trials: int = 3,
-               seed: int = 0, attempts: int = 3) -> GinReport:
-    """gin with fresh-seed retries on trial disagreement.
+               seed: int = 0) -> GinReport:
+    """gin with up to STABLE_GIN_ATTEMPTS fresh-seed runs on trial
+    disagreement.
 
     Each underlying run reports disagreement honestly; retrying with new
     randomness is the documented caller-side remedy.  The returned report
-    is the first agreeing one (its seeds identify the run).
+    is the first agreeing one (its seeds identify the run), else the last.
     """
-    if attempts < 1:
-        raise ValueError(f"stable_gin needs attempts >= 1, got {attempts}")
     last = None
-    for attempt in range(attempts):
+    for attempt in range(STABLE_GIN_ATTEMPTS):
         rep = gin(I, order, trials=trials, seed=seed + 97 * attempt)
         if rep.agreement:
             return rep
@@ -164,22 +165,16 @@ def is_cs(I: Ideal, trials: int = 3, seed: int = 0) -> MembershipReport:
     rad2 = is_radical_monomial(rep2.result)
     evidence["gin_generators"] = rep1.result.generator_strings()
     evidence["radical"] = [rad1, rad2]
-    extra = {cross.name: rep2.result}
     if rad1 and rad2:
-        return MembershipReport(
-            "yes", "radical-gin",
-            "gin is squarefree under both sampled orders", evidence,
-            gin_result=rep1.result, extra_gins=extra)
-    if not rad1 and not rad2:
-        return MembershipReport(
-            "no", "radical-gin",
-            "gin is not squarefree (one order decides)", evidence,
-            gin_result=rep1.result, extra_gins=extra)
-    return MembershipReport(
-        "inconclusive", "radical-gin",
-        "radicality differed across orders, which the theory forbids; "
-        "treat the engine run as suspect", evidence,
-        gin_result=rep1.result, extra_gins=extra)
+        verdict, criterion = "yes", "gin is squarefree under both sampled orders"
+    elif not rad1 and not rad2:
+        verdict, criterion = "no", "gin is not squarefree (one order decides)"
+    else:
+        verdict, criterion = "inconclusive", (
+            "radicality differed across orders, which the theory forbids; "
+            "treat the engine run as suspect")
+    return MembershipReport(verdict, "radical-gin", criterion, evidence,
+                            gin_result=rep1.result)
 
 
 def is_csstar(I: Ideal, trials: int = 3, seed: int = 0) -> MembershipReport:
@@ -198,7 +193,9 @@ def is_csstar(I: Ideal, trials: int = 3, seed: int = 0) -> MembershipReport:
     evidence["extended_from_first_variables"] = ext
     if I.is_monomial:
         gamma = gamma_sequence(ring)
-        reg = regular_sequence_test(I, gamma, allow_unit=I.is_unit_ideal)
+        # the unit ideal's gin is (1), extended from the first variables,
+        # while gamma cannot be regular on S/S, whose sum is not proper
+        reg = I.is_unit_ideal or regular_sequence_test(I, gamma)
         evidence["regular_sequence_test"] = reg
         if reg != ext:
             raise InternalConsistencyError(
@@ -417,8 +414,7 @@ def ugb_check(candidates: Sequence[Polynomial], I: Ideal, n_orders: int = 200,
 
 
 def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
-                       seed: int = 0, mode: str = "le",
-                       include_permutations: bool = False) -> tuple:
+                       seed: int = 0, mode: str = "le") -> tuple:
     """Degrees of sampled reduced-GB elements (and of the minimal generators)
     against a multidegree bound.
 
@@ -443,7 +439,7 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
             violations.append({"where": "minimal generator",
                                "degree": g.multidegree()})
     orders = sample_orders(I.ring, n_orders, seed=seed,
-                           include_permutations=include_permutations)
+                           include_permutations=False)
     records = []
     for o in orders:
         gb = I.groebner_basis(o)

@@ -189,23 +189,6 @@ def _determinant(rows: list) -> Polynomial:
     return total
 
 
-def _determinant_leibniz(rows: list) -> Polynomial:
-    """Permutation-sum determinant, the independent oracle."""
-    n = len(rows)
-    ring = rows[0][0].ring
-    total = Polynomial.zero(ring)
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(1 for a, b in itertools.combinations(range(n), 2)
-                         if perm[a] > perm[b])
-        prod = Polynomial.one(ring)
-        for i in range(n):
-            prod = prod * rows[i][perm[i]]
-            if prod.is_zero:
-                break
-        total = total - prod if inversions % 2 else total + prod
-    return total
-
-
 def minors(A: GradedMatrix, t: int) -> list:
     """All t x t minors in lexicographic row/column-subset order, zero
     determinants discarded."""
@@ -222,8 +205,7 @@ def minors(A: GradedMatrix, t: int) -> list:
 
 
 def verify_main_theorem(A: GradedMatrix, n_orders: int = 25, seed: int = 0,
-                        trials: int = 3,
-                        include_permutations: bool = False) -> dict:
+                        trials: int = 3) -> dict:
     """Check the determinantal claims on one instance and return a transcript.
 
     Items: sampled initial ideals of the maximal-minor ideal are squarefree
@@ -246,7 +228,7 @@ def verify_main_theorem(A: GradedMatrix, n_orders: int = 25, seed: int = 0,
 
     if A.grading == "column":
         ugb = ugb_check(maximal, I_max, n_orders=n_orders, seed=seed,
-                        include_permutations=include_permutations)
+                        include_permutations=False)
         items["maximal_minors_universal_basis"] = {
             "passed": ugb.passed, "orders": ugb.orders_tested,
             "failures": ugb.failures, "note": ugb.note}
@@ -254,8 +236,7 @@ def verify_main_theorem(A: GradedMatrix, n_orders: int = 25, seed: int = 0,
     else:
         target = (1,) * ring.v
         ok, details = degree_bound_check(
-            I_max, target, n_orders=n_orders, seed=seed, mode="eq",
-            include_permutations=include_permutations)
+            I_max, target, n_orders=n_orders, seed=seed, mode="eq")
         items["maximal_minors_degree_profile"] = {
             "passed": ok, "mode": "eq", "bound": target,
             "orders": len(details["records"]),
@@ -274,8 +255,7 @@ def verify_main_theorem(A: GradedMatrix, n_orders: int = 25, seed: int = 0,
         I_two = Ideal(ring, minors(A, 2))
         bound = (1,) * ring.v
         ok2, details2 = degree_bound_check(
-            I_two, bound, n_orders=n_orders, seed=seed + 1, mode="le",
-            include_permutations=include_permutations)
+            I_two, bound, n_orders=n_orders, seed=seed + 1, mode="le")
         squarefree_two = all(max(e) <= 1 for rec in details2["records"]
                              for e in rec["lead_exps"])
         items["two_minors_initials_squarefree"] = {

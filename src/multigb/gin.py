@@ -33,21 +33,6 @@ class BorelElement:
     ring: BlockRing
     blocks: tuple
 
-    def is_identity(self) -> bool:
-        for mat in self.blocks:
-            for k, row in enumerate(mat):
-                for j, c in enumerate(row):
-                    if c != (1 if k == j else 0):
-                        return False
-        return True
-
-
-def identity_borel(ring: BlockRing) -> BorelElement:
-    blocks = tuple(
-        tuple(tuple(1 if k == j else 0 for j in range(n)) for k in range(n))
-        for n in ring.block_sizes)
-    return BorelElement(ring, blocks)
-
 
 def random_borel(ring: BlockRing, seed: int) -> BorelElement:
     """Deterministic-per-seed Borel element: diagonal uniform in F_p minus
@@ -78,10 +63,6 @@ def _variable_images(g: BorelElement, variables) -> dict:
                 terms.append((ring.unit_exp(ring.var_index(block, k)), c))
         images[var] = Polynomial(ring, terms)
     return images
-
-
-def apply_change_poly(g: BorelElement, f: Polynomial) -> Polynomial:
-    return f.substitute(_variable_images(g, f.support_vars()))
 
 
 def apply_change(g: BorelElement, I: Ideal) -> Ideal:

@@ -274,7 +274,8 @@ class Ideal:
         self.gens = tuple(cleaned)
         self.limits = limits if limits is not None else DEFAULT_LIMITS
         self._gb_cache: dict = {}
-        self._series: tuple | None = None  # (Hilbert series, its dims by degree)
+        self._series: HilbertNumerator | None = None
+        self._dims: dict = {}  # dim (S/I)_a by multidegree a
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"
@@ -308,24 +309,17 @@ class Ideal:
         """Pair skipping by the Hilbert series, read off a basis already
         cached under some order; None before the first basis or for an
         ideal that is not multihomogeneous."""
-        series = self._series
-        cached = next(iter(self._gb_cache.values()), None)
-        if series is None and cached is not None and self.is_multihomogeneous:
-            series = self._series = (self.hilbert_series(cached.order), {})
-        return None if series is None else _SeriesCutoff(self.ring, *series)
+        if self._series is None and not (self._gb_cache
+                                         and self.is_multihomogeneous):
+            return None
+        return _SeriesCutoff(self.ring, self.hilbert_series(), self._dims)
 
     def initial_ideal(self, order: TermOrder | None = None) -> MonomialIdeal:
         gb = self.groebner_basis(order)
         return MonomialIdeal(self.ring, gb.lead_exponents(), _minimal=True)
 
-    def normal_form(self, f: Polynomial, order: TermOrder | None = None) -> Polynomial:
-        return self.groebner_basis(order).normal_form(f)
-
     def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero
-
-    def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.gens)
+        return self.groebner_basis().contains(f)
 
     def equals(self, other: "Ideal") -> bool:
         if self.ring != other.ring:
@@ -348,7 +342,8 @@ class Ideal:
     # -- derived constructions ---------------------------------------------------
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """I cap J by eliminating t from t*I + (1-t)*J in an extended ring.
+        """I cap J: eliminate t from t*I + (1-t)*J in an extended ring, then
+        drop the t coordinate.
 
         The auxiliary variable is appended as a one-variable block; the
         extension is internal plumbing and never surfaces in results.
@@ -368,13 +363,9 @@ class Ideal:
         one_minus_t = Polynomial.one(ext) - t
         gens = [t * lift(f) for f in self.gens]
         gens += [one_minus_t * lift(g) for g in other.gens]
-        extended = Ideal(ext, gens, self.limits)
-        order = elimination_order(ext.nvars, {t_var})
-        kept = []
-        for g in extended.groebner_basis(order):
-            if all(e[t_var] == 0 for e, _ in g.terms):
-                kept.append(Polynomial(ring, [(e[:-1], c) for e, c in g.terms]))
-        return Ideal(ring, kept, self.limits)
+        meet = Ideal(ext, gens, self.limits).eliminate({t_var})
+        return Ideal(ring, [project_out_variable(g, ring, t_var)
+                            for g in meet.gens], self.limits)
 
     def eliminate(self, front: Iterable[int]) -> "Ideal":
         """Generators of I cap K[variables outside ``front``] (same ring)."""
@@ -418,12 +409,17 @@ class Ideal:
         return Ideal(self.ring, [exact_divide(g, f) for g in meet.gens],
                      self.limits)
 
-    def hilbert_series(self, order: TermOrder | None = None) -> HilbertNumerator:
-        """K-polynomial of S/I, computed on the initial ideal (Macaulay)."""
-        if not self.is_multihomogeneous:
-            raise HypothesisNotSatisfiedError(
-                "Hilbert series needs multigraded generators")
-        return hilbert_numerator(self.initial_ideal(order))
+    def hilbert_series(self) -> HilbertNumerator:
+        """K-polynomial of S/I, computed once and cached.  S/in(I) has the
+        same series under every order (Macaulay), so it is read off the first
+        cached basis, or a storage-order basis when none is cached."""
+        if self._series is None:
+            if not self.is_multihomogeneous:
+                raise HypothesisNotSatisfiedError(
+                    "Hilbert series needs multigraded generators")
+            order = next((gb.order for gb in self._gb_cache.values()), None)
+            self._series = hilbert_numerator(self.initial_ideal(order))
+        return self._series
 
     def minimal_generators(self) -> list:
         """Irredundant subset of the (multihomogeneous) generators; for graded
@@ -484,16 +480,17 @@ def ideal_from_monomials(M: MonomialIdeal, limits: EngineLimits = DEFAULT_LIMITS
     return Ideal(M.ring, [Polynomial.monomial(M.ring, e) for e in M.gens], limits)
 
 
-def regular_sequence_test(I: Ideal, forms: Sequence[Polynomial],
-                          allow_unit: bool = False) -> bool:
+def regular_sequence_test(I: Ideal, forms: Sequence[Polynomial]) -> bool:
     """True iff the forms are a regular sequence on S/I, in the given order:
     each f is a nonzerodivisor modulo J = I + earlier forms, and the final
-    sum stays proper unless ``allow_unit``.
+    sum I + (forms) is a proper ideal.
 
     For J multihomogeneous and f a linear form, f is regular on S/J exactly
     when no lead of J's basis in moved coordinates, where f is x_v, under
     degrevlex with x_v last, uses x_v (Bayer-Stillman): no colon is taken.
-    Any other f is tested as J : f == J.
+    Any other f is tested as J : f == J.  For I multihomogeneous and linear
+    forms, the sum is homogeneous: proper exactly when no generator of I is
+    a constant.  Any other sum is proper when it does not contain 1.
     """
     current = I
     for f in forms:
@@ -508,9 +505,9 @@ def regular_sequence_test(I: Ideal, forms: Sequence[Polynomial],
         if not regular:
             return False
         current = current + f
-    if not allow_unit and current.contains(Polynomial.one(I.ring)):
-        return False
-    return True
+    if I.is_multihomogeneous and all(_is_linear_form(f) for f in forms):
+        return not any(g.is_constant for g in I.gens)
+    return not current.contains(Polynomial.one(I.ring))
 
 
 # -- ring surgery (quotient by a linear form, coordinate subrings) -------------

@@ -88,13 +88,6 @@ def sum_monomial(I: MonomialIdeal, extra: Iterable[tuple]) -> MonomialIdeal:
     return MonomialIdeal(I.ring, list(I.gens) + list(extra))
 
 
-def intersect_monomial(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """Pairwise-lcm rule; independent oracle for the engine's intersect."""
-    if I.ring != J.ring:
-        raise RingMismatchError("ideals live in different rings")
-    return MonomialIdeal(I.ring, [exp_lcm(a, b) for a in I.gens for b in J.gens])
-
-
 def support(exp: tuple) -> tuple:
     return tuple(v for v, e in enumerate(exp) if e)
 
@@ -128,10 +121,11 @@ def is_strongly_stable(I: MonomialIdeal) -> bool:
     return True
 
 
-def is_borel_fixed(I: MonomialIdeal, char: int | None = None) -> bool:
-    """Exchange condition with binomial coefficients taken mod the characteristic."""
+def is_borel_fixed(I: MonomialIdeal) -> bool:
+    """Exchange condition with binomial coefficients taken mod the ring's
+    characteristic."""
     ring = I.ring
-    p = ring.characteristic if char is None else char
+    p = ring.characteristic
     for u in I.gens:
         for var, c in enumerate(u):
             if c == 0:
@@ -180,33 +174,6 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
             current = _minimal_antichain(
                 [exp_lcm(a, b) for a in current for b in prime])
     return MonomialIdeal(ring, current, _minimal=True)
-
-
-def alexander_dual_bruteforce(I: MonomialIdeal) -> MonomialIdeal:
-    """Oracle: generators of the dual are the minimal transversals of the
-    generator supports.  Exponential; test use only."""
-    if not is_radical_monomial(I):
-        raise NotSquarefreeError("Alexander dual requires squarefree generators")
-    if I.is_zero or I.is_unit:
-        raise HypothesisNotSatisfiedError(
-            "Alexander dual requires a nonzero proper ideal")
-    ring = I.ring
-    supports = [set(support(g)) for g in I.gens]
-    universe = sorted(set().union(*supports))
-    transversals = []
-    for mask in range(1, 1 << len(universe)):
-        subset = {universe[k] for k in range(len(universe)) if mask >> k & 1}
-        if all(subset & s for s in supports):
-            transversals.append(subset)
-    minimal = [s for s in transversals
-               if not any(t < s for t in transversals)]
-    gens = []
-    for s in minimal:
-        e = [0] * ring.nvars
-        for v in s:
-            e[v] = 1
-        gens.append(tuple(e))
-    return MonomialIdeal(ring, gens)
 
 
 # -- polarization --------------------------------------------------------------
@@ -266,10 +233,6 @@ class HilbertNumerator:
     def __init__(self, v: int, coeffs: dict):
         self.v = v
         self.coeffs = {tuple(a): int(c) for a, c in coeffs.items() if c}
-
-    @classmethod
-    def zero(cls, v: int) -> "HilbertNumerator":
-        return cls(v, {})
 
     @classmethod
     def one(cls, v: int) -> "HilbertNumerator":
@@ -381,23 +344,6 @@ def hilbert_numerator(I: MonomialIdeal) -> HilbertNumerator:
     return rec(I.gens)
 
 
-def hilbert_numerator_inclusion_exclusion(I: MonomialIdeal) -> HilbertNumerator:
-    """Oracle: K(S/I) = sum over generator subsets of (-1)^|T| y^{deg lcm(T)}.
-    Exponential; test use only."""
-    ring = I.ring
-    v = ring.v
-    out = HilbertNumerator.zero(v)
-    gens = I.gens
-    for mask in range(1 << len(gens)):
-        chosen = [gens[k] for k in range(len(gens)) if mask >> k & 1]
-        lcm = (0,) * ring.nvars
-        for g in chosen:
-            lcm = exp_lcm(lcm, g)
-        sign = -1 if len(chosen) % 2 else 1
-        out = out + HilbertNumerator.monomial(v, ring.multidegree(lcm), sign)
-    return out
-
-
 def ambient_dimension(ring: BlockRing, a: Sequence[int]) -> int:
     """dim of the degree-a component of the full ring."""
     if any(x < 0 for x in a):
@@ -414,9 +360,3 @@ def quotient_dimension_from_numerator(num: HilbertNumerator, ring: BlockRing,
     a = tuple(a)
     return sum(c * ambient_dimension(ring, tuple(x - y for x, y in zip(a, b)))
                for b, c in num.coeffs.items())
-
-
-def graded_dimension(I: MonomialIdeal, a: Sequence[int]) -> int:
-    """Brute-force dim (S/I)_a: count standard monomials of multidegree a."""
-    return sum(1 for exp in I.ring.monomials_of_multidegree(tuple(a))
-               if not I.contains_monomial(exp))

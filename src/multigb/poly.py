@@ -27,6 +27,8 @@ class Polynomial:
         for exp, _ in self._terms:
             if len(exp) != ring.nvars:
                 raise RingMismatchError("exponent length does not match ring")
+            if min(exp) < 0:
+                raise ValueError("negative exponent")
 
     # -- constructors ---------------------------------------------------------
 

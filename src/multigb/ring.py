@@ -245,26 +245,23 @@ def degrevlex_blocks_reversed(ring: BlockRing) -> TermOrder:
     return TermOrder("degrevlex[blocks reversed]", order.rows)
 
 
-def weight_order(ring_or_n, weights: Sequence[int], tie: TermOrder | None = None,
-                 name: str | None = None) -> TermOrder:
-    """Weight vector order with a tie-breaking term order (degrevlex default)."""
+def weight_order(ring_or_n, weights: Sequence[int]) -> TermOrder:
+    """Weight vector order with degrevlex ties."""
     n = ring_or_n.nvars if isinstance(ring_or_n, BlockRing) else int(ring_or_n)
     w = tuple(int(x) for x in weights)
     if len(w) != n:
         raise ValueError("weight vector length does not match variable count")
     if any(x <= 0 for x in w):
         raise ValueError("weights must be positive")
-    tie = tie if tie is not None else degrevlex(n)
-    label = name if name is not None else f"weight{list(w)}+{tie.name}"
-    return TermOrder(label, (w,) + tie.rows)
+    return TermOrder(f"weight{list(w)}+degrevlex", (w,) + degrevlex(n).rows)
 
 
-def elimination_order(n: int, front: Iterable[int], inner: TermOrder | None = None) -> TermOrder:
+def elimination_order(n: int, front: Iterable[int]) -> TermOrder:
     """Order eliminating the ``front`` variables (any monomial touching them
-    beats any monomial that does not)."""
+    beats any monomial that does not), degrevlex within."""
     front = frozenset(front)
     if not front:
         raise ValueError("front variable set is empty")
-    inner = inner if inner is not None else degrevlex(n)
     indicator = tuple(1 if k in front else 0 for k in range(n))
-    return TermOrder(f"elim{sorted(front)}+{inner.name}", (indicator,) + inner.rows)
+    return TermOrder(f"elim{sorted(front)}+degrevlex",
+                     (indicator,) + degrevlex(n).rows)

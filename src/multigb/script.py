@@ -492,12 +492,3 @@ class _Parser:
 def parse(text: str) -> SessionScript:
     return _Parser(tokenize(text)).parse_script()
 
-
-def parse_polynomial(text: str):
-    """Parse a standalone polynomial expression to its AST."""
-    parser = _Parser(tokenize(text))
-    node = parser.parse_poly()
-    tok = parser.peek()
-    if tok.kind not in ("END", "EOF"):
-        parser.fail(f"trailing input {tok.text!r}")
-    return node

@@ -4,14 +4,15 @@ import itertools
 
 import pytest
 
-from multigb.determinantal import (GradedMatrix, _determinant_leibniz,
-                                   _rank_mod_p, build_column_graded,
-                                   build_row_graded, minors, variable_matrix,
+from multigb.determinantal import (GradedMatrix, _rank_mod_p,
+                                   build_column_graded, build_row_graded,
+                                   minors, variable_matrix,
                                    verify_main_theorem)
 from multigb.errors import HypothesisNotSatisfiedError, ResourceLimitError
 from multigb.groebner import EngineLimits, Ideal
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing
+from oracles import determinant_leibniz
 
 
 def x(R, i, j):
@@ -149,8 +150,8 @@ def _leibniz_minors(A, t):
     out = []
     for rows in itertools.combinations(range(m), t):
         for cols in itertools.combinations(range(n), t):
-            d = _determinant_leibniz([[A.entries[i][j] for j in cols]
-                                      for i in rows])
+            d = determinant_leibniz([[A.entries[i][j] for j in cols]
+                                     for i in rows])
             if not d.is_zero:
                 out.append(d)
     return out

@@ -18,10 +18,10 @@ from multigb.groebner import (EngineLimits, Ideal, _reduced_basis_raw,
 from multigb.instances import (cs_instance_pool, random_graded_ideal,
                                random_linear_form, random_monomial_ideal,
                                random_ring)
-from multigb.monomials import (MonomialIdeal, colon_monomial,
-                               intersect_monomial)
+from multigb.monomials import MonomialIdeal, colon_monomial
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing, degrevlex, lex
+from oracles import intersect_monomial
 
 
 def x(R, i, j):
@@ -107,8 +107,8 @@ def test_membership(R33):
     I = Ideal(R33, [f, g])
     assert I.contains(x(R33, 1, 1) * f - x(R33, 2, 2) * g)
     assert not I.contains(x(R33, 1, 1))
-    assert I.contains_ideal(Ideal(R33, [f]))
-    assert not Ideal(R33, [f]).contains_ideal(I)
+    assert I.contains(f)
+    assert not all(Ideal(R33, [f]).contains(h) for h in I.gens)
 
 
 def test_intersect_vs_monomial_lcm_rule():
@@ -313,9 +313,31 @@ def test_regular_sequence_unit_quotient():
     R = BlockRing((2,))
     I = Ideal(R, [x(R, 1, 1)])
     forms = [x(R, 1, 2) - x(R, 1, 1)]
-    # quotient by I + (forms) is the base field after one step; next step
-    # would be the unit ideal, rejected unless allow_unit is set
+    # quotient by I + (forms) is the base field after one step, which is
+    # still a proper quotient
     assert regular_sequence_test(I, forms)
+
+
+def test_regular_sequence_properness_needs_no_basis_of_the_sum(monkeypatch):
+    R = BlockRing((2, 2))
+    forms = gamma_sequence(R)
+    unit = Ideal(R, [Polynomial.one(R), x(R, 1, 1)])
+    assert not regular_sequence_test(unit, forms)
+    assert not regular_sequence_test(unit, [])
+    calls = []
+    original = Ideal.contains
+
+    def counted(self, f):
+        calls.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(Ideal, "contains", counted)
+    # I multigraded and every form linear: I + (forms) is homogeneous
+    assert regular_sequence_test(Ideal(R, [x(R, 1, 1) * x(R, 2, 1)]), forms)
+    assert calls == []
+    # an inhomogeneous I still asks whether the sum contains 1
+    assert regular_sequence_test(Ideal(R, [x(R, 1, 1) - 1]), [])
+    assert calls == [Polynomial.one(R)]
 
 
 def test_hilbert_series_from_ideal():
@@ -323,6 +345,16 @@ def test_hilbert_series_from_ideal():
     f = x(R, 1, 1) * x(R, 2, 2) - x(R, 1, 2) * x(R, 2, 1)
     num = Ideal(R, [f]).hilbert_series()
     assert num.coeffs == {(0, 0): 1, (1, 1): -1}
+
+
+def test_hilbert_series_is_read_off_the_cached_basis(R33):
+    I = Ideal(R33, [two_minor(R33, (1, 2), (1, 2)),
+                    two_minor(R33, (1, 2), (1, 3))])
+    I.groebner_basis(lex(R33))
+    series = I.hilbert_series()
+    assert list(I._gb_cache) == [lex(R33).rows]
+    assert I.hilbert_series() is series
+    assert series == Ideal(R33, I.gens).hilbert_series()
 
 
 def test_gb_under_lex(R33):
@@ -464,14 +496,14 @@ def colon_by_elimination(I, f):
     return Ideal(I.ring, [exact_divide(g, f) for g in meet.gens])
 
 
-def regular_by_colons(I, forms, allow_unit=False):
+def regular_by_colons(I, forms):
     """The regular-sequence definition, with every colon by elimination."""
     current = I
     for f in forms:
         if not colon_by_elimination(current, f).equals(current):
             return False
         current = current + f
-    return allow_unit or not current.contains(Polynomial.one(I.ring))
+    return not current.contains(Polynomial.one(I.ring))
 
 
 @st.composite
@@ -542,9 +574,7 @@ def test_regular_sequence_test_matches_colons_on_monomial_ideals():
 def test_regular_sequence_test_matches_colons_on_pool():
     for I in cs_instance_pool(6, seed=4):
         forms = gamma_sequence(I.ring)
-        unit = I.is_unit_ideal
-        assert (regular_sequence_test(I, forms, allow_unit=unit)
-                == regular_by_colons(I, forms, allow_unit=unit))
+        assert regular_sequence_test(I, forms) == regular_by_colons(I, forms)
 
 
 def _count_intersections(monkeypatch):

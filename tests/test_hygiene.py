@@ -1,0 +1,43 @@
+"""Source hygiene: no module imports a name it never reads."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "multigb").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(tree: ast.Module) -> list:
+    """Names bound by an import and never read, except ``__future__``
+    imports and names listed in ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_unused_import_is_found():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nfrom a import b, c as d\n"
+                     "__all__ = ['d']\n")
+    assert unused_imports(tree) == [(2, "os"), (3, "b")]

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from multigb.errors import RingMismatchError
 from multigb.poly import Polynomial
-from multigb.ring import (BlockRing, degrevlex, elimination_order, lex,
-                          weight_order)
+from multigb.ring import BlockRing, TermOrder, degrevlex, lex, weight_order
 
 
 @pytest.fixture
@@ -33,6 +32,15 @@ def test_coefficients_reduced_mod_p(R):
     assert f.terms == [(e, 5)]
     g = Polynomial(R, [(e, -1)])
     assert g.terms == [(e, R.characteristic - 1)]
+
+
+def test_negative_exponent_rejected():
+    # x[1,1]^-1 * x[1,2] would print as x[1,2], and substitute would never
+    # finish walking its exponents down to zero
+    R = BlockRing((2,))
+    for normalized in (False, True):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(R, [((-1, 1), 1)], _normalized=normalized)
 
 
 def test_terms_sorted_descending(R):
@@ -97,9 +105,9 @@ def test_lead_under_non_storage_order(R):
 
 
 def test_str_round_trip_via_parser(R):
-    from multigb.cli import polynomial_from_text
+    from test_script import parsed_poly
     f = x(R, 1, 1) * x(R, 2, 2) - 3 * x(R, 1, 2) ** 2 + 1
-    assert polynomial_from_text(str(f), R) == f
+    assert parsed_poly(str(f), R) == f
 
 
 def test_mixed_ring_rejected():
@@ -129,7 +137,9 @@ def polys_and_orders(draw):
                                               min_size=n, max_size=n)))
     else:
         front = draw(st.sets(st.integers(0, n - 1), min_size=1))
-        order = elimination_order(n, front, degrevlex(R, prio))
+        # front variables first, then degrevlex under the drawn priority
+        indicator = tuple(int(k in front) for k in range(n))
+        order = TermOrder("elim", (indicator,) + degrevlex(R, prio).rows)
     return f, order
 
 

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multigb.cli import main, polynomial_from_text
+from multigb.cli import _eval_poly, _Session, build_arg_parser, main
 from multigb.groebner import Ideal, exact_divide
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing
-from multigb.script import (RingDecl, ScriptError, parse, parse_polynomial,
+from multigb.script import (PolyDef, RingDecl, ScriptError, parse,
                             tokenize)
 
 REMARK = """\
@@ -136,25 +136,34 @@ def test_parse_unknown_command():
         parse("ring v=1 blocks=[1] char=101\nfrobenius I\n")
 
 
+def parsed_poly(text, R):
+    """The value of ``f`` after a parsed ``poly f = <text>`` statement."""
+    blocks = ",".join(str(n) for n in R.block_sizes)
+    script = parse(f"ring v={R.v} blocks=[{blocks}] char={R.characteristic}\n"
+                   f"poly f = {text}\n")
+    (stmt,) = script.statements
+    assert isinstance(stmt, PolyDef) and stmt.name == "f"
+    sess = _Session(R, build_arg_parser().parse_args(["-"]))
+    return _eval_poly(stmt.expr, sess, stmt.line)
+
+
 def test_parse_polynomial_expressions():
-    node = parse_polynomial("x[1,2]^2 - 3*x[2,1] + 7")
     R = BlockRing((2, 2))
-    f = polynomial_from_text("x[1,2]^2 - 3*x[2,1] + 7", R)
+    f = parsed_poly("x[1,2]^2 - 3*x[2,1] + 7", R)
     expect = (Polynomial.variable(R, 1, 2) ** 2
               - 3 * Polynomial.variable(R, 2, 1) + 7)
     assert f == expect
-    assert node is not None
 
 
 def test_parse_polynomial_unary_minus_binds_product():
     R = BlockRing((2,))
-    f = polynomial_from_text("-x[1,1]*x[1,2]", R)
+    f = parsed_poly("-x[1,1]*x[1,2]", R)
     assert f == -(Polynomial.variable(R, 1, 1) * Polynomial.variable(R, 1, 2))
 
 
 def test_parse_polynomial_rejects_trailing_garbage():
     with pytest.raises(ScriptError):
-        parse_polynomial("x[1,1] x[1,2]")
+        parsed_poly("x[1,1] x[1,2]", BlockRing((2,)))
 
 
 def test_polynomial_str_round_trips():
@@ -167,7 +176,7 @@ def test_polynomial_str_round_trips():
         x(1, 1) * x(1, 2) * x(2, 2) - x(1, 3) ** 2 * x(2, 1),
     ]
     for f in cases:
-        assert polynomial_from_text(str(f), R) == f
+        assert parsed_poly(str(f), R) == f
 
 
 # -- CLI end to end ----------------------------------------------------------------
@@ -237,11 +246,11 @@ def test_cli_linear_colon_generates_the_elimination_colon(tmp_path, capsys):
     assert run_cli(tmp_path, text, "--json") == 0
     (report,) = json.loads(capsys.readouterr().out)["reports"]
     R = BlockRing((2, 2))
-    printed = [polynomial_from_text(g, R) for g in report["evidence"]["generators"]]
+    printed = [parsed_poly(g, R) for g in report["evidence"]["generators"]]
     assert all(g == g.monic() for g in printed)
-    I = Ideal(R, [polynomial_from_text("x[1,1]^2*x[2,2] - x[1,2]^2*x[2,1]", R),
-                  polynomial_from_text("x[1,1]*x[1,2]*x[2,1]", R)])
-    L = polynomial_from_text("2*x[1,1] + 5*x[1,2]", R)
+    I = Ideal(R, [parsed_poly("x[1,1]^2*x[2,2] - x[1,2]^2*x[2,1]", R),
+                  parsed_poly("x[1,1]*x[1,2]*x[2,1]", R)])
+    L = parsed_poly("2*x[1,1] + 5*x[1,2]", R)
     meet = I.intersect(Ideal(R, [L]))
     by_elimination = Ideal(R, [exact_divide(g, L) for g in meet.gens])
     assert Ideal(R, printed).equals(by_elimination)
@@ -391,6 +400,21 @@ def test_cli_invalid_command_options_exit_2(tmp_path, capsys, command):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    "gin I seed=abc", "gin I trials=abc", "ugb I orders=abc",
+    "bounds I orders=[3]", "cs I seed=[1,2]", "gin I trials=weight:1,2",
+    "closure I seed=x",
+])
+def test_cli_non_integer_count_options_exit_2(tmp_path, capsys, command):
+    assert run_cli(tmp_path, TINY + command + "\n") == 2
+    assert "takes an integer" in capsys.readouterr().err
+
+
+def test_cli_unknown_option_exit_2(tmp_path, capsys):
+    assert run_cli(tmp_path, TINY + "gb I ordr=lex\n") == 2
+    assert "unknown option ordr=" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [
     ("--trials", "0"), ("--max-basis", "0"), ("--max-basis", "-1"),
 ])
@@ -500,6 +524,7 @@ PIECES = re.compile(r"\s+|\d+|\w+|[^\w\s]")
 # "Large" is bounded: nothing guards ring size or trial counts, and a block
 # of 40 variables with 40 gin trials already takes a few seconds.
 INTEGER_REPLACEMENTS = ["0", "-1", "40"]
+OPTION_REPLACEMENTS = ["abc", "[1,2]"]
 
 
 @st.composite
@@ -508,22 +533,30 @@ def mutated_scripts(draw):
     for _ in range(draw(st.integers(1, 3))):
         tokens = [k for k, piece in enumerate(pieces) if piece.strip()]
         k = draw(st.sampled_from(tokens))
-        mutation = draw(st.sampled_from(["drop", "duplicate", "integer"]))
+        mutation = draw(st.sampled_from(["drop", "duplicate", "integer",
+                                         "option"]))
         if mutation == "drop":
             pieces[k] = ""
         elif mutation == "duplicate":
             pieces[k] = f"{pieces[k]} {pieces[k]}"
-        else:
+        elif mutation == "integer":
             integers = [j for j, piece in enumerate(pieces)
                         if piece.isdigit()]
             pieces[draw(st.sampled_from(integers))] = draw(
                 st.sampled_from(INTEGER_REPLACEMENTS))
+        else:
+            # an integer option value becomes an identifier or a vector
+            values = [j for j, piece in enumerate(pieces)
+                      if piece.isdigit() and pieces[j - 1] == "="]
+            pieces[draw(st.sampled_from(values))] = draw(
+                st.sampled_from(OPTION_REPLACEMENTS))
     return "".join(pieces)
 
 
 @settings(max_examples=100, deadline=None)
 @given(mutated_scripts())
 @example(TINY + "gin I trials=0\n")
+@example(TINY + "gin I seed=abc\n")
 def test_cli_mutated_scripts_never_raise(text):
     with mock.patch("sys.stdin", io.StringIO(text)):
         assert main(["-"]) in (0, 1, 2, 3)
