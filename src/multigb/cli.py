@@ -6,6 +6,16 @@ csstar without an expectation) print results and never change the exit code.
 Asserting commands (ugb, closure, bounds, main-theorem, and cs/csstar/member
 with expect=yes|no) contribute to it: exit 0 only if all of them pass.
 
+Commands, calls and ideal definitions resolve an ideal argument the same
+way (``_eval_ideal``): the name of an ideal, a call, or a polynomial, which
+stands for its principal ideal.  The minors, colon and intersect commands
+evaluate the call of the same name and differ from it only in what they
+print.  The parser checks each command's count of positional arguments
+against ``script.COMMANDS`` (one for most commands; two for minors, colon,
+intersect and member; one or two for closure; one to three for bounds), so
+a stray argument exits 2, as does a ``bounds`` word other than one ``le``
+or ``eq``.
+
 Exit codes: 0 all asserted checks pass; 1 a check failed or the engine
 detected an internal inconsistency; 2 usage, parse, or semantic error;
 3 resource-guard abort (partial JSON still flushed, ending with an
@@ -34,13 +44,15 @@ from multigb.monomials import (alexander_dual, is_borel_fixed,
                                polarize)
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing, lex, weight_order
-from multigb.script import (CallNode, Command, IdealDef, IntNode, MatrixDef,
-                            NameNode, OpNode, PolyDef, ScriptError,
+from multigb.script import (CALL_NAMES, CallNode, Command, IntNode,
+                            MatrixDef, NameNode, OpNode, PolyDef, ScriptError,
                             SessionScript, VarNode, VectorNode, parse)
 
 ASSERTING = {"ugb", "closure", "bounds", "main-theorem"}
 OPTION_KEYS = frozenset({"seed", "trials", "orders", "order", "expect",
                          "bound"})
+_KIND_TEXT = {"poly": "a polynomial", "ideal": "an ideal",
+              "matrix": "a matrix"}
 
 
 class _Session:
@@ -53,13 +65,14 @@ class _Session:
     def define(self, name: str, kind: str, value) -> None:
         self.env[name] = (kind, value)
 
-    def lookup(self, name: str, kind: str, line: int):
+    def lookup(self, name: str, line: int, *kinds: str):
         if name not in self.env:
             raise ScriptError(f"undefined name {name!r}", line)
         got, value = self.env[name]
-        if got != kind:
+        if got not in kinds:
+            expected = " or ".join(_KIND_TEXT[k] for k in kinds)
             raise ScriptError(
-                f"{name!r} is a {got}, expected a {kind}", line)
+                f"{name!r} is {_KIND_TEXT[got]}, expected {expected}", line)
         return value
 
 
@@ -70,7 +83,7 @@ def _eval_poly(node, sess: _Session, line: int) -> Polynomial:
     if isinstance(node, VarNode):
         return Polynomial.variable(ring, node.block, node.pos)
     if isinstance(node, NameNode):
-        return sess.lookup(node.name, "poly", line)
+        return sess.lookup(node.name, line, "poly")
     if isinstance(node, OpNode):
         if node.op == "^":
             return _eval_poly(node.args[0], sess, line) ** node.args[1].value
@@ -84,46 +97,46 @@ def _eval_poly(node, sess: _Session, line: int) -> Polynomial:
             return a - b
         if node.op == "*":
             return a * b
-    raise ScriptError(f"cannot evaluate {node!r} as a polynomial", line)
+    raise ScriptError(f"cannot evaluate {_arg_text(node)} as a polynomial",
+                      line)
 
 
-def _eval_call(call: CallNode, sess: _Session) -> Ideal:
-    line = call.line
-    name = call.func
+def _eval_ideal(node, sess: _Session, line: int) -> Ideal:
+    """An ideal argument of a command, call or ideal definition: the name of
+    an ideal, a call, or a polynomial, which stands for its principal ideal."""
+    if isinstance(node, CallNode):
+        return _eval_call(node.func, node.args, sess, node.line)
+    value = (sess.lookup(node.name, line, "ideal", "poly")
+             if isinstance(node, NameNode) else _eval_poly(node, sess, line))
+    return value if isinstance(value, Ideal) else \
+        Ideal(sess.ring, [value], sess.limits)
 
-    def as_ideal(arg) -> Ideal:
-        if isinstance(arg, NameNode) and arg.name in sess.env:
-            kind, value = sess.env[arg.name]
-            if kind == "ideal":
-                return value
-        if isinstance(arg, CallNode):
-            return _eval_call(arg, sess)
-        return Ideal(sess.ring, [_eval_poly(arg, sess, line)], sess.limits)
 
+def _eval_matrix(node, sess: _Session, line: int) -> GradedMatrix:
+    if not isinstance(node, NameNode):
+        raise ScriptError(f"expected a matrix name, found {_arg_text(node)}",
+                          line)
+    return sess.lookup(node.name, line, "matrix")
+
+
+def _eval_call(name: str, args: tuple | list, sess: _Session,
+               line: int) -> Ideal:
+    """The ideal of a call, or of the minors, colon or intersect command;
+    the parser has checked that there are two arguments."""
+    a, b = args
+    if name in ("minors", "eliminate") and not isinstance(b, IntNode):
+        raise ScriptError(f"{name} needs an integer second argument, found "
+                          f"{_arg_text(b)}", line)
     if name == "minors":
-        if len(call.args) != 2 or not isinstance(call.args[0], NameNode) \
-                or not isinstance(call.args[1], IntNode):
-            raise ScriptError("minors needs (matrix, size)", line)
-        A = sess.lookup(call.args[0].name, "matrix", line)
-        return Ideal(sess.ring, minors(A, call.args[1].value), sess.limits)
+        A = _eval_matrix(a, sess, line)
+        return Ideal(sess.ring, minors(A, b.value), sess.limits)
+    I = _eval_ideal(a, sess, line)
     if name == "colon":
-        if len(call.args) != 2:
-            raise ScriptError("colon needs (ideal, poly)", line)
-        return as_ideal(call.args[0]).colon(_eval_poly(call.args[1], sess, line))
-    if name == "intersect":
-        if len(call.args) != 2:
-            raise ScriptError("intersect needs (ideal, ideal)", line)
-        return as_ideal(call.args[0]).intersect(as_ideal(call.args[1]))
-    if name == "sum":
-        if len(call.args) != 2:
-            raise ScriptError("sum needs (ideal, ideal or poly)", line)
-        return as_ideal(call.args[0]) + as_ideal(call.args[1])
+        return I.colon(_eval_poly(b, sess, line))
     if name == "eliminate":
-        if len(call.args) != 2 or not isinstance(call.args[1], IntNode):
-            raise ScriptError("eliminate needs (ideal, block)", line)
-        block = call.args[1].value
-        return as_ideal(call.args[0]).eliminate(sess.ring.block_vars(block))
-    raise ScriptError(f"unknown function {name!r}", line)
+        return I.eliminate(sess.ring.block_vars(b.value))
+    J = _eval_ideal(b, sess, line)
+    return I.intersect(J) if name == "intersect" else I + J
 
 
 def _arg_text(arg) -> str:
@@ -142,10 +155,10 @@ def _arg_text(arg) -> str:
     return str(arg)
 
 
-def _resolve_order(sess: _Session, value, line: int):
-    if value is None:
-        return sess.ring.storage_order
-    if value == "degrevlex":
+def _resolve_order(cmd: Command, sess: _Session):
+    """The term order of ``order=``, or of ``--order`` without it."""
+    value, line = cmd.options.get("order", sess.flags.order), cmd.line
+    if value in (None, "degrevlex"):
         return sess.ring.storage_order
     if value == "lex":
         return lex(sess.ring)
@@ -157,40 +170,6 @@ def _resolve_order(sess: _Session, value, line: int):
                 "within a block", line)
         return order
     raise ScriptError(f"unknown order {value!r}", line)
-
-
-def _ideal_arg(cmd: Command, sess: _Session, index: int = 0) -> Ideal:
-    if index >= len(cmd.args):
-        raise ScriptError(f"{cmd.name} needs an ideal argument", cmd.line)
-    arg = cmd.args[index]
-    if isinstance(arg, NameNode):
-        return sess.lookup(arg.name, "ideal", cmd.line)
-    if isinstance(arg, CallNode):
-        return _eval_call(arg, sess)
-    raise ScriptError(f"{cmd.name} needs an ideal argument", cmd.line)
-
-
-def _poly_arg(cmd: Command, sess: _Session, index: int) -> Polynomial:
-    if index >= len(cmd.args):
-        raise ScriptError(f"{cmd.name} needs a polynomial argument", cmd.line)
-    return _eval_poly(cmd.args[index], sess, cmd.line)
-
-
-def _monomial_arg(cmd: Command, sess: _Session):
-    I = _ideal_arg(cmd, sess)
-    try:
-        return I.monomial_ideal()
-    except HypothesisNotSatisfiedError as e:
-        raise ScriptError(f"{cmd.name}: {e}", cmd.line)
-
-
-def _expectation(cmd: Command) -> str | None:
-    expect = cmd.options.get("expect")
-    if expect is None:
-        return None
-    if expect not in ("yes", "no"):
-        raise ScriptError("expect= takes yes or no", cmd.line)
-    return expect
 
 
 def _int_option(cmd: Command, key: str, default: int) -> int:
@@ -219,20 +198,22 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
         "timings": {},
     }
     ok = None
+    # The command's ideal: for minors, colon and intersect the call of the
+    # same name, for any other command but main-theorem its first argument.
+    if cmd.name in CALL_NAMES:
+        I = _eval_call(cmd.name, cmd.args, sess, cmd.line)
+    elif cmd.name != "main-theorem":
+        I = _eval_ideal(cmd.args[0], sess, cmd.line)
 
     if cmd.name == "gb":
-        I = _ideal_arg(cmd, sess)
-        order = _resolve_order(
-            sess, cmd.options.get("order", flags.order), cmd.line)
+        order = _resolve_order(cmd, sess)
         gb = I.groebner_basis(order)
         report["orders"] = [order.name]
         report["verdict"] = "computed"
         report["evidence"] = {"size": len(gb),
                               "generators": [str(g) for g in gb]}
     elif cmd.name == "gin":
-        I = _ideal_arg(cmd, sess)
-        order = _resolve_order(
-            sess, cmd.options.get("order", flags.order), cmd.line)
+        order = _resolve_order(cmd, sess)
         rep = gin(I, order, trials=trials, seed=seed)
         report["orders"] = [order.name]
         report["seeds"] = list(rep.seeds)
@@ -243,7 +224,6 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
             else [c.generator_strings() for c in rep.candidates],
         }
     elif cmd.name == "hilbert":
-        I = _ideal_arg(cmd, sess)
         series = I.hilbert_series()
         report["verdict"] = "computed"
         report["evidence"] = {
@@ -251,70 +231,46 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
             "denominator_blocks": list(sess.ring.block_sizes),
         }
     elif cmd.name == "radical":
-        M = _monomial_arg(cmd, sess)
+        M = I.monomial_ideal()
         report["verdict"] = "yes" if is_radical_monomial(M) else "no"
         report["evidence"] = {"generators": M.generator_strings()}
     elif cmd.name == "borel":
-        M = _monomial_arg(cmd, sess)
+        M = I.monomial_ideal()
         report["verdict"] = "yes" if is_borel_fixed(M) else "no"
         report["evidence"] = {
             "borel_fixed": is_borel_fixed(M),
             "strongly_stable": is_strongly_stable(M),
         }
     elif cmd.name == "dual":
-        M = _monomial_arg(cmd, sess)
+        M = I.monomial_ideal()
         report["verdict"] = "computed"
         report["evidence"] = {
             "generators": alexander_dual(M).generator_strings()}
     elif cmd.name == "polarize":
-        M = _monomial_arg(cmd, sess)
+        M = I.monomial_ideal()
         report["verdict"] = "computed"
         report["evidence"] = {"generators": polarize(M).generator_strings()}
     elif cmd.name == "minors":
-        if len(cmd.args) != 2 or not isinstance(cmd.args[0], NameNode) \
-                or not isinstance(cmd.args[1], IntNode):
-            raise ScriptError("minors needs a matrix name and a size",
-                              cmd.line)
-        A = sess.lookup(cmd.args[0].name, "matrix", cmd.line)
-        ms = minors(A, cmd.args[1].value)
         report["verdict"] = "computed"
-        report["evidence"] = {"count": len(ms),
-                              "minors": [str(f) for f in ms]}
+        report["evidence"] = {"count": len(I.gens),
+                              "minors": [str(f) for f in I.gens]}
     elif cmd.name in ("cs", "csstar"):
-        I = _ideal_arg(cmd, sess)
         rep = (is_cs if cmd.name == "cs" else is_csstar)(
             I, trials=trials, seed=seed)
         report["verdict"] = rep.verdict
         report["orders"] = rep.evidence.get("orders", [])
         report["evidence"] = {"criterion": rep.criterion, **rep.evidence}
-        expect = _expectation(cmd)
-        if expect is not None:
-            ok = rep.verdict == expect
-            report["evidence"]["expected"] = expect
     elif cmd.name == "member":
-        I = _ideal_arg(cmd, sess)
-        f = _poly_arg(cmd, sess, 1)
-        verdict = "yes" if I.contains(f) else "no"
-        report["verdict"] = verdict
-        expect = _expectation(cmd)
-        if expect is not None:
-            ok = verdict == expect
-            report["evidence"]["expected"] = expect
+        f = _eval_poly(cmd.args[1], sess, cmd.line)
+        report["verdict"] = "yes" if I.contains(f) else "no"
     elif cmd.name == "colon":
-        I = _ideal_arg(cmd, sess)
-        f = _poly_arg(cmd, sess, 1)
-        result = I.colon(f)
         report["verdict"] = "computed"
         report["evidence"] = {
-            "generators": [str(g.monic()) for g in result.minimal_generators()]}
+            "generators": [str(g.monic()) for g in I.minimal_generators()]}
     elif cmd.name == "intersect":
-        I = _ideal_arg(cmd, sess)
-        J = _ideal_arg(cmd, sess, 1)
-        result = I.intersect(J)
         report["verdict"] = "computed"
-        report["evidence"] = {"generators": [str(g) for g in result.gens]}
+        report["evidence"] = {"generators": [str(g) for g in I.gens]}
     elif cmd.name == "ugb":
-        I = _ideal_arg(cmd, sess)
         rep = ugb_check(list(I.gens), I, n_orders=n_orders, seed=seed)
         ok = rep.passed
         report["verdict"] = "pass" if ok else "fail"
@@ -327,9 +283,8 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
             "note": rep.note,
         }
     elif cmd.name == "closure":
-        I = _ideal_arg(cmd, sess)
         if len(cmd.args) > 1:
-            L = _poly_arg(cmd, sess, 1)
+            L = _eval_poly(cmd.args[1], sess, cmd.line)
         else:
             L = Polynomial.variable(sess.ring, 1, sess.ring.block_sizes[0])
         transcript = closure_suite(I, L, trials=trials, seed=seed)
@@ -337,14 +292,18 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
         report["verdict"] = "pass" if ok else "fail"
         report["evidence"] = transcript
     elif cmd.name == "bounds":
-        I = _ideal_arg(cmd, sess)
-        mode = "le"
+        mode = None
         bounds = [cmd.options["bound"]] if "bound" in cmd.options else []
         for arg in cmd.args[1:]:
-            if isinstance(arg, NameNode) and arg.name in ("le", "eq"):
-                mode = arg.name
-            elif isinstance(arg, VectorNode):
+            if isinstance(arg, VectorNode):
                 bounds.append(arg.values)
+            elif isinstance(arg, NameNode) and arg.name in ("le", "eq") \
+                    and mode is None:
+                mode = arg.name
+            else:
+                raise ScriptError("bounds takes one mode, le or eq, and one "
+                                  f"bound; found {_arg_text(arg)}", cmd.line)
+        mode = mode or "le"
         if len(bounds) > 1:
             raise ScriptError("bounds takes one bound, [..] or bound=[..]",
                               cmd.line)
@@ -359,9 +318,7 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
         report["evidence"] = {"mode": mode, "bound": list(bound),
                               "violations": details["violations"]}
     elif cmd.name == "main-theorem":
-        if not cmd.args or not isinstance(cmd.args[0], NameNode):
-            raise ScriptError("main-theorem needs a matrix name", cmd.line)
-        A = sess.lookup(cmd.args[0].name, "matrix", cmd.line)
+        A = _eval_matrix(cmd.args[0], sess, cmd.line)
         transcript = verify_main_theorem(A, n_orders=n_orders, seed=seed,
                                          trials=trials)
         ok = transcript["passed"]
@@ -371,6 +328,12 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
     else:
         raise ScriptError(f"unknown command {cmd.name!r}", cmd.line)
 
+    expect = cmd.options.get("expect")
+    if expect is not None and cmd.name in ("cs", "csstar", "member"):
+        if expect not in ("yes", "no"):
+            raise ScriptError("expect= takes yes or no", cmd.line)
+        ok = report["verdict"] == expect
+        report["evidence"]["expected"] = expect
     report["asserted"] = ok is not None
     report["passed"] = ok
     return report
@@ -419,6 +382,28 @@ def _aborted_report(name: str, args: list, e: ResourceLimitError) -> dict:
         "pending_pairs": e.pending_pairs, "degree": e.degree})
 
 
+def _define(stmt, sess: _Session) -> None:
+    """Bind the name of a poly, ideal or matrix definition to its value."""
+    line = stmt.line
+    try:
+        if isinstance(stmt, PolyDef):
+            sess.define(stmt.name, "poly", _eval_poly(stmt.expr, sess, line))
+        elif isinstance(stmt, MatrixDef):
+            rows = [[_eval_poly(node, sess, line) for node in row]
+                    for row in stmt.entries]
+            sess.define(stmt.name, "matrix",
+                        GradedMatrix(sess.ring, rows, stmt.grading))
+        elif len(stmt.expr) == 1:
+            sess.define(stmt.name, "ideal",
+                        _eval_ideal(stmt.expr[0], sess, line))
+        else:
+            gens = [_eval_poly(node, sess, line) for node in stmt.expr]
+            sess.define(stmt.name, "ideal",
+                        Ideal(sess.ring, gens, sess.limits))
+    except (RingMismatchError, ValueError) as e:
+        raise ScriptError(str(e), line)
+
+
 def run_script(script: SessionScript, flags, out=None, err=None) -> int:
     """Execute a parsed session; returns the exit code."""
     out = out if out is not None else sys.stdout
@@ -440,63 +425,35 @@ def run_script(script: SessionScript, flags, out=None, err=None) -> int:
 
     try:
         for stmt in script.statements:
-            if isinstance(stmt, PolyDef):
+            if not isinstance(stmt, Command):
                 try:
-                    value = _eval_poly(stmt.expr, sess, stmt.line)
-                except RingMismatchError as e:
-                    raise ScriptError(str(e), stmt.line)
-                sess.define(stmt.name, "poly", value)
-            elif isinstance(stmt, IdealDef):
-                try:
-                    if isinstance(stmt.expr, CallNode):
-                        try:
-                            value = _eval_call(stmt.expr, sess)
-                        except ResourceLimitError as e:
-                            reports.append(_aborted_report(
-                                stmt.expr.func, stmt.expr.args, e))
-                            raise
-                    elif (isinstance(stmt.expr, tuple) and len(stmt.expr) == 1
-                            and isinstance(stmt.expr[0], NameNode)
-                            and sess.env.get(stmt.expr[0].name, ("",))[0]
-                            == "ideal"):
-                        value = sess.env[stmt.expr[0].name][1]
-                    else:
-                        gens = [_eval_poly(node, sess, stmt.line)
-                                for node in stmt.expr]
-                        value = Ideal(ring, gens, sess.limits)
-                except (RingMismatchError, ValueError) as e:
-                    raise ScriptError(str(e), stmt.line)
-                sess.define(stmt.name, "ideal", value)
-            elif isinstance(stmt, MatrixDef):
-                try:
-                    rows = [[_eval_poly(node, sess, stmt.line)
-                             for node in row] for row in stmt.entries]
-                    value = GradedMatrix(ring, rows, stmt.grading)
-                except (RingMismatchError, ValueError) as e:
-                    raise ScriptError(str(e), stmt.line)
-                sess.define(stmt.name, "matrix", value)
-            elif isinstance(stmt, Command):
-                started = time.perf_counter()
-                try:
-                    report = _execute_command(stmt, sess)
-                except InconclusiveError as e:
-                    report = _unfinished_report(stmt.name, stmt.args,
-                                                "inconclusive",
-                                                {"error": str(e)})
+                    _define(stmt, sess)
                 except ResourceLimitError as e:
-                    reports.append(_aborted_report(stmt.name, stmt.args, e))
+                    call = stmt.expr[0]  # only a call computes a basis
+                    reports.append(_aborted_report(call.func, call.args, e))
                     raise
-                except (RingMismatchError, HypothesisNotSatisfiedError,
-                        NotSquarefreeError, PolarizationCapacityError,
-                        ValueError) as e:
-                    raise ScriptError(f"{stmt.name}: {e}", stmt.line)
-                report["timings"]["ms"] = round(
-                    (time.perf_counter() - started) * 1000, 3)
-                reports.append(report)
-                if report["asserted"] and not report["passed"]:
-                    failed = True
-                for line in _human_lines(report):
-                    print(line, file=human)
+                continue
+            started = time.perf_counter()
+            try:
+                report = _execute_command(stmt, sess)
+            except InconclusiveError as e:
+                report = _unfinished_report(stmt.name, stmt.args,
+                                            "inconclusive",
+                                            {"error": str(e)})
+            except ResourceLimitError as e:
+                reports.append(_aborted_report(stmt.name, stmt.args, e))
+                raise
+            except (RingMismatchError, HypothesisNotSatisfiedError,
+                    NotSquarefreeError, PolarizationCapacityError,
+                    ValueError) as e:
+                raise ScriptError(f"{stmt.name}: {e}", stmt.line)
+            report["timings"]["ms"] = round(
+                (time.perf_counter() - started) * 1000, 3)
+            reports.append(report)
+            if report["asserted"] and not report["passed"]:
+                failed = True
+            for line in _human_lines(report):
+                print(line, file=human)
     except ScriptError as e:
         print(f"error: {e}", file=err)
         flush_json()

@@ -265,8 +265,6 @@ class Ideal:
         self.ring = ring
         cleaned = []
         for g in gens:
-            if isinstance(g, (tuple, list)):
-                g = Polynomial(ring, g)
             if g.ring != ring:
                 raise RingMismatchError("generator lives in a different ring")
             if not g.is_zero:

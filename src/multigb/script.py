@@ -4,15 +4,25 @@ Grammar (statements end at newline or ';' outside brackets; '#' comments):
 
     ring v=INT blocks=[INT,...] char=INT
     poly NAME = polyexpr
-    ideal NAME = polyexpr ("," polyexpr)* | call
+    ideal NAME = arg ("," arg)*
     matrix NAME (colgraded|rowgraded) INT x INT { row (";" row)* }
-    command arg* (key=value)*
+    command (arg | [INT,...])* (key=value)*
 
-where a row is comma-separated polyexprs, a variable is written x[i,j],
-a call is one of minors(...), colon(...), intersect(...), sum(...),
-eliminate(...), and commands are gb, gin, hilbert, radical, borel, dual,
-polarize, minors, cs, csstar, ugb, closure, bounds, main-theorem, colon,
-intersect, member.
+where arg is a call or a polyexpr, a row is comma-separated polyexprs and
+a variable is written x[i,j].  A call is one of minors(M, t), colon(I, f),
+intersect(I, J), sum(I, J), eliminate(I, b); each takes two arguments.
+The commands and their positional arguments ([..] is optional) are
+
+    gb I, gin I, hilbert I, radical I, borel I, dual I, polarize I,
+    cs I, csstar I, ugb I, main-theorem M, minors M t, colon I f,
+    intersect I J, member I f, closure I [L], bounds I [le|eq] [[b,...]]
+
+and COMMANDS holds each one's fewest and most; a count outside that range,
+like a call with other than two arguments, is a parse error.  Wherever an
+ideal is expected, commands and calls accept the same arguments: the name
+of an ideal, a call, or a polynomial, which stands for its principal ideal.
+An ideal definition accepts the same, or a list of two or more generator
+polyexprs.
 
 Parsing builds an AST only; name resolution and ring checks happen at
 execution time so every error can cite the statement's line.
@@ -22,11 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-COMMAND_NAMES = frozenset({
-    "gb", "gin", "hilbert", "radical", "borel", "dual", "polarize", "minors",
-    "cs", "csstar", "ugb", "closure", "bounds", "main-theorem", "colon",
-    "intersect", "member",
-})
+# command -> (fewest, most) positional arguments
+COMMANDS = {
+    "gb": (1, 1), "gin": (1, 1), "hilbert": (1, 1), "radical": (1, 1),
+    "borel": (1, 1), "dual": (1, 1), "polarize": (1, 1), "minors": (2, 2),
+    "cs": (1, 1), "csstar": (1, 1), "ugb": (1, 1), "closure": (1, 2),
+    "bounds": (1, 3), "main-theorem": (1, 1), "colon": (2, 2),
+    "intersect": (2, 2), "member": (2, 2),
+}
 
 CALL_NAMES = frozenset({"minors", "colon", "intersect", "sum", "eliminate"})
 
@@ -170,7 +183,7 @@ class PolyDef:
 @dataclass
 class IdealDef:
     name: str
-    expr: object  # CallNode | NameNode | tuple of poly nodes
+    expr: tuple  # one call-or-polynomial node, or generator poly nodes
     line: int
 
 
@@ -246,6 +259,14 @@ class _Parser:
         tok = self.peek(ahead)
         return tok.kind == "SYM" and tok.text == sym
 
+    def parse_list(self, item, sep: str = ",") -> list:
+        """One or more ``item()`` results separated by ``sep``."""
+        items = [item()]
+        while self.at_sym(sep):
+            self.advance()
+            items.append(item())
+        return items
+
     def end_statement(self):
         tok = self.peek()
         if tok.kind == "EOF":
@@ -311,13 +332,11 @@ class _Parser:
         if tok.text not in CALL_NAMES:
             self.fail(f"unknown function {tok.text!r}", tok)
         self.expect_sym("(")
-        args = []
-        if not self.at_sym(")"):
-            args.append(self.parse_call_arg())
-            while self.at_sym(","):
-                self.advance()
-                args.append(self.parse_call_arg())
+        args = [] if self.at_sym(")") else self.parse_list(self.parse_call_arg)
         self.expect_sym(")")
+        if len(args) != 2:
+            self.fail(f"{tok.text}() takes 2 arguments, found {len(args)}",
+                      tok)
         return CallNode(tok.text, tuple(args), tok.line)
 
     def parse_call_arg(self):
@@ -328,10 +347,7 @@ class _Parser:
 
     def parse_vector(self) -> VectorNode:
         self.expect_sym("[")
-        values = [self.expect_int()]
-        while self.at_sym(","):
-            self.advance()
-            values.append(self.expect_int())
+        values = self.parse_list(self.expect_int)
         self.expect_sym("]")
         return VectorNode(tuple(values))
 
@@ -365,17 +381,9 @@ class _Parser:
         tok = self.expect_ident("ideal")
         name = self.expect_ident().text
         self.expect_sym("=")
-        head = self.peek()
-        if head.kind == "IDENT" and head.text in CALL_NAMES and self.at_sym("(", 1):
-            expr = self.parse_call()
-        else:
-            polys = [self.parse_poly()]
-            while self.at_sym(","):
-                self.advance()
-                polys.append(self.parse_poly())
-            expr = tuple(polys)
+        expr = self.parse_list(self.parse_call_arg)
         self.end_statement()
-        return IdealDef(name, expr, tok.line)
+        return IdealDef(name, tuple(expr), tok.line)
 
     def parse_matrix_def(self) -> MatrixDef:
         tok = self.expect_ident("matrix")
@@ -388,17 +396,7 @@ class _Parser:
         self.expect_ident("x")
         ncols = self.expect_int()
         self.expect_sym("{")
-        entries = []
-        while True:
-            row = [self.parse_poly()]
-            while self.at_sym(","):
-                self.advance()
-                row.append(self.parse_poly())
-            entries.append(row)
-            if self.at_sym(";"):
-                self.advance()
-                continue
-            break
+        entries = self.parse_list(lambda: self.parse_list(self.parse_poly), ";")
         self.expect_sym("}")
         if len(entries) != nrows or any(len(r) != ncols for r in entries):
             self.fail(f"matrix body does not match declared {nrows}x{ncols}",
@@ -414,8 +412,9 @@ class _Parser:
             self.advance()
             self.advance()
             name = "main-theorem"
-        if name not in COMMAND_NAMES:
+        if name not in COMMANDS:
             self.fail(f"unknown command {name!r}", tok)
+        fewest, most = COMMANDS[name]
         args = []
         options = {}
         while self.peek().kind not in ("END", "EOF"):
@@ -425,17 +424,15 @@ class _Parser:
                 self.advance()
                 options[key] = self.parse_option_value()
                 continue
-            args.append(self.parse_command_arg())
+            if len(args) == most:
+                self.fail(f"{name} takes at most {most} argument(s)", cur)
+            args.append(self.parse_vector() if self.at_sym("[")
+                        else self.parse_call_arg())
+        if len(args) < fewest:
+            self.fail(f"{name} needs {fewest} argument(s), found {len(args)}",
+                      tok)
         self.end_statement()
         return Command(name, args, options, tok.line)
-
-    def parse_command_arg(self):
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.text == "[":
-            return self.parse_vector()
-        if tok.kind == "IDENT" and tok.text in CALL_NAMES and self.at_sym("(", 1):
-            return self.parse_call()
-        return self.parse_poly()
 
     def parse_option_value(self):
         tok = self.peek()
@@ -447,11 +444,7 @@ class _Parser:
             word = self.advance().text
             if self.at_sym(":"):
                 self.advance()
-                weights = [self.expect_int()]
-                while self.at_sym(","):
-                    self.advance()
-                    weights.append(self.expect_int())
-                return (word, tuple(weights))
+                return (word, tuple(self.parse_list(self.expect_int)))
             return word
         self.fail(f"expected an option value, found {tok.text!r}")
 

@@ -1,9 +1,14 @@
-"""Source hygiene: no module imports a name it never reads."""
+"""Source hygiene: no module imports a name it never reads, and README
+lists the script commands, calls and options the code accepts."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from multigb.cli import OPTION_KEYS
+from multigb.script import CALL_NAMES, COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "multigb").glob("*.py")) + sorted(
@@ -41,3 +46,21 @@ def test_unused_import_is_found():
                      "import os.path\nfrom a import b, c as d\n"
                      "__all__ = ['d']\n")
     assert unused_imports(tree) == [(2, "os"), (3, "b")]
+
+
+def readme_paragraph(lead: str) -> str:
+    """The README paragraph that starts with ``**lead**``."""
+    text = (ROOT / "README.md").read_text()
+    return next(p for p in text.split("\n\n") if p.startswith(f"**{lead}**"))
+
+
+def test_readme_commands_calls_and_options_match_the_parser():
+    rows = re.findall(r"^\| `([\w-]+)` \| `([^`]+)` \|",
+                      (ROOT / "README.md").read_text(), re.M)
+    counts = {name: (sum(not a.startswith("[") for a in args.split()),
+                     len(args.split())) for name, args in rows}
+    assert len(rows) == len(counts) and counts == COMMANDS
+    assert set(re.findall(r"`(\w+)\(", readme_paragraph("Calls"))) == \
+        CALL_NAMES
+    assert set(re.findall(r"`(\w+)=", readme_paragraph("Options"))) == \
+        OPTION_KEYS

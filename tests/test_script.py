@@ -13,7 +13,7 @@ from multigb.cli import _eval_poly, _Session, build_arg_parser, main
 from multigb.groebner import Ideal, exact_divide
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing
-from multigb.script import (PolyDef, RingDecl, ScriptError, parse,
+from multigb.script import (COMMANDS, PolyDef, RingDecl, ScriptError, parse,
                             tokenize)
 
 REMARK = """\
@@ -438,11 +438,65 @@ def test_cli_bounds_reads_either_bound_form(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", [
     "bounds I [2,2] bound=[2,2]", "bounds I [2,2] [1,1]", "bounds I bound=[2]",
-    "bounds I bound=2", "bounds I bound=le",
+    "bounds I bound=2", "bounds I bound=le", "bounds I eqq [2,2]",
+    "bounds I le eq", "bounds I eq eq", "bounds I [2,2] x[1,1]",
 ])
 def test_cli_bounds_rejects_bad_bounds(tmp_path, capsys, command):
     assert run_cli(tmp_path, BOUNDS + command + "\n") == 2
     assert "error:" in capsys.readouterr().err
+
+
+# I an ideal, f a polynomial and A a matrix, on lines 2-4
+SESSION = ("ring v=2 blocks=[2,2] char=32003\n"
+           "matrix A colgraded 2 x 2 { x[1,1], x[2,1] ; x[1,2], x[2,2] }\n"
+           "ideal I = x[1,1]*x[2,1], x[1,2]\n"
+           "poly f = x[2,2]\n")
+# the most positional arguments each command takes
+MOST_ARGS = {
+    "gb": "I", "gin": "I", "hilbert": "I", "radical": "I", "borel": "I",
+    "dual": "I", "polarize": "I", "minors": "A 2", "cs": "I", "csstar": "I",
+    "ugb": "I", "closure": "I x[1,2]", "bounds": "I le [1,1]",
+    "main-theorem": "A", "colon": "I f", "intersect": "I I", "member": "I f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_cli_extra_argument_exit_2(tmp_path, capsys, command):
+    args = MOST_ARGS[command]
+    (cmd,) = parse(SESSION + f"{command} {args}\n").commands
+    assert len(cmd.args) == COMMANDS[command][1]
+    assert run_cli(tmp_path, SESSION + f"{command} {args} x[1,1]\n") == 2
+    assert "line 5" in capsys.readouterr().err
+    with pytest.raises(ScriptError, match="line 5"):
+        parse(SESSION + f"{command}\n")
+
+
+@pytest.mark.parametrize("statement", [
+    "ideal J = sum(I)", "ideal J = colon(I, f, f)", "gb intersect(I, I, I)",
+])
+def test_cli_call_needs_two_arguments(tmp_path, capsys, statement):
+    assert run_cli(tmp_path, SESSION + statement + "\n") == 2
+    assert "takes 2 arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ideal", ["f", "x[2,2]", "sum(f, 0)"])
+def test_cli_polynomial_stands_for_its_principal_ideal(tmp_path, capsys,
+                                                       ideal):
+    text = SESSION + f"ideal J = {ideal}\ngb {ideal}\ngb J\n"
+    assert run_cli(tmp_path, text, "--json") == 0
+    by_argument, by_definition = json.loads(capsys.readouterr().out)["reports"]
+    assert by_argument["evidence"] == by_definition["evidence"]
+    assert by_argument["evidence"]["generators"] == ["x[2,2]"]
+
+
+@pytest.mark.parametrize("statement", [
+    "gb A", "colon A f", "intersect I A", "member A f", "bounds A",
+    "ideal J = A", "ideal J = sum(I, A)", "ideal J = eliminate(A, 1)",
+])
+def test_cli_matrix_in_ideal_position_exit_2(tmp_path, capsys, statement):
+    assert run_cli(tmp_path, SESSION + statement + "\n") == 2
+    assert "'A' is a matrix, expected an ideal or a polynomial" in \
+        capsys.readouterr().err
 
 
 def test_cli_ugb_rejects_more_orders_than_weights(tmp_path, capsys):
