@@ -1,7 +1,8 @@
 """Buchberger engine and the ideal operations built on it.
 
 The driver keeps the Gebauer-Moeller pair bookkeeping and the normal
-selection strategy in Python; per-term arithmetic lives in the kernel.
+selection strategy in Python; per-term arithmetic lives in the kernel, on
+terms packed once per run (``kernel.Layout``).
 All computations are deterministic: the reduced Groebner basis of an
 ideal under an order is unique, so caches and cross-checks can compare
 results structurally.
@@ -10,6 +11,7 @@ results structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lshift
 from typing import Iterable, Sequence
 
 from multigb import kernel
@@ -21,7 +23,7 @@ from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                quotient_dimension_from_numerator)
 from multigb.poly import Polynomial
 from multigb.ring import (BlockRing, TermOrder, degrevlex, elimination_order,
-                          exp_divides, exp_gcd, exp_lcm)
+                          exp_divides)
 
 
 @dataclass(frozen=True)
@@ -35,46 +37,50 @@ DEFAULT_LIMITS = EngineLimits()
 
 
 def _monic(f: list, p: int) -> list:
-    c = f[0][1]
+    c = f[0][2]
     if c == 1:
         return f
-    return kernel.poly_scale(f, pow(c, p - 2, p), p)
+    inv = pow(c, p - 2, p)
+    return [(k, e, d * inv % p) for k, e, d in f]
 
 
-def _gm_update(basis: list, pairs: dict, f: list, matrix: tuple) -> None:
-    """Add ``f`` to the basis, pruning S-pairs by the Gebauer-Moeller
-    criteria (lcm chain rule, duplicate-lcm collapse, coprime leads).
+def _gm_update(basis: list, pairs: dict, f: tuple, layout: kernel.Layout) -> None:
+    """Add the element ``f`` to the basis, pruning S-pairs by the
+    Gebauer-Moeller criteria (lcm chain rule, duplicate-lcm collapse,
+    coprime leads).
 
-    ``pairs`` maps ``(i, j)`` to the selection key of the pair's lcm,
-    ``(total degree, order key, lcm)``, computed once when the pair is made.
+    ``pairs`` maps ``(i, j)`` to ``layout.pair_key`` of the pair's lcm,
+    computed once when the pair is made.  Leads and lcms are packed
+    monomials; the candidate lcms are visited in increasing packed value,
+    which puts every divisor before its multiples.
     """
     m = len(basis)
-    lf = f[0][0]
-    leads = [g[0][0] for g in basis]
-    zero = (0,) * len(lf)
+    guard, lcm = layout.guard, layout.lcm
+    lf = f[0][0][1]
+    leads = [g[0][0][1] for g in basis]
+    lcms = [lcm(a, lf) for a in leads]
 
     survivors = {}
     for (i, j), key in pairs.items():
         gamma = key[2]
-        if (exp_divides(lf, gamma)
-                and gamma != exp_lcm(leads[i], lf)
-                and gamma != exp_lcm(leads[j], lf)):
+        if (((gamma | guard) - lf) & guard == guard
+                and gamma != lcms[i] and gamma != lcms[j]):
             continue
         survivors[(i, j)] = key
 
     by_lcm: dict = {}
-    for i in range(m):
-        by_lcm.setdefault(exp_lcm(leads[i], lf), []).append(i)
+    for i, gamma in enumerate(lcms):
+        by_lcm.setdefault(gamma, []).append(i)
     kept = []
-    for gamma in sorted(by_lcm, key=lambda e: (sum(e), e)):
-        if any(exp_divides(mu, gamma) for mu in kept):
+    for gamma in sorted(by_lcm):
+        above = gamma | guard
+        if any((above - mu) & guard == guard for mu in kept):
             continue
         kept.append(gamma)
         group = by_lcm[gamma]
-        if any(exp_gcd(leads[i], lf) == zero for i in group):
+        if any(gamma == leads[i] + lf for i in group):
             continue
-        survivors[(group[0], m)] = (sum(gamma), kernel.order_key(matrix, gamma),
-                                    gamma)
+        survivors[(group[0], m)] = layout.pair_key(gamma)
 
     basis.append(f)
     pairs.clear()
@@ -88,40 +94,52 @@ class _SeriesCutoff:
     in(G) is inside in(I), so the monomials of degree a outside in(G) are
     at least dim (S/I)_a; once the two counts agree, in(G)_a = in(I)_a and
     a degree-a element of I has no nonzero normal form modulo G.  The
-    monomials of in(G)_a are collected incrementally: each lead is
-    multiplied out once per degree, when the degree is next checked.
-    ``dims`` memoizes dim (S/I)_a and may be shared by runs on the same I.
+    monomials of in(G)_a are collected incrementally as packed ints, each
+    field wide enough for the largest entry of a: each lead is multiplied
+    out once per degree, when the degree is next checked.  ``dims``
+    memoizes dim (S/I)_a and may be shared by runs on the same I.
     """
 
     def __init__(self, ring: BlockRing, series: HilbertNumerator, dims: dict):
         self.ring = ring
         self.series = series
         self.dims = dims
-        self.full: set = set()
-        self.lead_degrees: list = []  # multidegree of basis[k]'s lead
-        self.degrees: dict = {}  # a -> [leads seen, monomials of in(G)_a]
-        self.monomials: dict = {}  # b -> monomials of multidegree b
+        self.monomials: dict = {}  # (b, width) -> packed monomials of degree b
+        self.start(None)
 
-    def settled(self, lcm: tuple, basis: list) -> bool:
-        ring = self.ring
-        a = ring.multidegree(lcm)
+    def start(self, layout: kernel.Layout | None) -> None:
+        """Begin a run on basis elements packed by ``layout``."""
+        self.layout = layout
+        self.full: set = set()
+        self.leads: list = []  # (exponents, multidegree) of basis[k]'s lead
+        self.degrees: dict = {}  # a -> [leads seen, in(G)_a, field width]
+
+    def settled(self, lcm: int, basis: list) -> bool:
+        ring, layout = self.ring, self.layout
+        a = ring.multidegree(layout.exponents(lcm))
         if a in self.full:
             return True
-        state = self.degrees.setdefault(a, [0, set()])
-        seen, covered = state
+        state = self.degrees.get(a)
+        if state is None:
+            state = self.degrees[a] = [0, set(), max(a).bit_length()]
+        seen, covered, width = state
         if seen == len(basis):
             return False
-        for g in basis[len(self.lead_degrees):]:
-            self.lead_degrees.append(ring.multidegree(g[0][0]))
-        for k in range(seen, len(basis)):
-            b = tuple(x - y for x, y in zip(a, self.lead_degrees[k]))
+        for g in basis[len(self.leads):]:
+            lead = layout.exponents(g[0][0][1])
+            self.leads.append((lead, ring.multidegree(lead)))
+        shifts = [width * k for k in range(ring.nvars)]
+        for lead, degree in self.leads[seen:]:
+            b = tuple(x - y for x, y in zip(a, degree))
             if min(b) < 0:
                 continue
-            if b not in self.monomials:
-                self.monomials[b] = list(ring.monomials_of_multidegree(b))
-            lead = basis[k][0][0]
-            covered.update(tuple(x + y for x, y in zip(lead, m))
-                           for m in self.monomials[b])
+            monomials = self.monomials.get((b, width))
+            if monomials is None:
+                monomials = self.monomials[(b, width)] = [
+                    sum(map(lshift, m, shifts))
+                    for m in ring.monomials_of_multidegree(b)]
+            covered.update(map(sum(map(lshift, lead, shifts)).__add__,
+                               monomials))
         state[0] = len(basis)
         if a not in self.dims:
             self.dims[a] = quotient_dimension_from_numerator(self.series, ring, a)
@@ -132,10 +150,25 @@ class _SeriesCutoff:
         return False
 
 
-def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
-                       limits: EngineLimits, series: _SeriesCutoff | None = None,
-                       max_degree: int | None = None) -> list:
-    """Reduced Groebner basis as raw term lists sorted under ``matrix``.
+def _packed_run(polys: Sequence[list], matrix: tuple, run):
+    """``run(layout, packed polys)`` for tuple polynomials sorted under
+    ``matrix``, packed by the narrowest layout ``kernel.bits_for`` allows;
+    when a packed exponent overflows, the run restarts with fields twice as
+    wide."""
+    bits = kernel.bits_for(polys)
+    while True:
+        layout = kernel.layout(matrix, bits)
+        try:
+            return run(layout, [layout.pack(f) for f in polys])
+        except kernel.FieldOverflow:
+            bits *= 2
+
+
+def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
+                limits: EngineLimits, series: _SeriesCutoff | None = None,
+                max_degree: int | None = None) -> list:
+    """Reduced Groebner basis of packed generators, as basis elements
+    ``(terms, ceiling)`` sorted by lead.
 
     Pairs are selected by lowest lcm total degree, then by order.  With
     ``series`` (multihomogeneous generators only), pairs of a multidegree
@@ -149,22 +182,24 @@ def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
     basis: list = []
     pairs: dict = {}
     degree = 0
+    guard = layout.guard
+    if series is not None:
+        series.start(layout)
 
     def grow(r: list) -> None:
-        _gm_update(basis, pairs, _monic(r, p), matrix)
+        _gm_update(basis, pairs, layout.element(_monic(r, p)), layout)
         if len(basis) > limits.max_basis:
             raise ResourceLimitError(
                 f"basis exceeded {limits.max_basis} elements")
 
     try:
         for g in gens:
-            g = kernel.sort_terms(list(g), matrix, p)
             if not g:
                 continue
-            degree = sum(g[0][0])
+            degree = sum(layout.exponents(g[0][1]))
             if max_degree is not None and degree > max_degree:
                 continue
-            r = kernel.normal_form(g, basis, matrix, p, limits.max_terms) if basis else g
+            r = kernel.normal_form(g, basis, layout, p, limits.max_terms) if basis else g
             if r:
                 grow(r)
 
@@ -175,8 +210,8 @@ def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
                 break
             if series is not None and series.settled(lcm, basis):
                 continue
-            s = kernel.spoly(basis[best[0]], basis[best[1]], matrix, p)
-            r = kernel.normal_form(s, basis, matrix, p, limits.max_terms)
+            s = kernel.spoly(basis[best[0]], basis[best[1]], layout, p)
+            r = kernel.normal_form(s, basis, layout, p, limits.max_terms)
             if r:
                 if len(r) > limits.max_terms:
                     raise ResourceLimitError(
@@ -186,32 +221,45 @@ def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
             return basis
 
         # minimal heads, then full tail reduction
+        leads = [g[0][0][1] for g in basis]
         keep = []
-        for i, g in enumerate(basis):
-            lead = g[0][0]
-            if any(j != i and exp_divides(basis[j][0][0], lead)
-                   and (basis[j][0][0] != lead or j < i) for j in range(len(basis))):
+        for i, lead in enumerate(leads):
+            above = lead | guard
+            if any(j != i and (above - other) & guard == guard
+                   and (other != lead or j < i) for j, other in enumerate(leads)):
                 continue
-            keep.append(g)
+            keep.append(basis[i])
         reduced = []
-        for i, g in enumerate(keep):
+        for i, (g, _) in enumerate(keep):
             others = keep[:i] + keep[i + 1:]
-            r = kernel.normal_form(g, others, matrix, p, limits.max_terms)
-            reduced.append(_monic(r, p))
+            r = kernel.normal_form(g, others, layout, p, limits.max_terms)
+            reduced.append(layout.element(_monic(r, p)))
     except ResourceLimitError as e:
         if e.basis_size is not None:
             raise
         raise ResourceLimitError(str(e), basis_size=len(basis),
                                  pending_pairs=len(pairs),
                                  degree=degree) from None
-    reduced.sort(key=lambda g: kernel.order_key(matrix, g[0][0]), reverse=True)
+    reduced.sort(key=lambda g: g[0][0][0], reverse=True)
     return reduced
+
+
+def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
+                       limits: EngineLimits, series: _SeriesCutoff | None = None,
+                       max_degree: int | None = None) -> list:
+    """``_buchberger`` on tuple term lists: sorted under ``matrix`` and
+    packed on entry, the basis unpacked on exit as term lists sorted under
+    ``matrix``."""
+    gens = [kernel.sort_terms(list(g), matrix, p) for g in gens]
+    return _packed_run(gens, matrix, lambda layout, packed: [
+        layout.unpack(g) for g, _ in _buchberger(packed, layout, p, limits,
+                                                 series, max_degree)])
 
 
 class GroebnerBasis:
     """Reduced Groebner basis under a fixed term order."""
 
-    __slots__ = ("ring", "order", "elements", "_limits")
+    __slots__ = ("ring", "order", "elements", "_limits", "_packed")
 
     def __init__(self, ring: BlockRing, order: TermOrder,
                  elements: Sequence[Polynomial], limits: EngineLimits = DEFAULT_LIMITS):
@@ -219,6 +267,7 @@ class GroebnerBasis:
         self.order = order
         self.elements = tuple(elements)
         self._limits = limits
+        self._packed = None  # (layout, packed elements), built on first use
 
     def __iter__(self):
         return iter(self.elements)
@@ -239,16 +288,31 @@ class GroebnerBasis:
     def lead_exponents(self) -> list:
         return [g.lead_exp(self.order) for g in self.elements]
 
+    def _packed_elements(self, bits: int) -> tuple:
+        """The elements sorted under the order and packed, with their
+        layout; packed once, and again only for wider fields."""
+        if self._packed is None or self._packed[0].bits < bits:
+            rows, p = self.order.rows, self.ring.characteristic
+            raws = [kernel.sort_terms(g.terms, rows, p) for g in self.elements]
+            layout = kernel.layout(rows, max(bits, kernel.bits_for(raws)))
+            self._packed = layout, [layout.element(layout.pack(g)) for g in raws]
+        return self._packed
+
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
-        raw = kernel.sort_terms(f.terms, self.order.rows, self.ring.characteristic)
-        r = kernel.normal_form(raw, [kernel.sort_terms(g.terms, self.order.rows,
-                                                       self.ring.characteristic)
-                                     for g in self.elements],
-                               self.order.rows, self.ring.characteristic,
-                               self._limits.max_terms)
-        return Polynomial(self.ring, r)
+        p = self.ring.characteristic
+        raw = kernel.sort_terms(f.terms, self.order.rows, p)
+        bits = kernel.bits_for([raw])
+        while True:
+            layout, basis = self._packed_elements(bits)
+            try:
+                r = kernel.normal_form(layout.pack(raw), basis, layout, p,
+                                       self._limits.max_terms)
+            except kernel.FieldOverflow:
+                bits = 2 * layout.bits
+                continue
+            return Polynomial(self.ring, layout.unpack(r))
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -429,16 +493,20 @@ class Ideal:
         kept = list(gens)
         matrix = self.ring.storage_order.rows
         p = self.ring.characteristic
+        limits = self.limits
         i = 0
         while i < len(kept):
             # a generator of degree d lies in the ideal of the others iff it
             # reduces to zero modulo their d-truncated Groebner basis
             f = kept[i]
-            rest = [g.terms for g in kept[:i] + kept[i + 1:]]
-            basis = _reduced_basis_raw(rest, matrix, p, self.limits,
-                                       max_degree=f.total_degree())
-            if not kernel.normal_form(f.terms, basis, matrix, p,
-                                      self.limits.max_terms):
+
+            def reduces_to_zero(layout, packed, d=f.total_degree()):
+                basis = _buchberger(packed[1:], layout, p, limits, max_degree=d)
+                return not kernel.normal_form(packed[0], basis, layout, p,
+                                              limits.max_terms)
+
+            if _packed_run([g.terms for g in [f] + kept[:i] + kept[i + 1:]],
+                           matrix, reduces_to_zero):
                 kept.pop(i)
             else:
                 i += 1

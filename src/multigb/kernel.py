@@ -1,28 +1,44 @@
 """Polynomial kernel.
 
 This module implements the hot inner loops of the Groebner engine: term
-sorting, merge-based arithmetic, s-polynomials and multivariate division.
+sorting and merge-based arithmetic on exponent tuples for ``Polynomial``,
+and s-polynomials and multivariate division on packed terms for the
+Buchberger loop.
 
 Data conventions:
 
-* a monomial is a tuple of non-negative int exponents,
-* a polynomial is a list of ``(exponents, coefficient)`` pairs with
-  coefficients in ``1..p-1``, strictly decreasing under the order matrix,
-* an order is a tuple of int row vectors; monomials compare by the
-  lexicographic order of their matrix-vector products.
+* a monomial is a tuple of non-negative int exponents; a polynomial is a
+  list of ``(exponents, coefficient)`` pairs with coefficients in
+  ``1..p-1``, strictly decreasing under an order matrix;
+* an order is a tuple of int row vectors of a term order (M·e determines
+  e); monomials compare by the lexicographic order of their matrix-vector
+  products;
+* a packed term is ``(K, E, c)``: E holds the exponents in one int and K
+  is the order key, one int that compares as M·e does (see ``Layout``).
+  A packed polynomial is a list of packed terms strictly decreasing in K.
+  Polynomials are packed once when a computation starts and unpacked once
+  when it ends;
+* ``normal_form`` and ``spoly`` take basis elements ``(terms, ceiling)``:
+  a packed polynomial and the fieldwise maximum of its exponents
+  (``Layout.ceiling``), which bounds every term a shift of it creates.
 """
 
 from functools import lru_cache
+from operator import lshift, mul
 
 from multigb.errors import ResourceLimitError
 
 IMPLEMENTATION = "pure"
 
 
-@lru_cache(maxsize=1 << 18)
-def order_key(matrix, exp):
-    """Sort key of an exponent vector under an order matrix."""
-    return tuple(sum(r * e for r, e in zip(row, exp)) for row in matrix)
+def _sorted(acc, matrix):
+    """The nonzero ``(exponents, coefficient)`` items of ``acc`` strictly
+    descending, keyed by the one-int order key of ``Layout``."""
+    kept = [(e, c) for e, c in acc.items() if c]
+    if len(kept) < 2:
+        return kept
+    cols = layout(matrix, max(map(max, acc)).bit_length() + 1).cols
+    return sorted(kept, key=lambda t: sum(map(mul, t[0], cols)), reverse=True)
 
 
 def sort_terms(terms, matrix, p):
@@ -30,11 +46,7 @@ def sort_terms(terms, matrix, p):
     acc = {}
     for exp, coeff in terms:
         acc[exp] = (acc.get(exp, 0) + coeff) % p
-    return sorted(
-        ((e, c) for e, c in acc.items() if c),
-        key=lambda t: order_key(matrix, t[0]),
-        reverse=True,
-    )
+    return _sorted(acc, matrix)
 
 
 def poly_neg(f, p):
@@ -61,27 +73,10 @@ def poly_mul_term(f, shift, c, p):
 
 def poly_add(f, g, matrix, p):
     """Sum of two sorted term lists."""
-    out = []
-    i = j = 0
-    nf, ng = len(f), len(g)
-    while i < nf and j < ng:
-        ef, cf = f[i]
-        eg, cg = g[j]
-        if ef == eg:
-            c = (cf + cg) % p
-            if c:
-                out.append((ef, c))
-            i += 1
-            j += 1
-        elif order_key(matrix, ef) > order_key(matrix, eg):
-            out.append(f[i])
-            i += 1
-        else:
-            out.append(g[j])
-            j += 1
-    out.extend(f[i:])
-    out.extend(g[j:])
-    return out
+    acc = dict(f)
+    for exp, coeff in g:
+        acc[exp] = (acc.get(exp, 0) + coeff) % p
+    return _sorted(acc, matrix)
 
 
 def poly_sub(f, g, matrix, p):
@@ -94,60 +89,215 @@ def poly_mul(f, g, matrix, p):
         for eg, cg in g:
             e = tuple(a + b for a, b in zip(ef, eg))
             acc[e] = (acc.get(e, 0) + cf * cg) % p
-    return sorted(
-        ((e, c) for e, c in acc.items() if c),
-        key=lambda t: order_key(matrix, t[0]),
-        reverse=True,
-    )
+    return _sorted(acc, matrix)
 
 
-def spoly(f, g, matrix, p):
-    """S-polynomial of two nonzero sorted polynomials (leads cancel)."""
-    ef, cf = f[0]
-    eg, cg = g[0]
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    sf = poly_mul_term(f, tuple(l - a for l, a in zip(lcm, ef)), pow(cf, p - 2, p), p)
-    sg = poly_mul_term(g, tuple(l - a for l, a in zip(lcm, eg)), pow(cg, p - 2, p), p)
-    return poly_sub(sf, sg, matrix, p)
+# -- packed terms ---------------------------------------------------------------
+
+class FieldOverflow(ArithmeticError):
+    """A packed exponent outgrew its bit field: repack wider and restart."""
 
 
-def normal_form(f, basis, matrix, p, max_terms=0):
-    """Fully reduce ``f`` modulo a list of nonzero sorted polynomials.
+def bits_for(polys):
+    """Field width for packing tuple polynomials: fields hold twice their
+    largest total degree, so exponents may grow before a repack."""
+    top = max((sum(e) for f in polys for e, _ in f), default=0)
+    return (2 * top).bit_length() + 1
+
+
+@lru_cache(maxsize=1024)
+def layout(matrix, bits):
+    """The ``Layout`` of an order matrix and field width, built once."""
+    return Layout(matrix, bits)
+
+
+class Layout:
+    """Packing of exponent vectors and order keys for one order matrix.
+
+    Variable k owns bits ``k*bits .. k*bits + bits - 1`` of E; the top bit
+    of each field is a guard, so a field holds 0 .. 2^(bits-1) - 1.  For
+    packed monomials a, b with clear guards (``guard`` masks the guard bits):
+
+    * b divides a iff ``((a | guard) - b) & guard == guard``: each field
+      borrows from its own guard bit only, and keeps it iff a_k >= b_k;
+    * lcm(a, b): ``d = ((a | guard) - b) & guard`` marks the fields where
+      a_k >= b_k, ``m = d - (d >> (bits - 1))`` widens each mark to its
+      field's value bits, and the lcm is ``(a & m) | (b & ~m)``;
+    * a and b are coprime iff lcm(a, b) == a + b (the gcd is a + b - lcm);
+    * the product is a + b; a sum field reaches its guard bit exactly when
+      it overflows, and ``normal_form`` and ``spoly`` raise
+      ``FieldOverflow`` before such a term is used.
+
+    The order key is additive: K(e) = sum_k e_k * C_k with
+    C_k = sum_i M[i][k] * 2^s_i.  Row i of M·e is digit i of K in signed
+    mixed radix; digit i is ``widths[i]`` bits wide, enough for the row's
+    value on any monomial whose fields fit, and s_i is the total width of
+    the rows after it.  So K(a) < K(b) exactly when M·a < M·b
+    lexicographically, and K(a*b) = K(a) + K(b).
+    """
+
+    __slots__ = ("bits", "field_max", "guard", "shifts", "cols")
+
+    def __init__(self, matrix, bits):
+        n = len(matrix[0])
+        self.bits = bits
+        self.field_max = 1 << (bits - 1)
+        self.shifts = tuple(bits * k for k in range(n))
+        self.guard = sum(self.field_max << s for s in self.shifts)
+        top = self.field_max - 1
+        widths = [(sum(abs(x) for x in row) * top).bit_length() + 1
+                  for row in matrix]
+        offsets = [sum(widths[i + 1:]) for i in range(len(matrix))]
+        self.cols = tuple(sum(row[k] << s for row, s in zip(matrix, offsets))
+                          for k in range(n))
+
+    def key(self, exp):
+        """Order key of an exponent tuple."""
+        return sum(map(mul, exp, self.cols))
+
+    def exponents(self, e):
+        """The exponent tuple of a packed monomial."""
+        mask = self.field_max - 1
+        return tuple([(e >> s) & mask for s in self.shifts])
+
+    def lcm(self, a, b):
+        d = ((a | self.guard) - b) & self.guard
+        m = d - (d >> (self.bits - 1))
+        return (a & m) | (b & ~m)
+
+    def pair_key(self, gamma):
+        """``(total degree, order key, gamma)`` of a packed lcm: the
+        Buchberger driver selects pairs by it."""
+        exp = self.exponents(gamma)
+        return sum(exp), self.key(exp), gamma
+
+    def pack(self, f):
+        """Packed terms of a tuple polynomial sorted under the matrix."""
+        cols, shifts, field_max = self.cols, self.shifts, self.field_max
+        out = []
+        for e, c in f:
+            if max(e) >= field_max:
+                raise FieldOverflow(f"exponent {max(e)} needs more than "
+                                    f"{self.bits - 1} bits")
+            out.append((sum(map(mul, e, cols)), sum(map(lshift, e, shifts)), c))
+        return out
+
+    def unpack(self, f):
+        """The tuple polynomial of packed terms."""
+        return [(self.exponents(e), c) for _, e, c in f]
+
+    def ceiling(self, f):
+        """Fieldwise maximum of the exponents of packed terms."""
+        top = 0
+        for _, e, _ in f:
+            top = self.lcm(top, e)
+        return top
+
+    def element(self, f):
+        """The basis element ``(terms, ceiling)`` of packed terms."""
+        return f, self.ceiling(f)
+
+
+def _overflow(layout):
+    return FieldOverflow(f"a product outgrew {layout.bits - 1}-bit exponents")
+
+
+def _merge(f, g, p):
+    """Sum of two packed polynomials."""
+    if not f:
+        return g
+    if not g:
+        return f
+    out = []
+    append = out.append
+    i = j = 0
+    nf, ng = len(f), len(g)
+    a, b = f[0], g[0]
+    ka, kb = a[0], b[0]
+    while True:
+        if ka > kb:
+            append(a)
+            i += 1
+            if i == nf:
+                break
+            a = f[i]
+            ka = a[0]
+        elif ka < kb:
+            append(b)
+            j += 1
+            if j == ng:
+                break
+            b = g[j]
+            kb = b[0]
+        else:
+            c = (a[2] + b[2]) % p
+            if c:
+                append((ka, a[1], c))
+            i += 1
+            j += 1
+            if i == nf or j == ng:
+                break
+            a, b = f[i], g[j]
+            ka, kb = a[0], b[0]
+    out += f[i:]
+    out += g[j:]
+    return out
+
+
+def spoly(f, g, layout, p):
+    """S-polynomial of two basis elements (leads cancel)."""
+    (ft, fceil), (gt, gceil) = f, g
+    fk, fe, fc = ft[0]
+    gk, ge, gc = gt[0]
+    lcm = layout.lcm(fe, ge)
+    sf, sg = lcm - fe, lcm - ge
+    if (fceil + sf) & layout.guard or (gceil + sg) & layout.guard:
+        raise _overflow(layout)
+    lk = layout.key(layout.exponents(lcm))
+    kf, kg = lk - fk, lk - gk
+    cf = pow(fc, p - 2, p)
+    cg = p - pow(gc, p - 2, p)
+    return _merge([(k + kf, e + sf, c * cf % p) for k, e, c in ft[1:]],
+                  [(k + kg, e + sg, c * cg % p) for k, e, c in gt[1:]], p)
+
+
+def normal_form(f, basis, layout, p, max_terms=0):
+    """Fully reduce packed ``f`` modulo a list of basis elements.
 
     Returns the unique remainder none of whose terms is divisible by a
     lead term of ``basis`` (unique given the basis and its element order;
-    canonical when ``basis`` is a Groebner basis).  A positive
-    ``max_terms`` aborts runaway intermediate growth.
+    canonical when ``basis`` is a Groebner basis).  Each step reduces the
+    largest reducible term by the first element whose lead divides it.  A
+    positive ``max_terms`` aborts runaway intermediate growth.
     """
     if not f or not basis:
         return list(f)
-    # a lead divides a term iff the term is at least as large on each
-    # variable of the lead's support; leads use few of the variables
-    supports = [[(v, e) for v, e in enumerate(g[0][0]) if e] for g in basis]
-    work = list(f)
+    guard = layout.guard
+    leads = [g[0][1] for g, _ in basis]
+    work = f
     pos = 0
     out = []
     while pos < len(work):
-        exp, coeff = work[pos]
-        hit = -1
-        for idx, support in enumerate(supports):
-            for v, e in support:
-                if exp[v] < e:
-                    break
-            else:
-                hit = idx
+        term = work[pos]
+        e = term[1] | guard
+        for idx, lead in enumerate(leads):
+            if (e - lead) & guard == guard:
                 break
-        if hit < 0:
-            out.append((exp, coeff))
+        else:
+            out.append(term)
             pos += 1
             continue
-        g = basis[hit]
-        glead, glc = g[0]
-        shift = tuple(a - b for a, b in zip(exp, glead))
-        factor = (coeff * pow(glc, p - 2, p)) % p
-        # work[pos] cancels against factor * x^shift * lead(g)
-        tail = poly_mul_term(g[1:], shift, p - factor, p)
-        work = poly_add(work[pos + 1:], tail, matrix, p)
+        g, ceiling = basis[idx]
+        gk, ge, gc = g[0]
+        k, e, c = term
+        shift = e - ge
+        if (ceiling + shift) & guard:
+            raise _overflow(layout)
+        sk = k - gk
+        # term cancels against factor * x^shift * lead(g)
+        factor = p - (c if gc == 1 else c * pow(gc, p - 2, p) % p)
+        tail = [(tk + sk, te + shift, tc * factor % p) for tk, te, tc in g[1:]]
+        work = _merge(work[pos + 1:], tail, p)
         pos = 0
         if max_terms and len(work) + len(out) > max_terms:
             raise ResourceLimitError(

@@ -7,6 +7,7 @@ ring's storage order.  The zero polynomial has an empty term list.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Mapping
 
 from multigb import kernel
@@ -131,7 +132,7 @@ class Polynomial:
         for row in order.rows:
             if len(terms) == 1:
                 break
-            scores = [sum(r * e for r, e in zip(row, exp)) for exp, _ in terms]
+            scores = [sum(map(mul, row, exp)) for exp, _ in terms]
             best = max(scores)
             terms = [t for t, s in zip(terms, scores) if s == best]
         return terms[0]

@@ -56,8 +56,8 @@ def exp_gcd(a: tuple, b: tuple) -> tuple:
 class BlockRing:
     """A polynomial ring over F_p with a block grading."""
 
-    __slots__ = ("block_sizes", "characteristic", "v", "nvars", "_block_of",
-                 "_var_pairs", "__dict__")
+    __slots__ = ("block_sizes", "characteristic", "v", "nvars",
+                 "_block_ranges", "_var_pairs", "__dict__")
 
     def __init__(self, block_sizes: Sequence[int], characteristic: int = DEFAULT_CHARACTERISTIC):
         sizes = tuple(int(n) for n in block_sizes)
@@ -69,14 +69,10 @@ class BlockRing:
         self.characteristic = characteristic
         self.v = len(sizes)
         self.nvars = sum(sizes)
-        block_of = []
-        pairs = []
-        for i, n in enumerate(sizes):
-            for j in range(n):
-                block_of.append(i)
-                pairs.append((i + 1, j + 1))
-        self._block_of = tuple(block_of)
-        self._var_pairs = tuple(pairs)
+        self._block_ranges = tuple(
+            (sum(sizes[:i]), sum(sizes[:i + 1])) for i in range(len(sizes)))
+        self._var_pairs = tuple((i + 1, j + 1) for i, n in enumerate(sizes)
+                                for j in range(n))
 
     def __eq__(self, other):
         return (isinstance(other, BlockRing)
@@ -132,10 +128,7 @@ class BlockRing:
         """Blockwise degree vector of an exponent tuple."""
         if len(exp) != self.nvars:
             raise RingMismatchError("exponent length does not match ring")
-        deg = [0] * self.v
-        for var, e in enumerate(exp):
-            deg[self._block_of[var]] += e
-        return tuple(deg)
+        return tuple([sum(exp[a:b]) for a, b in self._block_ranges])
 
     def unit_degree(self, block: int) -> tuple:
         """The multidegree e_block (1-based block)."""

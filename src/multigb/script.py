@@ -17,12 +17,13 @@ The commands and their positional arguments ([..] is optional) are
     cs I, csstar I, ugb I, main-theorem M, minors M t, colon I f,
     intersect I J, member I f, closure I [L], bounds I [le|eq] [[b,...]]
 
-and COMMANDS holds each one's fewest and most; a count outside that range,
-like a call with other than two arguments, is a parse error.  Wherever an
-ideal is expected, commands and calls accept the same arguments: the name
-of an ideal, a call, or a polynomial, which stands for its principal ideal.
-An ideal definition accepts the same, or a list of two or more generator
-polyexprs.
+and COMMANDS holds each one's fewest and most, and the option keys it
+reads; a count outside that range, like a call with other than two
+arguments, or an option the command does not read is a parse error.
+Wherever an ideal is expected, commands and calls accept the same
+arguments: the name of an ideal, a call, or a polynomial, which stands for
+its principal ideal.  An ideal definition accepts the same, or a list of
+two or more generator polyexprs.
 
 Parsing builds an AST only; name resolution and ring checks happen at
 execution time so every error can cite the statement's line.
@@ -32,13 +33,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# command -> (fewest, most) positional arguments
+# command -> (fewest, most) positional arguments, and the options it reads
 COMMANDS = {
-    "gb": (1, 1), "gin": (1, 1), "hilbert": (1, 1), "radical": (1, 1),
-    "borel": (1, 1), "dual": (1, 1), "polarize": (1, 1), "minors": (2, 2),
-    "cs": (1, 1), "csstar": (1, 1), "ugb": (1, 1), "closure": (1, 2),
-    "bounds": (1, 3), "main-theorem": (1, 1), "colon": (2, 2),
-    "intersect": (2, 2), "member": (2, 2),
+    "gb": (1, 1, {"order"}), "gin": (1, 1, {"order", "trials", "seed"}),
+    "hilbert": (1, 1, set()), "radical": (1, 1, set()),
+    "borel": (1, 1, set()), "dual": (1, 1, set()), "polarize": (1, 1, set()),
+    "minors": (2, 2, set()), "cs": (1, 1, {"trials", "seed", "expect"}),
+    "csstar": (1, 1, {"trials", "seed", "expect"}),
+    "ugb": (1, 1, {"orders", "seed"}), "closure": (1, 2, {"trials", "seed"}),
+    "bounds": (1, 3, {"bound", "orders", "seed"}),
+    "main-theorem": (1, 1, {"orders", "seed", "trials"}),
+    "colon": (2, 2, set()), "intersect": (2, 2, set()),
+    "member": (2, 2, {"expect"}),
 }
 
 CALL_NAMES = frozenset({"minors", "colon", "intersect", "sum", "eliminate"})
@@ -414,12 +420,16 @@ class _Parser:
             name = "main-theorem"
         if name not in COMMANDS:
             self.fail(f"unknown command {name!r}", tok)
-        fewest, most = COMMANDS[name]
+        fewest, most, accepted = COMMANDS[name]
         args = []
         options = {}
         while self.peek().kind not in ("END", "EOF"):
             cur = self.peek()
             if cur.kind == "IDENT" and self.at_sym("=", 1):
+                if cur.text not in accepted:
+                    self.fail(f"unknown option {cur.text}= for {name} "
+                              f"(options: {', '.join(sorted(accepted)) or 'none'})",
+                              cur)
                 key = self.advance().text
                 self.advance()
                 options[key] = self.parse_option_value()

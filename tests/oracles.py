@@ -7,14 +7,16 @@ library code it checks.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import Sequence
 
+from multigb import kernel
 from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
                             RingMismatchError)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                is_radical_monomial, support)
 from multigb.poly import Polynomial
-from multigb.ring import exp_lcm
+from multigb.ring import exp_divides, exp_lcm
 
 
 def determinant_leibniz(rows: list) -> Polynomial:
@@ -89,3 +91,76 @@ def graded_dimension(I: MonomialIdeal, a: Sequence[int]) -> int:
     """Brute-force dim (S/I)_a: count standard monomials of multidegree a."""
     return sum(1 for exp in I.ring.monomials_of_multidegree(tuple(a))
                if not I.contains_monomial(exp))
+
+
+# -- the Buchberger kernel on exponent tuples --------------------------------
+
+def normal_form(f, basis, matrix, p, limit=None):
+    """Tuple-term reference for ``kernel.normal_form``: the largest term
+    divisible by a basis lead is reduced by the first such element, leads
+    tested with ``exp_divides`` on whole exponent vectors.  Returns the
+    remainder and the largest exponent any term created on the way had;
+    the remainder is None when that exponent reached ``limit``, where the
+    reduction stops."""
+    leads = [g[0][0] for g in basis]
+    work = list(f)
+    top = max((max(e) for e, _ in work), default=0)
+    out = []
+    while work:
+        exp, coeff = work[0]
+        hit = next((g for g, lead in zip(basis, leads)
+                    if exp_divides(lead, exp)), None)
+        if hit is None:
+            out.append(work.pop(0))
+            continue
+        glead, glc = hit[0]
+        shift = tuple(a - b for a, b in zip(exp, glead))
+        factor = (coeff * pow(glc, p - 2, p)) % p
+        tail = kernel.poly_mul_term(hit[1:], shift, p - factor, p)
+        top = max([top] + [max(e) for e, _ in tail])
+        if limit is not None and top >= limit:
+            return None, top
+        work = kernel.poly_add(work[1:], tail, matrix, p)
+    return out, top
+
+
+def spoly(f, g, matrix, p):
+    """Tuple-term reference for ``kernel.spoly``."""
+    ef, cf = f[0]
+    eg, cg = g[0]
+    lcm = exp_lcm(ef, eg)
+    sf = kernel.poly_mul_term(f, tuple(l - a for l, a in zip(lcm, ef)),
+                              pow(cf, p - 2, p), p)
+    sg = kernel.poly_mul_term(g, tuple(l - a for l, a in zip(lcm, eg)),
+                              pow(cg, p - 2, p), p)
+    return kernel.poly_sub(sf, sg, matrix, p)
+
+
+def groebner_basis(gens, matrix, p):
+    """Reduced Groebner basis of tuple term lists by Buchberger's algorithm,
+    as monic term lists sorted under ``matrix``, largest lead first.  Pairs
+    go by lowest lcm degree; only pairs with coprime leads are skipped."""
+    basis = [g for g in (kernel.sort_terms(list(g), matrix, p) for g in gens)
+             if g]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = min(pairs, key=lambda ij: sum(exp_lcm(basis[ij[0]][0][0],
+                                                     basis[ij[1]][0][0])))
+        pairs.remove((i, j))
+        if not any(a and b for a, b in zip(basis[i][0][0], basis[j][0][0])):
+            continue
+        r, _ = normal_form(spoly(basis[i], basis[j], matrix, p), basis,
+                           matrix, p)
+        if r:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(r)
+    minimal = [g for i, g in enumerate(basis)
+               if not any(exp_divides(h[0][0], g[0][0])
+                          and (h[0][0] != g[0][0] or j < i)
+                          for j, h in enumerate(basis) if j != i)]
+    reduced = []
+    for i, g in enumerate(minimal):
+        r, _ = normal_form(g, minimal[:i] + minimal[i + 1:], matrix, p)
+        reduced.append(kernel.poly_scale(r, pow(r[0][1], p - 2, p), p))
+    return sorted(reduced, key=lambda g: [sum(map(mul, row, g[0][0]))
+                                          for row in matrix], reverse=True)

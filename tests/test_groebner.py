@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multigb import groebner, kernel
@@ -11,7 +11,7 @@ from multigb.errors import (HypothesisNotSatisfiedError,
                             InternalConsistencyError, ResourceLimitError)
 from multigb.csideals import gamma_sequence, sample_orders
 from multigb.determinantal import build_column_graded, minors
-from multigb.groebner import (EngineLimits, Ideal, _reduced_basis_raw,
+from multigb.groebner import (EngineLimits, Ideal, _buchberger,
                               coordinate_section, exact_divide,
                               ideal_from_monomials, quotient_by_linear_form,
                               regular_sequence_test)
@@ -20,8 +20,10 @@ from multigb.instances import (cs_instance_pool, random_graded_ideal,
                                random_ring)
 from multigb.monomials import MonomialIdeal, colon_monomial
 from multigb.poly import Polynomial
-from multigb.ring import BlockRing, degrevlex, lex
+from multigb.ring import BlockRing, degrevlex, lex, weight_order
+from oracles import groebner_basis as groebner_basis_oracle
 from oracles import intersect_monomial
+from test_kernel import orders
 
 
 def x(R, i, j):
@@ -91,14 +93,15 @@ def test_spoly_criterion_on_random_pairs():
         if not gens:
             continue
         G = Ideal(R, gens).groebner_basis()
-        from multigb import kernel
         m = G.order.rows
         p = R.characteristic
         raws = [kernel.sort_terms(g.terms, m, p) for g in G]
-        for i in range(len(raws)):
-            for j in range(i + 1, len(raws)):
-                s = kernel.spoly(raws[i], raws[j], m, p)
-                assert kernel.normal_form(s, raws, m, p) == []
+        layout = kernel.layout(m, kernel.bits_for(raws))
+        packed = [layout.element(layout.pack(g)) for g in raws]
+        for i in range(len(packed)):
+            for j in range(i + 1, len(packed)):
+                s = kernel.spoly(packed[i], packed[j], layout, p)
+                assert kernel.normal_form(s, packed, layout, p) == []
 
 
 def test_membership(R33):
@@ -435,13 +438,16 @@ def test_truncated_basis_decides_membership_up_to_its_degree(column_graded_3x4):
     assert {g.total_degree() for g in full} == {2, 3}
     extra = Polynomial.monomial(A.ring, A.ring.unit_exp(0)) ** 4
     gens = [g.terms for g in I.gens] + [extra.terms]
+    layout = kernel.layout(matrix, kernel.bits_for(gens))
+    packed = [layout.pack(g) for g in gens]
     for d in (2, 3):
-        basis = _reduced_basis_raw(gens, matrix, p, I.limits, max_degree=d)
-        assert all(sum(e) <= d for g in basis for e, _ in g)
+        basis = _buchberger(packed, layout, p, I.limits, max_degree=d)
+        assert all(sum(e) <= d for g, _ in basis for e, _ in layout.unpack(g))
         for g in full:
             if g.total_degree() <= d:
-                assert not kernel.normal_form(g.terms, basis, matrix, p)
-        assert kernel.normal_form(extra.terms, basis, matrix, p)
+                assert not kernel.normal_form(layout.pack(g.terms), basis,
+                                              layout, p)
+        assert kernel.normal_form(layout.pack(extra.terms), basis, layout, p)
 
 
 def _count_normal_forms(monkeypatch):
@@ -486,6 +492,125 @@ def test_inhomogeneous_ideal_runs_without_series(R33, monkeypatch):
         calls[0] = 0
         assert from_cache == Ideal(R33, I.gens).groebner_basis(o)
         assert cached == calls[0]
+
+
+@pytest.mark.parametrize("weights, work", [
+    (None, [(114, 75)]),
+    ((3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8), [(114, 75), (43, 4)]),
+])
+def test_driver_work_on_two_minors_is_pinned(column_graded_3x4, monkeypatch,
+                                             weights, work):
+    # pair selection, Gebauer-Moeller pruning and the series cutoff decide
+    # how many S-polynomials and normal forms a basis takes
+    A = column_graded_3x4
+    order = A.ring.storage_order if weights is None else \
+        weight_order(A.ring, weights)
+    normal_forms = _count_normal_forms(monkeypatch)
+    spolys = [0]
+    inner = kernel.spoly
+
+    def counted(*args):
+        spolys[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(kernel, "spoly", counted)
+    I = Ideal(A.ring, minors(A, 2))
+    seen = []
+    for o in [order, A.ring.storage_order][:len(work)]:
+        normal_forms[0] = spolys[0] = 0
+        I.groebner_basis(o)
+        seen.append((normal_forms[0], spolys[0]))
+    assert seen == work
+
+
+def test_basis_packs_its_elements_once(R33, monkeypatch):
+    G = Ideal(R33, [two_minor(R33, (1, 2), (1, 2)),
+                    two_minor(R33, (1, 2), (1, 3))]).groebner_basis(lex(R33))
+    sorts = [0]
+    inner = kernel.sort_terms
+
+    def counted(*args):
+        sorts[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(kernel, "sort_terms", counted)
+    # one sort for the query, one per element, one for the remainder
+    assert G.contains(x(R33, 1, 1) * G[0])
+    assert sorts[0] == 2 + len(G)
+    sorts[0] = 0
+    assert not G.contains(x(R33, 3, 3))
+    assert sorts[0] == 2
+    sorts[0] = 0
+    assert G.contains(x(R33, 1, 1) ** 9 * G[1])  # wider fields: packed again
+    assert sorts[0] == 2 + len(G)
+
+
+def _driver_widths(monkeypatch):
+    """The field width of every Buchberger run from now on."""
+    widths = []
+    inner = groebner._buchberger
+
+    def recorded(gens, layout, *args, **kwargs):
+        widths.append(layout.bits)
+        return inner(gens, layout, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    return widths
+
+
+def test_exponents_past_the_first_width_repack_wider(monkeypatch):
+    R = BlockRing((4,))
+    v = [x(R, 1, j) for j in range(1, 5)]
+    gens = [v[0] - v[1] ** 2, v[1] - v[2] ** 2, v[2] - v[3] ** 2]
+    order = lex(R)
+    widths = _driver_widths(monkeypatch)
+    G = Ideal(R, gens).groebner_basis(order)
+    # x[1,4]^8 does not fit the first fields, which hold exponents up to 7
+    assert widths == [4, 8]
+    assert [kernel.sort_terms(g.terms, order.rows, R.characteristic)
+            for g in G] == groebner_basis_oracle([g.terms for g in gens],
+                                                 order.rows, R.characteristic)
+    assert v[0] - v[3] ** 8 in G.elements
+
+
+def test_huge_exponent_packs_in_wide_fields():
+    R = BlockRing((2,))
+    f = x(R, 1, 1) ** 40000
+    gens = [f, x(R, 1, 2) * f]
+    G = Ideal(R, gens).groebner_basis()
+    assert G.elements == (f,)
+    assert [g.terms for g in G] == groebner_basis_oracle(
+        [g.terms for g in gens], G.order.rows, R.characteristic)
+    assert G.contains(x(R, 1, 1) ** 40001) and not G.contains(x(R, 1, 2))
+
+
+@st.composite
+def small_ideals(draw):
+    R = BlockRing(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)),
+                  draw(st.sampled_from([7, 32003])))
+    n = R.nvars
+    order = draw(orders(R))
+    terms = st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * n),
+                               st.integers(1, R.characteristic - 1)),
+                     min_size=1, max_size=3)
+    gens = [Polynomial(R, t) for t in draw(st.lists(terms, min_size=1,
+                                                     max_size=3))]
+    return R, order, gens
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_ideals())
+def test_packed_driver_matches_tuple_buchberger(case):
+    R, order, gens = case
+    p = R.characteristic
+    try:
+        # random lex bases can be huge; compare the ones that stay small
+        G = Ideal(R, gens, EngineLimits(max_basis=20, max_terms=200)
+                  ).groebner_basis(order)
+    except ResourceLimitError:
+        assume(False)
+    assert [kernel.sort_terms(g.terms, order.rows, p) for g in G] == \
+        groebner_basis_oracle([g.terms for g in gens], order.rows, p)
 
 
 # -- colon and regularity by a linear form in moved coordinates -----------------

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from multigb.cli import OPTION_KEYS
 from multigb.script import CALL_NAMES, COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,12 +54,13 @@ def readme_paragraph(lead: str) -> str:
 
 
 def test_readme_commands_calls_and_options_match_the_parser():
-    rows = re.findall(r"^\| `([\w-]+)` \| `([^`]+)` \|",
+    rows = re.findall(r"^\| `([\w-]+)` \| `([^`]+)` \| ([^|]+) \|",
                       (ROOT / "README.md").read_text(), re.M)
-    counts = {name: (sum(not a.startswith("[") for a in args.split()),
-                     len(args.split())) for name, args in rows}
-    assert len(rows) == len(counts) and counts == COMMANDS
+    table = {name: (sum(not a.startswith("[") for a in args.split()),
+                    len(args.split()), set(re.findall(r"`(\w+)=`", options)))
+             for name, args, options in rows}
+    assert len(rows) == len(table) and table == COMMANDS
     assert set(re.findall(r"`(\w+)\(", readme_paragraph("Calls"))) == \
         CALL_NAMES
     assert set(re.findall(r"`(\w+)=", readme_paragraph("Options"))) == \
-        OPTION_KEYS
+        set().union(*(options for _, _, options in COMMANDS.values()))

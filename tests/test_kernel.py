@@ -1,62 +1,128 @@
-"""Polynomial kernel: multivariate division."""
+"""Packed kernel: layout arithmetic, s-polynomials and multivariate division
+against the tuple-term oracles."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from multigb import kernel
-from multigb.ring import BlockRing, degrevlex, exp_divides, lex
-
-
-def normal_form_oracle(f, basis, matrix, p):
-    """Reference for ``kernel.normal_form``: each term is tested against the
-    basis leads in order with ``exp_divides`` on whole exponent vectors."""
-    if not f or not basis:
-        return list(f)
-    leads = [g[0] for g in basis]
-    work = list(f)
-    pos = 0
-    out = []
-    while pos < len(work):
-        exp, coeff = work[pos]
-        hit = -1
-        for idx, (lexp, _) in enumerate(leads):
-            if exp_divides(lexp, exp):
-                hit = idx
-                break
-        if hit < 0:
-            out.append((exp, coeff))
-            pos += 1
-            continue
-        g = basis[hit]
-        glead, glc = g[0]
-        shift = tuple(a - b for a, b in zip(exp, glead))
-        factor = (coeff * pow(glc, p - 2, p)) % p
-        tail = kernel.poly_mul_term(g[1:], shift, p - factor, p)
-        work = kernel.poly_add(work[pos + 1:], tail, matrix, p)
-        pos = 0
-    return out
+from multigb.ring import (BlockRing, degrevlex, elimination_order, exp_divides,
+                          exp_lcm, lex, weight_order)
 
 
 @st.composite
-def divisions(draw):
-    """A term list and a basis of nonzero term lists, sorted under lex or
-    degrevlex; leads may be constants, repeat or divide each other."""
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    R = BlockRing(sizes, draw(st.sampled_from([7, 32003])))
+def orders(draw, R):
+    """Lex, degrevlex, a weight order or an elimination order of R."""
     n = R.nvars
-    order = draw(st.sampled_from([lex(R), degrevlex(R)]))
-    p = R.characteristic
-    terms = st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * n),
-                               st.integers(1, p - 1)), max_size=6)
-    f = kernel.sort_terms(draw(terms), order.rows, p)
-    basis = [g for g in (kernel.sort_terms(t, order.rows, p)
-                         for t in draw(st.lists(terms, max_size=4))) if g]
-    return f, basis, order.rows, p
+    kind = draw(st.sampled_from(["lex", "degrevlex", "weight", "elimination"]))
+    if kind == "lex":
+        return lex(R)
+    if kind == "degrevlex":
+        return degrevlex(R)
+    if kind == "weight":
+        return weight_order(R, draw(st.lists(st.integers(1, 1000),
+                                             min_size=n, max_size=n)))
+    front = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return elimination_order(n, front)
+
+
+@st.composite
+def packed_cases(draw):
+    """A ring, an order, a layout of 2..5-bit fields, and a strategy for
+    term lists whose exponents fill the fields, often to the top value."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    R = BlockRing(sizes, draw(st.sampled_from([7, 32003])))
+    order = draw(orders(R))
+    layout = kernel.layout(order.rows, draw(st.integers(2, 5)))
+    top = layout.field_max - 1
+    exponent = st.one_of(st.integers(0, top), st.just(top), st.just(0))
+    terms = st.lists(st.tuples(st.tuples(*[exponent] * R.nvars),
+                               st.integers(1, R.characteristic - 1)),
+                     max_size=5)
+    return R, order, layout, terms
+
+
+def test_layout_packs_and_unpacks_exponents():
+    layout = kernel.layout(lex(3).rows, 3)
+    assert layout.field_max == 4
+    f = [((3, 0, 1), 5), ((0, 3, 3), 2)]
+    assert layout.unpack(layout.pack(f)) == f
+    with pytest.raises(kernel.FieldOverflow):
+        layout.pack([((4, 0, 0), 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_layout_arithmetic_matches_exponent_tuples(data):
+    R, order, layout, _ = data.draw(packed_cases())
+    top = layout.field_max - 1
+    exps = st.tuples(*[st.integers(0, top)] * R.nvars)
+    a, b = data.draw(exps), data.draw(exps)
+    (ka, ea, _), (kb, eb, _) = layout.pack([(a, 1), (b, 1)])
+    guard = layout.guard
+    assert (((ea | guard) - eb) & guard == guard) == exp_divides(b, a)
+    assert layout.exponents(layout.lcm(ea, eb)) == exp_lcm(a, b)
+    assert (layout.lcm(ea, eb) == ea + eb) == \
+        (not any(x and y for x, y in zip(a, b)))
+    assert (ka > kb) == (order.key(a) > order.key(b))
+    assert (ka == kb) == (a == b)
+    if max(x + y for x, y in zip(a, b)) <= top:
+        product = tuple(x + y for x, y in zip(a, b))
+        assert (ka + kb, ea + eb) == tuple(layout.pack([(product, 1)])[0][:2])
+    degree, key, gamma = layout.pair_key(layout.lcm(ea, eb))
+    assert degree == sum(exp_lcm(a, b)) and key == layout.key(exp_lcm(a, b))
 
 
 @settings(max_examples=300, deadline=None)
-@given(divisions())
-def test_normal_form_matches_whole_vector_scan(case):
-    f, basis, matrix, p = case
-    assert (kernel.normal_form(f, basis, matrix, p)
-            == normal_form_oracle(f, basis, matrix, p))
+@given(st.data())
+def test_normal_form_matches_tuple_oracle(data):
+    R, order, layout, terms = data.draw(packed_cases())
+    p = R.characteristic
+    f = kernel.sort_terms(data.draw(terms), order.rows, p)
+    basis = [g for g in (kernel.sort_terms(t, order.rows, p)
+                         for t in data.draw(st.lists(terms, max_size=4))) if g]
+    expected, top = oracles.normal_form(f, basis, order.rows, p,
+                                        layout.field_max)
+    packed = [layout.element(layout.pack(g)) for g in basis]
+    if top >= layout.field_max:
+        # some created term outgrows its field: the guard must catch it
+        with pytest.raises(kernel.FieldOverflow):
+            kernel.normal_form(layout.pack(f), packed, layout, p)
+    else:
+        assert layout.unpack(kernel.normal_form(layout.pack(f), packed,
+                                                layout, p)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_spoly_matches_tuple_oracle(data):
+    R, order, layout, terms = data.draw(packed_cases())
+    p = R.characteristic
+    f, g = (kernel.sort_terms(data.draw(terms), order.rows, p)
+            for _ in range(2))
+    assume(f and g)
+    lcm = exp_lcm(f[0][0], g[0][0])
+    top = max(max(x + y - z for x, y, z in zip(e, lcm, h[0][0]))
+              for h in (f, g) for e, _ in h)
+    f_packed, g_packed = (layout.element(layout.pack(h)) for h in (f, g))
+    if top >= layout.field_max:
+        with pytest.raises(kernel.FieldOverflow):
+            kernel.spoly(f_packed, g_packed, layout, p)
+    else:
+        assert layout.unpack(kernel.spoly(f_packed, g_packed, layout, p)) == \
+            oracles.spoly(f, g, order.rows, p)
+
+
+def test_guard_catches_a_tail_term_that_overflows():
+    # x0 - x1^3 under lex: reducing x0^3 makes x1^9, past 3-bit fields
+    layout = kernel.layout(lex(2).rows, 4)
+    p = 32003
+    g = [((1, 0), 1), ((0, 3), p - 1)]
+    f = layout.pack([((3, 0), 1)])
+    with pytest.raises(kernel.FieldOverflow):
+        kernel.normal_form(f, [layout.element(layout.pack(g))], layout, p)
+    wide = kernel.layout(lex(2).rows, 8)
+    assert wide.unpack(kernel.normal_form(
+        wide.pack([((3, 0), 1)]), [wide.element(wide.pack(g))], wide, p)) \
+        == [((0, 9), 1)]

@@ -415,6 +415,26 @@ def test_cli_unknown_option_exit_2(tmp_path, capsys):
     assert "unknown option ordr=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key", [
+    ("hilbert I expect=no", "expect"), ("gb I bound=[9,9] seed=4", "bound"),
+    ("ugb I order=lex orders=3", "order"), ("closure I orders=3", "orders"),
+    ("member I x[1,1] seed=1", "seed"),
+])
+def test_cli_option_the_command_never_reads_exit_2(tmp_path, capsys, command,
+                                                   key):
+    assert run_cli(tmp_path, TINY + command + "\n") == 2
+    name = command.split()[0]
+    assert f"line 3, col {command.index(key) + 1}: unknown option {key}= " \
+        f"for {name}" in capsys.readouterr().err
+
+
+def test_cli_main_theorem_reads_orders(tmp_path, capsys):
+    text = ("ring v=2 blocks=[2,2] char=32003\n"
+            "matrix A colgraded 2 x 2 { x[1,1], x[2,1] ; x[1,2], x[2,2] }\n"
+            "main-theorem A orders=2 seed=1 trials=1\n")
+    assert run_cli(tmp_path, text) == 0
+
+
 @pytest.mark.parametrize("flags", [
     ("--trials", "0"), ("--max-basis", "0"), ("--max-basis", "-1"),
 ])
@@ -614,3 +634,9 @@ def mutated_scripts(draw):
 def test_cli_mutated_scripts_never_raise(text):
     with mock.patch("sys.stdin", io.StringIO(text)):
         assert main(["-"]) in (0, 1, 2, 3)
+
+
+def test_cli_gb_of_a_huge_power(tmp_path, capsys):
+    text = "ring v=1 blocks=[2] char=32003\nideal I = x[1,1]^40000\ngb I\n"
+    assert run_cli(tmp_path, text) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["  x[1,1]^40000"]
