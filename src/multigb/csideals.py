@@ -154,7 +154,7 @@ def is_cs(I: Ideal, trials: int = 3, seed: int = 0) -> MembershipReport:
     rep2 = stable_gin(I, cross, trials=trials, seed=seed + 1)
     evidence = {
         "orders": [primary.name, cross.name],
-        "seeds": [rep1.seeds, rep2.seeds],
+        "seeds": [list(rep1.seeds), list(rep2.seeds)],
         "trials": trials,
     }
     if not rep1.agreement or not rep2.agreement:
@@ -183,7 +183,8 @@ def is_csstar(I: Ideal, trials: int = 3, seed: int = 0) -> MembershipReport:
     ring = I.ring
     order = ring.storage_order
     rep = stable_gin(I, order, trials=trials, seed=seed)
-    evidence = {"orders": [order.name], "seeds": [rep.seeds], "trials": trials}
+    evidence = {"orders": [order.name], "seeds": [list(rep.seeds)],
+                "trials": trials}
     if not rep.agreement:
         return MembershipReport(
             "inconclusive", "first-variables-gin",

@@ -6,6 +6,12 @@ variables of its block, so lead terms drift toward the first variable,
 matching the convention that x[i,1] is the largest variable of block i.
 The gin is computed as in(b(I)) for several random b; agreement across
 trials is the (probabilistic) genericity certificate.
+
+The Borel-fixed ideals are exactly the possible gins (Galligo,
+Bayer-Stillman): a Borel-fixed monomial ideal I has b(I) = I for every
+Borel element b, so it is its own gin under every order, in every
+characteristic.  ``gin`` returns such an input at once, with no trials and
+no seeds; its verdict is deterministic.  Every other input runs the trials.
 """
 
 from __future__ import annotations
@@ -71,14 +77,20 @@ def apply_change(g: BorelElement, I: Ideal) -> Ideal:
     return Ideal(I.ring, [f.substitute(images) for f in I.gens], I.limits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GinReport:
-    """Outcome of a randomized gin computation."""
+    """Outcome of a gin computation.
+
+    ``trials`` is 0, ``seeds`` empty and the one candidate the input when
+    the input is a Borel-fixed monomial ideal, which is its own gin.  A
+    report is shared by every caller that asks the same question of the
+    same ``Ideal``, so it is immutable.
+    """
     result: MonomialIdeal | None
-    candidates: list
+    candidates: tuple
     trials: int
     agreement: bool
-    seeds: list
+    seeds: tuple
     order: TermOrder
 
     def require(self) -> MonomialIdeal:
@@ -91,7 +103,12 @@ class GinReport:
 def gin(I: Ideal, order: TermOrder | None = None, trials: int = 3,
         seed: int = 0) -> GinReport:
     """in(b(I)) over ``trials`` random Borel elements; agreement required for
-    a definitive result.  An agreeing result must be Borel fixed."""
+    a definitive result.  An agreeing result must be Borel fixed.
+
+    A Borel-fixed monomial ideal is returned as its own gin without trials.
+    The report is kept on ``I``, so asking again with the same order,
+    trials and seed returns the same report without recomputing it.
+    """
     if trials < 1:
         raise ValueError(f"gin needs trials >= 1, got {trials}")
     ring = I.ring
@@ -99,11 +116,23 @@ def gin(I: Ideal, order: TermOrder | None = None, trials: int = 3,
     if not order.respects_block_convention(ring):
         raise ValueError(
             "gin needs an order with x[i,j] > x[i,k] for j < k in every block")
-    seeds = [seed * SEED_STRIDE + k for k in range(trials)]
-    candidates = []
-    for s in seeds:
-        moved = apply_change(random_borel(ring, s), I)
-        candidates.append(moved.initial_ideal(order))
+    key = (order, trials, seed)
+    report = I._gins.get(key)
+    if report is None:
+        report = I._gins[key] = _compute_gin(I, order, trials, seed)
+    return report
+
+
+def _compute_gin(I: Ideal, order: TermOrder, trials: int,
+                 seed: int) -> GinReport:
+    if I.is_monomial:
+        M = I.monomial_ideal()
+        if is_borel_fixed(M):
+            return GinReport(result=M, candidates=(M,), trials=0,
+                             agreement=True, seeds=(), order=order)
+    seeds = tuple(seed * SEED_STRIDE + k for k in range(trials))
+    candidates = tuple(apply_change(random_borel(I.ring, s), I)
+                       .initial_ideal(order) for s in seeds)
     agreement = all(c == candidates[0] for c in candidates[1:])
     result = candidates[0] if agreement else None
     if agreement and not is_borel_fixed(result):

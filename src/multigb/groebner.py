@@ -338,6 +338,7 @@ class Ideal:
         self._gb_cache: dict = {}
         self._series: HilbertNumerator | None = None
         self._dims: dict = {}  # dim (S/I)_a by multidegree a
+        self._gins: dict = {}  # gin.GinReport by (order, trials, seed)
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"

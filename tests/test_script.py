@@ -323,6 +323,32 @@ def test_cli_json_deterministic_modulo_timings(tmp_path, capsys):
     assert scrubbed() == scrubbed()
 
 
+def test_cli_borel_fixed_monomial_input_runs_no_gin_trials(tmp_path, capsys):
+    # a Borel-fixed monomial ideal is its own gin: the verdicts are those
+    # of the trials, and no trial ran, so no seed is reported
+    text = ("ring v=2 blocks=[2,2] char=32003\n"
+            "ideal I = x[1,1]^2*x[2,1], x[1,1]*x[1,2]*x[2,1]\n"
+            "ideal J = x[1,1]*x[2,1]\n"
+            "gin I\n"
+            "cs I expect=no\n"
+            "csstar I expect=no\n"
+            "gin J\n"
+            "cs J expect=yes\n"
+            "csstar J expect=yes\n")
+    assert run_cli(tmp_path, text, "--json", "--seed", "7") == 0
+    gin_i, cs_i, star_i, gin_j, cs_j, star_j = json.loads(
+        capsys.readouterr().out)["reports"]
+    assert gin_i["evidence"]["generators"] == ["x[1,1]*x[1,2]*x[2,1]",
+                                               "x[1,1]^2*x[2,1]"]
+    assert gin_j["evidence"]["generators"] == ["x[1,1]*x[2,1]"]
+    for r in (gin_i, gin_j):
+        assert r["verdict"] == "computed" and r["seeds"] == []
+    for r in (cs_i, cs_j):
+        assert r["evidence"]["seeds"] == [[], []] and r["seeds"] == [7]
+    for r in (star_i, star_j):
+        assert r["evidence"]["seeds"] == [[]]
+
+
 def test_cli_order_flag(tmp_path, capsys):
     text = ("ring v=1 blocks=[2] char=32003\n"
             "ideal I = x[1,1]^2 - x[1,2]^3\n"
