@@ -155,7 +155,7 @@ def is_cs(I: Ideal, trials: int = 3, seed: int = 0) -> MembershipReport:
     evidence = {
         "orders": [primary.name, cross.name],
         "seeds": [list(rep1.seeds), list(rep2.seeds)],
-        "trials": trials,
+        "trials": [rep1.trials, rep2.trials],
     }
     if not rep1.agreement or not rep2.agreement:
         return MembershipReport(
@@ -184,7 +184,7 @@ def is_csstar(I: Ideal, trials: int = 3, seed: int = 0) -> MembershipReport:
     order = ring.storage_order
     rep = stable_gin(I, order, trials=trials, seed=seed)
     evidence = {"orders": [order.name], "seeds": [list(rep.seeds)],
-                "trials": trials}
+                "trials": [rep.trials]}
     if not rep.agreement:
         return MembershipReport(
             "inconclusive", "first-variables-gin",

@@ -1,7 +1,9 @@
 """Combinatorics of monomial ideals in a block-graded ring.
 
 Monomials are exponent tuples (the kernel convention).  A MonomialIdeal
-stores the unique minimal generating antichain.  This module has no
+stores the unique minimal generating antichain.  Minimalization and
+``hilbert_numerator`` pack the tuples into ints internally (``_pack``), so
+that a divisibility test is one subtraction.  This module has no
 dependency on the Groebner engine; everything here is exact combinatorics
 and serves as an independent oracle for it.
 """
@@ -9,21 +11,53 @@ and serves as an independent oracle for it.
 from __future__ import annotations
 
 import math
+from operator import lshift
 from typing import Iterable, Sequence
 
 from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
                             PolarizationCapacityError, RingMismatchError)
-from multigb.ring import BlockRing, exp_divides, exp_gcd, exp_lcm
+from multigb.ring import BlockRing, exp_divides, exp_lcm
+
+
+def _pack(exps: Sequence[tuple], nvars: int) -> tuple:
+    """Pack exponent tuples into ints: ``(packed, bits, guard)``.
+
+    Variable k owns bits ``k*bits .. k*bits + bits - 1``, whose top bit is a
+    guard (``guard`` masks them all), and the other bits hold the largest
+    exponent of ``exps``.  For packed a, b, a divides b iff
+    ``((b | guard) - a) & guard == guard``: each field borrows from its own
+    guard bit only, and keeps it iff b_k >= a_k.  So a divisor is never
+    numerically larger than its multiple.
+    """
+    top = max((max(e) for e in exps), default=0)
+    bits = max(top, 1).bit_length() + 1
+    shifts = range(0, nvars * bits, bits)
+    guard = sum(1 << (s + bits - 1) for s in shifts)
+    return [sum(map(lshift, e, shifts)) for e in exps], bits, guard
+
+
+def _minimal(packed: Iterable[int], guard: int) -> list:
+    """The minimal elements of packed monomials under divisibility, in
+    ascending order; one ascending pass meets every divisor first."""
+    out = []
+    for b in sorted(set(packed)):
+        b_guarded = b | guard
+        for a in out:
+            if (b_guarded - a) & guard == guard:
+                break
+        else:
+            out.append(b)
+    return out
 
 
 def _minimal_antichain(exps: Iterable[tuple]) -> list:
     """Drop duplicates and anything divisible by another element."""
-    uniq = sorted(set(exps), key=lambda e: (sum(e), e))
-    out = []
-    for e in uniq:
-        if not any(exp_divides(m, e) for m in out):
-            out.append(e)
-    return out
+    exps = list(exps)
+    if not exps:
+        return []
+    packed, _, guard = _pack(exps, len(exps[0]))
+    back = dict(zip(packed, exps))
+    return [back[b] for b in _minimal(packed, guard)]
 
 
 class MonomialIdeal:
@@ -255,25 +289,6 @@ class HilbertNumerator:
             out[a] = out.get(a, 0) + c
         return HilbertNumerator(self.v, out)
 
-    def __neg__(self):
-        return HilbertNumerator(self.v, {a: -c for a, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out: dict = {}
-        for a, c in self.coeffs.items():
-            for b, d in other.coeffs.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                out[key] = out.get(key, 0) + c * d
-        return HilbertNumerator(self.v, out)
-
-    def shifted(self, a: tuple) -> "HilbertNumerator":
-        return HilbertNumerator(
-            self.v, {tuple(x + y for x, y in zip(b, a)): c
-                     for b, c in self.coeffs.items()})
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -300,48 +315,85 @@ class HilbertNumerator:
         return f"HilbertNumerator({self})"
 
 
-def _pairwise_coprime(gens: Sequence[tuple]) -> bool:
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if any(exp_gcd(gens[i], gens[j])):
-                return False
-    return True
-
-
 def hilbert_numerator(I: MonomialIdeal) -> HilbertNumerator:
-    """K-polynomial of S/I by pivot splitting:
-    K(S/I) = y^{deg x} * K(S/(I:x)) + K(S/(I+(x))) for a pivot variable x."""
+    """K-polynomial of S/I (Bigatti; Bayer-Stillman).
+
+    Generators that fall into groups of pairwise disjoint support give the
+    product of the groups' K-polynomials.  A group that does not split is
+    split at the pivot variable x that most of its generators hold (the
+    first such variable on ties):
+    K(S/I) = y^{deg x} * K(S/(I:x)) + K(S/(I+(x))).
+
+    The recursion runs on monomials packed by ``_pack``: the colon subtracts
+    x from every generator that holds it, the sum drops every generator x
+    divides, and supports compare as guard-bit masks, never as exponent
+    bits.  Numerators are ``{packed y-degree: coefficient}`` with one field
+    per block, sized by the block degrees of the lcm of all generators,
+    which bound every term the recursion makes.
+    """
     ring = I.ring
-    v = ring.v
+    n, v = ring.nvars, ring.v
+    if not I.gens:
+        return HilbertNumerator.one(v)
+    packed, bits, guard = _pack(I.gens, n)
+    shifts = range(0, n * bits, bits)
+    units = [1 << s for s in shifts]
+    holds = [u << (bits - 1) for u in units]  # the guard bit of each field
+    field_max = (1 << (bits - 1)) - 1
+    below_guard = guard - sum(units)  # g + below_guard sets g's support guards
+    lcm = tuple(map(max, zip(*I.gens)))
+    ybits = max(max(ring.multidegree(lcm)), 1).bit_length()
+    ydeg = [1 << (ybits * (ring.var_pair(k)[0] - 1)) for k in range(n)]
     memo: dict = {}
 
-    def rec(gens: tuple) -> HilbertNumerator:
-        if gens in memo:
-            return memo[gens]
-        if not gens:
-            out = HilbertNumerator.one(v)
-        elif _pairwise_coprime(gens):
-            out = HilbertNumerator.one(v)
-            for g in gens:
-                out = out * (HilbertNumerator.one(v)
-                             - HilbertNumerator.monomial(v, ring.multidegree(g)))
+    def rec(gens: tuple) -> dict:
+        out = memo.get(gens)
+        if out is not None:
+            return out
+        masks = [(g + below_guard) & guard for g in gens]
+        groups = []  # [support mask, generators] of disjoint supports
+        for g, m in zip(gens, masks):
+            joined = [m, [g]]
+            apart = []
+            for group in groups:
+                if group[0] & m:
+                    joined[0] |= group[0]
+                    joined[1] += group[1]
+                else:
+                    apart.append(group)
+            apart.append(joined)
+            groups = apart
+        if len(gens) == 1:
+            g = gens[0]
+            out = {0: 1, sum(((g >> s) & field_max) * d
+                             for s, d in zip(shifts, ydeg)): -1} if g else {}
+        elif len(groups) > 1:
+            out = {0: 1}
+            for _, members in groups:
+                prod: dict = {}
+                for b, d in rec(tuple(sorted(members))).items():
+                    for a, c in out.items():
+                        prod[a + b] = prod.get(a + b, 0) + c * d
+                out = {a: c for a, c in prod.items() if c}
         else:
-            counts = [0] * ring.nvars
-            for g in gens:
-                for var, e in enumerate(g):
-                    if e:
-                        counts[var] += 1
-            pivot = max(range(ring.nvars), key=lambda var: (counts[var], -var))
-            px = ring.unit_exp(pivot)
-            ideal = MonomialIdeal(ring, gens, _minimal=True)
-            colon = colon_monomial(ideal, px)
-            plus = sum_monomial(ideal, [px])
-            out = (rec(colon.gens).shifted(ring.multidegree(px))
-                   + rec(plus.gens))
+            counts = [sum([1 for m in masks if m & h]) for h in holds]
+            pivot = counts.index(max(counts))
+            x, hold = units[pivot], holds[pivot]
+            colon = [g - x if m & hold else g for g, m in zip(gens, masks)]
+            plus = [g for g, m in zip(gens, masks) if not m & hold]
+            plus.append(x)
+            out = dict(rec(tuple(sorted(plus))))
+            shift = ydeg[pivot]
+            for a, c in rec(tuple(_minimal(colon, guard))).items():
+                out[a + shift] = out.get(a + shift, 0) + c
+            out = {a: c for a, c in out.items() if c}
         memo[gens] = out
         return out
 
-    return rec(I.gens)
+    ymask = (1 << ybits) - 1
+    return HilbertNumerator(v, {
+        tuple((a >> (ybits * i)) & ymask for i in range(v)): c
+        for a, c in rec(tuple(sorted(packed))).items()})
 
 
 def ambient_dimension(ring: BlockRing, a: Sequence[int]) -> int:

@@ -49,10 +49,6 @@ def exp_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def exp_gcd(a: tuple, b: tuple) -> tuple:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 class BlockRing:
     """A polynomial ring over F_p with a block grading."""
 

@@ -101,6 +101,7 @@ def test_is_cs_on_remark_ideal():
     assert rep.is_yes
     assert rep.family == "radical-gin"
     assert rep.evidence["radical"] == [True, True]
+    assert rep.evidence["trials"] == [3, 3]
 
 
 def test_is_cs_fails_after_colon_by_cubic():

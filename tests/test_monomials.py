@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
                             PolarizationCapacityError)
@@ -15,7 +17,7 @@ from multigb.monomials import (HilbertNumerator, MonomialIdeal, alexander_dual,
                                quotient_dimension_from_numerator,
                                regularity_strongly_stable, sum_monomial,
                                support)
-from multigb.ring import BlockRing
+from multigb.ring import BlockRing, exp_divides
 from oracles import (alexander_dual_bruteforce, graded_dimension,
                      hilbert_numerator_inclusion_exclusion, intersect_monomial)
 
@@ -30,6 +32,18 @@ def test_minimal_antichain():
     assert I.gens == ((1, 1, 0),)
     assert I.contains_monomial((1, 2, 3))
     assert not I.contains_monomial((0, 5, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_minimal_generators_match_divisibility(data):
+    n = data.draw(st.integers(1, 5))
+    top = data.draw(st.sampled_from([1, 2, 3, 4, 7, 8]))
+    gens = data.draw(st.lists(st.tuples(*[st.integers(0, top)] * n),
+                              max_size=8))
+    expected = sorted({g for g in gens
+                       if not any(h != g and exp_divides(h, g) for h in gens)})
+    assert list(MonomialIdeal(BlockRing((n,)), gens).gens) == expected
 
 
 def test_colon_and_sum_and_intersect():
@@ -213,6 +227,77 @@ def test_hilbert_numerator_against_inclusion_exclusion():
         gens = [g for g in gens if any(g)]
         I = MonomialIdeal(R, gens)
         assert hilbert_numerator(I) == hilbert_numerator_inclusion_exclusion(I)
+
+
+@st.composite
+def numerator_cases(draw):
+    """A monomial ideal in 1..3 blocks: the zero or the unit ideal, or
+    generators whose largest exponent sits on either side of a field-width
+    boundary (2^k - 1 or 2^k), either in two groups of disjoint support or
+    all holding one variable, so that they do not split."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    R = BlockRing(sizes)
+    n = R.nvars
+    kind = draw(st.sampled_from(["zero", "unit", "split", "joined"]))
+    if kind == "zero":
+        return MonomialIdeal(R, []), kind
+    if kind == "unit":
+        return MonomialIdeal(R, [(0,) * n]), kind
+    k = draw(st.integers(1, 3))
+    top = draw(st.sampled_from([(1 << k) - 1, 1 << k]))
+    exponent = st.one_of(st.integers(0, top), st.just(top), st.just(0))
+    if kind == "split":
+        if n < 2:
+            R = BlockRing(sizes + [1])
+            n = R.nvars
+        cut = draw(st.integers(1, n - 1))
+        order = draw(st.permutations(range(n)))
+        parts = [order[:cut], order[cut:]]
+    else:
+        parts = [range(n)]
+    gens = []
+    for part in parts:
+        for _ in range(draw(st.integers(1, 6 // len(parts)))):
+            e = [0] * n
+            for var in part:
+                e[var] = draw(exponent)
+            if not any(e):
+                e[part[0]] = 1
+            gens.append(e)
+    if kind == "joined":
+        for e in gens:
+            e[0] = max(e[0], 1)
+    gens[0][next(v for v in range(n) if gens[0][v])] = top
+    return MonomialIdeal(R, [tuple(e) for e in gens]), kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(numerator_cases())
+def test_hilbert_numerator_matches_inclusion_exclusion(case):
+    I, kind = case
+    num = hilbert_numerator(I)
+    assert num == hilbert_numerator_inclusion_exclusion(I)
+    if kind == "zero":
+        assert num == HilbertNumerator.one(I.ring.v)
+    if kind == "unit":
+        assert num.is_zero
+
+
+def test_hilbert_numerator_shared_variable_with_disjoint_exponent_bits():
+    # x1*x2 and x1^2*x3 share x1, with exponents 1 and 2 that have no bit
+    # in common: their supports meet, so the numerator does not factor as
+    # (1 - y^2)(1 - y^3); the lcm x1^2*x2*x3 gives 1 - y^2 - y^3 + y^4
+    R = BlockRing((3,))
+    I = M(R, (1, 1, 0), (2, 0, 1))
+    assert hilbert_numerator(I).coeffs == {(0,): 1, (2,): -1, (3,): -1,
+                                           (4,): 1}
+    # the same in two blocks, beside a third generator of disjoint support
+    R = BlockRing((2, 2, 1))
+    I = M(R, (1, 1, 0, 0, 0), (2, 0, 1, 0, 0), (0, 0, 0, 3, 1))
+    assert hilbert_numerator(I) == hilbert_numerator_inclusion_exclusion(I)
+    assert hilbert_numerator(I).coeffs == {
+        (0, 0, 0): 1, (2, 0, 0): -1, (2, 1, 0): -1, (3, 1, 0): 1,
+        (0, 3, 1): -1, (2, 3, 1): 1, (2, 4, 1): 1, (3, 4, 1): -1}
 
 
 def test_numerator_counts_standard_monomials():

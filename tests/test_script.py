@@ -325,7 +325,8 @@ def test_cli_json_deterministic_modulo_timings(tmp_path, capsys):
 
 def test_cli_borel_fixed_monomial_input_runs_no_gin_trials(tmp_path, capsys):
     # a Borel-fixed monomial ideal is its own gin: the verdicts are those
-    # of the trials, and no trial ran, so no seed is reported
+    # of the trials, and no trial ran, so no seed is reported and the
+    # evidence counts 0 trials per gin
     text = ("ring v=2 blocks=[2,2] char=32003\n"
             "ideal I = x[1,1]^2*x[2,1], x[1,1]*x[1,2]*x[2,1]\n"
             "ideal J = x[1,1]*x[2,1]\n"
@@ -345,8 +346,10 @@ def test_cli_borel_fixed_monomial_input_runs_no_gin_trials(tmp_path, capsys):
         assert r["verdict"] == "computed" and r["seeds"] == []
     for r in (cs_i, cs_j):
         assert r["evidence"]["seeds"] == [[], []] and r["seeds"] == [7]
+        assert r["evidence"]["trials"] == [0, 0]
     for r in (star_i, star_j):
         assert r["evidence"]["seeds"] == [[]]
+        assert r["evidence"]["trials"] == [0]
 
 
 def test_cli_order_flag(tmp_path, capsys):
