@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from multigb import kernel
 from multigb.errors import (HypothesisNotSatisfiedError, InconclusiveError,
                             InternalConsistencyError, NotSquarefreeError)
 from multigb.gin import GinReport, gin
@@ -380,6 +381,7 @@ def ugb_check(candidates: Sequence[Polynomial], I: Ideal, n_orders: int = 200,
     # in_o(I); for multigraded I the two are equal exactly when their
     # Hilbert series are (Macaulay).  Buchberger runs only where they differ.
     series = I.hilbert_series() if I.is_multihomogeneous else None
+    bits = kernel.bits_for([c.terms for c in candidates])  # holds every lead
     failures = []
     records = []
     certified = 0
@@ -387,7 +389,8 @@ def ugb_check(candidates: Sequence[Polynomial], I: Ideal, n_orders: int = 200,
         cand_leads = MonomialIdeal(ring, [c.lead_exp(o) for c in candidates])
         if series is not None and hilbert_numerator(cand_leads) == series:
             certified += 1
-            lead_exps = sorted(cand_leads.gens, key=o.key, reverse=True)
+            lead_exps = sorted(cand_leads.gens,
+                               key=kernel.layout(o.rows, bits).key, reverse=True)
             degrees = [ring.multidegree(e) for e in lead_exps]
         else:
             gb = I.groebner_basis(o)

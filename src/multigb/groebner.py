@@ -11,7 +11,6 @@ results structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import lshift
 from typing import Iterable, Sequence
 
 from multigb import kernel
@@ -94,17 +93,17 @@ class _SeriesCutoff:
     in(G) is inside in(I), so the monomials of degree a outside in(G) are
     at least dim (S/I)_a; once the two counts agree, in(G)_a = in(I)_a and
     a degree-a element of I has no nonzero normal form modulo G.  The
-    monomials of in(G)_a are collected incrementally as packed ints, each
-    field wide enough for the largest entry of a: each lead is multiplied
-    out once per degree, when the degree is next checked.  ``dims``
-    memoizes dim (S/I)_a and may be shared by runs on the same I.
+    monomials of in(G)_a are collected incrementally, packed by the
+    ``kernel.fields`` holding the largest entry of a: each lead is
+    multiplied out once per degree, when the degree is next checked.
+    ``dims`` memoizes dim (S/I)_a and may be shared by runs on the same I.
     """
 
     def __init__(self, ring: BlockRing, series: HilbertNumerator, dims: dict):
         self.ring = ring
         self.series = series
         self.dims = dims
-        self.monomials: dict = {}  # (b, width) -> packed monomials of degree b
+        self.monomials: dict = {}  # (b, fields) -> packed monomials of degree b
         self.start(None)
 
     def start(self, layout: kernel.Layout | None) -> None:
@@ -112,7 +111,7 @@ class _SeriesCutoff:
         self.layout = layout
         self.full: set = set()
         self.leads: list = []  # (exponents, multidegree) of basis[k]'s lead
-        self.degrees: dict = {}  # a -> [leads seen, in(G)_a, field width]
+        self.degrees: dict = {}  # a -> [leads seen, in(G)_a, kernel.Fields]
 
     def settled(self, lcm: int, basis: list) -> bool:
         ring, layout = self.ring, self.layout
@@ -121,25 +120,23 @@ class _SeriesCutoff:
             return True
         state = self.degrees.get(a)
         if state is None:
-            state = self.degrees[a] = [0, set(), max(a).bit_length()]
-        seen, covered, width = state
+            state = self.degrees[a] = [0, set(),
+                                       kernel.fields(ring.nvars, max(a))]
+        seen, covered, fields = state
         if seen == len(basis):
             return False
         for g in basis[len(self.leads):]:
             lead = layout.exponents(g[0][0][1])
             self.leads.append((lead, ring.multidegree(lead)))
-        shifts = [width * k for k in range(ring.nvars)]
         for lead, degree in self.leads[seen:]:
             b = tuple(x - y for x, y in zip(a, degree))
             if min(b) < 0:
                 continue
-            monomials = self.monomials.get((b, width))
+            monomials = self.monomials.get((b, fields))
             if monomials is None:
-                monomials = self.monomials[(b, width)] = [
-                    sum(map(lshift, m, shifts))
-                    for m in ring.monomials_of_multidegree(b)]
-            covered.update(map(sum(map(lshift, lead, shifts)).__add__,
-                               monomials))
+                monomials = self.monomials[(b, fields)] = [
+                    fields.monomial(m) for m in ring.monomials_of_multidegree(b)]
+            covered.update(map(fields.monomial(lead).__add__, monomials))
         state[0] = len(basis)
         if a not in self.dims:
             self.dims[a] = quotient_dimension_from_numerator(self.series, ring, a)

@@ -13,8 +13,8 @@ Data conventions:
 * an order is a tuple of int row vectors of a term order (M·e determines
   e); monomials compare by the lexicographic order of their matrix-vector
   products;
-* a packed term is ``(K, E, c)``: E holds the exponents in one int and K
-  is the order key, one int that compares as M·e does (see ``Layout``).
+* a packed term is ``(K, E, c)``: E is a packed monomial (``Fields``) and
+  K the order key, one int that compares as M·e does (see ``Layout``).
   A packed polynomial is a list of packed terms strictly decreasing in K.
   Polynomials are packed once when a computation starts and unpacked once
   when it ends;
@@ -37,7 +37,7 @@ def _sorted(acc, matrix):
     kept = [(e, c) for e, c in acc.items() if c]
     if len(kept) < 2:
         return kept
-    cols = layout(matrix, max(map(max, acc)).bit_length() + 1).cols
+    cols = layout(matrix, fields(1, max(map(max, acc))).bits).cols
     return sorted(kept, key=lambda t: sum(map(mul, t[0], cols)), reverse=True)
 
 
@@ -102,7 +102,13 @@ def bits_for(polys):
     """Field width for packing tuple polynomials: fields hold twice their
     largest total degree, so exponents may grow before a repack."""
     top = max((sum(e) for f in polys for e, _ in f), default=0)
-    return (2 * top).bit_length() + 1
+    return fields(1, 2 * top).bits
+
+
+@lru_cache(maxsize=1024)
+def fields(n, top):
+    """The narrowest ``Fields`` of n variables holding 0..top, built once."""
+    return Fields(n, top.bit_length() + 1)
 
 
 @lru_cache(maxsize=1024)
@@ -111,15 +117,19 @@ def layout(matrix, bits):
     return Layout(matrix, bits)
 
 
-class Layout:
-    """Packing of exponent vectors and order keys for one order matrix.
+class Fields:
+    """The one packing of exponent vectors into ints (packed monomials).
 
-    Variable k owns bits ``k*bits .. k*bits + bits - 1`` of E; the top bit
-    of each field is a guard, so a field holds 0 .. 2^(bits-1) - 1.  For
-    packed monomials a, b with clear guards (``guard`` masks the guard bits):
+    Variable k owns bits ``k*bits .. k*bits + bits - 1`` of a packed
+    monomial; the top bit of each field is a guard, so a field holds
+    0 .. field_max - 1 with ``field_max = 2^(bits-1)``.  ``units[k]`` is
+    the packed variable k.  For packed monomials a, b with clear guards
+    (``guard`` masks the guard bits):
 
     * b divides a iff ``((a | guard) - b) & guard == guard``: each field
-      borrows from its own guard bit only, and keeps it iff a_k >= b_k;
+      borrows from its own guard bit only, and keeps it iff a_k >= b_k.
+      So a divisor is never larger than its multiple.  Hot loops inline
+      this test with ``guard`` read into a local;
     * lcm(a, b): ``d = ((a | guard) - b) & guard`` marks the fields where
       a_k >= b_k, ``m = d - (d >> (bits - 1))`` widens each mark to its
       field's value bits, and the lcm is ``(a & m) | (b & ~m)``;
@@ -127,33 +137,23 @@ class Layout:
     * the product is a + b; a sum field reaches its guard bit exactly when
       it overflows, and ``normal_form`` and ``spoly`` raise
       ``FieldOverflow`` before such a term is used.
-
-    The order key is additive: K(e) = sum_k e_k * C_k with
-    C_k = sum_i M[i][k] * 2^s_i.  Row i of M·e is digit i of K in signed
-    mixed radix; digit i is ``widths[i]`` bits wide, enough for the row's
-    value on any monomial whose fields fit, and s_i is the total width of
-    the rows after it.  So K(a) < K(b) exactly when M·a < M·b
-    lexicographically, and K(a*b) = K(a) + K(b).
     """
 
-    __slots__ = ("bits", "field_max", "guard", "shifts", "cols")
+    __slots__ = ("bits", "field_max", "guard", "shifts", "units")
 
-    def __init__(self, matrix, bits):
-        n = len(matrix[0])
+    def __init__(self, n, bits):
         self.bits = bits
         self.field_max = 1 << (bits - 1)
         self.shifts = tuple(bits * k for k in range(n))
-        self.guard = sum(self.field_max << s for s in self.shifts)
-        top = self.field_max - 1
-        widths = [(sum(abs(x) for x in row) * top).bit_length() + 1
-                  for row in matrix]
-        offsets = [sum(widths[i + 1:]) for i in range(len(matrix))]
-        self.cols = tuple(sum(row[k] << s for row, s in zip(matrix, offsets))
-                          for k in range(n))
+        self.units = tuple(1 << s for s in self.shifts)
+        self.guard = self.field_max * sum(self.units)
 
-    def key(self, exp):
-        """Order key of an exponent tuple."""
-        return sum(map(mul, exp, self.cols))
+    def monomial(self, exp):
+        """The packed monomial of an exponent tuple."""
+        if max(exp) >= self.field_max:
+            raise FieldOverflow(f"exponent {max(exp)} needs more than "
+                                f"{self.bits - 1} bits")
+        return sum(map(lshift, exp, self.shifts))
 
     def exponents(self, e):
         """The exponent tuple of a packed monomial."""
@@ -165,6 +165,34 @@ class Layout:
         m = d - (d >> (self.bits - 1))
         return (a & m) | (b & ~m)
 
+
+class Layout(Fields):
+    """``Fields`` with the order key of one order matrix, and term packing.
+
+    The order key is additive: K(e) = sum_k e_k * C_k with
+    C_k = sum_i M[i][k] * 2^s_i.  Row i of M·e is digit i of K in signed
+    mixed radix; digit i is ``widths[i]`` bits wide, enough for the row's
+    value on any monomial whose fields fit, and s_i is the total width of
+    the rows after it.  So K(a) < K(b) exactly when M·a < M·b
+    lexicographically, and K(a*b) = K(a) + K(b).
+    """
+
+    __slots__ = ("cols",)
+
+    def __init__(self, matrix, bits):
+        n = len(matrix[0])
+        super().__init__(n, bits)
+        top = self.field_max - 1
+        widths = [(sum(abs(x) for x in row) * top).bit_length() + 1
+                  for row in matrix]
+        offsets = [sum(widths[i + 1:]) for i in range(len(matrix))]
+        self.cols = tuple(sum(row[k] << s for row, s in zip(matrix, offsets))
+                          for k in range(n))
+
+    def key(self, exp):
+        """Order key of an exponent tuple."""
+        return sum(map(mul, exp, self.cols))
+
     def pair_key(self, gamma):
         """``(total degree, order key, gamma)`` of a packed lcm: the
         Buchberger driver selects pairs by it."""
@@ -173,14 +201,8 @@ class Layout:
 
     def pack(self, f):
         """Packed terms of a tuple polynomial sorted under the matrix."""
-        cols, shifts, field_max = self.cols, self.shifts, self.field_max
-        out = []
-        for e, c in f:
-            if max(e) >= field_max:
-                raise FieldOverflow(f"exponent {max(e)} needs more than "
-                                    f"{self.bits - 1} bits")
-            out.append((sum(map(mul, e, cols)), sum(map(lshift, e, shifts)), c))
-        return out
+        cols, monomial = self.cols, self.monomial
+        return [(sum(map(mul, e, cols)), monomial(e), c) for e, c in f]
 
     def unpack(self, f):
         """The tuple polynomial of packed terms."""

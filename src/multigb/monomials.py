@@ -1,39 +1,23 @@
 """Combinatorics of monomial ideals in a block-graded ring.
 
 Monomials are exponent tuples (the kernel convention).  A MonomialIdeal
-stores the unique minimal generating antichain.  Minimalization and
-``hilbert_numerator`` pack the tuples into ints internally (``_pack``), so
-that a divisibility test is one subtraction.  This module has no
-dependency on the Groebner engine; everything here is exact combinatorics
-and serves as an independent oracle for it.
+stores the unique minimal generating antichain.  Minimalization,
+``alexander_dual`` and ``hilbert_numerator`` run on ints packed by
+``kernel.Fields``, so a divisibility test is one subtraction.  Beyond that
+packing nothing comes from the Groebner engine; everything here is exact
+combinatorics and serves as an independent oracle for it.
 """
 
 from __future__ import annotations
 
 import math
-from operator import lshift
+from operator import mul
 from typing import Iterable, Sequence
 
+from multigb import kernel
 from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
                             PolarizationCapacityError, RingMismatchError)
-from multigb.ring import BlockRing, exp_divides, exp_lcm
-
-
-def _pack(exps: Sequence[tuple], nvars: int) -> tuple:
-    """Pack exponent tuples into ints: ``(packed, bits, guard)``.
-
-    Variable k owns bits ``k*bits .. k*bits + bits - 1``, whose top bit is a
-    guard (``guard`` masks them all), and the other bits hold the largest
-    exponent of ``exps``.  For packed a, b, a divides b iff
-    ``((b | guard) - a) & guard == guard``: each field borrows from its own
-    guard bit only, and keeps it iff b_k >= a_k.  So a divisor is never
-    numerically larger than its multiple.
-    """
-    top = max((max(e) for e in exps), default=0)
-    bits = max(top, 1).bit_length() + 1
-    shifts = range(0, nvars * bits, bits)
-    guard = sum(1 << (s + bits - 1) for s in shifts)
-    return [sum(map(lshift, e, shifts)) for e in exps], bits, guard
+from multigb.ring import BlockRing, exp_divides
 
 
 def _minimal(packed: Iterable[int], guard: int) -> list:
@@ -55,9 +39,9 @@ def _minimal_antichain(exps: Iterable[tuple]) -> list:
     exps = list(exps)
     if not exps:
         return []
-    packed, _, guard = _pack(exps, len(exps[0]))
-    back = dict(zip(packed, exps))
-    return [back[b] for b in _minimal(packed, guard)]
+    fields = kernel.fields(len(exps[0]), max(map(max, exps)))
+    back = {fields.monomial(e): e for e in exps}
+    return [back[b] for b in _minimal(back, fields.guard)]
 
 
 class MonomialIdeal:
@@ -198,16 +182,17 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
     if I.is_zero or I.is_unit:
         raise HypothesisNotSatisfiedError(
             "Alexander dual requires a nonzero proper ideal")
-    ring = I.ring
+    fields = kernel.fields(I.ring.nvars, 1)
     current = None
     for g in I.gens:
-        prime = [ring.unit_exp(v) for v in support(g)]
+        prime = [fields.units[v] for v in support(g)]
         if current is None:
             current = prime
         else:
-            current = _minimal_antichain(
-                [exp_lcm(a, b) for a in current for b in prime])
-    return MonomialIdeal(ring, current, _minimal=True)
+            current = _minimal([fields.lcm(a, b) for a in current
+                                for b in prime], fields.guard)
+    return MonomialIdeal(I.ring, map(fields.exponents, current),
+                         _minimal=True)
 
 
 # -- polarization --------------------------------------------------------------
@@ -324,26 +309,25 @@ def hilbert_numerator(I: MonomialIdeal) -> HilbertNumerator:
     first such variable on ties):
     K(S/I) = y^{deg x} * K(S/(I:x)) + K(S/(I+(x))).
 
-    The recursion runs on monomials packed by ``_pack``: the colon subtracts
-    x from every generator that holds it, the sum drops every generator x
-    divides, and supports compare as guard-bit masks, never as exponent
-    bits.  Numerators are ``{packed y-degree: coefficient}`` with one field
-    per block, sized by the block degrees of the lcm of all generators,
-    which bound every term the recursion makes.
+    The recursion runs on monomials packed by ``kernel.Fields``: the colon
+    subtracts x from every generator that holds it, the sum drops every
+    generator x divides, and supports compare as guard-bit masks, never as
+    exponent bits.  Numerators are ``{packed y-degree: coefficient}``, the
+    y-degrees packed by ``kernel.Fields`` of one field per block, sized by
+    the block degrees of the lcm of all generators, which bound every term
+    the recursion makes.
     """
     ring = I.ring
     n, v = ring.nvars, ring.v
     if not I.gens:
         return HilbertNumerator.one(v)
-    packed, bits, guard = _pack(I.gens, n)
-    shifts = range(0, n * bits, bits)
-    units = [1 << s for s in shifts]
-    holds = [u << (bits - 1) for u in units]  # the guard bit of each field
-    field_max = (1 << (bits - 1)) - 1
-    below_guard = guard - sum(units)  # g + below_guard sets g's support guards
     lcm = tuple(map(max, zip(*I.gens)))
-    ybits = max(max(ring.multidegree(lcm)), 1).bit_length()
-    ydeg = [1 << (ybits * (ring.var_pair(k)[0] - 1)) for k in range(n)]
+    fields = kernel.fields(n, max(lcm))
+    guard, units, exponents = fields.guard, fields.units, fields.exponents
+    holds = [u * fields.field_max for u in units]  # the guard bit of each field
+    below_guard = guard - sum(units)  # g + below_guard sets g's support guards
+    ydegrees = kernel.fields(v, max(ring.multidegree(lcm)))
+    ydeg = [ydegrees.units[ring.var_pair(k)[0] - 1] for k in range(n)]
     memo: dict = {}
 
     def rec(gens: tuple) -> dict:
@@ -365,8 +349,7 @@ def hilbert_numerator(I: MonomialIdeal) -> HilbertNumerator:
             groups = apart
         if len(gens) == 1:
             g = gens[0]
-            out = {0: 1, sum(((g >> s) & field_max) * d
-                             for s, d in zip(shifts, ydeg)): -1} if g else {}
+            out = {0: 1, sum(map(mul, exponents(g), ydeg)): -1} if g else {}
         elif len(groups) > 1:
             out = {0: 1}
             for _, members in groups:
@@ -390,10 +373,9 @@ def hilbert_numerator(I: MonomialIdeal) -> HilbertNumerator:
         memo[gens] = out
         return out
 
-    ymask = (1 << ybits) - 1
     return HilbertNumerator(v, {
-        tuple((a >> (ybits * i)) & ymask for i in range(v)): c
-        for a, c in rec(tuple(sorted(packed))).items()})
+        ydegrees.exponents(a): c
+        for a, c in rec(tuple(sorted(map(fields.monomial, I.gens)))).items()})
 
 
 def ambient_dimension(ring: BlockRing, a: Sequence[int]) -> int:

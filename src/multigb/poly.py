@@ -218,12 +218,12 @@ class Polynomial:
         """Replace each flat variable index in ``images`` by its image.
 
         Every image must live in this polynomial's ring.  Result exponents
-        are packed into one int, ``width`` bits per variable: no exponent of
-        the result exceeds deg(self) * max deg(image), so no bit field
-        overflows into the next.  The image of a monomial m is the image of
-        m / x_v times the image of x_v, x_v the last variable of m; images
-        of monomials are memoized for this call, the terms of the result
-        are collected in one dict and sorted once.
+        are packed by ``kernel.fields`` holding max(deg(self), 1) times the
+        largest degree of an image, which bounds every exponent of the
+        images and of the result, so no field overflows.  The image of a
+        monomial m is the image of m / x_v times the image of x_v, x_v the
+        last variable of m; images of monomials are memoized for this call,
+        the terms of the result are collected in one dict and sorted once.
         """
         ring = self.ring
         for image in images.values():
@@ -232,12 +232,11 @@ class Polynomial:
         if not self._terms:
             return self
         p = ring.characteristic
-        top = self.total_degree() * max(
+        top = max(self.total_degree(), 1) * max(
             [1] + [g.total_degree() for g in images.values()])
-        width = max(1, top.bit_length())
-        shifts = [v * width for v in range(ring.nvars)]
-        var_images = [[(1 << shifts[v], 1)] if v not in images
-                      else [(sum(e << s for e, s in zip(exp, shifts)), c)
+        fields = kernel.fields(ring.nvars, top)
+        var_images = [[(fields.units[v], 1)] if v not in images
+                      else [(fields.monomial(exp), c)
                             for exp, c in images[v]._terms]
                       for v in range(ring.nvars)]
         memo: dict = {(0,) * ring.nvars: {0: 1}}
@@ -263,8 +262,7 @@ class Polynomial:
         for exp, coeff in self._terms:
             for k, c in image_of(exp).items():
                 total[k] = total.get(k, 0) + coeff * c
-        mask = (1 << width) - 1
-        return Polynomial(ring, [(tuple((k >> s) & mask for s in shifts), c)
+        return Polynomial(ring, [(fields.exponents(k), c)
                                  for k, c in total.items()])
 
     # -- printing ---------------------------------------------------------------

@@ -45,10 +45,6 @@ def exp_divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def exp_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 class BlockRing:
     """A polynomial ring over F_p with a block grading."""
 

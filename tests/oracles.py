@@ -16,7 +16,13 @@ from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                is_radical_monomial, support)
 from multigb.poly import Polynomial
-from multigb.ring import exp_divides, exp_lcm
+from multigb.ring import exp_divides
+
+
+def exp_lcm(a: tuple, b: tuple) -> tuple:
+    """Fieldwise maximum of two exponent tuples; the reference for the
+    packed lcm of ``kernel.Fields``."""
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def determinant_leibniz(rows: list) -> Polynomial:

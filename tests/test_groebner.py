@@ -17,6 +17,7 @@ from multigb.groebner import (EngineLimits, Ideal, _buchberger,
                               regular_sequence_test)
 from multigb.instances import (cs_instance_pool, random_graded_ideal,
                                random_linear_form, random_monomial_ideal,
+                               random_multihomogeneous_polynomial,
                                random_ring)
 from multigb.monomials import MonomialIdeal, colon_monomial
 from multigb.poly import Polynomial
@@ -476,6 +477,33 @@ def test_cached_series_skips_pairs_with_same_bases(column_graded_3x4, monkeypatc
         assert from_series == Ideal(A.ring, I.gens).groebner_basis(o)
         fresh += calls[0]
     assert cached < fresh
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_series_cutoff_at_field_width_steps(k, monkeypatch):
+    # pair lcms of these generators reach block degrees 2^k - 1 and 2^k,
+    # whose monomials the cutoff packs in fields one bit apart
+    R = BlockRing((2, 2))
+    degrees = [(2 ** k - 1, 1), (2 ** (k - 1), 1), (1, 2 ** (k - 1))]
+    settled = set()
+    inner = groebner._SeriesCutoff.settled
+
+    def spy(self, lcm, basis):
+        done = inner(self, lcm, basis)
+        if done:
+            a = self.ring.multidegree(self.layout.exponents(lcm))
+            settled.add(max(a))
+        return done
+
+    monkeypatch.setattr(groebner._SeriesCutoff, "settled", spy)
+    for seed in range(4):
+        rng = random.Random(seed)
+        gens = [random_multihomogeneous_polynomial(R, rng, d) for d in degrees]
+        I = Ideal(R, gens)
+        I.groebner_basis()
+        for o in sample_orders(R, 4, seed=seed):
+            assert I.groebner_basis(o) == Ideal(R, gens).groebner_basis(o)
+    assert {2 ** k - 1, 2 ** k} <= settled
 
 
 def test_inhomogeneous_ideal_runs_without_series(R33, monkeypatch):

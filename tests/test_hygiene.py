@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never reads, and README
-lists the script commands, calls and options the code accepts."""
+"""Source hygiene: no module imports a name it never reads, only the kernel
+packs exponents into ints, and README lists the script commands, calls and
+options the code accepts."""
 
 import ast
 import re
@@ -45,6 +46,31 @@ def test_unused_import_is_found():
                      "import os.path\nfrom a import b, c as d\n"
                      "__all__ = ['d']\n")
     assert unused_imports(tree) == [(2, "os"), (3, "b")]
+
+
+def exponent_packing(tree: ast.Module) -> list:
+    """Lines that import ``lshift`` or call ``.bit_length()``, the tools of
+    a hand-rolled exponent packing."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "lshift" for alias in node.names)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "bit_length")
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.parent.name == "multigb"
+             and p.name != "kernel.py"], ids=lambda p: p.name)
+def test_only_the_kernel_packs_exponents(path):
+    # kernel.Fields is the one packed-monomial format
+    assert exponent_packing(ast.parse(path.read_text())) == []
+
+
+def test_exponent_packing_is_found():
+    tree = ast.parse("from operator import lshift, mul\n"
+                     "n = 5\nw = (2 * n).bit_length() + 1\n")
+    assert exponent_packing(tree) == [1, 3]
 
 
 def readme_paragraph(lead: str) -> str:

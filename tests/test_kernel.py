@@ -1,5 +1,5 @@
-"""Packed kernel: layout arithmetic, s-polynomials and multivariate division
-against the tuple-term oracles."""
+"""Packed kernel: field widths, field and layout arithmetic, s-polynomials
+and multivariate division against the tuple-term oracles."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import oracles
 from multigb import kernel
 from multigb.ring import (BlockRing, degrevlex, elimination_order, exp_divides,
-                          exp_lcm, lex, weight_order)
+                          lex, weight_order)
+from oracles import exp_lcm
 
 
 @st.composite
@@ -72,6 +73,42 @@ def test_layout_arithmetic_matches_exponent_tuples(data):
         assert (ka + kb, ea + eb) == tuple(layout.pack([(product, 1)])[0][:2])
     degree, key, gamma = layout.pair_key(layout.lcm(ea, eb))
     assert degree == sum(exp_lcm(a, b)) and key == layout.key(exp_lcm(a, b))
+
+
+@pytest.mark.parametrize("top", [0, 1] + [2 ** k - 1 for k in range(2, 7)]
+                         + [2 ** k for k in range(1, 7)])
+def test_fields_are_the_narrowest_that_hold_top(top):
+    fields = kernel.fields(3, top)
+    assert fields is kernel.fields(3, top)
+    assert fields.exponents(fields.monomial((top, 0, top))) == (top, 0, top)
+    with pytest.raises(kernel.FieldOverflow):
+        fields.monomial((0, fields.field_max, 0))
+    if fields.bits > 1:
+        narrower = kernel.Fields(3, fields.bits - 1)
+        with pytest.raises(kernel.FieldOverflow):
+            narrower.monomial((top, 0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fields_arithmetic_matches_exponent_tuples(data):
+    n = data.draw(st.integers(1, 6))
+    top = data.draw(st.one_of(st.sampled_from([0, 1, 3, 4, 7, 8, 15, 16]),
+                              st.integers(0, 100)))
+    fields = kernel.fields(n, top)
+    a = data.draw(st.tuples(*[st.integers(0, top)] * n))
+    # b divides a about half the time
+    b = data.draw(st.one_of(
+        st.tuples(*[st.integers(0, top)] * n),
+        st.tuples(*[st.integers(0, x) for x in a])))
+    ea, eb = fields.monomial(a), fields.monomial(b)
+    assert fields.exponents(ea) == a and fields.exponents(eb) == b
+    assert fields.exponents(fields.lcm(ea, eb)) == exp_lcm(a, b)
+    guard = fields.guard
+    divides = ((ea | guard) - eb) & guard == guard
+    assert divides == exp_divides(b, a)
+    # _minimal and _gm_update meet every divisor first in ascending order
+    assert not divides or eb <= ea
 
 
 @settings(max_examples=300, deadline=None)

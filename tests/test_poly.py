@@ -220,6 +220,9 @@ def substitutions(draw):
 @example((Polynomial(BlockRing((1,)), [((4,), 1)]), {}))
 @example((Polynomial(BlockRing((2,)), [((3, 0), 1)]),
           {0: Polynomial(BlockRing((2,)), [((1, 0), 1), ((0, 1), 1)])}))
+# a constant: the images are packed all the same
+@example((Polynomial(BlockRing((2,)), [((0, 0), 3)]),
+          {0: Polynomial(BlockRing((2,)), [((1, 1), 1), ((0, 1), 1)])}))
 def test_substitute_matches_polynomial_arithmetic(case):
     f, images = case
     assert f.substitute(images) == substitute_oracle(f, images)
