@@ -18,8 +18,8 @@ from multigb.errors import (HypothesisNotSatisfiedError, InconclusiveError,
                             InternalConsistencyError, MultigbError,
                             NotSquarefreeError, PolarizationCapacityError,
                             ResourceLimitError, RingMismatchError)
-from multigb.gin import (BorelElement, GinReport, apply_change, gin,
-                         gin_order_independence, random_borel)
+from multigb.gin import (BorelElement, GinReport, gin, gin_order_independence,
+                         random_borel)
 from multigb.groebner import (DEFAULT_LIMITS, EngineLimits, GroebnerBasis,
                               Ideal, coordinate_section, exact_divide,
                               ideal_from_monomials, quotient_by_linear_form,
@@ -47,7 +47,7 @@ __all__ = [
     "regular_sequence_test", "quotient_by_linear_form", "coordinate_section",
     "hilbert_numerator", "alexander_dual", "polarize", "is_radical_monomial",
     "is_borel_fixed", "is_strongly_stable", "is_extended_from_first_variables",
-    "regularity_strongly_stable", "gin", "random_borel", "apply_change",
+    "regularity_strongly_stable", "gin", "random_borel",
     "gin_order_independence", "stable_gin", "is_cs", "is_csstar",
     "csstar_canonical_C", "check_incomparable_degrees", "verify_dual_theorem",
     "closure_suite", "ugb_check", "degree_bound_check", "sample_orders",

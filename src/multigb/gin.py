@@ -20,10 +20,10 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from multigb import groebner, kernel
 from multigb.errors import InconclusiveError, InternalConsistencyError
 from multigb.groebner import Ideal
 from multigb.monomials import MonomialIdeal, is_borel_fixed
-from multigb.poly import Polynomial
 from multigb.ring import BlockRing, TermOrder
 
 SEED_STRIDE = 1_000_003
@@ -56,25 +56,43 @@ def random_borel(ring: BlockRing, seed: int) -> BorelElement:
 
 
 def _variable_images(g: BorelElement, variables) -> dict:
-    """Images under ``g`` of the given flat variable indices."""
+    """Term lists ``[(exponents, coefficient)]`` of the images under ``g``
+    of the given flat variable indices."""
     ring = g.ring
     images = {}
     for var in variables:
         block, j = ring.var_pair(var)
         mat = g.blocks[block - 1]
-        terms = []
-        for k in range(1, j + 1):
-            c = mat[k - 1][j - 1]
-            if c:
-                terms.append((ring.unit_exp(ring.var_index(block, k)), c))
-        images[var] = Polynomial(ring, terms)
+        images[var] = [(ring.unit_exp(ring.var_index(block, k)),
+                        mat[k - 1][j - 1])
+                       for k in range(1, j + 1) if mat[k - 1][j - 1]]
     return images
 
 
-def apply_change(g: BorelElement, I: Ideal) -> Ideal:
-    support = set().union(*(f.support_vars() for f in I.gens))
-    images = _variable_images(g, support)
-    return Ideal(I.ring, [f.substitute(images) for f in I.gens], I.limits)
+def _trial(g: BorelElement, I: Ideal, order: TermOrder) -> MonomialIdeal:
+    """in(g(I)) under ``order``, as one packed computation: the generators
+    are moved straight into joint ints of the order's layout, split into
+    packed terms for ``groebner._buchberger``, and the initial ideal is read
+    off the packed leads of the reduced basis."""
+    ring, p = I.ring, I.ring.characteristic
+    gens = [f.terms for f in I.gens]
+    images = _variable_images(
+        g, set().union(*(f.support_vars() for f in I.gens)))
+    # g is linear and invertible, so g(f) has the degree of f
+    top = max((f.total_degree() for f in I.gens), default=0)
+
+    def run(layout: kernel.Layout) -> MonomialIdeal:
+        if top >= layout.field_max:
+            raise kernel.FieldOverflow(
+                layout, f"degree {top} needs more than {layout.bits - 1} bits")
+        joint = [[(layout.joint(e), c) for e, c in images.get(v, ())]
+                 for v in range(ring.nvars)]
+        moved = [layout.split(f) for f in kernel.expand(gens, joint, p)]
+        basis = groebner._buchberger(moved, layout, p, I.limits)
+        return MonomialIdeal(ring, [layout.exponents(f[0][1]) for f, _ in basis],
+                             _minimal=True)
+
+    return groebner._packed_run(order.rows, kernel.bits_for(gens), run)
 
 
 @dataclass(frozen=True)
@@ -131,8 +149,8 @@ def _compute_gin(I: Ideal, order: TermOrder, trials: int,
             return GinReport(result=M, candidates=(M,), trials=0,
                              agreement=True, seeds=(), order=order)
     seeds = tuple(seed * SEED_STRIDE + k for k in range(trials))
-    candidates = tuple(apply_change(random_borel(I.ring, s), I)
-                       .initial_ideal(order) for s in seeds)
+    candidates = tuple(_trial(random_borel(I.ring, s), I, order)
+                       for s in seeds)
     agreement = all(c == candidates[0] for c in candidates[1:])
     result = candidates[0] if agreement else None
     if agreement and not is_borel_fixed(result):

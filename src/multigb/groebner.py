@@ -147,17 +147,20 @@ class _SeriesCutoff:
         return False
 
 
-def _packed_run(polys: Sequence[list], matrix: tuple, run):
-    """``run(layout, packed polys)`` for tuple polynomials sorted under
-    ``matrix``, packed by the narrowest layout ``kernel.bits_for`` allows;
-    when a packed exponent overflows, the run restarts with fields twice as
-    wide."""
-    bits = kernel.bits_for(polys)
+def _packed_run(matrix: tuple, bits: int, run):
+    """``run(layout)`` under the layout of ``matrix`` with ``bits``-wide
+    fields; ``run`` packs its own inputs.  When it outgrows that layout's
+    fields, it restarts with fields twice as wide.  An overflow of any other
+    fields is a bug, not a reason to widen."""
     while True:
         layout = kernel.layout(matrix, bits)
         try:
-            return run(layout, [layout.pack(f) for f in polys])
-        except kernel.FieldOverflow:
+            return run(layout)
+        except kernel.FieldOverflow as e:
+            if e.fields is not layout:
+                raise InternalConsistencyError(
+                    f"packed exponents outgrew fields that do not depend on "
+                    f"the run's width: {e}") from e
             bits *= 2
 
 
@@ -248,9 +251,10 @@ def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
     packed on entry, the basis unpacked on exit as term lists sorted under
     ``matrix``."""
     gens = [kernel.sort_terms(list(g), matrix, p) for g in gens]
-    return _packed_run(gens, matrix, lambda layout, packed: [
-        layout.unpack(g) for g, _ in _buchberger(packed, layout, p, limits,
-                                                 series, max_degree)])
+    return _packed_run(matrix, kernel.bits_for(gens), lambda layout: [
+        layout.unpack(g) for g, _ in _buchberger(
+            [layout.pack(f) for f in gens], layout, p, limits, series,
+            max_degree)])
 
 
 class GroebnerBasis:
@@ -497,14 +501,15 @@ class Ideal:
             # a generator of degree d lies in the ideal of the others iff it
             # reduces to zero modulo their d-truncated Groebner basis
             f = kept[i]
+            raws = [g.terms for g in [f] + kept[:i] + kept[i + 1:]]
 
-            def reduces_to_zero(layout, packed, d=f.total_degree()):
+            def reduces_to_zero(layout, raws=raws, d=f.total_degree()):
+                packed = [layout.pack(g) for g in raws]
                 basis = _buchberger(packed[1:], layout, p, limits, max_degree=d)
                 return not kernel.normal_form(packed[0], basis, layout, p,
                                               limits.max_terms)
 
-            if _packed_run([g.terms for g in [f] + kept[:i] + kept[i + 1:]],
-                           matrix, reduces_to_zero):
+            if _packed_run(matrix, kernel.bits_for(raws), reduces_to_zero):
                 kept.pop(i)
             else:
                 i += 1

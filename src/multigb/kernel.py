@@ -2,8 +2,9 @@
 
 This module implements the hot inner loops of the Groebner engine: term
 sorting and merge-based arithmetic on exponent tuples for ``Polynomial``,
-and s-polynomials and multivariate division on packed terms for the
-Buchberger loop.
+s-polynomials and multivariate division on packed terms for the Buchberger
+loop, and the expansion of a substitution of variables (``expand``) on
+packed monomials for coordinate changes.
 
 Data conventions:
 
@@ -17,7 +18,8 @@ Data conventions:
   K the order key, one int that compares as M·e does (see ``Layout``).
   A packed polynomial is a list of packed terms strictly decreasing in K.
   Polynomials are packed once when a computation starts and unpacked once
-  when it ends;
+  when it ends; a gin trial expands its moved generators straight into
+  packed terms (``Layout.joint``);
 * ``normal_form`` and ``spoly`` take basis elements ``(terms, ceiling)``:
   a packed polynomial and the fieldwise maximum of its exponents
   (``Layout.ceiling``), which bounds every term a shift of it creates.
@@ -95,7 +97,12 @@ def poly_mul(f, g, matrix, p):
 # -- packed terms ---------------------------------------------------------------
 
 class FieldOverflow(ArithmeticError):
-    """A packed exponent outgrew its bit field: repack wider and restart."""
+    """A packed exponent outgrew a bit field of ``fields``: repack wider
+    and restart."""
+
+    def __init__(self, fields, message):
+        super().__init__(message)
+        self.fields = fields
 
 
 def bits_for(polys):
@@ -151,8 +158,8 @@ class Fields:
     def monomial(self, exp):
         """The packed monomial of an exponent tuple."""
         if max(exp) >= self.field_max:
-            raise FieldOverflow(f"exponent {max(exp)} needs more than "
-                                f"{self.bits - 1} bits")
+            raise FieldOverflow(self, f"exponent {max(exp)} needs more "
+                                      f"than {self.bits - 1} bits")
         return sum(map(lshift, exp, self.shifts))
 
     def exponents(self, e):
@@ -175,13 +182,20 @@ class Layout(Fields):
     value on any monomial whose fields fit, and s_i is the total width of
     the rows after it.  So K(a) < K(b) exactly when M·a < M·b
     lexicographically, and K(a*b) = K(a) + K(b).
+
+    A joint int ``(K << width) + E`` holds a monomial's key and packed
+    monomial E, ``width`` the bits of a packed monomial.  Joint ints add as
+    both parts do, since a sum of packed monomials that fits its fields
+    never carries out of the top field; they compare as their keys, since
+    0 <= E < 2^width.
     """
 
-    __slots__ = ("cols",)
+    __slots__ = ("cols", "width")
 
     def __init__(self, matrix, bits):
         n = len(matrix[0])
         super().__init__(n, bits)
+        self.width = n * bits
         top = self.field_max - 1
         widths = [(sum(abs(x) for x in row) * top).bit_length() + 1
                   for row in matrix]
@@ -204,6 +218,17 @@ class Layout(Fields):
         cols, monomial = self.cols, self.monomial
         return [(sum(map(mul, e, cols)), monomial(e), c) for e, c in f]
 
+    def joint(self, exp):
+        """The joint int of an exponent tuple."""
+        return (self.key(exp) << self.width) + self.monomial(exp)
+
+    def split(self, joint):
+        """Packed terms of a dict from joint int to coefficient."""
+        width = self.width
+        mask = (1 << width) - 1
+        return [(z >> width, z & mask, c)
+                for z, c in sorted(joint.items(), reverse=True)]
+
     def unpack(self, f):
         """The tuple polynomial of packed terms."""
         return [(self.exponents(e), c) for _, e, c in f]
@@ -220,8 +245,49 @@ class Layout(Fields):
         return f, self.ceiling(f)
 
 
+def expand(polys, images, p):
+    """Tuple polynomials with each variable v replaced by ``images[v]``, as
+    dicts from packed monomial to coefficient in 1..p-1.
+
+    ``images[v]`` lists the ``(packed monomial, coefficient)`` terms of the
+    image of variable v, in any additive packing (``Fields`` monomials or
+    ``Layout`` joint ints) whose fields hold every product formed.  The
+    image of a monomial m is the image of m / x_v times the image of x_v,
+    x_v the last variable of m; images of monomials are memoized across
+    ``polys``.
+    """
+    memo = {(0,) * len(images): {0: 1}}
+
+    def image_of(m):
+        # walk down to a memoized divisor, then multiply back up
+        chain = []
+        while m not in memo:
+            v = max(k for k, e in enumerate(m) if e)
+            chain.append((m, v))
+            m = m[:v] + (m[v] - 1,) + m[v + 1:]
+        image = memo[m]
+        for m, v in reversed(chain):
+            acc = {}
+            for b, cb in images[v]:
+                for a, ca in image.items():
+                    k = a + b
+                    acc[k] = acc.get(k, 0) + ca * cb
+            image = memo[m] = {k: c % p for k, c in acc.items() if c % p}
+        return image
+
+    out = []
+    for f in polys:
+        total = {}
+        for exp, coeff in f:
+            for k, c in image_of(exp).items():
+                total[k] = total.get(k, 0) + coeff * c
+        out.append({k: c % p for k, c in total.items() if c % p})
+    return out
+
+
 def _overflow(layout):
-    return FieldOverflow(f"a product outgrew {layout.bits - 1}-bit exponents")
+    return FieldOverflow(layout,
+                         f"a product outgrew {layout.bits - 1}-bit exponents")
 
 
 def _merge(f, g, p):

@@ -217,13 +217,11 @@ class Polynomial:
     def substitute(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Replace each flat variable index in ``images`` by its image.
 
-        Every image must live in this polynomial's ring.  Result exponents
-        are packed by ``kernel.fields`` holding max(deg(self), 1) times the
-        largest degree of an image, which bounds every exponent of the
-        images and of the result, so no field overflows.  The image of a
-        monomial m is the image of m / x_v times the image of x_v, x_v the
-        last variable of m; images of monomials are memoized for this call,
-        the terms of the result are collected in one dict and sorted once.
+        Every image must live in this polynomial's ring.  The expansion is
+        ``kernel.expand`` on exponents packed by ``kernel.fields`` holding
+        max(deg(self), 1) times the largest degree of an image, which
+        bounds every exponent of the images and of the result, so no field
+        overflows; the terms of the result are sorted once.
         """
         ring = self.ring
         for image in images.values():
@@ -231,7 +229,6 @@ class Polynomial:
                 raise RingMismatchError("substitution image in a different ring")
         if not self._terms:
             return self
-        p = ring.characteristic
         top = max(self.total_degree(), 1) * max(
             [1] + [g.total_degree() for g in images.values()])
         fields = kernel.fields(ring.nvars, top)
@@ -239,29 +236,8 @@ class Polynomial:
                       else [(fields.monomial(exp), c)
                             for exp, c in images[v]._terms]
                       for v in range(ring.nvars)]
-        memo: dict = {(0,) * ring.nvars: {0: 1}}
-
-        def image_of(m: tuple) -> dict:
-            # walk down to a memoized divisor, then multiply back up
-            chain = []
-            while m not in memo:
-                v = max(k for k, e in enumerate(m) if e)
-                chain.append((m, v))
-                m = m[:v] + (m[v] - 1,) + m[v + 1:]
-            image = memo[m]
-            for m, v in reversed(chain):
-                acc: dict = {}
-                for b, cb in var_images[v]:
-                    for a, ca in image.items():
-                        k = a + b
-                        acc[k] = acc.get(k, 0) + ca * cb
-                image = memo[m] = {k: c % p for k, c in acc.items() if c % p}
-            return image
-
-        total: dict = {}
-        for exp, coeff in self._terms:
-            for k, c in image_of(exp).items():
-                total[k] = total.get(k, 0) + coeff * c
+        (total,) = kernel.expand([self._terms], var_images,
+                                 ring.characteristic)
         return Polynomial(ring, [(fields.exponents(k), c)
                                  for k, c in total.items()])
 

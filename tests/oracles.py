@@ -13,6 +13,8 @@ from typing import Sequence
 from multigb import kernel
 from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
                             RingMismatchError)
+from multigb.gin import BorelElement
+from multigb.groebner import Ideal
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                is_radical_monomial, support)
 from multigb.poly import Polynomial
@@ -23,6 +25,48 @@ def exp_lcm(a: tuple, b: tuple) -> tuple:
     """Fieldwise maximum of two exponent tuples; the reference for the
     packed lcm of ``kernel.Fields``."""
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def substitute(f: Polynomial, images: dict) -> Polynomial:
+    """Reference for ``Polynomial.substitute``: a sum over the terms of f of
+    products of powers of the images, in whole-``Polynomial`` arithmetic."""
+    ring = f.ring
+    cache: dict = {}
+
+    def var_power(v: int, e: int) -> Polynomial:
+        key = (v, e)
+        if key not in cache:
+            base = images.get(v)
+            if base is None:
+                cache[key] = Polynomial.monomial(ring, ring.unit_exp(v, e))
+            else:
+                if base.ring != ring:
+                    raise RingMismatchError("substitution image in a different ring")
+                cache[key] = base ** e
+        return cache[key]
+
+    total = Polynomial.zero(ring)
+    for exp, coeff in f.terms:
+        part = Polynomial.constant(ring, coeff)
+        for v, e in enumerate(exp):
+            if e:
+                part = part * var_power(v, e)
+        total = total + part
+    return total
+
+
+def apply_change(g: BorelElement, I: Ideal) -> Ideal:
+    """The ideal g(I), every variable replaced by its image under the Borel
+    element g in whole-``Polynomial`` arithmetic; the reference for the
+    packed gin trial."""
+    ring = I.ring
+    images = {}
+    for var in range(ring.nvars):
+        block, j = ring.var_pair(var)
+        mat = g.blocks[block - 1]
+        images[var] = sum((Polynomial.variable(ring, block, k) * mat[k - 1][j - 1]
+                           for k in range(1, j + 1)), Polynomial.zero(ring))
+    return Ideal(ring, [substitute(f, images) for f in I.gens], I.limits)
 
 
 def determinant_leibniz(rows: list) -> Polynomial:

@@ -5,15 +5,19 @@ import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multigb import groebner
+import oracles
+from multigb import groebner, kernel
 from multigb.errors import InconclusiveError
-from multigb.gin import (BorelElement, GinReport, apply_change, gin,
-                         gin_order_independence, random_borel)
+from multigb.gin import (BorelElement, GinReport, gin, gin_order_independence,
+                         random_borel)
 from multigb.groebner import Ideal, ideal_from_monomials
 from multigb.monomials import MonomialIdeal, is_borel_fixed, is_strongly_stable
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing, degrevlex_blocks_reversed, lex, weight_order
+from test_groebner import _driver_widths
 
 # ``multigb.gin`` as a package attribute is the function, not the module
 gin_module = importlib.import_module("multigb.gin")
@@ -28,8 +32,11 @@ def test_identity_borel_fixes_polynomials():
     g = BorelElement(R, tuple(
         tuple(tuple(int(k == j) for j in range(n)) for k in range(n))
         for n in R.block_sizes))
-    f = x(R, 1, 1) * x(R, 2, 3) - 2 * x(R, 1, 2) ** 2
-    assert apply_change(g, Ideal(R, [f])).gens == (f,)
+    assert gin_module._variable_images(g, range(R.nvars)) == {
+        v: [(R.unit_exp(v), 1)] for v in range(R.nvars)}
+    I = Ideal(R, [x(R, 1, 1) * x(R, 2, 3) - 2 * x(R, 1, 2) ** 2])
+    for order in (R.storage_order, lex(R)):
+        assert gin_module._trial(g, I, order) == I.initial_ideal(order)
 
 
 def test_random_borel_shape_and_determinism():
@@ -50,8 +57,10 @@ def test_borel_action_drifts_to_first_variable():
     # its block and nothing from other blocks
     R = BlockRing((3, 2))
     g = random_borel(R, 7)
-    (img,) = apply_change(g, Ideal(R, [x(R, 1, 3)])).gens
-    assert img.support_vars() <= set(R.block_vars(1))
+    var = R.var_index(1, 3)
+    (img,) = gin_module._variable_images(g, [var]).values()
+    assert {R.var_index(1, k) for k in (1, 2, 3)} == {
+        e.index(1) for e, _ in img}
 
 
 def test_gin_in_a_large_ring():
@@ -90,11 +99,12 @@ def test_gin_report_fields():
 
 
 def _no_buchberger(monkeypatch):
-    """Make every Buchberger run and every coordinate change fail."""
+    """Make every packed run (a gin trial moves its generators inside one)
+    and every Buchberger run fail."""
     def refuse(*args, **kwargs):
         raise AssertionError("a gin that needs no trials ran one")
-    monkeypatch.setattr(groebner, "_reduced_basis_raw", refuse)
-    monkeypatch.setattr(gin_module, "apply_change", refuse)
+    monkeypatch.setattr(groebner, "_packed_run", refuse)
+    monkeypatch.setattr(groebner, "_buchberger", refuse)
 
 
 def test_gin_of_borel_fixed_monomial_ideal_runs_no_trials(monkeypatch):
@@ -139,8 +149,7 @@ def test_borel_fixed_but_not_strongly_stable_in_characteristic_two():
     assert rep.trials == 0
     assert rep.require() == M
     for s in range(4):
-        moved = apply_change(random_borel(R, s), I)
-        assert moved.initial_ideal(R.storage_order) == M
+        assert gin_module._trial(random_borel(R, s), I, R.storage_order) == M
 
 
 def test_gin_shortcut_equals_the_moved_initial_ideal():
@@ -167,8 +176,8 @@ def test_gin_shortcut_equals_the_moved_initial_ideal():
                 fixed[p] += 1
                 rep = gin(I, order, seed=k)
                 assert rep.trials == 0 and rep.result == M
-                moved = apply_change(random_borel(R, 1000 + k), I)
-                assert moved.initial_ideal(order) == M
+                assert gin_module._trial(random_borel(R, 1000 + k), I,
+                                         order) == M
     assert min(fixed.values()) >= 10, fixed
 
 
@@ -177,13 +186,13 @@ def test_gin_memo(monkeypatch):
     f = x(R, 1, 1) * x(R, 2, 2) - x(R, 1, 2) * x(R, 2, 1)
     I = Ideal(R, [f])
     runs = []
-    raw = groebner._reduced_basis_raw
+    raw = groebner._buchberger
 
     def counted(*args, **kwargs):
         runs.append(1)
         return raw(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "_reduced_basis_raw", counted)
+    monkeypatch.setattr(groebner, "_buchberger", counted)
     rep = gin(I, seed=3)
     assert len(runs) == 3
     # the same question of the same ideal: the same report, no run
@@ -287,3 +296,79 @@ def test_gin_order_independence_on_principal():
         I, [R.storage_order, lex(R), degrevlex_blocks_reversed(R)], seed=12)
     assert ok
     assert witness is None
+
+
+@st.composite
+def trial_cases(draw):
+    """A Borel element of a ring of 1-3 blocks in characteristic 2, 3 or
+    32003, an ideal of 1-4 nonzero generators whose terms have degrees 1 to
+    3 (not multihomogeneous in general, never the unit ideal), an order
+    respecting the block convention, and a start width for the packed run
+    (None: the default)."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    R = BlockRing(sizes, draw(st.sampled_from([2, 3, 32003])))
+    n = R.nvars
+    monomial = st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(
+        lambda vs: tuple(vs.count(v) for v in range(n)))
+    poly = st.dictionaries(monomial, st.integers(1, R.characteristic - 1),
+                           min_size=1, max_size=3).map(
+        lambda terms: Polynomial(R, terms.items()))
+    I = Ideal(R, draw(st.lists(poly, min_size=1, max_size=4)))
+    order = draw(st.sampled_from([R.storage_order,
+                                  degrevlex_blocks_reversed(R)]))
+    g = random_borel(R, draw(st.integers(0, 2 ** 32)))
+    return g, I, order, draw(st.sampled_from([None, 2, 3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trial_cases())
+def test_trial_equals_the_moved_initial_ideal(case):
+    g, I, order, start = case
+    expected = oracles.apply_change(g, I).initial_ideal(order)
+    with pytest.MonkeyPatch.context() as mp:
+        widths = _driver_widths(mp)
+        if start is not None:
+            mp.setattr(kernel, "bits_for", lambda polys: start)
+        assert gin_module._trial(g, I, order) == expected
+    top = max(f.total_degree() for f in I.gens)
+    if start is not None and top >= 1 << (start - 1):
+        # the moved generators do not fit the start width: the run restarted
+        assert widths[0] > start
+
+
+def test_trial_restarts_when_the_basis_outgrows_its_fields(monkeypatch):
+    R = BlockRing((4,))
+    v = [x(R, 1, j) for j in range(1, 5)]
+    I = Ideal(R, [v[0] - v[1] ** 2, v[1] - v[2] ** 2, v[2] - v[3] ** 2])
+    g = random_borel(R, 3)
+    expected = oracles.apply_change(g, I).initial_ideal(lex(R))
+    widths = _driver_widths(monkeypatch)
+    assert gin_module._trial(g, I, lex(R)) == expected
+    # the generators fit the first fields, the lex basis does not
+    assert widths == [4, 8]
+
+
+def test_trial_does_the_buchberger_work_of_the_moved_ideal(monkeypatch):
+    calls = {"normal_form": 0, "spoly": 0}
+    for name in calls:
+        def counted(*args, inner=getattr(kernel, name), name=name):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(kernel, name, counted)
+    R = BlockRing((2, 2, 2))
+    x11, x12, x21, x22, x31, x32 = (x(R, i, j) for i in (1, 2, 3)
+                                    for j in (1, 2))
+    ideals = [Ideal(R, [x11 * x22 - x12 * x21, x21 * x32 - x22 * x31]),
+              Ideal(R, [x12 * x22 * x32, x11 * x21 * x32 + x12 * x22 * x31]),
+              Ideal(R, [x12 ** 2 - x11 * x21, x22 * x32 + 5])]
+    pairs = 0
+    for I in ideals:
+        for order in (R.storage_order, degrevlex_blocks_reversed(R)):
+            g = random_borel(R, 11)
+            gin_module._trial(g, I, order)
+            packed = dict(calls)
+            oracles.apply_change(g, I).initial_ideal(order)
+            assert {k: calls[k] - packed[k] for k in calls} == packed
+            pairs += packed["spoly"]
+            calls.update(normal_form=0, spoly=0)
+    assert pairs > 0

@@ -601,6 +601,22 @@ def test_exponents_past_the_first_width_repack_wider(monkeypatch):
     assert v[0] - v[3] ** 8 in G.elements
 
 
+def test_an_overflow_of_fields_outside_the_layout_raises(monkeypatch):
+    # the series cutoff packs by fields of its own, sized for the largest
+    # entry of a multidegree; sized for half of it, they overflow whatever
+    # the layout, so widening the layout must not be the answer
+    R = BlockRing((2, 2))
+    I = Ideal(R, [x(R, 1, 1) * x(R, 2, 2) - x(R, 1, 2) * x(R, 2, 1),
+                  x(R, 1, 1) ** 2 * x(R, 2, 1) - x(R, 1, 2) ** 2 * x(R, 2, 2)])
+    I.groebner_basis()
+    I.hilbert_series()
+    fields = kernel.fields
+    monkeypatch.setattr(kernel, "fields", lambda n, top: fields(
+        n, top // 2 if n == R.nvars else top))
+    with pytest.raises(InternalConsistencyError):
+        I.groebner_basis(lex(R))
+
+
 def test_huge_exponent_packs_in_wide_fields():
     R = BlockRing((2,))
     f = x(R, 1, 1) ** 40000
