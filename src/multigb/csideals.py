@@ -381,30 +381,23 @@ def ugb_check(candidates: Sequence[Polynomial], I: Ideal, n_orders: int = 200,
     # in_o(I); for multigraded I the two are equal exactly when their
     # Hilbert series are (Macaulay).  Buchberger runs only where they differ.
     series = I.hilbert_series() if I.is_multihomogeneous else None
-    bits = kernel.bits_for([c.terms for c in candidates])  # holds every lead
+    numerators: dict = {}
     failures = []
     records = []
     certified = 0
     for o in orders:
         cand_leads = MonomialIdeal(ring, [c.lead_exp(o) for c in candidates])
-        if series is not None and hilbert_numerator(cand_leads) == series:
+        record = _certified_record(o, cand_leads, series, numerators)
+        if record is not None:
             certified += 1
-            lead_exps = sorted(cand_leads.gens,
-                               key=kernel.layout(o.rows, bits).key, reverse=True)
-            degrees = [ring.multidegree(e) for e in lead_exps]
         else:
             gb = I.groebner_basis(o)
-            lead_exps = gb.lead_exponents()
-            degrees = [g.multidegree() for g in gb]
-            for e in lead_exps:
+            record = _basis_record(o, gb)
+            for e in record["lead_exps"]:
                 if not cand_leads.contains_monomial(e):
                     failures.append({"order": o.name,
                                      "lead": ring.monomial_str(e)})
-        records.append({
-            "order": o.name,
-            "lead_exps": lead_exps,
-            "gb_multidegrees": degrees,
-        })
+        records.append(record)
     return UGBReport(
         orders_tested=len(orders),
         order_names=[o.name for o in orders],
@@ -424,6 +417,10 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
 
     mode "le" checks coordinatewise <= bound; mode "eq" checks equality,
     which is the reading used for maximal minors in the row-graded case.
+    For multigraded I, an order is certified without a reduced basis when
+    the leads of its basis truncated at the bound have I's Hilbert series:
+    then every reduced element fits the bound.  Any other order, and every
+    order when I is not multigraded, runs Buchberger in full.
     Returns (ok, details).
     """
     if mode not in ("le", "eq"):
@@ -444,16 +441,51 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
                                "degree": g.multidegree()})
     orders = sample_orders(I.ring, n_orders, seed=seed,
                            include_permutations=False)
+    # A reduced element of a multihomogeneous I has its lead's multidegree.
+    # When the leads of the basis truncated at the bound have I's series,
+    # they generate in_o(I), so they are the leads of the reduced basis.
+    series = I.hilbert_series() if I.is_multihomogeneous else None
+    numerators: dict = {}
     records = []
     for o in orders:
-        gb = I.groebner_basis(o)
-        degs = [g.multidegree() for g in gb]
-        records.append({"order": o.name,
-                        "lead_exps": gb.lead_exponents(),
-                        "gb_multidegrees": degs})
-        for d in degs:
+        record = None
+        if series is not None:
+            leads = MonomialIdeal(I.ring, I._truncated_leads(o, bound))
+            record = _certified_record(o, leads, series, numerators)
+        if record is None:
+            record = _basis_record(o, I.groebner_basis(o))
+        records.append(record)
+        for d in record["gb_multidegrees"]:
             if not fits(d):
                 violations.append({"where": o.name, "degree": d})
     ok = not violations
     return ok, {"mode": mode, "bound": bound, "orders": [o.name for o in orders],
                 "violations": violations, "records": records}
+
+
+def _basis_record(order: TermOrder, gb) -> dict:
+    """The record of ``order``: leads and multidegrees of its reduced
+    basis."""
+    return {"order": order.name, "lead_exps": gb.lead_exponents(),
+            "gb_multidegrees": [g.multidegree() for g in gb]}
+
+
+def _certified_record(order: TermOrder, leads: MonomialIdeal,
+                      series, numerators: dict) -> dict | None:
+    """The record of ``order`` read off ``leads``, lead terms of elements of
+    a multigraded I, when they have I's Hilbert series ``series`` (Macaulay:
+    then they generate in_order(I), so they are the leads of its reduced
+    basis, sorted as the basis is); None when they do not, or when
+    ``series`` is None.  ``numerators`` memoizes numerators by lead set."""
+    if series is None:
+        return None
+    numerator = numerators.get(leads)
+    if numerator is None:
+        numerator = numerators[leads] = hilbert_numerator(leads)
+    if numerator != series:
+        return None
+    top = max((max(e) for e in leads.gens), default=0)
+    key = kernel.layout(order.rows, kernel.fields(1, top).bits).key
+    lead_exps = sorted(leads.gens, key=key, reverse=True)
+    return {"order": order.name, "lead_exps": lead_exps,
+            "gb_multidegrees": [leads.ring.multidegree(e) for e in lead_exps]}

@@ -23,7 +23,7 @@ from typing import Sequence
 from multigb import groebner, kernel
 from multigb.errors import InconclusiveError, InternalConsistencyError
 from multigb.groebner import Ideal
-from multigb.monomials import MonomialIdeal, is_borel_fixed
+from multigb.monomials import MonomialIdeal, hilbert_numerator, is_borel_fixed
 from multigb.ring import BlockRing, TermOrder
 
 SEED_STRIDE = 1_000_003
@@ -73,8 +73,10 @@ def _trial(g: BorelElement, I: Ideal, order: TermOrder) -> MonomialIdeal:
     """in(g(I)) under ``order``, as one packed computation: the generators
     are moved straight into joint ints of the order's layout, split into
     packed terms for ``groebner._buchberger``, and the initial ideal is read
-    off the packed leads of the reduced basis."""
+    off the packed leads of the reduced basis.  g(I) has the Hilbert series
+    of I, so the run skips pairs by it once I has a basis cached."""
     ring, p = I.ring, I.ring.characteristic
+    series = I._series_cutoff()
     gens = [f.terms for f in I.gens]
     images = _variable_images(
         g, set().union(*(f.support_vars() for f in I.gens)))
@@ -88,7 +90,7 @@ def _trial(g: BorelElement, I: Ideal, order: TermOrder) -> MonomialIdeal:
         joint = [[(layout.joint(e), c) for e, c in images.get(v, ())]
                  for v in range(ring.nvars)]
         moved = [layout.split(f) for f in kernel.expand(gens, joint, p)]
-        basis = groebner._buchberger(moved, layout, p, I.limits)
+        basis = groebner._buchberger(moved, layout, p, I.limits, series)
         return MonomialIdeal(ring, [layout.exponents(f[0][1]) for f, _ in basis],
                              _minimal=True)
 
@@ -121,7 +123,8 @@ class GinReport:
 def gin(I: Ideal, order: TermOrder | None = None, trials: int = 3,
         seed: int = 0) -> GinReport:
     """in(b(I)) over ``trials`` random Borel elements; agreement required for
-    a definitive result.  An agreeing result must be Borel fixed.
+    a definitive result.  An agreeing result must be Borel fixed, and must
+    have I's Hilbert series when that is known.
 
     A Borel-fixed monomial ideal is returned as its own gin without trials.
     The report is kept on ``I``, so asking again with the same order,
@@ -153,6 +156,14 @@ def _compute_gin(I: Ideal, order: TermOrder, trials: int,
                        for s in seeds)
     agreement = all(c == candidates[0] for c in candidates[1:])
     result = candidates[0] if agreement else None
+    # a pair skipped by the series cutoff can only leave a candidate too
+    # small, which its series shows; I's series is known once it was asked
+    # for or a trial read it off a cached basis of I
+    if (agreement and I._series is not None
+            and hilbert_numerator(result) != I._series):
+        raise InternalConsistencyError(
+            "agreeing gin candidate does not have the ideal's Hilbert "
+            "series; the engine is wrong")
     if agreement and not is_borel_fixed(result):
         raise InternalConsistencyError(
             "agreeing gin candidate is not Borel fixed; the randomness was "

@@ -11,7 +11,8 @@ results structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import le
+from typing import Callable, Iterable, Sequence
 
 from multigb import kernel
 from multigb.errors import (HypothesisNotSatisfiedError,
@@ -43,7 +44,8 @@ def _monic(f: list, p: int) -> list:
     return [(k, e, d * inv % p) for k, e, d in f]
 
 
-def _gm_update(basis: list, pairs: dict, f: tuple, layout: kernel.Layout) -> None:
+def _gm_update(basis: list, pairs: dict, f: tuple, layout: kernel.Layout,
+               bound: Callable | None = None) -> None:
     """Add the element ``f`` to the basis, pruning S-pairs by the
     Gebauer-Moeller criteria (lcm chain rule, duplicate-lcm collapse,
     coprime leads).
@@ -51,7 +53,10 @@ def _gm_update(basis: list, pairs: dict, f: tuple, layout: kernel.Layout) -> Non
     ``pairs`` maps ``(i, j)`` to ``layout.pair_key`` of the pair's lcm,
     computed once when the pair is made.  Leads and lcms are packed
     monomials; the candidate lcms are visited in increasing packed value,
-    which puts every divisor before its multiples.
+    which puts every divisor before its multiples.  A pair whose lcm fails
+    ``bound`` is never made: the criteria drop a pair only on account of
+    pairs whose lcms divide its own, and every multiple of an lcm outside
+    a multidegree bound is outside it too.
     """
     m = len(basis)
     guard, lcm = layout.guard, layout.lcm
@@ -79,6 +84,8 @@ def _gm_update(basis: list, pairs: dict, f: tuple, layout: kernel.Layout) -> Non
         group = by_lcm[gamma]
         if any(gamma == leads[i] + lf for i in group):
             continue
+        if bound is not None and not bound(layout.exponents(gamma)):
+            continue
         survivors[(group[0], m)] = layout.pair_key(gamma)
 
     basis.append(f)
@@ -96,14 +103,17 @@ class _SeriesCutoff:
     monomials of in(G)_a are collected incrementally, packed by the
     ``kernel.fields`` holding the largest entry of a: each lead is
     multiplied out once per degree, when the degree is next checked.
-    ``dims`` memoizes dim (S/I)_a and may be shared by runs on the same I.
+    ``dims`` memoizes dim (S/I)_a and ``monomials`` the packed monomials of
+    each degree b, by ``(b, fields)``; both may be shared by runs on ideals
+    with the series of I, under any order.
     """
 
-    def __init__(self, ring: BlockRing, series: HilbertNumerator, dims: dict):
+    def __init__(self, ring: BlockRing, series: HilbertNumerator, dims: dict,
+                 monomials: dict):
         self.ring = ring
         self.series = series
         self.dims = dims
-        self.monomials: dict = {}  # (b, fields) -> packed monomials of degree b
+        self.monomials = monomials
         self.start(None)
 
     def start(self, layout: kernel.Layout | None) -> None:
@@ -164,20 +174,27 @@ def _packed_run(matrix: tuple, bits: int, run):
             bits *= 2
 
 
+def _within(ring: BlockRing, b: Sequence[int]) -> Callable:
+    """The test "multidegree <= b", coordinatewise, on exponent tuples."""
+    b = tuple(b)
+    return lambda exp: all(map(le, ring.multidegree(exp), b))
+
+
 def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
                 limits: EngineLimits, series: _SeriesCutoff | None = None,
-                max_degree: int | None = None) -> list:
+                bound: Callable | None = None) -> list:
     """Reduced Groebner basis of packed generators, as basis elements
     ``(terms, ceiling)`` sorted by lead.
 
     Pairs are selected by lowest lcm total degree, then by order.  With
     ``series`` (multihomogeneous generators only), pairs of a multidegree
-    it settles are skipped.  With ``max_degree`` d (homogeneous generators
-    only), generators of total degree > d are dropped and the loop stops
-    at the first pair of lcm degree > d: the result is a d-truncated,
-    unreduced Groebner basis, enough to decide membership in degrees <= d.
-    A resource abort reports the basis size, pending pairs and the lcm
-    degree reached.
+    it settles are skipped.  With ``bound``, the test ``_within(ring, b)``
+    of a multidegree b (multihomogeneous generators only), generators of
+    multidegree not <= b are dropped and pairs whose lcm is not <= b are
+    never made: the result is the b-truncated, unreduced Groebner basis,
+    enough to decide membership in multidegrees <= b, and its leads
+    generate in(I) whenever the reduced basis of I fits b.  A resource
+    abort reports the basis size, pending pairs and the lcm degree reached.
     """
     basis: list = []
     pairs: dict = {}
@@ -187,7 +204,7 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
         series.start(layout)
 
     def grow(r: list) -> None:
-        _gm_update(basis, pairs, layout.element(_monic(r, p)), layout)
+        _gm_update(basis, pairs, layout.element(_monic(r, p)), layout, bound)
         if len(basis) > limits.max_basis:
             raise ResourceLimitError(
                 f"basis exceeded {limits.max_basis} elements")
@@ -196,8 +213,9 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
         for g in gens:
             if not g:
                 continue
-            degree = sum(layout.exponents(g[0][1]))
-            if max_degree is not None and degree > max_degree:
+            lead = layout.exponents(g[0][1])
+            degree = sum(lead)
+            if bound is not None and not bound(lead):
                 continue
             r = kernel.normal_form(g, basis, layout, p, limits.max_terms) if basis else g
             if r:
@@ -206,8 +224,6 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
         while pairs:
             best = min(pairs, key=pairs.__getitem__)
             degree, _, lcm = pairs.pop(best)
-            if max_degree is not None and degree > max_degree:
-                break
             if series is not None and series.settled(lcm, basis):
                 continue
             s = kernel.spoly(basis[best[0]], basis[best[1]], layout, p)
@@ -217,7 +233,7 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
                     raise ResourceLimitError(
                         f"element exceeded {limits.max_terms} terms")
                 grow(r)
-        if max_degree is not None:
+        if bound is not None:
             return basis
 
         # minimal heads, then full tail reduction
@@ -245,16 +261,15 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
 
 
 def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
-                       limits: EngineLimits, series: _SeriesCutoff | None = None,
-                       max_degree: int | None = None) -> list:
+                       limits: EngineLimits,
+                       series: _SeriesCutoff | None = None) -> list:
     """``_buchberger`` on tuple term lists: sorted under ``matrix`` and
     packed on entry, the basis unpacked on exit as term lists sorted under
     ``matrix``."""
     gens = [kernel.sort_terms(list(g), matrix, p) for g in gens]
     return _packed_run(matrix, kernel.bits_for(gens), lambda layout: [
         layout.unpack(g) for g, _ in _buchberger(
-            [layout.pack(f) for f in gens], layout, p, limits, series,
-            max_degree)])
+            [layout.pack(f) for f in gens], layout, p, limits, series)])
 
 
 class GroebnerBasis:
@@ -339,6 +354,7 @@ class Ideal:
         self._gb_cache: dict = {}
         self._series: HilbertNumerator | None = None
         self._dims: dict = {}  # dim (S/I)_a by multidegree a
+        self._monomials: dict = {}  # packed monomials by (degree, fields)
         self._gins: dict = {}  # gin.GinReport by (order, trials, seed)
 
     def __repr__(self):
@@ -376,7 +392,20 @@ class Ideal:
         if self._series is None and not (self._gb_cache
                                          and self.is_multihomogeneous):
             return None
-        return _SeriesCutoff(self.ring, self.hilbert_series(), self._dims)
+        return _SeriesCutoff(self.ring, self.hilbert_series(), self._dims,
+                             self._monomials)
+
+    def _truncated_leads(self, order: TermOrder, b: Sequence[int]) -> list:
+        """Lead exponents of the b-truncated basis under ``order``
+        (multihomogeneous ideals only), with the series cutoff on once a
+        basis is cached: they generate in(I) in every multidegree <= b."""
+        p = self.ring.characteristic
+        gens = [kernel.sort_terms(g.terms, order.rows, p) for g in self.gens]
+        series, bound = self._series_cutoff(), _within(self.ring, b)
+        return _packed_run(order.rows, kernel.bits_for(gens), lambda layout: [
+            layout.exponents(g[0][1]) for g, _ in _buchberger(
+                [layout.pack(f) for f in gens], layout, p, self.limits,
+                series, bound)])
 
     def initial_ideal(self, order: TermOrder | None = None) -> MonomialIdeal:
         gb = self.groebner_basis(order)
@@ -498,14 +527,15 @@ class Ideal:
         limits = self.limits
         i = 0
         while i < len(kept):
-            # a generator of degree d lies in the ideal of the others iff it
-            # reduces to zero modulo their d-truncated Groebner basis
+            # a generator of multidegree a lies in the ideal of the others
+            # iff it reduces to zero modulo their a-truncated Groebner basis
             f = kept[i]
             raws = [g.terms for g in [f] + kept[:i] + kept[i + 1:]]
 
-            def reduces_to_zero(layout, raws=raws, d=f.total_degree()):
+            def reduces_to_zero(layout, raws=raws,
+                                bound=_within(self.ring, f.multidegree())):
                 packed = [layout.pack(g) for g in raws]
-                basis = _buchberger(packed[1:], layout, p, limits, max_degree=d)
+                basis = _buchberger(packed[1:], layout, p, limits, bound=bound)
                 return not kernel.normal_form(packed[0], basis, layout, p,
                                               limits.max_terms)
 

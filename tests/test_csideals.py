@@ -1,5 +1,7 @@
 """Membership tests, duality, closure operations, sampled universal bases."""
 
+import random
+
 import pytest
 
 from multigb import csideals
@@ -8,9 +10,11 @@ from multigb.csideals import (MembershipReport, check_incomparable_degrees,
                               degree_bound_check, gamma_sequence, is_cs,
                               is_csstar, sample_orders, stable_gin, ugb_check,
                               verify_dual_theorem)
-from multigb.determinantal import build_column_graded, minors, variable_matrix
+from multigb.determinantal import (build_column_graded, build_row_graded,
+                                   minors, variable_matrix)
 from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError)
 from multigb.groebner import Ideal, ideal_from_monomials
+from multigb.instances import random_multihomogeneous_polynomial
 from multigb.monomials import MonomialIdeal
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing
@@ -416,6 +420,68 @@ def test_degree_bound_check_le():
     ok, details = degree_bound_check(I, (1, 0, 0), n_orders=2, seed=2)
     assert not ok
     assert details["violations"]
+
+
+def degree_bound_oracle(I, bound, n_orders, seed, mode):
+    """Records and per-order violations of a fresh full basis under every
+    sampled order."""
+    ring = I.ring
+    records, violations = [], []
+    for o in sample_orders(ring, n_orders, seed=seed,
+                           include_permutations=False):
+        gb = Ideal(ring, I.gens).groebner_basis(o)
+        degrees = [g.multidegree() for g in gb]
+        records.append({"order": o.name, "lead_exps": gb.lead_exponents(),
+                        "gb_multidegrees": degrees})
+        for d in degrees:
+            if d != bound and (mode == "eq" or
+                               any(x > y for x, y in zip(d, bound))):
+                violations.append({"where": o.name, "degree": d})
+    return records, violations
+
+
+def assert_degree_bound_matches_oracle(I, bound, n_orders, seed, mode="le"):
+    ok, details = degree_bound_check(I, bound, n_orders=n_orders, seed=seed,
+                                     mode=mode)
+    records, violations = degree_bound_oracle(I, bound, n_orders, seed, mode)
+    assert details["records"] == records
+    assert [v for v in details["violations"]
+            if v["where"] != "minimal generator"] == violations
+    return ok, details
+
+
+@pytest.mark.parametrize("make, t, bound, mode", [
+    (lambda: build_column_graded(3, (3, 3, 3, 3), seed=5), 2, (1, 1, 1, 1),
+     "le"),
+    (lambda: build_row_graded(4, (3, 3, 3), seed=5), 3, (1, 1, 1), "eq"),
+    (lambda: build_row_graded(4, (3, 3, 3), seed=5), 2, (1, 1, 1), "le"),
+], ids=["column-2-minors", "row-maximal-minors", "row-2-minors"])
+def test_degree_bound_check_certifies_every_order(make, t, bound, mode):
+    A = make()
+    I = Ideal(A.ring, minors(A, t))
+    ok, _ = assert_degree_bound_matches_oracle(I, bound, 8, 3, mode)
+    assert ok
+    # one basis, the one the series is read off; no order ran Buchberger
+    assert len(I._gb_cache) == 1
+
+
+def test_degree_bound_check_falls_back_where_the_certificate_fails():
+    # a strict bound drops every generator, so no order is certified
+    A = variable_matrix(2, 3, grading="column")
+    I = Ideal(A.ring, minors(A, 2))
+    ok, details = assert_degree_bound_matches_oracle(I, (1, 0, 0), 2, 2)
+    assert not ok and details["violations"]
+    assert set(I._gb_cache) == {o.rows for o in sample_orders(
+        A.ring, 2, seed=2, include_permutations=False)}
+    # two (1, 1) forms: the reduced basis fits (1, 2) under some sampled
+    # orders and not under others
+    R = BlockRing((2, 2))
+    rng = random.Random(0)
+    I = Ideal(R, [random_multihomogeneous_polynomial(R, rng, (1, 1))
+                  for _ in range(2)])
+    ok, details = assert_degree_bound_matches_oracle(I, (1, 2), 6, 0)
+    assert not ok
+    assert 1 < len(I._gb_cache) < len(details["orders"])
 
 
 def test_degree_bound_check_eq():

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import oracles
 from multigb import groebner, kernel
-from multigb.errors import InconclusiveError
+from multigb.errors import InconclusiveError, InternalConsistencyError
 from multigb.gin import (BorelElement, GinReport, gin, gin_order_independence,
                          random_borel)
 from multigb.groebner import Ideal, ideal_from_monomials
+from multigb.instances import cs_instance_pool, csstar_instance_pool
 from multigb.monomials import MonomialIdeal, is_borel_fixed, is_strongly_stable
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing, degrevlex_blocks_reversed, lex, weight_order
@@ -372,3 +373,39 @@ def test_trial_does_the_buchberger_work_of_the_moved_ideal(monkeypatch):
             pairs += packed["spoly"]
             calls.update(normal_form=0, spoly=0)
     assert pairs > 0
+
+
+def test_trial_with_the_series_cutoff_equals_one_without(monkeypatch):
+    skipped = [0]
+    inner = groebner._SeriesCutoff.settled
+
+    def spy(self, lcm, basis):
+        done = inner(self, lcm, basis)
+        skipped[0] += done
+        return done
+
+    monkeypatch.setattr(groebner._SeriesCutoff, "settled", spy)
+    pool = cs_instance_pool(6, seed=4) + csstar_instance_pool(6, seed=8)
+    for k, I in enumerate(pool):
+        R = I.ring
+        cached = Ideal(R, I.gens)
+        cached.groebner_basis()
+        for order in (R.storage_order, degrevlex_blocks_reversed(R)):
+            g = random_borel(R, 100 + k)
+            assert gin_module._trial(g, cached, order) == \
+                gin_module._trial(g, Ideal(R, I.gens), order)
+    assert skipped[0] > 0
+
+
+def test_gin_guard_catches_a_candidate_without_the_series(monkeypatch):
+    # a cutoff that settles every degree skips the S-pairs the moved ideal
+    # needs: the trials agree on a candidate that is too small, and only its
+    # Hilbert series shows it
+    R = BlockRing((2, 2, 2))
+    I = Ideal(R, [x(R, 1, 1) * x(R, 2, 2) - x(R, 1, 2) * x(R, 2, 1),
+                  x(R, 2, 1) * x(R, 3, 2) - x(R, 2, 2) * x(R, 3, 1)])
+    I.groebner_basis()
+    monkeypatch.setattr(groebner._SeriesCutoff, "settled",
+                        lambda self, lcm, basis: True)
+    with pytest.raises(InternalConsistencyError, match="Hilbert series"):
+        gin(I, seed=1)

@@ -431,24 +431,35 @@ def test_minimal_generators_match_full_membership_mixed_degrees(R33):
 
 def test_truncated_basis_decides_membership_up_to_its_degree(column_graded_3x4):
     A = column_graded_3x4
-    I = Ideal(A.ring, minors(A, 2))
-    matrix = A.ring.storage_order.rows
-    p = A.ring.characteristic
+    R = A.ring
+    I = Ideal(R, minors(A, 2))
+    matrix = R.storage_order.rows
+    p = R.characteristic
     full = I.groebner_basis()
-    # the reduced basis has degree-3 elements, which only degree-3 S-pairs make
+    # the reduced basis has elements of degree e_i + e_j + e_k, which only
+    # S-pairs of that degree make
     assert {g.total_degree() for g in full} == {2, 3}
-    extra = Polynomial.monomial(A.ring, A.ring.unit_exp(0)) ** 4
+    extra = Polynomial.monomial(R, R.unit_exp(0)) ** 4
     gens = [g.terms for g in I.gens] + [extra.terms]
     layout = kernel.layout(matrix, kernel.bits_for(gens))
     packed = [layout.pack(g) for g in gens]
-    for d in (2, 3):
-        basis = _buchberger(packed, layout, p, I.limits, max_degree=d)
-        assert all(sum(e) <= d for g, _ in basis for e, _ in layout.unpack(g))
+    checked = set()
+    for b in ((1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1), (4, 0, 0, 0)):
+        def fits(e):
+            return all(x <= y for x, y in zip(R.multidegree(e), b))
+
+        basis = _buchberger(packed, layout, p, I.limits,
+                            bound=groebner._within(R, b))
+        assert all(fits(e) for g, _ in basis for e, _ in layout.unpack(g))
         for g in full:
-            if g.total_degree() <= d:
+            if fits(g.lead_exp()):
+                checked.add(g.total_degree())
                 assert not kernel.normal_form(layout.pack(g.terms), basis,
                                               layout, p)
-        assert kernel.normal_form(layout.pack(extra.terms), basis, layout, p)
+        # x[1,1]^4 is a generator, of multidegree (4, 0, 0, 0)
+        assert bool(kernel.normal_form(layout.pack(extra.terms), basis,
+                                       layout, p)) == (b != (4, 0, 0, 0))
+    assert checked == {2, 3}
 
 
 def _count_normal_forms(monkeypatch):
