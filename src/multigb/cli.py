@@ -34,7 +34,7 @@ import time
 from multigb.csideals import (closure_suite, degree_bound_check, is_cs,
                               is_csstar, ugb_check)
 from multigb.determinantal import GradedMatrix, minors, verify_main_theorem
-from multigb.errors import (HypothesisNotSatisfiedError, InconclusiveError,
+from multigb.errors import (HypothesisNotSatisfiedError,
                             InternalConsistencyError, NotSquarefreeError,
                             PolarizationCapacityError, ResourceLimitError,
                             RingMismatchError)
@@ -181,7 +181,6 @@ def _int_option(cmd: Command, key: str, default: int) -> int:
 def _execute_command(cmd: Command, sess: _Session) -> dict:
     flags = sess.flags
     seed = _int_option(cmd, "seed", flags.seed)
-    trials = _int_option(cmd, "trials", flags.trials)
     n_orders = _int_option(cmd, "orders", 200 if cmd.name == "ugb" else 20)
     report = {
         "command": cmd.name,
@@ -209,7 +208,8 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
                               "generators": [str(g) for g in gb]}
     elif cmd.name == "gin":
         order = _resolve_order(cmd, sess)
-        rep = gin(I, order, trials=trials, seed=seed)
+        rep = gin(I, order, trials=_int_option(cmd, "trials", flags.trials),
+                  seed=seed)
         report["orders"] = [order.name]
         report["seeds"] = list(rep.seeds)
         report["verdict"] = "computed" if rep.agreement else "disagreement"
@@ -250,10 +250,8 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
         report["evidence"] = {"count": len(I.gens),
                               "minors": [str(f) for f in I.gens]}
     elif cmd.name in ("cs", "csstar"):
-        rep = (is_cs if cmd.name == "cs" else is_csstar)(
-            I, trials=trials, seed=seed)
+        rep = (is_cs if cmd.name == "cs" else is_csstar)(I)
         report["verdict"] = rep.verdict
-        report["orders"] = rep.evidence.get("orders", [])
         report["evidence"] = {"criterion": rep.criterion, **rep.evidence}
     elif cmd.name == "member":
         f = _eval_poly(cmd.args[1], sess, cmd.line)
@@ -282,7 +280,7 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
             L = _eval_poly(cmd.args[1], sess, cmd.line)
         else:
             L = Polynomial.variable(sess.ring, 1, sess.ring.block_sizes[0])
-        transcript = closure_suite(I, L, trials=trials, seed=seed)
+        transcript = closure_suite(I, L)
         ok = transcript["passed"]
         report["verdict"] = "pass" if ok else "fail"
         report["evidence"] = transcript
@@ -314,8 +312,7 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
                               "violations": details["violations"]}
     elif cmd.name == "main-theorem":
         A = _eval_matrix(cmd.args[0], sess, cmd.line)
-        transcript = verify_main_theorem(A, n_orders=n_orders, seed=seed,
-                                         trials=trials)
+        transcript = verify_main_theorem(A, n_orders=n_orders, seed=seed)
         ok = transcript["passed"]
         report["verdict"] = "pass" if ok else "fail"
         report["orders"] = [f"{n_orders} sampled"]
@@ -359,22 +356,17 @@ def _human_lines(report: dict) -> list:
     return lines
 
 
-def _unfinished_report(name: str, args: list, verdict: str,
-                       evidence: dict) -> dict:
-    """Report of a command, or of the call defining an ideal, that ended
-    without a result: "inconclusive" (contradictory gin trials) or
-    "aborted" (a resource limit)."""
+def _aborted_report(name: str, args: list, e: ResourceLimitError) -> dict:
+    """Report of a command, or of the call defining an ideal, that hit a
+    resource limit."""
     return {"command": name,
             "inputs": [_arg_text(a) for a in args],
-            "verdict": verdict, "evidence": evidence,
+            "verdict": "aborted",
+            "evidence": {"error": str(e), "basis_size": e.basis_size,
+                         "pending_pairs": e.pending_pairs,
+                         "degree": e.degree},
             "seeds": [], "orders": [], "timings": {},
             "asserted": name in ASSERTING, "passed": False}
-
-
-def _aborted_report(name: str, args: list, e: ResourceLimitError) -> dict:
-    return _unfinished_report(name, args, "aborted", {
-        "error": str(e), "basis_size": e.basis_size,
-        "pending_pairs": e.pending_pairs, "degree": e.degree})
 
 
 def _define(stmt, sess: _Session) -> None:
@@ -431,10 +423,6 @@ def run_script(script: SessionScript, flags, out=None, err=None) -> int:
             started = time.perf_counter()
             try:
                 report = _execute_command(stmt, sess)
-            except InconclusiveError as e:
-                report = _unfinished_report(stmt.name, stmt.args,
-                                            "inconclusive",
-                                            {"error": str(e)})
             except ResourceLimitError as e:
                 reports.append(_aborted_report(stmt.name, stmt.args, e))
                 raise
@@ -489,7 +477,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="default term order: degrevlex, lex, or "
                              "weight:w1,w2,...")
     parser.add_argument("--trials", type=int, default=3,
-                        help="gin trials per verdict")
+                        help="trials of the gin command")
     parser.add_argument("--max-basis", type=int, default=5000,
                         dest="max_basis",
                         help="resource guard on Groebner basis size")

@@ -400,12 +400,12 @@ class Ideal:
         (multihomogeneous ideals only), with the series cutoff on once a
         basis is cached: they generate in(I) in every multidegree <= b."""
         p = self.ring.characteristic
-        gens = [kernel.sort_terms(g.terms, order.rows, p) for g in self.gens]
+        gens = [g.terms for g in self.gens]
         series, bound = self._series_cutoff(), _within(self.ring, b)
         return _packed_run(order.rows, kernel.bits_for(gens), lambda layout: [
             layout.exponents(g[0][1]) for g, _ in _buchberger(
-                [layout.pack(f) for f in gens], layout, p, self.limits,
-                series, bound)])
+                [sorted(layout.pack(f), reverse=True) for f in gens], layout,
+                p, self.limits, series, bound)])
 
     def initial_ideal(self, order: TermOrder | None = None) -> MonomialIdeal:
         gb = self.groebner_basis(order)
@@ -475,8 +475,11 @@ class Ideal:
         one Groebner basis G of the moved ideal, in coordinates where f is
         the variable x_v, under degrevlex with x_v last (Bayer-Stillman):
         {g / x_v if x_v divides in(g), else g : g in G} is a basis of the
-        moved I : x_v, mapped back with x_v -> f.  Any other input takes
-        (1/f) * (I cap (f)), the intersection by elimination.
+        moved I : x_v, mapped back with x_v -> f.  When f is multigraded,
+        the change of coordinates stays in one block and keeps the
+        multigrading, so these leads give the colon its Hilbert series.
+        Any other input takes (1/f) * (I cap (f)), the intersection by
+        elimination.
         """
         if f.is_zero:
             raise ValueError("colon by zero")
@@ -484,9 +487,10 @@ class Ideal:
             raise RingMismatchError("polynomial lives in a different ring")
         if _is_linear_form(f) and self.is_multihomogeneous:
             moved, v, back, order = _linear_move(self, f)
-            gens = []
+            gens, leads = [], []
             for g in moved.groebner_basis(order):
-                if g.lead_exp(order)[v]:
+                lead = g.lead_exp(order)
+                if lead[v]:
                     # g is homogeneous and x_v is last in revlex, so x_v
                     # divides in(g) only if it divides every term
                     terms = [(e[:v] + (e[v] - 1,) + e[v + 1:], c)
@@ -496,8 +500,14 @@ class Ideal:
                             "x_v divides the lead of a basis element but "
                             "not the element")
                     g = Polynomial(self.ring, terms, _normalized=True)
+                    lead = lead[:v] + (lead[v] - 1,) + lead[v + 1:]
+                leads.append(lead)
                 gens.append(g.substitute(back))
-            return Ideal(self.ring, gens, self.limits)
+            colon = Ideal(self.ring, gens, self.limits)
+            if f.is_multihomogeneous:
+                colon._series = hilbert_numerator(
+                    MonomialIdeal(self.ring, leads))
+            return colon
         meet = self.intersect(Ideal(self.ring, [f], self.limits))
         return Ideal(self.ring, [exact_divide(g, f) for g in meet.gens],
                      self.limits)

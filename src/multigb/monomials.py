@@ -274,6 +274,34 @@ class HilbertNumerator:
             out[a] = out.get(a, 0) + c
         return HilbertNumerator(self.v, out)
 
+    def __sub__(self, other):
+        return self + HilbertNumerator(
+            other.v, {a: -c for a, c in other.coeffs.items()})
+
+    def times_y(self, block: int) -> "HilbertNumerator":
+        """The numerator times y_block (0-based block)."""
+        return HilbertNumerator(self.v, {
+            a[:block] + (a[block] + 1,) + a[block + 1:]: c
+            for a, c in self.coeffs.items()})
+
+    def over_one_minus_y(self, block: int) -> "HilbertNumerator":
+        """The exact quotient by 1 - y_block (0-based block): prefix sums
+        along that coordinate, which must end at 0."""
+        lines: dict = {}
+        for a, c in self.coeffs.items():
+            rest = a[:block] + a[block + 1:]
+            lines.setdefault(rest, {})[a[block]] = c
+        out = {}
+        for rest, line in lines.items():
+            total = 0
+            for t in range(max(line) + 1):
+                total += line.get(t, 0)
+                out[rest[:block] + (t,) + rest[block:]] = total
+            if total:
+                raise ValueError(
+                    f"{self} is not divisible by 1 - y{block + 1}")
+        return HilbertNumerator(self.v, out)
+
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -38,11 +38,11 @@ COMMANDS = {
     "gb": (1, 1, {"order"}), "gin": (1, 1, {"order", "trials", "seed"}),
     "hilbert": (1, 1, set()), "radical": (1, 1, set()),
     "borel": (1, 1, set()), "dual": (1, 1, set()), "polarize": (1, 1, set()),
-    "minors": (2, 2, set()), "cs": (1, 1, {"trials", "seed", "expect"}),
-    "csstar": (1, 1, {"trials", "seed", "expect"}),
-    "ugb": (1, 1, {"orders", "seed"}), "closure": (1, 2, {"trials", "seed"}),
+    "minors": (2, 2, set()), "cs": (1, 1, {"expect"}),
+    "csstar": (1, 1, {"expect"}),
+    "ugb": (1, 1, {"orders", "seed"}), "closure": (1, 2, set()),
     "bounds": (1, 3, {"bound", "orders", "seed"}),
-    "main-theorem": (1, 1, {"orders", "seed", "trials"}),
+    "main-theorem": (1, 1, {"orders", "seed"}),
     "colon": (2, 2, set()), "intersect": (2, 2, set()),
     "member": (2, 2, {"expect"}),
 }

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigb import csideals
 from multigb.csideals import (MembershipReport, check_incomparable_degrees,
@@ -12,12 +14,20 @@ from multigb.csideals import (MembershipReport, check_incomparable_degrees,
                               verify_dual_theorem)
 from multigb.determinantal import (build_column_graded, build_row_graded,
                                    minors, variable_matrix)
-from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError)
+from multigb.errors import (HypothesisNotSatisfiedError,
+                            InternalConsistencyError, NotSquarefreeError)
 from multigb.groebner import Ideal, ideal_from_monomials
-from multigb.instances import random_multihomogeneous_polynomial
-from multigb.monomials import MonomialIdeal
+from multigb.instances import (cs_instance_pool, csstar_instance_pool,
+                               random_graded_ideal, random_linear_form,
+                               random_monomial_ideal,
+                               random_multihomogeneous_polynomial, random_ring,
+                               random_squarefree_ideal)
+from multigb.monomials import (HilbertNumerator, MonomialIdeal,
+                               hilbert_numerator,
+                               is_extended_from_first_variables,
+                               is_radical_monomial)
 from multigb.poly import Polynomial
-from multigb.ring import BlockRing
+from multigb.ring import BlockRing, degrevlex_blocks_reversed
 
 
 def x(R, i, j):
@@ -100,12 +110,11 @@ def test_stable_gin_matches_gin():
 
 def test_is_cs_on_remark_ideal():
     _, I = remark_matrix_ideal()
-    rep = is_cs(I, seed=2)
+    rep = is_cs(I)
     assert rep.verdict == "yes"
     assert rep.is_yes
     assert rep.family == "radical-gin"
-    assert rep.evidence["radical"] == [True, True]
-    assert rep.evidence["trials"] == [3, 3]
+    assert rep.evidence == {"gin_generators": rep.gin_result.generator_strings()}
 
 
 def test_is_cs_fails_after_colon_by_cubic():
@@ -117,7 +126,7 @@ def test_is_cs_fails_after_colon_by_cubic():
     expect = Ideal(R, list(I.gens) + [x(R, 1, 2) * x(R, 1, 3),
                                       x(R, 1, 1) * x(R, 1, 3)])
     assert J.equals(expect)
-    rep = is_cs(J, seed=2)
+    rep = is_cs(J)
     assert rep.verdict == "no"
 
 
@@ -140,20 +149,22 @@ def test_is_csstar_yes_and_no():
     R = BlockRing((2, 2))
     # extended from first variables
     I = ideal_from_monomials(MonomialIdeal(R, [(1, 0, 1, 0)]))
-    rep = is_csstar(I, seed=1)
+    rep = is_csstar(I)
     assert rep.verdict == "yes"
-    assert rep.evidence["regular_sequence_test"] is True
+    assert rep.evidence == {"gin_generators": ["x[1,1]*x[2,1]"],
+                            "regular_sequence_test": True}
     # two generators in one block have comparable degrees
     J = ideal_from_monomials(MonomialIdeal(R, [(1, 0, 0, 0), (0, 1, 0, 0)]))
-    rep = is_csstar(J, seed=1)
+    rep = is_csstar(J)
     assert rep.verdict == "no"
-    assert rep.evidence["regular_sequence_test"] is False
+    assert rep.gin_result is None
+    assert rep.evidence == {"regular_sequence_test": False}
 
 
 def test_is_csstar_unit_ideal():
     R = BlockRing((2, 2))
     I = Ideal(R, [Polynomial.one(R)])
-    rep = is_csstar(I, seed=4)
+    rep = is_csstar(I)
     assert rep.verdict == "yes"
 
 
@@ -164,13 +175,140 @@ def test_membership_report_is_yes():
     assert not MembershipReport("inconclusive", "radical-gin", "c", {}).is_yes
 
 
+# -- series verdicts against the gin oracle --------------------------------------
+
+def gin_oracle(I):
+    """(radical-gin verdict, first-variables verdict, gin) of seeded gin
+    trials under the storage order, with the radical-gin side also under
+    degrevlex with the blocks reversed; None where the trials are
+    inconclusive, or raise on a non-generic change over a small field."""
+    ring = I.ring
+    try:
+        reps = [stable_gin(I, ring.storage_order, seed=0),
+                stable_gin(I, degrevlex_blocks_reversed(ring), seed=1)]
+    except InternalConsistencyError:
+        return None
+    if not all(rep.agreement for rep in reps):
+        return None
+    G = reps[0].result
+    radical = [is_radical_monomial(rep.result) for rep in reps]
+    assert radical[0] == radical[1], "gin radicality differs across orders"
+    return radical[0], is_extended_from_first_variables(G), G
+
+
+def assert_series_verdicts_match_gin(I):
+    cs, star = is_cs(I), is_csstar(I)  # I's series is known from here on
+    for rep in (cs, star):
+        assert rep.verdict in ("yes", "no")
+        assert (rep.gin_result is None) == (rep.verdict == "no")
+        if rep.is_yes:
+            assert hilbert_numerator(rep.gin_result) == I.hilbert_series()
+    oracle = gin_oracle(I)
+    if oracle is None:
+        return False
+    radical, first, G = oracle
+    assert cs.is_yes == radical
+    assert star.is_yes == first
+    for rep in (cs, star):
+        if rep.is_yes:
+            assert rep.gin_result == G
+    return True
+
+
+def test_series_verdicts_match_gin_on_the_closure_pools():
+    pool = cs_instance_pool(15, seed=4) + csstar_instance_pool(15, seed=8)
+    assert all([assert_series_verdicts_match_gin(I) for I in pool])
+
+
+def random_ideal(kind: str, characteristic: int, seed: int) -> Ideal:
+    rng = random.Random(seed)
+    R = random_ring(rng, max_vars=6, characteristic=characteristic)
+    if kind == "graded":
+        return random_graded_ideal(R, rng)
+    if kind == "monomial":
+        return ideal_from_monomials(random_monomial_ideal(R, rng))
+    return ideal_from_monomials(random_squarefree_ideal(R, rng))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["graded", "monomial", "squarefree"]),
+       st.sampled_from([2, 3, 32003]), st.integers(0, 2 ** 32))
+def test_series_verdicts_match_gin_on_random_ideals(kind, characteristic,
+                                                    seed):
+    assert_series_verdicts_match_gin(random_ideal(kind, characteristic, seed))
+
+
+@pytest.mark.parametrize("characteristic", [2, 3])
+def test_family_verdicts_over_small_fields_are_decided(characteristic):
+    # random gin trials are often inconclusive, or agree on a candidate that
+    # is not Borel fixed, over F_2 and F_3; the series verdicts never are
+    for seed in range(40):
+        for kind in ("graded", "monomial", "squarefree"):
+            I = random_ideal(kind, characteristic, seed)
+            assert is_cs(I).verdict in ("yes", "no")
+            assert is_csstar(I).verdict in ("yes", "no")
+
+
+def test_a_flipped_series_coefficient_changes_the_verdict():
+    # every coefficient of the numerator matters: changed in one degree, the
+    # series gives "no" or another ideal, never the same verdict and gin
+    pool = cs_instance_pool(8, seed=4) + csstar_instance_pool(8, seed=8)
+    mutants = 0
+    for I in pool:
+        series = I.hilbert_series()
+        for model in (csideals._radical_model,
+                      csideals._first_variables_model):
+            J, _ = model(I.ring, series)
+            if J is None:
+                continue
+            for a, c in series.coeffs.items():
+                for flipped in (-c, c + 1):
+                    mutant = HilbertNumerator(
+                        series.v, {**series.coeffs, a: flipped})
+                    K, _ = model(I.ring, mutant)
+                    assert K != J
+                    assert K is None or hilbert_numerator(K) == mutant
+                    mutants += 1
+    assert mutants > 100
+
+
+def test_series_check_rejects_an_ideal_with_another_series(monkeypatch):
+    # a model read off the series must have that series; a construction
+    # that returned another ideal is caught by the final numerator check
+    R, I = remark_matrix_ideal()
+    assert is_cs(I).is_yes
+    monkeypatch.setattr(csideals, "alexander_dual",
+                        lambda M: MonomialIdeal(R, [R.unit_exp(0)]))
+    rep = is_cs(Ideal(R, I.gens))
+    assert rep.verdict == "no" and rep.gin_result is None
+    assert "another series" in rep.criterion
+
+
+def test_family_verdicts_of_the_zero_and_unit_ideals():
+    R = BlockRing((2, 3))
+    zero, unit = Ideal(R, []), Ideal(R, [Polynomial.constant(R, 5)])
+    for I, J in ((zero, MonomialIdeal(R, [])),
+                 (unit, MonomialIdeal(R, [(0,) * R.nvars]))):
+        for rep in (is_cs(I), is_csstar(I)):
+            assert rep.verdict == "yes" and rep.gin_result == J
+        assert gin_oracle(I) == (True, True, J)
+
+
+def test_family_verdicts_need_a_multigraded_ideal():
+    R = BlockRing((2, 2))
+    I = Ideal(R, [x(R, 1, 1) ** 2 - x(R, 2, 1)])
+    for test in (is_cs, is_csstar):
+        with pytest.raises(HypothesisNotSatisfiedError, match="multigraded"):
+            test(I)
+
+
 def test_canonical_monomial_model_for_maximal_minors():
     # column-graded 2x3: the canonical model is generated by the pairwise
     # products of the first variables of the three blocks
     A = build_column_graded(2, (2, 2, 2), seed=5)
     R = A.ring
     I = Ideal(R, minors(A, 2))
-    C = csstar_canonical_C(I, seed=6)
+    C = csstar_canonical_C(I)
     first = [R.var_index(b, 1) for b in (1, 2, 3)]
     expect = []
     for a in range(3):
@@ -188,7 +326,7 @@ def test_canonical_model_rejects_non_members():
     R = BlockRing((2, 2))
     J = ideal_from_monomials(MonomialIdeal(R, [(1, 0, 0, 0), (0, 1, 0, 0)]))
     with pytest.raises(HypothesisNotSatisfiedError):
-        csstar_canonical_C(J, seed=2)
+        csstar_canonical_C(J)
 
 
 def test_check_incomparable_degrees():
@@ -207,7 +345,7 @@ def test_verify_dual_theorem_positive():
     # identity is checked
     R = BlockRing((2, 2))
     I = MonomialIdeal(R, [(1, 0, 1, 0)])
-    out = verify_dual_theorem(I, seed=3)
+    out = verify_dual_theorem(I)
     assert out["passed"]
     assert out["cs_verdict"] == "yes"
     assert out["dual_csstar_verdict"] == "yes"
@@ -219,7 +357,7 @@ def test_verify_dual_theorem_negative_side():
     # (x11x12) has a non-squarefree gin, so both verdicts must be "no"
     R = BlockRing((2, 2))
     I = MonomialIdeal(R, [(1, 1, 0, 0)])
-    out = verify_dual_theorem(I, seed=3)
+    out = verify_dual_theorem(I)
     assert out["passed"]
     assert out["cs_verdict"] == "no"
     assert out["dual_csstar_verdict"] == "no"
@@ -229,7 +367,7 @@ def test_verify_dual_theorem_negative_side():
 def test_verify_dual_theorem_rejects_nonsquarefree():
     R = BlockRing((2, 2))
     with pytest.raises(NotSquarefreeError):
-        verify_dual_theorem(MonomialIdeal(R, [(2, 0, 0, 0)]), seed=1)
+        verify_dual_theorem(MonomialIdeal(R, [(2, 0, 0, 0)]))
 
 
 def test_closure_suite_radical_gin_family():
@@ -279,6 +417,27 @@ def test_closure_suite_size_one_block_quotient_inapplicable():
     assert quotient_items
     assert out["passed"]
 
+
+def test_closure_suite_derived_series_equal_computed_ones(monkeypatch):
+    # the colon takes its series from its Bayer-Stillman basis, and the sum,
+    # intersection and quotients take theirs from identities: each equals
+    # the series of a fresh copy of the ideal, read off a Groebner basis
+    derived = []
+    for name in ("is_cs", "is_csstar"):
+        def spy(J, test=getattr(csideals, name)):
+            if J._series is not None and not J._gb_cache:
+                derived.append((J, J._series))
+            return test(J)
+        monkeypatch.setattr(csideals, name, spy)
+    pool = cs_instance_pool(15, seed=4) + csstar_instance_pool(15, seed=8)
+    rng = random.Random(77)
+    for I in pool:
+        R = I.ring
+        for L in (x(R, 1, R.block_sizes[0]), random_linear_form(R, rng)):
+            assert closure_suite(I, L)["passed"]
+    assert len(derived) > 100
+    for J, series in derived:
+        assert Ideal(J.ring, J.gens).hilbert_series() == series
 
 def test_ugb_check_positive_for_maximal_minors():
     A = variable_matrix(2, 3, grading="column")

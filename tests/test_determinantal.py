@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from multigb import determinantal
+from multigb.csideals import MembershipReport
 from multigb.determinantal import (GradedMatrix, _rank_mod_p,
                                    build_column_graded, build_row_graded,
                                    minors, variable_matrix,
@@ -205,6 +207,16 @@ def test_verify_main_theorem_row():
     assert items["gin_regularity"]["value"] == 2
     assert out["passed"]
 
+
+def test_verify_main_theorem_regularity_needs_a_radical_gin(monkeypatch):
+    # a radical-gin "no" leaves no gin to measure, and the item says why
+    monkeypatch.setattr(determinantal, "is_cs", lambda I: MembershipReport(
+        "no", "radical-gin", "forced", {}))
+    out = verify_main_theorem(build_column_graded(2, (2, 2, 2), seed=12),
+                              n_orders=2, seed=3)
+    item = out["items"]["gin_regularity"]
+    assert not item["passed"] and "radical-gin verdict 'no'" in item["error"]
+    assert not out["passed"]
 
 def test_verify_main_theorem_rejects_tall_matrix():
     A = build_column_graded(3, (2, 2), seed=2)

@@ -732,6 +732,21 @@ def test_linear_colon_matches_elimination(case):
     assert I.colon(L).equals(colon_by_elimination(I, L))
 
 
+@settings(max_examples=60, deadline=None)
+@given(graded_colons())
+@example(SCALED_COLON)
+def test_linear_colon_carries_its_hilbert_series(case):
+    # read off the leads of the Bayer-Stillman basis in moved coordinates,
+    # which keep the multigrading only for a multigraded form
+    I, L = case
+    colon = I.colon(L)
+    assert not colon._gb_cache
+    if not L.is_multihomogeneous:
+        assert colon._series is None
+        return
+    assert colon._series is not None
+    assert colon.hilbert_series() == Ideal(I.ring, colon.gens).hilbert_series()
+
 def test_linear_colon_matches_elimination_on_pool():
     rng = random.Random(3)
     for I in cs_instance_pool(6, seed=4):

@@ -328,3 +328,17 @@ def test_numerator_of_zero_and_principal():
     assert hilbert_numerator(M(R)) == HilbertNumerator.one(2)
     num = hilbert_numerator(M(R, (1, 0, 1, 0)))
     assert num.coeffs == {(0, 0): 1, (1, 1): -1}
+
+
+def test_numerator_arithmetic_in_one_coordinate():
+    # (1 - y2) * (1 + 2*y1*y2 - y2^2), in two coordinates
+    q = HilbertNumerator(2, {(0, 0): 1, (1, 1): 2, (0, 2): -1})
+    one = HilbertNumerator.one(2)
+    p = q - q.times_y(1)
+    assert p == HilbertNumerator(2, {(0, 0): 1, (1, 1): 2, (0, 2): -1,
+                                     (0, 1): -1, (1, 2): -2, (0, 3): 1})
+    assert p.over_one_minus_y(1) == q
+    assert (one - one).is_zero
+    assert HilbertNumerator(2, {}).over_one_minus_y(0).is_zero
+    with pytest.raises(ValueError, match="not divisible"):
+        q.over_one_minus_y(0)

@@ -324,9 +324,10 @@ def test_cli_json_deterministic_modulo_timings(tmp_path, capsys):
 
 
 def test_cli_borel_fixed_monomial_input_runs_no_gin_trials(tmp_path, capsys):
-    # a Borel-fixed monomial ideal is its own gin: the verdicts are those
-    # of the trials, and no trial ran, so no seed is reported and the
-    # evidence counts 0 trials per gin
+    # a Borel-fixed monomial ideal is its own gin, so the gin command runs
+    # no trial and reports no seed; cs and csstar never run trials, and
+    # their evidence is the criterion and, on "yes", the gin read off the
+    # Hilbert series
     text = ("ring v=2 blocks=[2,2] char=32003\n"
             "ideal I = x[1,1]^2*x[2,1], x[1,1]*x[1,2]*x[2,1]\n"
             "ideal J = x[1,1]*x[2,1]\n"
@@ -344,12 +345,15 @@ def test_cli_borel_fixed_monomial_input_runs_no_gin_trials(tmp_path, capsys):
     assert gin_j["evidence"]["generators"] == ["x[1,1]*x[2,1]"]
     for r in (gin_i, gin_j):
         assert r["verdict"] == "computed" and r["seeds"] == []
-    for r in (cs_i, cs_j):
-        assert r["evidence"]["seeds"] == [[], []] and r["seeds"] == [7]
-        assert r["evidence"]["trials"] == [0, 0]
-    for r in (star_i, star_j):
-        assert r["evidence"]["seeds"] == [[]]
-        assert r["evidence"]["trials"] == [0]
+    for r in (cs_i, cs_j, star_i, star_j):
+        assert r["seeds"] == [7] and r["orders"] == []
+        assert r["evidence"]["criterion"]
+    assert set(cs_i["evidence"]) == {"criterion", "expected"}
+    assert cs_j["evidence"]["gin_generators"] == ["x[1,1]*x[2,1]"]
+    assert star_i["evidence"]["regular_sequence_test"] is False
+    assert "gin_generators" not in star_i["evidence"]
+    assert star_j["evidence"]["gin_generators"] == ["x[1,1]*x[2,1]"]
+    assert star_j["evidence"]["regular_sequence_test"] is True
 
 
 def test_cli_order_flag(tmp_path, capsys):
@@ -431,13 +435,20 @@ def test_cli_invalid_command_options_exit_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", [
     "gin I seed=abc", "gin I trials=abc", "ugb I orders=abc",
-    "bounds I orders=[3]", "cs I seed=[1,2]", "gin I trials=weight:1,2",
-    "closure I seed=x",
+    "bounds I orders=[3]", "ugb I seed=[1,2]", "gin I trials=weight:1,2",
+    "bounds I seed=x",
 ])
 def test_cli_non_integer_count_options_exit_2(tmp_path, capsys, command):
     assert run_cli(tmp_path, TINY + command + "\n") == 2
     assert "takes an integer" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("command", ["cs I", "csstar I", "closure I"])
+def test_cli_family_verdicts_of_an_inhomogeneous_ideal_exit_2(tmp_path, capsys,
+                                                              command):
+    # the verdicts read the multigraded Hilbert series, which TINY lacks
+    assert run_cli(tmp_path, TINY + command + "\n") == 2
+    assert "multigraded" in capsys.readouterr().err
 
 def test_cli_unknown_option_exit_2(tmp_path, capsys):
     assert run_cli(tmp_path, TINY + "gb I ordr=lex\n") == 2
@@ -447,7 +458,8 @@ def test_cli_unknown_option_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("command, key", [
     ("hilbert I expect=no", "expect"), ("gb I bound=[9,9] seed=4", "bound"),
     ("ugb I order=lex orders=3", "order"), ("closure I orders=3", "orders"),
-    ("member I x[1,1] seed=1", "seed"),
+    ("member I x[1,1] seed=1", "seed"), ("cs I seed=1", "seed"),
+    ("csstar I trials=2", "trials"), ("closure I seed=x", "seed"),
 ])
 def test_cli_option_the_command_never_reads_exit_2(tmp_path, capsys, command,
                                                    key):
@@ -460,8 +472,9 @@ def test_cli_option_the_command_never_reads_exit_2(tmp_path, capsys, command,
 def test_cli_main_theorem_reads_orders(tmp_path, capsys):
     text = ("ring v=2 blocks=[2,2] char=32003\n"
             "matrix A colgraded 2 x 2 { x[1,1], x[2,1] ; x[1,2], x[2,2] }\n"
-            "main-theorem A orders=2 seed=1 trials=1\n")
+            "main-theorem A orders=2 seed=1\n")
     assert run_cli(tmp_path, text) == 0
+    assert run_cli(tmp_path, text.replace("seed=1", "trials=1")) == 2
 
 
 @pytest.mark.parametrize("flags", [
@@ -613,14 +626,16 @@ VALID_SCRIPTS = [
     "ring v=2 blocks=[2,1] char=101\n"
     "poly f = x[1,2]\n"
     "ideal I = x[1,1]*x[2,1], x[1,2]^2\n"
-    "cs I trials=2 expect=yes\n"
+    "cs I expect=yes\n"
+    "gin I trials=2\n"
     "member I x[1,1]*x[2,1] expect=yes\n"
     "colon I f\n",
     "ring v=2 blocks=[2,2] char=101\n"
     "matrix A rowgraded 2 x 2 { x[1,1], x[1,2] ; x[2,1], x[2,2] }\n"
     "ideal I = minors(A, 2)\n"
     "hilbert I\n"
-    "csstar I trials=1\n",
+    "csstar I\n"
+    "gin I trials=1\n",
 ]
 # Whitespace runs are kept as pieces so that "".join(pieces) is the script.
 PIECES = re.compile(r"\s+|\d+|\w+|[^\w\s]")
