@@ -6,11 +6,10 @@ Alexander duality and polarization, determinantal instance builders, and the
 verification suites built on top of them.
 """
 
-from multigb.csideals import (MembershipReport, UGBReport,
-                              check_incomparable_degrees, closure_suite,
-                              csstar_canonical_C, degree_bound_check,
-                              gamma_sequence, is_cs, is_csstar, sample_orders,
-                              stable_gin, ugb_check, verify_dual_theorem)
+from multigb.csideals import (MembershipReport, UGBReport, closure_suite,
+                              degree_bound_check, gamma_sequence, is_cs,
+                              is_csstar, sample_orders, stable_gin, ugb_check,
+                              verify_dual_theorem)
 from multigb.determinantal import (GradedMatrix, build_column_graded,
                                    build_row_graded, minors, variable_matrix,
                                    verify_main_theorem)
@@ -18,8 +17,7 @@ from multigb.errors import (HypothesisNotSatisfiedError, InconclusiveError,
                             InternalConsistencyError, MultigbError,
                             NotSquarefreeError, PolarizationCapacityError,
                             ResourceLimitError, RingMismatchError)
-from multigb.gin import (BorelElement, GinReport, gin, gin_order_independence,
-                         random_borel)
+from multigb.gin import BorelElement, GinReport, gin, random_borel
 from multigb.groebner import (DEFAULT_LIMITS, EngineLimits, GroebnerBasis,
                               Ideal, coordinate_section, exact_divide,
                               ideal_from_monomials, quotient_by_linear_form,
@@ -27,13 +25,12 @@ from multigb.groebner import (DEFAULT_LIMITS, EngineLimits, GroebnerBasis,
 from multigb.kernel import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                alexander_dual, hilbert_numerator,
-                               is_borel_fixed, is_extended_from_first_variables,
-                               is_radical_monomial, is_strongly_stable,
-                               polarize, regularity_strongly_stable)
+                               is_borel_fixed, is_radical_monomial,
+                               is_strongly_stable, polarize,
+                               regularity_strongly_stable)
 from multigb.poly import Polynomial
 from multigb.ring import (DEFAULT_CHARACTERISTIC, BlockRing, TermOrder,
-                          degrevlex, degrevlex_blocks_reversed,
-                          elimination_order, lex, weight_order)
+                          degrevlex, elimination_order, lex, weight_order)
 
 __version__ = "0.1.0"
 
@@ -42,18 +39,16 @@ __all__ = [
     "MonomialIdeal", "HilbertNumerator", "GradedMatrix", "GinReport",
     "BorelElement", "MembershipReport", "UGBReport", "EngineLimits",
     "DEFAULT_LIMITS", "DEFAULT_CHARACTERISTIC", "KERNEL_IMPLEMENTATION", "lex",
-    "degrevlex", "degrevlex_blocks_reversed", "weight_order",
-    "elimination_order", "exact_divide", "ideal_from_monomials",
-    "regular_sequence_test", "quotient_by_linear_form", "coordinate_section",
-    "hilbert_numerator", "alexander_dual", "polarize", "is_radical_monomial",
-    "is_borel_fixed", "is_strongly_stable", "is_extended_from_first_variables",
-    "regularity_strongly_stable", "gin", "random_borel",
-    "gin_order_independence", "stable_gin", "is_cs", "is_csstar",
-    "csstar_canonical_C", "check_incomparable_degrees", "verify_dual_theorem",
-    "closure_suite", "ugb_check", "degree_bound_check", "sample_orders",
-    "gamma_sequence", "minors", "build_column_graded", "build_row_graded",
-    "variable_matrix", "verify_main_theorem", "MultigbError",
-    "RingMismatchError", "ResourceLimitError", "NotSquarefreeError",
-    "PolarizationCapacityError", "HypothesisNotSatisfiedError",
-    "InconclusiveError", "InternalConsistencyError",
+    "degrevlex", "weight_order", "elimination_order", "exact_divide",
+    "ideal_from_monomials", "regular_sequence_test", "quotient_by_linear_form",
+    "coordinate_section", "hilbert_numerator", "alexander_dual", "polarize",
+    "is_radical_monomial", "is_borel_fixed", "is_strongly_stable",
+    "regularity_strongly_stable", "gin", "random_borel", "stable_gin", "is_cs",
+    "is_csstar", "verify_dual_theorem", "closure_suite", "ugb_check",
+    "degree_bound_check", "sample_orders", "gamma_sequence", "minors",
+    "build_column_graded", "build_row_graded", "variable_matrix",
+    "verify_main_theorem", "MultigbError", "RingMismatchError",
+    "ResourceLimitError", "NotSquarefreeError", "PolarizationCapacityError",
+    "HypothesisNotSatisfiedError", "InconclusiveError",
+    "InternalConsistencyError",
 ]

@@ -317,27 +317,6 @@ def is_csstar(I: Ideal) -> MembershipReport:
         "series; it is the gin", evidence, gin_result=J)
 
 
-def csstar_canonical_C(I: Ideal) -> MonomialIdeal:
-    """The unique Borel fixed ideal with I's Hilbert series, for ideals in the
-    first-variables family: the ideal ``is_csstar`` reads off the series."""
-    rep = is_csstar(I)
-    if not rep.is_yes:
-        raise HypothesisNotSatisfiedError(
-            f"canonical monomial model needs a first-variables ideal "
-            f"(verdict: {rep.verdict})")
-    return rep.gin_result
-
-
-def check_incomparable_degrees(I: Ideal) -> bool:
-    """True iff the multidegrees of a minimal generating set form an
-    antichain under coordinatewise comparison (repeats are comparable)."""
-    degs = [g.multidegree() for g in I.minimal_generators()]
-    for a, b in itertools.combinations(degs, 2):
-        if all(x <= y for x, y in zip(a, b)) or all(y <= x for x, y in zip(a, b)):
-            return False
-    return True
-
-
 # -- duality -------------------------------------------------------------------
 
 def verify_dual_theorem(I: MonomialIdeal) -> dict:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from multigb import groebner, kernel
 from multigb.errors import InconclusiveError, InternalConsistencyError
@@ -102,9 +101,7 @@ class GinReport:
     """Outcome of a gin computation.
 
     ``trials`` is 0, ``seeds`` empty and the one candidate the input when
-    the input is a Borel-fixed monomial ideal, which is its own gin.  A
-    report is shared by every caller that asks the same question of the
-    same ``Ideal``, so it is immutable.
+    the input is a Borel-fixed monomial ideal, which is its own gin.
     """
     result: MonomialIdeal | None
     candidates: tuple
@@ -127,8 +124,6 @@ def gin(I: Ideal, order: TermOrder | None = None, trials: int = 3,
     have I's Hilbert series when that is known.
 
     A Borel-fixed monomial ideal is returned as its own gin without trials.
-    The report is kept on ``I``, so asking again with the same order,
-    trials and seed returns the same report without recomputing it.
     """
     if trials < 1:
         raise ValueError(f"gin needs trials >= 1, got {trials}")
@@ -137,22 +132,13 @@ def gin(I: Ideal, order: TermOrder | None = None, trials: int = 3,
     if not order.respects_block_convention(ring):
         raise ValueError(
             "gin needs an order with x[i,j] > x[i,k] for j < k in every block")
-    key = (order, trials, seed)
-    report = I._gins.get(key)
-    if report is None:
-        report = I._gins[key] = _compute_gin(I, order, trials, seed)
-    return report
-
-
-def _compute_gin(I: Ideal, order: TermOrder, trials: int,
-                 seed: int) -> GinReport:
     if I.is_monomial:
         M = I.monomial_ideal()
         if is_borel_fixed(M):
             return GinReport(result=M, candidates=(M,), trials=0,
                              agreement=True, seeds=(), order=order)
     seeds = tuple(seed * SEED_STRIDE + k for k in range(trials))
-    candidates = tuple(_trial(random_borel(I.ring, s), I, order)
+    candidates = tuple(_trial(random_borel(ring, s), I, order)
                        for s in seeds)
     agreement = all(c == candidates[0] for c in candidates[1:])
     result = candidates[0] if agreement else None
@@ -171,17 +157,3 @@ def _compute_gin(I: Ideal, order: TermOrder, trials: int,
     return GinReport(result=result, candidates=candidates, trials=trials,
                      agreement=agreement, seeds=seeds, order=order)
 
-
-def gin_order_independence(I: Ideal, orders: Sequence[TermOrder],
-                           trials: int = 3, seed: int = 0) -> tuple:
-    """(True, None) when the gin agrees across all orders, else a witness
-    (order_a, order_b, gin_a, gin_b)."""
-    reports = []
-    for k, o in enumerate(orders):
-        rep = gin(I, o, trials=trials, seed=seed + 7 * k + 1)
-        reports.append((o, rep.require()))
-    first_order, first = reports[0]
-    for o, res in reports[1:]:
-        if res != first:
-            return False, (first_order, o, first, res)
-    return True, None

@@ -304,31 +304,30 @@ class GroebnerBasis:
     def lead_exponents(self) -> list:
         return [g.lead_exp(self.order) for g in self.elements]
 
-    def _packed_elements(self, bits: int) -> tuple:
-        """The elements sorted under the order and packed, with their
-        layout; packed once, and again only for wider fields."""
-        if self._packed is None or self._packed[0].bits < bits:
+    def _packed_elements(self, layout: kernel.Layout) -> list:
+        """The elements sorted under the order and packed under ``layout``;
+        packed once, and again only for another layout."""
+        if self._packed is None or self._packed[0] is not layout:
             rows, p = self.order.rows, self.ring.characteristic
-            raws = [kernel.sort_terms(g.terms, rows, p) for g in self.elements]
-            layout = kernel.layout(rows, max(bits, kernel.bits_for(raws)))
-            self._packed = layout, [layout.element(layout.pack(g)) for g in raws]
-        return self._packed
+            self._packed = layout, [
+                layout.element(layout.pack(kernel.sort_terms(g.terms, rows, p)))
+                for g in self.elements]
+        return self._packed[1]
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
-        p = self.ring.characteristic
-        raw = kernel.sort_terms(f.terms, self.order.rows, p)
-        bits = kernel.bits_for([raw])
-        while True:
-            layout, basis = self._packed_elements(bits)
-            try:
-                r = kernel.normal_form(layout.pack(raw), basis, layout, p,
-                                       self._limits.max_terms)
-            except kernel.FieldOverflow:
-                bits = 2 * layout.bits
-                continue
-            return Polynomial(self.ring, layout.unpack(r))
+        rows, p = self.order.rows, self.ring.characteristic
+        raw = kernel.sort_terms(f.terms, rows, p)
+        # never narrower than the packing already cached
+        if self._packed is None:
+            bits = kernel.bits_for([raw, *(g.terms for g in self.elements)])
+        else:
+            bits = max(kernel.bits_for([raw]), self._packed[0].bits)
+        return Polynomial(self.ring, _packed_run(rows, bits, lambda layout: (
+            layout.unpack(kernel.normal_form(
+                layout.pack(raw), self._packed_elements(layout), layout, p,
+                self._limits.max_terms)))))
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -355,7 +354,6 @@ class Ideal:
         self._series: HilbertNumerator | None = None
         self._dims: dict = {}  # dim (S/I)_a by multidegree a
         self._monomials: dict = {}  # packed monomials by (degree, fields)
-        self._gins: dict = {}  # gin.GinReport by (order, trials, seed)
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"

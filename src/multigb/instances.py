@@ -11,6 +11,7 @@ from typing import Sequence
 
 from multigb.csideals import is_cs, is_csstar
 from multigb.determinantal import build_column_graded, build_row_graded, minors
+from multigb.errors import InternalConsistencyError
 from multigb.groebner import Ideal, ideal_from_monomials
 from multigb.monomials import MonomialIdeal
 from multigb.poly import Polynomial
@@ -192,30 +193,49 @@ def _random_determinantal(rng: random.Random,
     return A, Ideal(A.ring, minors(A, t))
 
 
-def cs_instance_pool(count: int, seed: int = 0,
-                     characteristic: int = DEFAULT_CHARACTERISTIC) -> list:
-    """Verified radical-gin ideals: sampled initial ideals of random
-    determinantal instances alternating with random squarefree strongly
-    stable ideals.  Candidates failing verification are skipped."""
+# a pool gives up after this many candidates per member asked for
+DRAWS_PER_MEMBER = 10
+
+
+def _verified_pool(name: str, count: int, seed: int, draw, member) -> list:
+    """``count`` candidates ``draw(rng, k)`` (k the members found so far)
+    that ``member`` answers "yes" for; zero and unit ideals are skipped.
+    Raises ``InternalConsistencyError`` after DRAWS_PER_MEMBER * count
+    candidates, since a membership test that never answers "yes" is wrong."""
     rng = random.Random(seed)
-    pool = []
-    while len(pool) < count:
-        if len(pool) % 2 == 0:
-            A, I = _random_determinantal(rng, characteristic)
-            candidate = ideal_from_monomials(I.initial_ideal(A.ring.storage_order))
-        else:
-            ring = random_ring(rng, max_blocks=3, max_block_size=3, max_vars=7,
-                               characteristic=characteristic)
-            candidate = ideal_from_monomials(
-                random_borel_fixed_squarefree(ring, rng))
+    pool: list = []
+    for _ in range(DRAWS_PER_MEMBER * count):
+        if len(pool) == count:
+            break
+        candidate = draw(rng, len(pool))
         if candidate.is_zero_ideal or candidate.is_unit_ideal:
             continue
         # this draw once seeded the gin trials of the membership test; it
         # stays so that each seed still builds the same pool
         rng.randrange(2 ** 31)
-        if is_cs(candidate).is_yes:
+        if member(candidate).is_yes:
             pool.append(candidate)
+    if len(pool) < count:
+        raise InternalConsistencyError(
+            f"{name}(seed={seed}) found {len(pool)} of {count} members in "
+            f"{DRAWS_PER_MEMBER * count} candidates")
     return pool
+
+
+def cs_instance_pool(count: int, seed: int = 0,
+                     characteristic: int = DEFAULT_CHARACTERISTIC) -> list:
+    """Verified radical-gin ideals: sampled initial ideals of random
+    determinantal instances alternating with random squarefree strongly
+    stable ideals.  Candidates failing verification are skipped."""
+    def draw(rng: random.Random, k: int) -> Ideal:
+        if k % 2 == 0:
+            A, I = _random_determinantal(rng, characteristic)
+            return ideal_from_monomials(I.initial_ideal(A.ring.storage_order))
+        ring = random_ring(rng, max_blocks=3, max_block_size=3, max_vars=7,
+                           characteristic=characteristic)
+        return ideal_from_monomials(random_borel_fixed_squarefree(ring, rng))
+
+    return _verified_pool("cs_instance_pool", count, seed, draw, is_cs)
 
 
 def csstar_instance_pool(count: int, seed: int = 0,
@@ -223,23 +243,15 @@ def csstar_instance_pool(count: int, seed: int = 0,
     """Verified first-variables ideals: maximal-minor ideals of random
     column-graded matrices alternating with random monomial ideals supported
     on first block variables."""
-    rng = random.Random(seed)
-    pool = []
-    while len(pool) < count:
-        if len(pool) % 2 == 0:
+    def draw(rng: random.Random, k: int) -> Ideal:
+        if k % 2 == 0:
             m = rng.randint(2, 3)
             sizes = tuple(rng.randint(2, 3) for _ in range(m + 1))
             A = build_column_graded(m, sizes, seed=rng.randrange(2 ** 31),
                                     characteristic=characteristic)
-            candidate = Ideal(A.ring, minors(A, m))
-        else:
-            ring = random_ring(rng, max_blocks=3, max_block_size=3, max_vars=7,
-                               characteristic=characteristic)
-            candidate = ideal_from_monomials(
-                random_first_variables_ideal(ring, rng))
-        if candidate.is_zero_ideal or candidate.is_unit_ideal:
-            continue
-        rng.randrange(2 ** 31)  # kept, as in cs_instance_pool
-        if is_csstar(candidate).is_yes:
-            pool.append(candidate)
-    return pool
+            return Ideal(A.ring, minors(A, m))
+        ring = random_ring(rng, max_blocks=3, max_block_size=3, max_vars=7,
+                           characteristic=characteristic)
+        return ideal_from_monomials(random_first_variables_ideal(ring, rng))
+
+    return _verified_pool("csstar_instance_pool", count, seed, draw, is_csstar)

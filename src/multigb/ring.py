@@ -173,9 +173,6 @@ class TermOrder:
     def nvars(self) -> int:
         return len(self.rows[0])
 
-    def key(self, exp: tuple) -> tuple:
-        return tuple(sum(r * e for r, e in zip(row, exp)) for row in self.rows)
-
     def respects_block_convention(self, ring: BlockRing) -> bool:
         """True when x[i,j] > x[i,k] for j < k within every block."""
         if ring.nvars != self.nvars:

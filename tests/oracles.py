@@ -18,7 +18,13 @@ from multigb.groebner import Ideal
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                is_radical_monomial, support)
 from multigb.poly import Polynomial
-from multigb.ring import exp_divides
+from multigb.ring import TermOrder, exp_divides
+
+
+def order_key(order: TermOrder, exp: tuple) -> tuple:
+    """The order matrix times ``exp``; monomials compare by these vectors
+    lexicographically.  The reference for the kernel's packed order keys."""
+    return tuple(sum(map(mul, row, exp)) for row in order.rows)
 
 
 def exp_lcm(a: tuple, b: tuple) -> tuple:

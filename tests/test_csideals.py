@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multigb import csideals
-from multigb.csideals import (MembershipReport, check_incomparable_degrees,
-                              closure_suite, csstar_canonical_C,
+from multigb.csideals import (MembershipReport, closure_suite,
                               degree_bound_check, gamma_sequence, is_cs,
                               is_csstar, sample_orders, stable_gin, ugb_check,
                               verify_dual_theorem)
@@ -308,7 +307,7 @@ def test_canonical_monomial_model_for_maximal_minors():
     A = build_column_graded(2, (2, 2, 2), seed=5)
     R = A.ring
     I = Ideal(R, minors(A, 2))
-    C = csstar_canonical_C(I)
+    C = is_csstar(I).gin_result
     first = [R.var_index(b, 1) for b in (1, 2, 3)]
     expect = []
     for a in range(3):
@@ -325,19 +324,8 @@ def test_canonical_monomial_model_for_maximal_minors():
 def test_canonical_model_rejects_non_members():
     R = BlockRing((2, 2))
     J = ideal_from_monomials(MonomialIdeal(R, [(1, 0, 0, 0), (0, 1, 0, 0)]))
-    with pytest.raises(HypothesisNotSatisfiedError):
-        csstar_canonical_C(J)
-
-
-def test_check_incomparable_degrees():
-    R = BlockRing((2, 2))
-    good = Ideal(R, [x(R, 1, 1) * x(R, 1, 2)])
-    assert check_incomparable_degrees(good)
-    A = variable_matrix(2, 2, grading="row")
-    I = Ideal(A.ring, minors(A, 2))
-    assert check_incomparable_degrees(I)
-    bad = Ideal(R, [x(R, 1, 1), x(R, 1, 2)])
-    assert not check_incomparable_degrees(bad)
+    rep = is_csstar(J)
+    assert rep.verdict == "no" and rep.gin_result is None
 
 
 def test_verify_dual_theorem_positive():

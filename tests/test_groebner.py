@@ -24,6 +24,7 @@ from multigb.poly import Polynomial
 from multigb.ring import BlockRing, degrevlex, lex, weight_order
 from oracles import groebner_basis as groebner_basis_oracle
 from oracles import intersect_monomial
+from oracles import normal_form as normal_form_oracle
 from test_kernel import orders
 
 
@@ -626,6 +627,41 @@ def test_an_overflow_of_fields_outside_the_layout_raises(monkeypatch):
         n, top // 2 if n == R.nvars else top))
     with pytest.raises(InternalConsistencyError):
         I.groebner_basis(lex(R))
+
+
+def test_normal_form_past_the_basis_width_repacks_wider(monkeypatch):
+    # under lex, x[1,1]^20 reduces to x[1,2]^100 modulo x[1,1] - x[1,2]^5,
+    # far past the fields sized for degree 20, which hold exponents up to 63
+    R = BlockRing((2,))
+    G = Ideal(R, [x(R, 1, 1) - x(R, 1, 2) ** 5]).groebner_basis(lex(R))
+    rows, p = G.order.rows, R.characteristic
+    widths = []
+    inner = kernel.normal_form
+
+    def recorded(f, basis, layout, *args):
+        widths.append(layout.bits)
+        return inner(f, basis, layout, *args)
+
+    monkeypatch.setattr(kernel, "normal_form", recorded)
+    f = x(R, 1, 1) ** 20
+    expect, _ = normal_form_oracle(
+        kernel.sort_terms(f.terms, rows, p),
+        [kernel.sort_terms(g.terms, rows, p) for g in G], rows, p)
+    assert G.normal_form(f).terms == expect == [((0, 100), 1)]
+    assert widths == [7, 14]
+    packed = G._packed
+    # a later query of low degree keeps the wider packing
+    assert G.normal_form(x(R, 1, 1) ** 3) == x(R, 1, 2) ** 15
+    assert widths[2:] == [14] and G._packed is packed
+    # an overflow of fields that do not depend on the width is a bug
+    foreign = kernel.fields(1, 3)
+
+    def overflowing(*args):
+        raise kernel.FieldOverflow(foreign, "foreign fields")
+
+    monkeypatch.setattr(kernel, "normal_form", overflowing)
+    with pytest.raises(InternalConsistencyError):
+        G.normal_form(f)
 
 
 def test_huge_exponent_packs_in_wide_fields():

@@ -1,6 +1,6 @@
-"""Source hygiene: no module imports a name it never reads, only the kernel
-packs exponents into ints, and README lists the script commands, calls and
-options the code accepts."""
+"""Source hygiene: no module imports a name it never reads, every public
+name has a reader, only the kernel packs exponents into ints, and README
+lists the script commands, calls and options the code accepts."""
 
 import ast
 import re
@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import multigb
 from multigb.script import CALL_NAMES, COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +47,47 @@ def test_unused_import_is_found():
                      "import os.path\nfrom a import b, c as d\n"
                      "__all__ = ['d']\n")
     assert unused_imports(tree) == [(2, "os"), (3, "b")]
+
+
+def reads(tree: ast.Module, strings: bool = False) -> set:
+    """Names a module reads (loaded names and attribute names, and with
+    ``strings`` string constants too), except reads inside the top-level
+    definition of the same name."""
+    out = set()
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif (strings and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                names.add(node.value)
+        out |= names - {getattr(stmt, "name", None)}
+    return out
+
+
+def test_reads_skip_the_own_definition():
+    tree = ast.parse("def f(n):\n    return f(n - 1) + g.h\n"
+                     "def g():\n    return f\nx = 'k'\n")
+    assert reads(tree) == {"n", "g", "h", "f"}
+    assert reads(ast.parse("def f():\n    return f\n")) == set()
+    assert "k" in reads(tree, strings=True)
+
+
+def test_every_public_name_has_a_reader():
+    # read by the library outside __init__.py, named in README, or read by
+    # the benchmark; a name only the tests use is not public
+    library = set().union(*(reads(ast.parse(p.read_text())) for p in MODULES
+                            if p.parent.name == "multigb"
+                            and p.name != "__init__.py"))
+    bench = set().union(*(reads(ast.parse(p.read_text()), strings=True)
+                          for p in (ROOT / "perfbench").glob("*.py")))
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in multigb.__all__
+            if name not in library | bench
+            and not re.search(rf"\b{name}\b", readme)] == []
 
 
 def exponent_packing(tree: ast.Module) -> list:

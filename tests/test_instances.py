@@ -2,6 +2,11 @@
 
 import random
 
+import pytest
+
+from multigb import instances
+from multigb.csideals import MembershipReport
+from multigb.errors import InternalConsistencyError
 from multigb.instances import (cs_instance_pool, csstar_instance_pool,
                                random_borel_fixed_squarefree,
                                random_first_variables_ideal,
@@ -97,3 +102,19 @@ def test_csstar_instance_pool_small():
     assert len(pool) == 3
     for I in pool:
         assert not I.is_zero_ideal
+
+
+@pytest.mark.parametrize("pool, test", [(cs_instance_pool, "is_cs"),
+                                        (csstar_instance_pool, "is_csstar")])
+def test_pools_give_up_when_no_candidate_passes(pool, test, monkeypatch):
+    asked = []
+
+    def never(candidate):
+        asked.append(candidate)
+        return MembershipReport("no", "none", "never", {})
+
+    monkeypatch.setattr(instances, test, never)
+    with pytest.raises(InternalConsistencyError,
+                       match=rf"{pool.__name__}\(seed=4\) found 0 of 2"):
+        pool(2, seed=4)
+    assert 0 < len(asked) <= instances.DRAWS_PER_MEMBER * 2
