@@ -392,24 +392,25 @@ def closure_suite(I: Ideal, L: Polynomial, seed: int = 0) -> dict:
                        "applicable": applicable, "verdict": verdict,
                        "detail": detail})
 
-    def quotient_check(item: int, source: Ideal, family, label: str) -> None:
-        try:
-            J, _, var = quotient_by_linear_form(source, L)
-        except HypothesisNotSatisfiedError as e:
-            record(item, label, None, applicable=False, detail=str(e))
-            return
-        J._series = quotient_series
-        record(item, label, family(J).verdict,
-               detail=f"dropped {ring.var_label(var)}")
-
     # I : L serves items 2 and 4, and item 3 as I cap (L) = L * (I : L),
-    # which holds in a domain
+    # which holds in a domain; the quotient by L serves items 1 and 5
     colon = I.colon(L)
     plus = I + L
     plus._series = I.hilbert_series() - colon.hilbert_series().times_y(b)
-    quotient_series = plus._series.over_one_minus_y(b)
+    try:
+        quotient, _, var = quotient_by_linear_form(I, L)
+        quotient._series = plus._series.over_one_minus_y(b)
+        detail = f"dropped {ring.var_label(var)}"
+    except HypothesisNotSatisfiedError as e:
+        quotient, detail = None, str(e)
+
+    def quotient_check(item: int, family, label: str) -> None:
+        record(item, label,
+               None if quotient is None else family(quotient).verdict,
+               applicable=quotient is not None, detail=detail)
+
     if in_star:
-        quotient_check(1, I, is_csstar,
+        quotient_check(1, is_csstar,
                        "quotient by the form stays first-variables")
         record(2, "colon by the form stays first-variables",
                is_csstar(colon).verdict)
@@ -421,7 +422,7 @@ def closure_suite(I: Ideal, L: Polynomial, seed: int = 0) -> dict:
     if in_cs:
         record(4, "colon by the form stays radical-gin", is_cs(colon).verdict)
         record(5, "sum with the form stays radical-gin", is_cs(plus).verdict)
-        quotient_check(5, I, is_cs, "quotient by the form stays radical-gin")
+        quotient_check(5, is_cs, "quotient by the form stays radical-gin")
         try:
             section, _ = coordinate_section(I, max(L.support_vars()))
             record(6, "coordinate subring section stays radical-gin",
@@ -454,9 +455,11 @@ def ugb_check(candidates: Sequence[Polynomial], I: Ideal, n_orders: int = 200,
     candidates = [c for c in candidates if not c.is_zero]
     if not candidates:
         raise HypothesisNotSatisfiedError("no nonzero candidates")
-    if not all(I.contains(c) for c in candidates):
+    # a candidate that is a generator of I lies in I, and a generator of I
+    # that is itself a candidate lies in their ideal
+    gens = set(I.gens)
+    if not all(c in gens or I.contains(c) for c in candidates):
         raise HypothesisNotSatisfiedError("a candidate lies outside the ideal")
-    # a generator of I that is itself a candidate lies in their ideal
     named = set(candidates)
     others = [g for g in I.gens if g not in named]
     if others:
@@ -506,10 +509,10 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
 
     mode "le" checks coordinatewise <= bound; mode "eq" checks equality,
     which is the reading used for maximal minors in the row-graded case.
-    For multigraded I, an order is certified without a reduced basis when
-    the leads of its basis truncated at the bound have I's Hilbert series:
-    then every reduced element fits the bound.  Any other order, and every
-    order when I is not multigraded, runs Buchberger in full.
+    I must be multigraded (else ``HypothesisNotSatisfiedError``).  An order
+    is certified without a reduced basis when the leads of its basis
+    truncated at the bound have I's Hilbert series: then every reduced
+    element fits the bound.  Any other order runs Buchberger in full.
     Returns (ok, details).
     """
     if mode not in ("le", "eq"):
@@ -517,6 +520,9 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
     bound = tuple(bound)
     if len(bound) != I.ring.v:
         raise ValueError(f"bound needs {I.ring.v} entries, got {len(bound)}")
+    if not I.is_multihomogeneous:
+        raise HypothesisNotSatisfiedError(
+            "the degree bound check needs multigraded generators")
 
     def fits(deg: tuple) -> bool:
         if mode == "eq":
@@ -533,14 +539,12 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
     # A reduced element of a multihomogeneous I has its lead's multidegree.
     # When the leads of the basis truncated at the bound have I's series,
     # they generate in_o(I), so they are the leads of the reduced basis.
-    series = I.hilbert_series() if I.is_multihomogeneous else None
+    series = I.hilbert_series()
     numerators: dict = {}
     records = []
     for o in orders:
-        record = None
-        if series is not None:
-            leads = MonomialIdeal(I.ring, I._truncated_leads(o, bound))
-            record = _certified_record(o, leads, series, numerators)
+        leads = MonomialIdeal(I.ring, I._truncated_leads(o, bound))
+        record = _certified_record(o, leads, series, numerators)
         if record is None:
             record = _basis_record(o, I.groebner_basis(o))
         records.append(record)

@@ -19,10 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from multigb import groebner, kernel
+from multigb import groebner
 from multigb.errors import InconclusiveError, InternalConsistencyError
 from multigb.groebner import Ideal
 from multigb.monomials import MonomialIdeal, hilbert_numerator, is_borel_fixed
+from multigb.poly import Polynomial
 from multigb.ring import BlockRing, TermOrder
 
 SEED_STRIDE = 1_000_003
@@ -69,31 +70,18 @@ def _variable_images(g: BorelElement, variables) -> dict:
 
 
 def _trial(g: BorelElement, I: Ideal, order: TermOrder) -> MonomialIdeal:
-    """in(g(I)) under ``order``, as one packed computation: the generators
-    are moved straight into joint ints of the order's layout, split into
-    packed terms for ``groebner._buchberger``, and the initial ideal is read
-    off the packed leads of the reduced basis.  g(I) has the Hilbert series
-    of I, so the run skips pairs by it once I has a basis cached."""
-    ring, p = I.ring, I.ring.characteristic
-    series = I._series_cutoff()
-    gens = [f.terms for f in I.gens]
-    images = _variable_images(
-        g, set().union(*(f.support_vars() for f in I.gens)))
-    # g is linear and invertible, so g(f) has the degree of f
-    top = max((f.total_degree() for f in I.gens), default=0)
-
-    def run(layout: kernel.Layout) -> MonomialIdeal:
-        if top >= layout.field_max:
-            raise kernel.FieldOverflow(
-                layout, f"degree {top} needs more than {layout.bits - 1} bits")
-        joint = [[(layout.joint(e), c) for e, c in images.get(v, ())]
-                 for v in range(ring.nvars)]
-        moved = [layout.split(f) for f in kernel.expand(gens, joint, p)]
-        basis = groebner._buchberger(moved, layout, p, I.limits, series)
-        return MonomialIdeal(ring, [layout.exponents(f[0][1]) for f, _ in basis],
-                             _minimal=True)
-
-    return groebner._packed_run(order.rows, kernel.bits_for(gens), run)
+    """in(g(I)) under ``order``: the generators are moved by
+    ``Polynomial.substitute``, their reduced basis is computed by
+    ``groebner._reduced_basis_raw``, and the initial ideal is read off its
+    leads.  g(I) has the Hilbert series of I, so the run skips pairs by it
+    once I has a basis cached."""
+    ring = I.ring
+    images = {v: Polynomial(ring, terms) for v, terms in _variable_images(
+        g, set().union(*(f.support_vars() for f in I.gens))).items()}
+    basis = groebner._reduced_basis_raw(
+        [f.substitute(images).terms for f in I.gens], order.rows,
+        ring.characteristic, I.limits, I._series_cutoff())
+    return MonomialIdeal(ring, [f[0][0] for f in basis], _minimal=True)
 
 
 @dataclass(frozen=True)

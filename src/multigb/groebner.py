@@ -263,13 +263,13 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
 def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
                        limits: EngineLimits,
                        series: _SeriesCutoff | None = None) -> list:
-    """``_buchberger`` on tuple term lists: sorted under ``matrix`` and
-    packed on entry, the basis unpacked on exit as term lists sorted under
-    ``matrix``."""
-    gens = [kernel.sort_terms(list(g), matrix, p) for g in gens]
+    """``_buchberger`` on normalized term lists (``Polynomial.terms``):
+    packed and sorted under ``matrix`` on entry, the basis unpacked on exit
+    as term lists sorted under ``matrix``."""
     return _packed_run(matrix, kernel.bits_for(gens), lambda layout: [
         layout.unpack(g) for g, _ in _buchberger(
-            [layout.pack(f) for f in gens], layout, p, limits, series)])
+            [sorted(layout.pack(f), reverse=True) for f in gens], layout, p,
+            limits, series)])
 
 
 class GroebnerBasis:

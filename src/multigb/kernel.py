@@ -1,10 +1,11 @@
 """Polynomial kernel.
 
 This module implements the hot inner loops of the Groebner engine: term
-sorting and merge-based arithmetic on exponent tuples for ``Polynomial``,
-s-polynomials and multivariate division on packed terms for the Buchberger
-loop, and the expansion of a substitution of variables (``expand``) on
-packed monomials for coordinate changes.
+sorting and arithmetic on exponent tuples for ``Polynomial`` (terms are
+summed in a dict, then sorted), merge-based s-polynomials and multivariate
+division on packed terms for the Buchberger loop, and the expansion of a
+substitution of variables (``expand``) on packed monomials for
+``Polynomial.substitute``.
 
 Data conventions:
 
@@ -18,8 +19,7 @@ Data conventions:
   K the order key, one int that compares as M·e does (see ``Layout``).
   A packed polynomial is a list of packed terms strictly decreasing in K.
   Polynomials are packed once when a computation starts and unpacked once
-  when it ends; a gin trial expands its moved generators straight into
-  packed terms (``Layout.joint``);
+  when it ends;
 * ``normal_form`` and ``spoly`` take basis elements ``(terms, ceiling)``:
   a packed polynomial and the fieldwise maximum of its exponents
   (``Layout.ceiling``), which bounds every term a shift of it creates.
@@ -182,20 +182,13 @@ class Layout(Fields):
     value on any monomial whose fields fit, and s_i is the total width of
     the rows after it.  So K(a) < K(b) exactly when M·a < M·b
     lexicographically, and K(a*b) = K(a) + K(b).
-
-    A joint int ``(K << width) + E`` holds a monomial's key and packed
-    monomial E, ``width`` the bits of a packed monomial.  Joint ints add as
-    both parts do, since a sum of packed monomials that fits its fields
-    never carries out of the top field; they compare as their keys, since
-    0 <= E < 2^width.
     """
 
-    __slots__ = ("cols", "width")
+    __slots__ = ("cols",)
 
     def __init__(self, matrix, bits):
         n = len(matrix[0])
         super().__init__(n, bits)
-        self.width = n * bits
         top = self.field_max - 1
         widths = [(sum(abs(x) for x in row) * top).bit_length() + 1
                   for row in matrix]
@@ -218,17 +211,6 @@ class Layout(Fields):
         cols, monomial = self.cols, self.monomial
         return [(sum(map(mul, e, cols)), monomial(e), c) for e, c in f]
 
-    def joint(self, exp):
-        """The joint int of an exponent tuple."""
-        return (self.key(exp) << self.width) + self.monomial(exp)
-
-    def split(self, joint):
-        """Packed terms of a dict from joint int to coefficient."""
-        width = self.width
-        mask = (1 << width) - 1
-        return [(z >> width, z & mask, c)
-                for z, c in sorted(joint.items(), reverse=True)]
-
     def unpack(self, f):
         """The tuple polynomial of packed terms."""
         return [(self.exponents(e), c) for _, e, c in f]
@@ -250,11 +232,10 @@ def expand(polys, images, p):
     dicts from packed monomial to coefficient in 1..p-1.
 
     ``images[v]`` lists the ``(packed monomial, coefficient)`` terms of the
-    image of variable v, in any additive packing (``Fields`` monomials or
-    ``Layout`` joint ints) whose fields hold every product formed.  The
-    image of a monomial m is the image of m / x_v times the image of x_v,
-    x_v the last variable of m; images of monomials are memoized across
-    ``polys``.
+    image of variable v, packed by ``Fields`` that hold every product
+    formed.  The image of a monomial m is the image of m / x_v times the
+    image of x_v, x_v the last variable of m; images of monomials are
+    memoized across ``polys``.
     """
     memo = {(0,) * len(images): {0: 1}}
 

@@ -121,45 +121,40 @@ def is_extended_from_first_variables(I: MonomialIdeal) -> bool:
     return all(set(support(g)) <= firsts for g in I.gens)
 
 
-def is_strongly_stable(I: MonomialIdeal) -> bool:
-    """Single-exchange condition: x_{ik} * (u / x_{ij}) stays in I for k < j."""
+def _exchanges_stay(I: MonomialIdeal, sizes) -> bool:
+    """Whether x_{ik}^d * (u / x_{ij}^d) stays in I for every generator u,
+    every x_{ij} dividing u, every k < j and every d in ``sizes(c)``, c the
+    exponent of x_{ij} in u."""
     ring = I.ring
     for u in I.gens:
         for var, c in enumerate(u):
             if c == 0:
                 continue
             block, pos = ring.var_pair(var)
+            ds = sizes(c)
             for k in range(1, pos):
                 w = ring.var_index(block, k)
-                moved = list(u)
-                moved[var] -= 1
-                moved[w] += 1
-                if not I.contains_monomial(tuple(moved)):
-                    return False
-    return True
-
-
-def is_borel_fixed(I: MonomialIdeal) -> bool:
-    """Exchange condition with binomial coefficients taken mod the ring's
-    characteristic."""
-    ring = I.ring
-    p = ring.characteristic
-    for u in I.gens:
-        for var, c in enumerate(u):
-            if c == 0:
-                continue
-            block, pos = ring.var_pair(var)
-            for k in range(1, pos):
-                w = ring.var_index(block, k)
-                for d in range(1, c + 1):
-                    if math.comb(c, d) % p == 0:
-                        continue
+                for d in ds:
                     moved = list(u)
                     moved[var] -= d
                     moved[w] += d
                     if not I.contains_monomial(tuple(moved)):
                         return False
     return True
+
+
+def is_strongly_stable(I: MonomialIdeal) -> bool:
+    """Single-exchange condition: x_{ik} * (u / x_{ij}) stays in I for k < j."""
+    return _exchanges_stay(I, lambda c: (1,))
+
+
+def is_borel_fixed(I: MonomialIdeal) -> bool:
+    """Exchange condition with binomial coefficients taken mod the ring's
+    characteristic: the exchange of d of the c factors x_{ij} of u is
+    tried for every d with comb(c, d) nonzero mod p."""
+    p = I.ring.characteristic
+    return _exchanges_stay(I, lambda c: [d for d in range(1, c + 1)
+                                         if math.comb(c, d) % p])
 
 
 def regularity_strongly_stable(I: MonomialIdeal) -> int:

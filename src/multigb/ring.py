@@ -217,16 +217,6 @@ def degrevlex(ring_or_n, priority=None) -> TermOrder:
     return TermOrder(name, tuple(rows))
 
 
-def degrevlex_blocks_reversed(ring: BlockRing) -> TermOrder:
-    """Degrevlex with the blocks visited last-to-first; still respects the
-    within-block convention."""
-    prio = []
-    for block in range(ring.v, 0, -1):
-        prio.extend(ring.block_vars(block))
-    order = degrevlex(ring, tuple(prio))
-    return TermOrder("degrevlex[blocks reversed]", order.rows)
-
-
 def weight_order(ring_or_n, weights: Sequence[int]) -> TermOrder:
     """Weight vector order with degrevlex ties."""
     n = ring_or_n.nvars if isinstance(ring_or_n, BlockRing) else int(ring_or_n)

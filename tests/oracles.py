@@ -18,13 +18,24 @@ from multigb.groebner import Ideal
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                is_radical_monomial, support)
 from multigb.poly import Polynomial
-from multigb.ring import TermOrder, exp_divides
+from multigb.ring import BlockRing, TermOrder, degrevlex, exp_divides
 
 
 def order_key(order: TermOrder, exp: tuple) -> tuple:
     """The order matrix times ``exp``; monomials compare by these vectors
     lexicographically.  The reference for the kernel's packed order keys."""
     return tuple(sum(map(mul, row, exp)) for row in order.rows)
+
+
+def degrevlex_blocks_reversed(ring: BlockRing) -> TermOrder:
+    """Degrevlex with the blocks visited last-to-first; still respects the
+    within-block convention.  An order other than the storage order for
+    the tests to run under."""
+    prio = []
+    for block in range(ring.v, 0, -1):
+        prio.extend(ring.block_vars(block))
+    return TermOrder("degrevlex[blocks reversed]",
+                     degrevlex(ring, tuple(prio)).rows)
 
 
 def exp_lcm(a: tuple, b: tuple) -> tuple:

@@ -28,9 +28,8 @@ from multigb.monomials import (MonomialIdeal, alexander_dual,
                                quotient_dimension_from_numerator,
                                regularity_strongly_stable)
 from multigb.poly import Polynomial
-from multigb.ring import (BlockRing, degrevlex_blocks_reversed, exp_divides,
-                          lex, weight_order)
-from oracles import graded_dimension
+from multigb.ring import BlockRing, exp_divides, lex, weight_order
+from oracles import degrevlex_blocks_reversed, graded_dimension
 
 N_INSTANCES = 20
 

@@ -15,7 +15,7 @@ from multigb.determinantal import (build_column_graded, build_row_graded,
                                    minors, variable_matrix)
 from multigb.errors import (HypothesisNotSatisfiedError,
                             InternalConsistencyError, NotSquarefreeError)
-from multigb.groebner import Ideal, ideal_from_monomials
+from multigb.groebner import GroebnerBasis, Ideal, ideal_from_monomials
 from multigb.instances import (cs_instance_pool, csstar_instance_pool,
                                random_graded_ideal, random_linear_form,
                                random_monomial_ideal,
@@ -26,7 +26,8 @@ from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                is_extended_from_first_variables,
                                is_radical_monomial)
 from multigb.poly import Polynomial
-from multigb.ring import BlockRing, degrevlex_blocks_reversed
+from multigb.ring import BlockRing
+from oracles import degrevlex_blocks_reversed
 
 
 def x(R, i, j):
@@ -381,6 +382,25 @@ def test_closure_suite_both_families():
     assert out["passed"]
 
 
+def test_closure_suite_builds_the_quotient_once(monkeypatch):
+    # items 1 and 5 check the same quotient by L, one per family
+    calls = []
+    inner = csideals.quotient_by_linear_form
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(csideals, "quotient_by_linear_form", counted)
+    R = BlockRing((2, 2))
+    out = closure_suite(Ideal(R, [x(R, 1, 1) * x(R, 2, 1)]), x(R, 1, 2))
+    assert out["families"] == {"radical-gin": True, "first-variables-gin": True}
+    assert [(c["item"], c["verdict"], c["detail"]) for c in out["checks"]
+            if c["item"] in (1, 5) and c["detail"]] == [
+        (1, "yes", "dropped x[1,2]"), (5, "yes", "dropped x[1,2]")]
+    assert len(calls) == 1
+
+
 def test_closure_suite_rejects_nonlinear_form():
     R, I = remark_matrix_ideal()
     with pytest.raises(HypothesisNotSatisfiedError):
@@ -512,8 +532,9 @@ def test_ugb_check_failures_match_buchberger():
 
 def test_ugb_check_maximal_minors_run_buchberger_once():
     # the 3x5 generic maximal minors form a universal basis, so every order
-    # is settled by the Hilbert series computed from the one storage-order
-    # basis the membership prechecks need
+    # is settled by the Hilbert series, read off the one storage-order basis
+    # it needs; the candidates are I's generators, so no membership test
+    # runs
     B = build_column_graded(3, (3, 3, 3, 3, 3), seed=7)
     cands = minors(B, 3)
     I = Ideal(B.ring, cands)
@@ -533,6 +554,27 @@ def test_ugb_check_hypothesis_errors():
         ugb_check([x(R, 1, 2)], I)  # not inside I
     with pytest.raises(HypothesisNotSatisfiedError):
         ugb_check([x(R, 1, 1) ** 2], I)  # does not generate
+
+
+def test_ugb_check_tests_no_generator_for_membership(monkeypatch):
+    # a candidate that is a generator of I lies in I without a normal form
+    calls = []
+    inner = GroebnerBasis.contains
+
+    def counted(self, f):
+        calls.append(f)
+        return inner(self, f)
+
+    monkeypatch.setattr(GroebnerBasis, "contains", counted)
+    A = variable_matrix(2, 3, grading="column")
+    I = Ideal(A.ring, minors(A, 2))
+    assert ugb_check(I.gens, I, n_orders=4).passed
+    assert calls == []
+    # any other candidate is still tested, and a non-member raises
+    outside = x(A.ring, 1, 1)
+    with pytest.raises(HypothesisNotSatisfiedError, match="outside the ideal"):
+        ugb_check(list(I.gens) + [outside], I, n_orders=4)
+    assert calls == [outside]
 
 
 def test_ugb_check_builds_candidate_ideal_only_when_needed(monkeypatch):
@@ -629,6 +671,18 @@ def test_degree_bound_check_falls_back_where_the_certificate_fails():
     ok, details = assert_degree_bound_matches_oracle(I, (1, 2), 6, 0)
     assert not ok
     assert 1 < len(I._gb_cache) < len(details["orders"])
+
+
+def test_degree_bound_check_rejects_inhomogeneous_input():
+    # the check reads the Hilbert series and the minimal generators, which
+    # need multigraded generators: it says so before computing either
+    R = BlockRing((2, 2))
+    I = Ideal(R, [x(R, 1, 1) * x(R, 2, 1) - x(R, 1, 2),
+                  x(R, 1, 2) * x(R, 2, 2)])
+    with pytest.raises(HypothesisNotSatisfiedError,
+                       match="degree bound check needs multigraded"):
+        degree_bound_check(I, (1, 1), n_orders=2)
+    assert I._gb_cache == {}
 
 
 def test_degree_bound_check_eq():

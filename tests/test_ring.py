@@ -4,9 +4,9 @@ import pytest
 
 from multigb.errors import RingMismatchError
 from multigb.monomials import ambient_dimension
-from multigb.ring import (BlockRing, degrevlex, degrevlex_blocks_reversed,
-                          elimination_order, lex, weight_order)
-from oracles import order_key
+from multigb.ring import (BlockRing, degrevlex, elimination_order, lex,
+                          weight_order)
+from oracles import degrevlex_blocks_reversed, order_key
 
 
 def test_ring_shape():

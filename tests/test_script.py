@@ -508,6 +508,14 @@ def test_cli_bounds_rejects_bad_bounds(tmp_path, capsys, command):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_bounds_of_an_inhomogeneous_ideal_exit_2(tmp_path, capsys):
+    text = ("ring v=2 blocks=[2,2] char=32003\n"
+            "ideal I = x[1,1]*x[2,1] - x[1,2], x[1,2]*x[2,2]\n"
+            "bounds I [1,1]\n")
+    assert run_cli(tmp_path, text) == 2
+    assert "degree bound check needs multigraded" in capsys.readouterr().err
+
+
 # I an ideal, f a polynomial and A a matrix, on lines 2-4
 SESSION = ("ring v=2 blocks=[2,2] char=32003\n"
            "matrix A colgraded 2 x 2 { x[1,1], x[2,1] ; x[1,2], x[2,2] }\n"
