@@ -50,13 +50,13 @@ def _gm_update(basis: list, pairs: dict, f: tuple, layout: kernel.Layout,
     Gebauer-Moeller criteria (lcm chain rule, duplicate-lcm collapse,
     coprime leads).
 
-    ``pairs`` maps ``(i, j)`` to ``layout.pair_key`` of the pair's lcm,
-    computed once when the pair is made.  Leads and lcms are packed
-    monomials; the candidate lcms are visited in increasing packed value,
-    which puts every divisor before its multiples.  A pair whose lcm fails
-    ``bound`` is never made: the criteria drop a pair only on account of
-    pairs whose lcms divide its own, and every multiple of an lcm outside
-    a multidegree bound is outside it too.
+    ``pairs`` maps ``(i, j)`` to ``(total degree, order key, lcm)`` of the
+    pair's lcm, computed once when the pair is made.  Leads and lcms are
+    packed monomials; the candidate lcms are visited in increasing packed
+    value, which puts every divisor before its multiples.  A pair whose lcm
+    fails ``bound`` is never made: the criteria drop a pair only on account
+    of pairs whose lcms divide its own, and every multiple of an lcm
+    outside a multidegree bound is outside it too.
     """
     m = len(basis)
     guard, lcm = layout.guard, layout.lcm
@@ -84,9 +84,10 @@ def _gm_update(basis: list, pairs: dict, f: tuple, layout: kernel.Layout,
         group = by_lcm[gamma]
         if any(gamma == leads[i] + lf for i in group):
             continue
-        if bound is not None and not bound(layout.exponents(gamma)):
+        exp = layout.exponents(gamma)
+        if bound is not None and not bound(exp):
             continue
-        survivors[(group[0], m)] = layout.pair_key(gamma)
+        survivors[(group[0], m)] = sum(exp), layout.key(exp), gamma
 
     basis.append(f)
     pairs.clear()
@@ -157,15 +158,19 @@ class _SeriesCutoff:
         return False
 
 
-def _packed_run(matrix: tuple, bits: int, run):
-    """``run(layout)`` under the layout of ``matrix`` with ``bits``-wide
-    fields; ``run`` packs its own inputs.  When it outgrows that layout's
-    fields, it restarts with fields twice as wide.  An overflow of any other
-    fields is a bug, not a reason to widen."""
+def _packed_run(polys: Sequence[list], matrix: tuple, run):
+    """``run(layout, packed)``: ``packed`` holds the normalized term lists
+    ``polys``, packed and sorted under the layout of ``matrix`` with fields
+    ``kernel.bits_for(polys)`` wide.  When the inputs or the run outgrow
+    those fields, it repacks and restarts with fields twice as wide.  An
+    overflow of any other fields is a bug, not a reason to widen.  Every
+    packed run enters here, so only this function packs a run's inputs."""
+    bits = kernel.bits_for(polys)
     while True:
         layout = kernel.layout(matrix, bits)
         try:
-            return run(layout)
+            return run(layout, [sorted(layout.pack(f), reverse=True)
+                                for f in polys])
         except kernel.FieldOverflow as e:
             if e.fields is not layout:
                 raise InternalConsistencyError(
@@ -266,16 +271,15 @@ def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
     """``_buchberger`` on normalized term lists (``Polynomial.terms``):
     packed and sorted under ``matrix`` on entry, the basis unpacked on exit
     as term lists sorted under ``matrix``."""
-    return _packed_run(matrix, kernel.bits_for(gens), lambda layout: [
-        layout.unpack(g) for g, _ in _buchberger(
-            [sorted(layout.pack(f), reverse=True) for f in gens], layout, p,
-            limits, series)])
+    return _packed_run(gens, matrix, lambda layout, packed: [
+        layout.unpack(g) for g, _ in _buchberger(packed, layout, p, limits,
+                                                 series)])
 
 
 class GroebnerBasis:
     """Reduced Groebner basis under a fixed term order."""
 
-    __slots__ = ("ring", "order", "elements", "_limits", "_packed")
+    __slots__ = ("ring", "order", "elements", "_limits")
 
     def __init__(self, ring: BlockRing, order: TermOrder,
                  elements: Sequence[Polynomial], limits: EngineLimits = DEFAULT_LIMITS):
@@ -283,7 +287,6 @@ class GroebnerBasis:
         self.order = order
         self.elements = tuple(elements)
         self._limits = limits
-        self._packed = None  # (layout, packed elements), built on first use
 
     def __iter__(self):
         return iter(self.elements)
@@ -304,30 +307,15 @@ class GroebnerBasis:
     def lead_exponents(self) -> list:
         return [g.lead_exp(self.order) for g in self.elements]
 
-    def _packed_elements(self, layout: kernel.Layout) -> list:
-        """The elements sorted under the order and packed under ``layout``;
-        packed once, and again only for another layout."""
-        if self._packed is None or self._packed[0] is not layout:
-            rows, p = self.order.rows, self.ring.characteristic
-            self._packed = layout, [
-                layout.element(layout.pack(kernel.sort_terms(g.terms, rows, p)))
-                for g in self.elements]
-        return self._packed[1]
-
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
-        rows, p = self.order.rows, self.ring.characteristic
-        raw = kernel.sort_terms(f.terms, rows, p)
-        # never narrower than the packing already cached
-        if self._packed is None:
-            bits = kernel.bits_for([raw, *(g.terms for g in self.elements)])
-        else:
-            bits = max(kernel.bits_for([raw]), self._packed[0].bits)
-        return Polynomial(self.ring, _packed_run(rows, bits, lambda layout: (
-            layout.unpack(kernel.normal_form(
-                layout.pack(raw), self._packed_elements(layout), layout, p,
-                self._limits.max_terms)))))
+        p = self.ring.characteristic
+        return Polynomial(self.ring, _packed_run(
+            [f.terms, *(g.terms for g in self.elements)], self.order.rows,
+            lambda layout, packed: layout.unpack(kernel.normal_form(
+                packed[0], [layout.element(g) for g in packed[1:]], layout, p,
+                self._limits.max_terms))))
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -398,12 +386,13 @@ class Ideal:
         (multihomogeneous ideals only), with the series cutoff on once a
         basis is cached: they generate in(I) in every multidegree <= b."""
         p = self.ring.characteristic
-        gens = [g.terms for g in self.gens]
         series, bound = self._series_cutoff(), _within(self.ring, b)
-        return _packed_run(order.rows, kernel.bits_for(gens), lambda layout: [
-            layout.exponents(g[0][1]) for g, _ in _buchberger(
-                [sorted(layout.pack(f), reverse=True) for f in gens], layout,
-                p, self.limits, series, bound)])
+
+        def leads(layout, packed):
+            return [layout.exponents(g[0][1]) for g, _ in _buchberger(
+                packed, layout, p, self.limits, series, bound)]
+
+        return _packed_run([g.terms for g in self.gens], order.rows, leads)
 
     def initial_ideal(self, order: TermOrder | None = None) -> MonomialIdeal:
         gb = self.groebner_basis(order)
@@ -540,14 +529,13 @@ class Ideal:
             f = kept[i]
             raws = [g.terms for g in [f] + kept[:i] + kept[i + 1:]]
 
-            def reduces_to_zero(layout, raws=raws,
+            def reduces_to_zero(layout, packed,
                                 bound=_within(self.ring, f.multidegree())):
-                packed = [layout.pack(g) for g in raws]
                 basis = _buchberger(packed[1:], layout, p, limits, bound=bound)
                 return not kernel.normal_form(packed[0], basis, layout, p,
                                               limits.max_terms)
 
-            if _packed_run(matrix, kernel.bits_for(raws), reduces_to_zero):
+            if _packed_run(raws, matrix, reduces_to_zero):
                 kept.pop(i)
             else:
                 i += 1
@@ -678,7 +666,7 @@ def quotient_by_linear_form(I: Ideal, L: Polynomial) -> tuple:
     The dropped variable x_v is the highest-position variable of L's block
     with a nonzero coefficient, so the remaining variables keep their order.
     I is moved to coordinates where L is x_v, then x_v is set to 0.
-    Returns (ideal in the smaller ring, smaller ring, dropped flat index).
+    Returns (ideal in the smaller ring, dropped flat index).
     """
     _graded_linear_block(L)
     small = ring_without_variable(I.ring, max(L.support_vars()))
@@ -687,15 +675,13 @@ def quotient_by_linear_form(I: Ideal, L: Polynomial) -> tuple:
                 Polynomial(I.ring, [t for t in g.terms if not t[0][var]],
                            _normalized=True), small, var)
             for g in moved.gens]
-    return Ideal(small, gens, I.limits), small, var
+    return Ideal(small, gens, I.limits), var
 
 
 def coordinate_section(I: Ideal, var: int) -> tuple:
-    """I cap K[all variables but ``var``], living in the smaller ring.
-
-    Returns (ideal in the smaller ring, smaller ring).
-    """
+    """I cap K[all variables but ``var``], as an ideal of the smaller
+    ring."""
     small = ring_without_variable(I.ring, var)
     section = I.eliminate({var})
-    gens = [project_out_variable(g, small, var) for g in section.gens]
-    return Ideal(small, gens, I.limits), small
+    return Ideal(small, [project_out_variable(g, small, var)
+                         for g in section.gens], I.limits)

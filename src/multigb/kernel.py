@@ -200,12 +200,6 @@ class Layout(Fields):
         """Order key of an exponent tuple."""
         return sum(map(mul, exp, self.cols))
 
-    def pair_key(self, gamma):
-        """``(total degree, order key, gamma)`` of a packed lcm: the
-        Buchberger driver selects pairs by it."""
-        exp = self.exponents(gamma)
-        return sum(exp), self.key(exp), gamma
-
     def pack(self, f):
         """Packed terms of a tuple polynomial sorted under the matrix."""
         cols, monomial = self.cols, self.monomial

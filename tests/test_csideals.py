@@ -634,8 +634,7 @@ def assert_degree_bound_matches_oracle(I, bound, n_orders, seed, mode="le"):
                                      mode=mode)
     records, violations = degree_bound_oracle(I, bound, n_orders, seed, mode)
     assert details["records"] == records
-    assert [v for v in details["violations"]
-            if v["where"] != "minimal generator"] == violations
+    assert details["violations"] == violations
     return ok, details
 
 
@@ -674,8 +673,8 @@ def test_degree_bound_check_falls_back_where_the_certificate_fails():
 
 
 def test_degree_bound_check_rejects_inhomogeneous_input():
-    # the check reads the Hilbert series and the minimal generators, which
-    # need multigraded generators: it says so before computing either
+    # the check reads the Hilbert series, which needs multigraded
+    # generators: it says so before computing it
     R = BlockRing((2, 2))
     I = Ideal(R, [x(R, 1, 1) * x(R, 2, 1) - x(R, 1, 2),
                   x(R, 1, 2) * x(R, 2, 2)])
@@ -683,6 +682,34 @@ def test_degree_bound_check_rejects_inhomogeneous_input():
                        match="degree bound check needs multigraded"):
         degree_bound_check(I, (1, 1), n_orders=2)
     assert I._gb_cache == {}
+
+
+def degree_bound_verdict_oracle(I, bound, n_orders, seed, mode):
+    """The verdict of the sampled full bases and of the minimal
+    generators."""
+    _, violations = degree_bound_oracle(I, bound, n_orders, seed, mode)
+    degrees = [d for d in (g.multidegree() for g in I.minimal_generators())
+               if d != bound and (mode == "eq" or
+                                  any(x > y for x, y in zip(d, bound)))]
+    return not violations and not degrees
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_degree_bound_check_needs_no_minimal_generator_pass(data):
+    # every reduced basis has an element of each minimal generator's
+    # multidegree, so the sampled orders alone decide the verdict
+    R = BlockRing(data.draw(st.sampled_from([(2,), (2, 2), (1, 2), (2, 1, 2)])))
+    I = random_graded_ideal(R, random.Random(data.draw(st.integers(0, 10**6))))
+    bound = tuple(data.draw(st.lists(st.integers(0, 2), min_size=R.v,
+                                     max_size=R.v)))
+    mode = data.draw(st.sampled_from(["le", "eq"]))
+    seed = data.draw(st.integers(0, 3))
+    ok, details = degree_bound_check(I, bound, n_orders=3, seed=seed,
+                                     mode=mode)
+    assert ok == degree_bound_verdict_oracle(I, bound, 3, seed, mode)
+    assert all(v["where"] != "minimal generator"
+               for v in details["violations"])
 
 
 def test_degree_bound_check_eq():

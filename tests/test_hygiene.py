@@ -1,5 +1,6 @@
 """Source hygiene: no module imports a name it never reads, every public
-name has a reader, only the kernel packs exponents into ints, and README
+name has a reader, only the kernel packs exponents into ints, only
+``groebner._packed_run`` packs a run's inputs, and README
 lists the script commands, calls and options the code accepts."""
 
 import ast
@@ -113,6 +114,48 @@ def test_exponent_packing_is_found():
     tree = ast.parse("from operator import lshift, mul\n"
                      "n = 5\nw = (2 * n).bit_length() + 1\n")
     assert exponent_packing(tree) == [1, 3]
+
+
+def packing_outside_the_door(tree: ast.Module, module: str) -> list:
+    """Lines of ``module`` that pack a run's inputs outside
+    ``groebner._packed_run``: calls of ``.pack`` or ``kernel.bits_for``
+    anywhere else, and any call of ``kernel.sort_terms`` in groebner."""
+    groebner = module == "groebner"
+    out = []
+    for stmt in tree.body:
+        door = groebner and getattr(stmt, "name", None) == "_packed_run"
+        for node in ast.walk(stmt):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            attr = node.func.attr
+            on_kernel = (isinstance(node.func.value, ast.Name)
+                         and node.func.value.id == "kernel")
+            if (attr == "pack" or on_kernel and attr == "bits_for") and not door \
+                    or groebner and on_kernel and attr == "sort_terms":
+                out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.parent.name == "multigb"
+             and p.name != "kernel.py"], ids=lambda p: p.name)
+def test_one_door_packs_every_run(path):
+    # groebner._packed_run sizes, packs and sorts the inputs of every
+    # packed run, so only it knows their format, width and order
+    assert packing_outside_the_door(ast.parse(path.read_text()),
+                                    path.stem) == []
+
+
+def test_packing_outside_the_door_is_found():
+    tree = ast.parse("def _packed_run(polys):\n"
+                     "    bits = kernel.bits_for(polys)\n"
+                     "    return [layout.pack(f) for f in polys]\n"
+                     "def run(f):\n"
+                     "    g = kernel.sort_terms(f)\n"
+                     "    return layout.pack(g), kernel.bits_for([g])\n")
+    assert packing_outside_the_door(tree, "groebner") == [5, 6, 6]
+    assert packing_outside_the_door(tree, "poly") == [2, 3, 6, 6]
 
 
 def readme_paragraph(lead: str) -> str:

@@ -71,8 +71,6 @@ def test_layout_arithmetic_matches_exponent_tuples(data):
     if max(x + y for x, y in zip(a, b)) <= top:
         product = tuple(x + y for x, y in zip(a, b))
         assert (ka + kb, ea + eb) == tuple(layout.pack([(product, 1)])[0][:2])
-    degree, key, gamma = layout.pair_key(layout.lcm(ea, eb))
-    assert degree == sum(exp_lcm(a, b)) and key == layout.key(exp_lcm(a, b))
 
 
 @pytest.mark.parametrize("top", [0, 1] + [2 ** k - 1 for k in range(2, 7)]
