@@ -181,7 +181,9 @@ def _int_option(cmd: Command, key: str, default: int) -> int:
 def _execute_command(cmd: Command, sess: _Session) -> dict:
     flags = sess.flags
     seed = _int_option(cmd, "seed", flags.seed)
-    n_orders = _int_option(cmd, "orders", 200 if cmd.name == "ugb" else 20)
+    # without orders=, each command samples its function's default count
+    orders_kw = ({"n_orders": _int_option(cmd, "orders", 0)}
+                 if "orders" in cmd.options else {})
     report = {
         "command": cmd.name,
         "inputs": [_arg_text(a) for a in cmd.args],
@@ -264,7 +266,7 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
         report["verdict"] = "computed"
         report["evidence"] = {"generators": [str(g) for g in I.gens]}
     elif cmd.name == "ugb":
-        rep = ugb_check(list(I.gens), I, n_orders=n_orders, seed=seed)
+        rep = ugb_check(list(I.gens), I, seed=seed, **orders_kw)
         ok = rep.passed
         report["verdict"] = "pass" if ok else "fail"
         report["orders"] = [f"{rep.orders_tested} sampled"]
@@ -304,7 +306,7 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
         if not isinstance(bound, tuple) or len(bound) != sess.ring.v:
             raise ScriptError(f"bound needs {sess.ring.v} entries", cmd.line)
         passed, details = degree_bound_check(
-            I, bound, n_orders=n_orders, seed=seed, mode=mode)
+            I, bound, seed=seed, mode=mode, **orders_kw)
         ok = passed
         report["verdict"] = "pass" if ok else "fail"
         report["orders"] = details["orders"]
@@ -312,10 +314,11 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
                               "violations": details["violations"]}
     elif cmd.name == "main-theorem":
         A = _eval_matrix(cmd.args[0], sess, cmd.line)
-        transcript = verify_main_theorem(A, n_orders=n_orders, seed=seed)
+        transcript = verify_main_theorem(A, seed=seed, limits=sess.limits,
+                                         **orders_kw)
         ok = transcript["passed"]
         report["verdict"] = "pass" if ok else "fail"
-        report["orders"] = [f"{n_orders} sampled"]
+        report["orders"] = [f"{transcript['orders']} sampled"]
         report["evidence"] = transcript
     else:
         raise ScriptError(f"unknown command {cmd.name!r}", cmd.line)

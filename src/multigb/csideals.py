@@ -448,9 +448,9 @@ def ugb_check(candidates: Sequence[Polynomial], I: Ideal, n_orders: int = 200,
     """Sampled universal-GB check: under every sampled order, the candidate
     lead terms must generate the initial ideal of I.
 
-    An order whose candidate lead terms have I's Hilbert series is settled
-    without a Groebner basis; any other order, and every order when I is not
-    multigraded, runs Buchberger, which also names a missing lead term."""
+    Each order is settled by ``_sampled_records`` from the candidates' lead
+    terms; only an order that ran Buchberger can miss a lead term, and a
+    failure names it."""
     ring = I.ring
     candidates = [c for c in candidates if not c.is_zero]
     if not candidates:
@@ -469,36 +469,20 @@ def ugb_check(candidates: Sequence[Polynomial], I: Ideal, n_orders: int = 200,
                 "candidates do not generate the ideal")
     orders = sample_orders(ring, n_orders, seed=seed,
                            include_permutations=include_permutations)
-    # The candidates lie in I, so their lead terms generate a subideal of
-    # in_o(I); for multigraded I the two are equal exactly when their
-    # Hilbert series are (Macaulay).  Buchberger runs only where they differ.
-    series = I.hilbert_series() if I.is_multihomogeneous else None
-    numerators: dict = {}
-    failures = []
-    records = []
-    certified = 0
-    for o in orders:
-        cand_leads = MonomialIdeal(ring, [c.lead_exp(o) for c in candidates])
-        record = _certified_record(o, cand_leads, series, numerators)
-        if record is not None:
-            certified += 1
-        else:
-            gb = I.groebner_basis(o)
-            record = _basis_record(o, gb)
-            for e in record["lead_exps"]:
-                if not cand_leads.contains_monomial(e):
-                    failures.append({"order": o.name,
-                                     "lead": ring.monomial_str(e)})
-        records.append(record)
+    settled = _sampled_records(
+        I, orders, lambda o: [c.lead_exp(o) for c in candidates])
     return UGBReport(
         orders_tested=len(orders),
         order_names=[o.name for o in orders],
-        failures=failures,
+        failures=[{"order": record["order"], "lead": ring.monomial_str(e)}
+                  for leads, record, certified in settled if not certified
+                  for e in record["lead_exps"]
+                  if not leads.contains_monomial(e)],
         # an inhomogeneous candidate has multidegree None; it sorts last
         degree_profile=sorted((c.multidegree() for c in candidates),
                               key=lambda d: (d is None, d or ())),
-        records=records,
-        certified=certified,
+        records=[record for _, record, _ in settled],
+        certified=sum(certified for _, _, certified in settled),
     )
 
 
@@ -508,13 +492,13 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
 
     mode "le" checks coordinatewise <= bound; mode "eq" checks equality,
     which is the reading used for maximal minors in the row-graded case.
-    I must be multigraded (else ``HypothesisNotSatisfiedError``).  An order
-    is certified without a reduced basis when the leads of its basis
-    truncated at the bound have I's Hilbert series: then every reduced
-    element fits the bound.  Any other order runs Buchberger in full.
-    Every reduced basis has an element of each minimal generator's
-    multidegree, so the bound also holds for the minimal generators when
-    ``ok``.  Returns (ok, details).
+    I must be multigraded (else ``HypothesisNotSatisfiedError``).  Each
+    order is settled by ``_sampled_records`` from the leads of its basis
+    truncated at the bound (Buchberger with the series cutoff on): when
+    they are certified, every reduced element fits the bound.  Every
+    reduced basis has an element of each minimal generator's multidegree,
+    so the bound also holds for the minimal generators when ``ok``.
+    Returns (ok, details).
     """
     if mode not in ("le", "eq"):
         raise ValueError("mode must be 'le' or 'eq'")
@@ -530,52 +514,47 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
             return deg == bound
         return all(x <= y for x, y in zip(deg, bound))
 
-    violations = []
     orders = sample_orders(I.ring, n_orders, seed=seed,
                            include_permutations=False)
-    # A reduced element of a multihomogeneous I has its lead's multidegree.
-    # When the leads of the basis truncated at the bound have I's series,
-    # they generate in_o(I), so they are the leads of the reduced basis.
-    series = I.hilbert_series()
-    numerators: dict = {}
-    records = []
-    for o in orders:
-        leads = MonomialIdeal(I.ring, I._truncated_leads(o, bound))
-        record = _certified_record(o, leads, series, numerators)
-        if record is None:
-            record = _basis_record(o, I.groebner_basis(o))
-        records.append(record)
-        for d in record["gb_multidegrees"]:
-            if not fits(d):
-                violations.append({"where": o.name, "degree": d})
+    records = [record for _, record, _ in _sampled_records(
+        I, orders, lambda o: I._truncated_leads(o, bound))]
+    violations = [{"where": record["order"], "degree": d}
+                  for record in records for d in record["gb_multidegrees"]
+                  if not fits(d)]
     ok = not violations
     return ok, {"mode": mode, "bound": bound, "orders": [o.name for o in orders],
                 "violations": violations, "records": records}
 
 
-def _basis_record(order: TermOrder, gb) -> dict:
-    """The record of ``order``: leads and multidegrees of its reduced
-    basis."""
-    return {"order": order.name, "lead_exps": gb.lead_exponents(),
-            "gb_multidegrees": [g.multidegree() for g in gb]}
+def _sampled_records(I: Ideal, orders: Sequence[TermOrder],
+                     leads_of) -> list:
+    """(lead ideal, record, certified) for each of ``orders``.
 
-
-def _certified_record(order: TermOrder, leads: MonomialIdeal,
-                      series, numerators: dict) -> dict | None:
-    """The record of ``order`` read off ``leads``, lead terms of elements of
-    a multigraded I, when they have I's Hilbert series ``series`` (Macaulay:
-    then they generate in_order(I), so they are the leads of its reduced
-    basis, sorted as the basis is); None when they do not, or when
-    ``series`` is None.  ``numerators`` memoizes numerators by lead set."""
-    if series is None:
-        return None
-    numerator = numerators.get(leads)
-    if numerator is None:
-        numerator = numerators[leads] = hilbert_numerator(leads)
-    if numerator != series:
-        return None
-    top = max((max(e) for e in leads.gens), default=0)
-    key = kernel.layout(order.rows, kernel.fields(1, top).bits).key
-    lead_exps = sorted(leads.gens, key=key, reverse=True)
-    return {"order": order.name, "lead_exps": lead_exps,
-            "gb_multidegrees": [leads.ring.multidegree(e) for e in lead_exps]}
+    ``leads_of(o)`` gives lead terms of elements of I under o, so they
+    generate a subideal of in_o(I).  For multigraded I the two are equal
+    exactly when their Hilbert series are (Macaulay); then the leads are
+    those of the reduced basis, sorted as the basis is, each element of
+    which has its lead's multidegree, and the order is certified.  Any
+    other order, and every order when I is not multigraded, runs
+    Buchberger.  A record holds the order's name, the leads of its
+    reduced basis and the multidegree of each element."""
+    series = I.hilbert_series() if I.is_multihomogeneous else None
+    numerators: dict = {}  # memoized by lead set
+    out = []
+    for o in orders:
+        leads = MonomialIdeal(I.ring, leads_of(o))
+        if series is not None and leads not in numerators:
+            numerators[leads] = hilbert_numerator(leads)
+        certified = series is not None and numerators[leads] == series
+        if certified:
+            top = max((max(e) for e in leads.gens), default=0)
+            key = kernel.layout(o.rows, kernel.fields(1, top).bits).key
+            lead_exps = sorted(leads.gens, key=key, reverse=True)
+            degrees = [I.ring.multidegree(e) for e in lead_exps]
+        else:
+            gb = I.groebner_basis(o)
+            lead_exps = gb.lead_exponents()
+            degrees = [g.multidegree() for g in gb]
+        out.append((leads, {"order": o.name, "lead_exps": lead_exps,
+                            "gb_multidegrees": degrees}, certified))
+    return out

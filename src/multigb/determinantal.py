@@ -16,7 +16,7 @@ from typing import Sequence
 
 from multigb.csideals import degree_bound_check, is_cs, is_csstar, ugb_check
 from multigb.errors import HypothesisNotSatisfiedError
-from multigb.groebner import Ideal
+from multigb.groebner import DEFAULT_LIMITS, EngineLimits, Ideal
 from multigb.monomials import regularity_strongly_stable
 from multigb.poly import Polynomial
 from multigb.ring import DEFAULT_CHARACTERISTIC, BlockRing
@@ -204,18 +204,21 @@ def minors(A: GradedMatrix, t: int) -> list:
     return out
 
 
-def verify_main_theorem(A: GradedMatrix, n_orders: int = 25,
-                        seed: int = 0) -> dict:
+def verify_main_theorem(A: GradedMatrix, n_orders: int = 25, seed: int = 0,
+                        limits: EngineLimits = DEFAULT_LIMITS) -> dict:
     """Check the determinantal claims on one instance and return a transcript.
 
     Items: sampled initial ideals of the maximal-minor ideal are squarefree
-    and its generators have total degree m; the maximal minors are a sampled
-    universal GB (column case) or every sampled GB element has multidegree
-    (1,...,1) (row case); sampled initial ideals of the 2-minor ideal are
-    squarefree and its sampled GB degrees are bounded by (1,...,1); both
-    ideals pass the radical-gin test, the column-case maximal-minor ideal
-    passes the first-variables test; and the gin of the maximal-minor ideal
-    has regularity exactly m.
+    and its generators have total degree m (read off the maximal minors:
+    every entry is zero or a linear form, so a nonzero minor is a form of
+    degree m, and an ideal generated in one degree has all its minimal
+    generators there); the maximal minors are a sampled universal GB
+    (column case) or every sampled GB element has multidegree (1,...,1)
+    (row case); sampled initial ideals of the 2-minor ideal are squarefree
+    and its sampled GB degrees are bounded by (1,...,1); both ideals pass
+    the radical-gin test, the column-case maximal-minor ideal passes the
+    first-variables test; and the gin of the maximal-minor ideal has
+    regularity exactly m.  Both ideals are built with ``limits``.
     """
     ring = A.ring
     m, n = A.shape
@@ -223,7 +226,7 @@ def verify_main_theorem(A: GradedMatrix, n_orders: int = 25,
         raise HypothesisNotSatisfiedError(
             "maximal-minor items need at least as many columns as rows")
     maximal = minors(A, m)
-    I_max = Ideal(ring, maximal)
+    I_max = Ideal(ring, maximal, limits)
     items = {}
 
     if A.grading == "column":
@@ -247,12 +250,12 @@ def verify_main_theorem(A: GradedMatrix, n_orders: int = 25,
                          for e in rec["lead_exps"])
     items["maximal_minors_initials_squarefree"] = {
         "passed": squarefree_max, "orders": len(records_max)}
-    gens_degree = all(g.total_degree() == m for g in I_max.minimal_generators())
+    gens_degree = all(g.total_degree() == m for g in maximal)
     items["maximal_minors_generator_degree"] = {
         "passed": gens_degree, "expected_total_degree": m}
 
     if min(m, n) >= 2:
-        I_two = Ideal(ring, minors(A, 2))
+        I_two = Ideal(ring, minors(A, 2), limits)
         bound = (1,) * ring.v
         ok2, details2 = degree_bound_check(
             I_two, bound, n_orders=n_orders, seed=seed + 1, mode="le")

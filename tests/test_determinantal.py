@@ -218,6 +218,26 @@ def test_verify_main_theorem_regularity_needs_a_radical_gin(monkeypatch):
     assert not item["passed"] and "radical-gin verdict 'no'" in item["error"]
     assert not out["passed"]
 
+@pytest.mark.parametrize("A", [build_column_graded(2, (2, 2, 2), seed=12),
+                               build_row_graded(3, (2, 2), seed=4)],
+                         ids=["column", "row"])
+def test_verify_main_theorem_reads_generator_degree_off_the_minors(
+        monkeypatch, A):
+    # the maximal minors are forms of degree m, so the item needs no
+    # minimal-generator pass and agrees with one
+    m = A.shape[0]
+    expected = all(g.total_degree() == m for g in
+                   Ideal(A.ring, minors(A, m)).minimal_generators())
+    calls = []
+    original = Ideal.minimal_generators
+    monkeypatch.setattr(Ideal, "minimal_generators",
+                        lambda self: calls.append(self) or original(self))
+    out = verify_main_theorem(A, n_orders=3, seed=2)
+    assert calls == []
+    assert out["items"]["maximal_minors_generator_degree"] == {
+        "passed": expected, "expected_total_degree": m}
+
+
 def test_verify_main_theorem_rejects_tall_matrix():
     A = build_column_graded(3, (2, 2), seed=2)
     with pytest.raises(HypothesisNotSatisfiedError):

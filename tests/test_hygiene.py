@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never reads, every public
 name has a reader, only the kernel packs exponents into ints, only
-``groebner._packed_run`` packs a run's inputs, and README
+``groebner._packed_run`` packs a run's inputs, only
+``csideals._sampled_records`` settles a sampled order, and README
 lists the script commands, calls and options the code accepts."""
 
 import ast
@@ -156,6 +157,45 @@ def test_packing_outside_the_door_is_found():
                      "    return layout.pack(g), kernel.bits_for([g])\n")
     assert packing_outside_the_door(tree, "groebner") == [5, 6, 6]
     assert packing_outside_the_door(tree, "poly") == [2, 3, 6, 6]
+
+
+def settling_outside_the_step(tree: ast.Module, module: str) -> list:
+    """Lines of ``module`` that settle a sampled order outside
+    ``csideals._sampled_records``: in csideals any use of ``kernel.`` or
+    ``.groebner_basis``, in determinantal any use of ``.groebner_basis`` or
+    ``.minimal_generators``."""
+    names = {"csideals": {"groebner_basis"},
+             "determinantal": {"groebner_basis", "minimal_generators"}}
+    out = []
+    for stmt in tree.body:
+        if module == "csideals" and \
+                getattr(stmt, "name", None) == "_sampled_records":
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr in names.get(module, ())
+                    or module == "csideals" and isinstance(node.value, ast.Name)
+                    and node.value.id == "kernel"):
+                out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("module", ["csideals", "determinantal"])
+def test_one_step_settles_every_sampled_order(module):
+    # ugb_check and degree_bound_check share one certify-or-Buchberger step,
+    # and verify_main_theorem runs Buchberger only through the checks it calls
+    path = ROOT / "src" / "multigb" / f"{module}.py"
+    assert settling_outside_the_step(ast.parse(path.read_text()), module) == []
+
+
+def test_settling_outside_the_step_is_found():
+    tree = ast.parse("def _sampled_records(I, o):\n"
+                     "    return kernel.layout(o), I.groebner_basis(o)\n"
+                     "def check(I, o):\n"
+                     "    key = kernel.layout(o).key\n"
+                     "    return I.groebner_basis(o), I.minimal_generators()\n")
+    assert settling_outside_the_step(tree, "csideals") == [4, 5]
+    assert settling_outside_the_step(tree, "determinantal") == [2, 5, 5]
 
 
 def readme_paragraph(lead: str) -> str:

@@ -475,6 +475,12 @@ def test_cli_main_theorem_reads_orders(tmp_path, capsys):
             "main-theorem A orders=2 seed=1\n")
     assert run_cli(tmp_path, text) == 0
     assert run_cli(tmp_path, text.replace("seed=1", "trials=1")) == 2
+    capsys.readouterr()
+    # without orders=, the command samples verify_main_theorem's default
+    assert run_cli(tmp_path, text.replace("orders=2 ", ""), "--json") == 0
+    report = json.loads(capsys.readouterr().out)["reports"][-1]
+    assert report["orders"] == ["25 sampled"]
+    assert report["evidence"]["orders"] == 25
 
 
 @pytest.mark.parametrize("flags", [
@@ -599,6 +605,23 @@ def test_cli_resource_limit_json_ends_with_aborted_report(tmp_path, capsys):
     assert evidence["basis_size"] == 3
     assert evidence["pending_pairs"] >= 0 and evidence["degree"] >= 2
     assert "basis size 3" in evidence["error"]
+
+
+def test_cli_main_theorem_obeys_max_basis(tmp_path, capsys):
+    # both ideals verify_main_theorem builds carry the session's limits
+    text = ("ring v=3 blocks=[2,2,2] char=32003\n"
+            "matrix A colgraded 2 x 3 {\n"
+            "  x[1,1], x[2,1], x[3,1] ;\n"
+            "  x[1,2], x[2,2], x[3,2]\n"
+            "}\n"
+            "main-theorem A orders=3\n")
+    assert run_cli(tmp_path, text, "--max-basis", "1", "--json") == 3
+    aborted = json.loads(capsys.readouterr().out)["reports"][-1]
+    assert aborted["command"] == "main-theorem"
+    assert aborted["verdict"] == "aborted"
+    assert aborted["asserted"] and not aborted["passed"]
+    assert {"basis_size", "pending_pairs", "degree"} <= set(
+        aborted["evidence"])
 
 
 def test_cli_resource_limit_in_definition_ends_with_aborted_report(
