@@ -25,12 +25,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from multigb import kernel
-from multigb.errors import (HypothesisNotSatisfiedError,
-                            InternalConsistencyError, NotSquarefreeError)
+from multigb.errors import HypothesisNotSatisfiedError, NotSquarefreeError
 from multigb.gin import GinReport, gin
 from multigb.groebner import (Ideal, ideal_from_monomials,
                               quotient_by_linear_form, coordinate_section,
-                              regular_sequence_test, _graded_linear_block)
+                              _graded_linear_block)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                alexander_dual, hilbert_numerator,
                                is_radical_monomial, polarize)
@@ -120,7 +119,11 @@ def sample_orders(ring: BlockRing, n_weight: int, seed: int = 0,
 
 
 def gamma_sequence(ring: BlockRing) -> list:
-    """The linear forms x[i,j] - x[i,1] for j >= 2, block by block."""
+    """The linear forms x[i,j] - x[i,1] for j >= 2, block by block.
+
+    A proper monomial ideal I is in the first-variables family exactly
+    when ``regular_sequence_test(I, gamma_sequence(ring))`` holds, a check
+    run on request; ``is_csstar`` decides by the series alone."""
     out = []
     for block in range(1, ring.v + 1):
         first = Polynomial.variable(ring, block, 1)
@@ -286,8 +289,7 @@ def is_cs(I: Ideal) -> MembershipReport:
 
 def is_csstar(I: Ideal) -> MembershipReport:
     """First-variables-gin membership, decided by I's multigraded Hilbert
-    series; monomial inputs are cross-checked with the linear-section
-    regular-sequence criterion, and the two must agree.
+    series.
 
     "yes" when an ideal J generated by monomials in the x[i,1] has I's
     series; such a J is Borel-fixed, and gin(I) = J by uniqueness
@@ -296,25 +298,16 @@ def is_csstar(I: Ideal) -> MembershipReport:
     multigraded (else ``HypothesisNotSatisfiedError``).
     """
     J, reason = _first_variables_model(I.ring, I.hilbert_series())
-    evidence = {} if J is None else {"gin_generators": J.generator_strings()}
-    if I.is_monomial:
-        # the unit ideal is generated in the first variables, while gamma
-        # cannot be regular on S/S, whose sum is not proper
-        reg = I.is_unit_ideal or regular_sequence_test(I, gamma_sequence(I.ring))
-        evidence["regular_sequence_test"] = reg
-        if reg != (J is not None):
-            raise InternalConsistencyError(
-                f"first-variables test ({J is not None}) and regular-sequence "
-                f"test ({reg}) disagree on a monomial ideal")
     if J is None:
         return MembershipReport(
             "no", "first-variables-gin",
             f"no ideal generated in the first block variables has the "
-            f"Hilbert series: {reason}", evidence)
+            f"Hilbert series: {reason}", {})
     return MembershipReport(
         "yes", "first-variables-gin",
         "an ideal generated in the first block variables has the Hilbert "
-        "series; it is the gin", evidence, gin_result=J)
+        "series; it is the gin", {"gin_generators": J.generator_strings()},
+        gin_result=J)
 
 
 # -- duality -------------------------------------------------------------------

@@ -678,10 +678,21 @@ def quotient_by_linear_form(I: Ideal, L: Polynomial) -> tuple:
     return Ideal(small, gens, I.limits), var
 
 
-def coordinate_section(I: Ideal, var: int) -> tuple:
+def coordinate_section(I: Ideal, var: int) -> Ideal:
     """I cap K[all variables but ``var``], as an ideal of the smaller
-    ring."""
+    ring.
+
+    The kept elements of the elimination basis are a basis of the section
+    under the order they inherit, so for I multihomogeneous their leads,
+    without the ``var`` coordinate, give the section its Hilbert series
+    (Macaulay), as the colon's leads give the colon its series."""
     small = ring_without_variable(I.ring, var)
     section = I.eliminate({var})
-    return Ideal(small, [project_out_variable(g, small, var)
-                         for g in section.gens], I.limits)
+    out = Ideal(small, [project_out_variable(g, small, var)
+                        for g in section.gens], I.limits)
+    if I.is_multihomogeneous:
+        order = elimination_order(I.ring.nvars, {var})
+        leads = [g.lead_exp(order) for g in section.gens]
+        out._series = hilbert_numerator(MonomialIdeal(
+            small, [e[:var] + e[var + 1:] for e in leads]))
+    return out

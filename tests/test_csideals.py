@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigb import csideals
+from multigb import csideals, groebner
 from multigb.csideals import (MembershipReport, closure_suite,
                               degree_bound_check, gamma_sequence, is_cs,
                               is_csstar, sample_orders, stable_gin, ugb_check,
@@ -15,7 +15,8 @@ from multigb.determinantal import (build_column_graded, build_row_graded,
                                    minors, variable_matrix)
 from multigb.errors import (HypothesisNotSatisfiedError,
                             InternalConsistencyError, NotSquarefreeError)
-from multigb.groebner import GroebnerBasis, Ideal, ideal_from_monomials
+from multigb.groebner import (GroebnerBasis, Ideal, ideal_from_monomials,
+                              regular_sequence_test)
 from multigb.instances import (cs_instance_pool, csstar_instance_pool,
                                random_graded_ideal, random_linear_form,
                                random_monomial_ideal,
@@ -151,14 +152,13 @@ def test_is_csstar_yes_and_no():
     I = ideal_from_monomials(MonomialIdeal(R, [(1, 0, 1, 0)]))
     rep = is_csstar(I)
     assert rep.verdict == "yes"
-    assert rep.evidence == {"gin_generators": ["x[1,1]*x[2,1]"],
-                            "regular_sequence_test": True}
+    assert rep.evidence == {"gin_generators": ["x[1,1]*x[2,1]"]}
     # two generators in one block have comparable degrees
     J = ideal_from_monomials(MonomialIdeal(R, [(1, 0, 0, 0), (0, 1, 0, 0)]))
     rep = is_csstar(J)
     assert rep.verdict == "no"
     assert rep.gin_result is None
-    assert rep.evidence == {"regular_sequence_test": False}
+    assert rep.evidence == {}
 
 
 def test_is_csstar_unit_ideal():
@@ -166,6 +166,42 @@ def test_is_csstar_unit_ideal():
     I = Ideal(R, [Polynomial.one(R)])
     rep = is_csstar(I)
     assert rep.verdict == "yes"
+
+
+@st.composite
+def monomial_ideals(draw):
+    """A proper monomial ideal in at most 8 variables and 3 blocks."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                 .filter(lambda sizes: sum(sizes) <= 8))
+    R = BlockRing(sizes)
+    exps = st.tuples(*[st.integers(0, 2)] * R.nvars).filter(any)
+    return ideal_from_monomials(
+        MonomialIdeal(R, draw(st.lists(exps, max_size=4))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(monomial_ideals())
+def test_gamma_regularity_matches_first_variables_verdict(I):
+    # the linear-section criterion: a proper monomial ideal is in the
+    # first-variables family exactly when gamma is regular on S/I
+    assert (regular_sequence_test(I, gamma_sequence(I.ring))
+            == is_csstar(I).is_yes)
+
+
+def test_csstar_verdicts_run_no_regular_sequence_test(monkeypatch):
+    # the criterion is checked on request: neither a verdict on a monomial
+    # ideal nor the closure suite runs it, under either name it could have
+    def refuse(*args):
+        raise AssertionError("regular_sequence_test was called")
+
+    monkeypatch.setattr(groebner, "regular_sequence_test", refuse)
+    monkeypatch.setattr(csideals, "regular_sequence_test", refuse,
+                        raising=False)
+    I = next(I for I in csstar_instance_pool(4, seed=8) if I.is_monomial)
+    R = I.ring
+    assert is_csstar(I).is_yes
+    out = closure_suite(I, x(R, 1, R.block_sizes[0]))
+    assert out["families"]["first-variables-gin"] and out["passed"]
 
 
 def test_membership_report_is_yes():

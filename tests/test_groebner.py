@@ -298,6 +298,25 @@ def test_coordinate_section():
     f = x(R, 1, 1) * x(R, 2, 2) - x(R, 1, 2) * x(R, 2, 1)
     Z = coordinate_section(Ideal(R, [f]), R.var_index(1, 2))
     assert Z.is_zero_ideal
+    # an ideal that is not multigraded gets no series
+    g = x(R, 1, 1) * x(R, 2, 2) - x(R, 1, 1)
+    assert coordinate_section(Ideal(R, [g]), R.var_index(1, 2))._series is None
+
+
+def test_coordinate_section_series_from_elimination_leads():
+    # the leads of the kept elimination basis give every section the
+    # series that a fresh basis of the section gives
+    sections = 0
+    for I in cs_instance_pool(15, seed=4):
+        for var in range(I.ring.nvars):
+            try:
+                S = coordinate_section(I, var)
+            except HypothesisNotSatisfiedError:
+                continue  # the only variable of its block
+            sections += 1
+            assert S._series is not None and not S._gb_cache
+            assert S._series == Ideal(S.ring, S.gens).hilbert_series()
+    assert sections == 87
 
 
 def test_regular_sequence_test():
