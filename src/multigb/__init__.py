@@ -20,8 +20,7 @@ from multigb.errors import (HypothesisNotSatisfiedError, InconclusiveError,
 from multigb.gin import BorelElement, GinReport, gin, random_borel
 from multigb.groebner import (DEFAULT_LIMITS, EngineLimits, GroebnerBasis,
                               Ideal, coordinate_section, exact_divide,
-                              ideal_from_monomials, quotient_by_linear_form,
-                              regular_sequence_test)
+                              ideal_from_monomials, regular_sequence_test)
 from multigb.kernel import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                alexander_dual, hilbert_numerator,
@@ -40,15 +39,15 @@ __all__ = [
     "BorelElement", "MembershipReport", "UGBReport", "EngineLimits",
     "DEFAULT_LIMITS", "DEFAULT_CHARACTERISTIC", "KERNEL_IMPLEMENTATION", "lex",
     "degrevlex", "weight_order", "elimination_order", "exact_divide",
-    "ideal_from_monomials", "regular_sequence_test", "quotient_by_linear_form",
-    "coordinate_section", "hilbert_numerator", "alexander_dual", "polarize",
-    "is_radical_monomial", "is_borel_fixed", "is_strongly_stable",
-    "regularity_strongly_stable", "gin", "random_borel", "stable_gin", "is_cs",
-    "is_csstar", "verify_dual_theorem", "closure_suite", "ugb_check",
-    "degree_bound_check", "sample_orders", "gamma_sequence", "minors",
-    "build_column_graded", "build_row_graded", "variable_matrix",
-    "verify_main_theorem", "MultigbError", "RingMismatchError",
-    "ResourceLimitError", "NotSquarefreeError", "PolarizationCapacityError",
+    "ideal_from_monomials", "regular_sequence_test", "coordinate_section",
+    "hilbert_numerator", "alexander_dual", "polarize", "is_radical_monomial",
+    "is_borel_fixed", "is_strongly_stable", "regularity_strongly_stable",
+    "gin", "random_borel", "stable_gin", "is_cs", "is_csstar",
+    "verify_dual_theorem", "closure_suite", "ugb_check", "degree_bound_check",
+    "sample_orders", "gamma_sequence", "minors", "build_column_graded",
+    "build_row_graded", "variable_matrix", "verify_main_theorem",
+    "MultigbError", "RingMismatchError", "ResourceLimitError",
+    "NotSquarefreeError", "PolarizationCapacityError",
     "HypothesisNotSatisfiedError", "InconclusiveError",
     "InternalConsistencyError",
 ]

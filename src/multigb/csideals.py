@@ -27,9 +27,8 @@ from typing import Sequence
 from multigb import kernel
 from multigb.errors import HypothesisNotSatisfiedError, NotSquarefreeError
 from multigb.gin import GinReport, gin
-from multigb.groebner import (Ideal, ideal_from_monomials,
-                              quotient_by_linear_form, coordinate_section,
-                              _graded_linear_block)
+from multigb.groebner import (Ideal, coordinate_section,
+                              ring_without_variable, _graded_linear_block)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                alexander_dual, hilbert_numerator,
                                is_radical_monomial, polarize)
@@ -265,6 +264,11 @@ def _checked(J: MonomialIdeal, series: HilbertNumerator) -> tuple:
     return J, ""
 
 
+def _verdict(J: MonomialIdeal | None) -> str:
+    """"yes" when a model ideal was read off a series, else "no"."""
+    return "no" if J is None else "yes"
+
+
 def is_cs(I: Ideal) -> MembershipReport:
     """Radical-gin membership, decided by I's multigraded Hilbert series.
 
@@ -314,26 +318,26 @@ def is_csstar(I: Ideal) -> MembershipReport:
 
 def verify_dual_theorem(I: MonomialIdeal) -> dict:
     """Check the duality biconditional on a squarefree ideal, and the gin
-    identity gin(I)* = pol(gin(I*)) when the radical-gin side holds."""
+    identity gin(I)* = pol(gin(I*)) when the radical-gin side holds.  I is
+    judged as ``is_cs`` judges an ideal, and I* as ``is_csstar`` does, by
+    the series of each."""
     if not is_radical_monomial(I):
         raise NotSquarefreeError("the duality check needs a squarefree ideal")
-    rep_cs = is_cs(ideal_from_monomials(I))
+    gin_I, _ = _radical_model(I.ring, hilbert_numerator(I))
     dual = alexander_dual(I)
-    rep_star = is_csstar(ideal_from_monomials(dual))
-    biconditional = rep_cs.is_yes == rep_star.is_yes
+    gin_dual, _ = _first_variables_model(dual.ring, hilbert_numerator(dual))
+    biconditional = (gin_I is None) == (gin_dual is None)
     transcript = {
         "ideal": I.generator_strings(),
         "dual": dual.generator_strings(),
-        "cs_verdict": rep_cs.verdict,
-        "dual_csstar_verdict": rep_star.verdict,
+        "cs_verdict": _verdict(gin_I),
+        "dual_csstar_verdict": _verdict(gin_dual),
         "biconditional": biconditional,
         "identity_checked": False,
         "identity_holds": None,
         "passed": biconditional,
     }
-    if rep_cs.is_yes:
-        gin_I = rep_cs.gin_result
-        gin_dual = rep_star.gin_result
+    if gin_I is not None:
         lhs = alexander_dual(gin_I)
         rhs = polarize(gin_dual)
         transcript.update({
@@ -359,13 +363,15 @@ def closure_suite(I: Ideal, L: Polynomial, seed: int = 0) -> dict:
     (4) colon stays radical-gin; (5) sum stays radical-gin, and so does its
     quotient in S/(L); (6) a coordinate subring section stays radical-gin.
 
-    The colon carries its series from its Bayer-Stillman basis, and the
-    sum, intersection and quotients take theirs from identities, with L of
-    degree e_b: K(S/(I+L)) = K(S/I) - y_b K(S/(I:L)), as multiplication
-    by L embeds S/(I:L), shifted by e_b, in S/I with cokernel S/(I+L);
-    K(S/L(I:L)) = 1 - y_b (1 - K(S/(I:L))); and the quotient's numerator is
-    K(S/(I+L)) / (1 - y_b), as its ring has one variable of block b fewer.
-    No Groebner basis is run for their series.
+    Each result is judged by its Hilbert series alone.  Only I + L and the
+    section are built as ideals; the section takes its series from its
+    elimination basis (``coordinate_section``).  With L of degree e_b,
+    K(S/(I+L)) is read off one basis of I + L, and the others follow from
+    identities: as multiplication by L embeds S/(I:L), shifted by e_b, in
+    S/I with cokernel S/(I+L), K(S/(I:L)) = (K(S/I) - K(S/(I+L))) / y_b;
+    as I cap (L) = L(I:L) in a domain, K(S/L(I:L)) = 1 - y_b (1 -
+    K(S/(I:L))); and the quotient's numerator is K(S/(I+L)) / (1 - y_b),
+    as its ring has one variable of block b fewer.
 
     Every verdict is deterministic, so ``seed`` is not read; it stays for
     the closure workload of ``perfbench``, which passes it.
@@ -379,51 +385,46 @@ def closure_suite(I: Ideal, L: Polynomial, seed: int = 0) -> dict:
 
     checks = []
 
-    def record(item: int, description: str, verdict: str | None,
-               applicable: bool = True, detail: str = "") -> None:
+    def record(item: int, description: str, model, small: BlockRing | None,
+               series: HilbertNumerator | None, detail: str = "") -> None:
+        # an item is inapplicable when its ring does not exist
         checks.append({"item": item, "description": description,
-                       "applicable": applicable, "verdict": verdict,
+                       "applicable": small is not None,
+                       "verdict": None if small is None
+                       else _verdict(model(small, series)[0]),
                        "detail": detail})
 
-    # I : L serves items 2 and 4, and item 3 as I cap (L) = L * (I : L),
-    # which holds in a domain; the quotient by L serves items 1 and 5
-    colon = I.colon(L)
-    plus = I + L
-    plus._series = I.hilbert_series() - colon.hilbert_series().times_y(b)
+    # the colon serves items 2 and 4, and item 3 as I cap (L) = L(I:L); the
+    # quotient by L and the section live in the ring without x_var
+    var = max(L.support_vars())
+    plus = (I + L).hilbert_series()
+    colon = (I.hilbert_series() - plus).over_y(b)
+    quotient = plus.over_one_minus_y(b)
     try:
-        quotient, var = quotient_by_linear_form(I, L)
-        quotient._series = plus._series.over_one_minus_y(b)
-        detail = f"dropped {ring.var_label(var)}"
+        small, detail = (ring_without_variable(ring, var),
+                         f"dropped {ring.var_label(var)}")
     except HypothesisNotSatisfiedError as e:
-        quotient, detail = None, str(e)
-
-    def quotient_check(item: int, family, label: str) -> None:
-        record(item, label,
-               None if quotient is None else family(quotient).verdict,
-               applicable=quotient is not None, detail=detail)
+        small, detail = None, str(e)
 
     if in_star:
-        quotient_check(1, is_csstar,
-                       "quotient by the form stays first-variables")
+        record(1, "quotient by the form stays first-variables",
+               _first_variables_model, small, quotient, detail)
         record(2, "colon by the form stays first-variables",
-               is_csstar(colon).verdict)
-        meet = Ideal(ring, [L * g for g in colon.gens], I.limits)
+               _first_variables_model, ring, colon)
         one = HilbertNumerator.one(ring.v)
-        meet._series = one - (one - colon.hilbert_series()).times_y(b)
         record(3, "intersection with the form stays first-variables",
-               is_csstar(meet).verdict)
+               _first_variables_model, ring, one - (one - colon).times_y(b))
     if in_cs:
-        record(4, "colon by the form stays radical-gin", is_cs(colon).verdict)
-        record(5, "sum with the form stays radical-gin", is_cs(plus).verdict)
-        quotient_check(5, is_cs, "quotient by the form stays radical-gin")
-        try:
-            section = coordinate_section(I, max(L.support_vars()))
-            record(6, "coordinate subring section stays radical-gin",
-                   is_cs(section).verdict,
-                   detail=f"dropped {ring.var_label(max(L.support_vars()))}")
-        except HypothesisNotSatisfiedError as e:
-            record(6, "coordinate subring section stays radical-gin", None,
-                   applicable=False, detail=str(e))
+        record(4, "colon by the form stays radical-gin", _radical_model,
+               ring, colon)
+        record(5, "sum with the form stays radical-gin", _radical_model,
+               ring, plus)
+        record(5, "quotient by the form stays radical-gin", _radical_model,
+               small, quotient, detail)
+        section = (None if small is None
+                   else coordinate_section(I, var).hilbert_series())
+        record(6, "coordinate subring section stays radical-gin",
+               _radical_model, small, section, detail)
 
     passed = all(c["verdict"] == "yes" for c in checks if c["applicable"])
     return {

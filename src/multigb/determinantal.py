@@ -46,7 +46,7 @@ class GradedMatrix:
             raise ValueError(f"row-graded needs at most v={self.ring.v} rows")
         for i, row in enumerate(rows):
             for j, f in enumerate(row):
-                if f.ring is not self.ring:
+                if f.ring != self.ring:
                     raise ValueError("entry from a different ring")
                 if f.is_zero:
                     continue

@@ -550,6 +550,8 @@ class Ideal:
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
     """Quotient g / f when f divides g exactly."""
+    if f.is_zero:
+        raise ValueError("exact division by zero")
     ring = g.ring
     p = ring.characteristic
     matrix = ring.storage_order.rows
@@ -605,7 +607,7 @@ def regular_sequence_test(I: Ideal, forms: Sequence[Polynomial]) -> bool:
     return not current.contains(Polynomial.one(I.ring))
 
 
-# -- ring surgery (quotient by a linear form, coordinate subrings) -------------
+# -- ring surgery (linear forms, coordinate subrings) -------------------------
 
 def _is_linear_form(L: Polynomial) -> bool:
     """Nonzero, every term of total degree 1 (no constant term)."""
@@ -658,24 +660,6 @@ def project_out_variable(f: Polynomial, small: BlockRing, var: int) -> Polynomia
             raise InternalConsistencyError("polynomial still involves the variable")
         terms.append((e[:var] + e[var + 1:], c))
     return Polynomial(small, terms)
-
-
-def quotient_by_linear_form(I: Ideal, L: Polynomial) -> tuple:
-    """(I + (L))/(L) in S/(L), identified with the ring that drops one variable.
-
-    The dropped variable x_v is the highest-position variable of L's block
-    with a nonzero coefficient, so the remaining variables keep their order.
-    I is moved to coordinates where L is x_v, then x_v is set to 0.
-    Returns (ideal in the smaller ring, dropped flat index).
-    """
-    _graded_linear_block(L)
-    small = ring_without_variable(I.ring, max(L.support_vars()))
-    moved, var, _, _ = _linear_move(I, L)
-    gens = [project_out_variable(
-                Polynomial(I.ring, [t for t in g.terms if not t[0][var]],
-                           _normalized=True), small, var)
-            for g in moved.gens]
-    return Ideal(small, gens, I.limits), var
 
 
 def coordinate_section(I: Ideal, var: int) -> Ideal:

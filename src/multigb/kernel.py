@@ -221,15 +221,15 @@ class Layout(Fields):
         return f, self.ceiling(f)
 
 
-def expand(polys, images, p):
-    """Tuple polynomials with each variable v replaced by ``images[v]``, as
-    dicts from packed monomial to coefficient in 1..p-1.
+def expand(f, images, p):
+    """The tuple polynomial f with each variable v replaced by
+    ``images[v]``, as a dict from packed monomial to coefficient in 1..p-1.
 
     ``images[v]`` lists the ``(packed monomial, coefficient)`` terms of the
     image of variable v, packed by ``Fields`` that hold every product
     formed.  The image of a monomial m is the image of m / x_v times the
     image of x_v, x_v the last variable of m; images of monomials are
-    memoized across ``polys``.
+    memoized across the terms of f.
     """
     memo = {(0,) * len(images): {0: 1}}
 
@@ -250,14 +250,11 @@ def expand(polys, images, p):
             image = memo[m] = {k: c % p for k, c in acc.items() if c % p}
         return image
 
-    out = []
-    for f in polys:
-        total = {}
-        for exp, coeff in f:
-            for k, c in image_of(exp).items():
-                total[k] = total.get(k, 0) + coeff * c
-        out.append({k: c % p for k, c in total.items() if c % p})
-    return out
+    total = {}
+    for exp, coeff in f:
+        for k, c in image_of(exp).items():
+            total[k] = total.get(k, 0) + coeff * c
+    return {k: c % p for k, c in total.items() if c % p}
 
 
 def _overflow(layout):

@@ -279,6 +279,15 @@ class HilbertNumerator:
             a[:block] + (a[block] + 1,) + a[block + 1:]: c
             for a, c in self.coeffs.items()})
 
+    def over_y(self, block: int) -> "HilbertNumerator":
+        """The exact quotient by y_block (0-based block), which must divide
+        every term."""
+        if any(a[block] == 0 for a in self.coeffs):
+            raise ValueError(f"{self} is not divisible by y{block + 1}")
+        return HilbertNumerator(self.v, {
+            a[:block] + (a[block] - 1,) + a[block + 1:]: c
+            for a, c in self.coeffs.items()})
+
     def over_one_minus_y(self, block: int) -> "HilbertNumerator":
         """The exact quotient by 1 - y_block (0-based block): prefix sums
         along that coordinate, which must end at 0."""

@@ -236,8 +236,7 @@ class Polynomial:
                       else [(fields.monomial(exp), c)
                             for exp, c in images[v]._terms]
                       for v in range(ring.nvars)]
-        (total,) = kernel.expand([self._terms], var_images,
-                                 ring.characteristic)
+        total = kernel.expand(self._terms, var_images, ring.characteristic)
         return Polynomial(ring, [(fields.exponents(k), c)
                                  for k, c in total.items()])
 

@@ -14,7 +14,8 @@ from multigb import kernel
 from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
                             RingMismatchError)
 from multigb.gin import BorelElement
-from multigb.groebner import Ideal
+from multigb.groebner import (Ideal, project_out_variable,
+                              ring_without_variable)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                is_radical_monomial, support)
 from multigb.poly import Polynomial
@@ -84,6 +85,28 @@ def apply_change(g: BorelElement, I: Ideal) -> Ideal:
         images[var] = sum((Polynomial.variable(ring, block, k) * mat[k - 1][j - 1]
                            for k in range(1, j + 1)), Polynomial.zero(ring))
     return Ideal(ring, [substitute(f, images) for f in I.gens], I.limits)
+
+
+def quotient_by_linear_form(I: Ideal, L: Polynomial) -> tuple:
+    """(I + (L))/(L) in S/(L), identified with the ring that drops x_v, the
+    highest variable of the multigraded linear form L: x_v is replaced by
+    the combination of L's other variables that L = 0 makes it.  Returns
+    (the ideal in the smaller ring, v); the reference for the quotient
+    series that ``closure_suite`` derives."""
+    deg = L.multidegree()
+    if L.is_zero or deg is None or sum(deg) != 1:
+        raise HypothesisNotSatisfiedError(
+            "expected a nonzero multigraded linear form")
+    ring = I.ring
+    p = ring.characteristic
+    v = max(L.support_vars())
+    small = ring_without_variable(ring, v)
+    c = next(c for e, c in L.terms if e[v])
+    x_v = Polynomial.monomial(ring, ring.unit_exp(v))
+    image = (x_v * c - L) * pow(c, p - 2, p)
+    return Ideal(small, [project_out_variable(g.substitute({v: image}),
+                                              small, v)
+                         for g in I.gens], I.limits), v
 
 
 def determinant_leibniz(rows: list) -> Polynomial:

@@ -15,8 +15,8 @@ from multigb.determinantal import (build_column_graded, build_row_graded,
                                    minors, variable_matrix)
 from multigb.errors import (HypothesisNotSatisfiedError,
                             InternalConsistencyError, NotSquarefreeError)
-from multigb.groebner import (GroebnerBasis, Ideal, ideal_from_monomials,
-                              regular_sequence_test)
+from multigb.groebner import (GroebnerBasis, Ideal, coordinate_section,
+                              ideal_from_monomials, regular_sequence_test)
 from multigb.instances import (cs_instance_pool, csstar_instance_pool,
                                random_graded_ideal, random_linear_form,
                                random_monomial_ideal,
@@ -28,7 +28,7 @@ from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                is_radical_monomial)
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing
-from oracles import degrevlex_blocks_reversed
+from oracles import degrevlex_blocks_reversed, quotient_by_linear_form
 
 
 def x(R, i, j):
@@ -418,23 +418,25 @@ def test_closure_suite_both_families():
     assert out["passed"]
 
 
-def test_closure_suite_builds_the_quotient_once(monkeypatch):
-    # items 1 and 5 check the same quotient by L, one per family
-    calls = []
-    inner = csideals.quotient_by_linear_form
+def test_closure_suite_builds_neither_colon_nor_moved_copy(monkeypatch):
+    # every result is judged by a series from I + L and identities: no
+    # colon, no coordinate change
+    pool = cs_instance_pool(6, seed=4) + csstar_instance_pool(6, seed=8)
 
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
+    def refuse(*args):
+        raise AssertionError("closure_suite built a colon or moved copy")
 
-    monkeypatch.setattr(csideals, "quotient_by_linear_form", counted)
+    monkeypatch.setattr(Ideal, "colon", refuse)
+    monkeypatch.setattr(Polynomial, "substitute", refuse)
+    for I in pool:
+        R = I.ring
+        assert closure_suite(I, x(R, 1, R.block_sizes[0]))["passed"]
     R = BlockRing((2, 2))
     out = closure_suite(Ideal(R, [x(R, 1, 1) * x(R, 2, 1)]), x(R, 1, 2))
     assert out["families"] == {"radical-gin": True, "first-variables-gin": True}
     assert [(c["item"], c["verdict"], c["detail"]) for c in out["checks"]
             if c["item"] in (1, 5) and c["detail"]] == [
         (1, "yes", "dropped x[1,2]"), (5, "yes", "dropped x[1,2]")]
-    assert len(calls) == 1
 
 
 def test_closure_suite_rejects_nonlinear_form():
@@ -463,25 +465,47 @@ def test_closure_suite_size_one_block_quotient_inapplicable():
 
 
 def test_closure_suite_derived_series_equal_computed_ones(monkeypatch):
-    # the colon takes its series from its Bayer-Stillman basis, and the sum,
-    # intersection and quotients take theirs from identities: each equals
-    # the series of a fresh copy of the ideal, read off a Groebner basis
-    derived = []
-    for name in ("is_cs", "is_csstar"):
-        def spy(J, test=getattr(csideals, name)):
-            if J._series is not None and not J._gb_cache:
-                derived.append((J, J._series))
-            return test(J)
+    # the series closure_suite judges are those of I, I + L, I : L,
+    # L(I : L), the quotient by L and the section, each as a fresh basis of
+    # the real ideal gives it
+    judged = []
+    for name in ("_radical_model", "_first_variables_model"):
+        def spy(ring, series, model=getattr(csideals, name)):
+            judged.append((ring, series))
+            return model(ring, series)
         monkeypatch.setattr(csideals, name, spy)
+
+    def fresh(J):
+        return J.ring, Ideal(J.ring, J.gens).hilbert_series()
+
     pool = cs_instance_pool(15, seed=4) + csstar_instance_pool(15, seed=8)
     rng = random.Random(77)
+    quotients = 0
     for I in pool:
         R = I.ring
         for L in (x(R, 1, R.block_sizes[0]), random_linear_form(R, rng)):
-            assert closure_suite(I, L)["passed"]
-    assert len(derived) > 100
-    for J, series in derived:
-        assert Ideal(J.ring, J.gens).hilbert_series() == series
+            judged.clear()
+            out = closure_suite(I, L)
+            assert out["passed"]
+            colon = I.colon(L)
+            expected = {fresh(I), fresh(colon)}
+            if out["families"]["first-variables-gin"]:
+                expected.add(fresh(Ideal(R, [L * g for g in colon.gens])))
+            if out["families"]["radical-gin"]:
+                expected.add(fresh(I + L))
+                try:
+                    expected.add(fresh(coordinate_section(
+                        I, max(L.support_vars()))))
+                except HypothesisNotSatisfiedError:
+                    pass
+            try:
+                expected.add(fresh(quotient_by_linear_form(I, L)[0]))
+                quotients += 1
+            except HypothesisNotSatisfiedError:
+                pass
+            assert set(judged) == expected
+    assert quotients > 30
+
 
 def test_ugb_check_positive_for_maximal_minors():
     A = variable_matrix(2, 3, grading="column")

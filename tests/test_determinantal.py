@@ -105,6 +105,17 @@ def test_graded_matrix_validation():
     assert A.shape == (1, 2)
 
 
+def test_graded_matrix_compares_entry_rings_by_equality():
+    R = BlockRing((2, 2))
+    # an equal ring built separately is the same ring
+    twin = BlockRing((2, 2))
+    A = GradedMatrix(R, [[x(twin, 1, 1), x(twin, 2, 1)]], "column")
+    assert A.shape == (1, 2)
+    for other in (BlockRing((2, 3)), BlockRing((2, 2), characteristic=3)):
+        with pytest.raises(ValueError, match="different ring"):
+            GradedMatrix(R, [[x(other, 1, 1)]], "column")
+
+
 def test_minors_of_variable_matrix():
     A = variable_matrix(3, 3, grading="row")
     R = A.ring

@@ -13,8 +13,7 @@ from multigb.csideals import gamma_sequence, sample_orders
 from multigb.determinantal import build_column_graded, minors
 from multigb.groebner import (EngineLimits, Ideal, _buchberger,
                               coordinate_section, exact_divide,
-                              ideal_from_monomials, quotient_by_linear_form,
-                              regular_sequence_test)
+                              ideal_from_monomials, regular_sequence_test)
 from multigb.instances import (cs_instance_pool, random_graded_ideal,
                                random_linear_form, random_monomial_ideal,
                                random_multihomogeneous_polynomial,
@@ -23,7 +22,7 @@ from multigb.monomials import MonomialIdeal, colon_monomial
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing, degrevlex, lex, weight_order
 from oracles import groebner_basis as groebner_basis_oracle
-from oracles import intersect_monomial
+from oracles import intersect_monomial, quotient_by_linear_form
 from oracles import normal_form as normal_form_oracle
 from test_kernel import orders
 
@@ -176,6 +175,11 @@ def test_exact_divide(R33):
     assert exact_divide(f * g, g) == f
     with pytest.raises(InternalConsistencyError):
         exact_divide(f + 1, g)
+
+
+def test_exact_divide_by_zero(R33):
+    with pytest.raises(ValueError, match="exact division by zero"):
+        exact_divide(x(R33, 1, 1), Polynomial.zero(R33))
 
 
 def test_minimal_generators(R33):

@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never reads, every public
 name has a reader, only the kernel packs exponents into ints, only
 ``groebner._packed_run`` packs a run's inputs, only
-``csideals._sampled_records`` settles a sampled order, and README
-lists the script commands, calls and options the code accepts."""
+``csideals._sampled_records`` settles a sampled order, only groebner
+stores an ideal's series, and README lists the script commands, calls
+and options the code accepts."""
 
 import ast
 import re
@@ -196,6 +197,28 @@ def test_settling_outside_the_step_is_found():
                      "    return I.groebner_basis(o), I.minimal_generators()\n")
     assert settling_outside_the_step(tree, "csideals") == [4, 5]
     assert settling_outside_the_step(tree, "determinantal") == [2, 5, 5]
+
+
+def series_stores(tree: ast.Module) -> list:
+    """Lines that store an attribute named ``_series``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_series"
+                  and isinstance(node.ctx, ast.Store))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.parent.name == "multigb"
+             and p.name != "groebner.py"], ids=lambda p: p.name)
+def test_only_groebner_stores_a_series(path):
+    # the series cutoff and gin's guard trust a stored series, so it comes
+    # only from a basis or a construction in groebner, never from a caller
+    assert series_stores(ast.parse(path.read_text())) == []
+
+
+def test_series_store_is_found():
+    tree = ast.parse("I._series = s\nJ._series: int = 0\n"
+                     "t = I._series\nK.series = t\n")
+    assert series_stores(tree) == [1, 2]
 
 
 def readme_paragraph(lead: str) -> str:

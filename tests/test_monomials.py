@@ -342,3 +342,7 @@ def test_numerator_arithmetic_in_one_coordinate():
     assert HilbertNumerator(2, {}).over_one_minus_y(0).is_zero
     with pytest.raises(ValueError, match="not divisible"):
         q.over_one_minus_y(0)
+    assert q.times_y(0).over_y(0) == q
+    assert HilbertNumerator(2, {}).over_y(1).is_zero
+    with pytest.raises(ValueError, match="not divisible by y2"):
+        q.over_y(1)
