@@ -22,7 +22,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from multigb import kernel
 from multigb.errors import HypothesisNotSatisfiedError, NotSquarefreeError
@@ -32,7 +32,7 @@ from multigb.groebner import (Ideal, coordinate_section,
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                alexander_dual, hilbert_numerator,
                                is_radical_monomial, polarize)
-from multigb.poly import Polynomial
+from multigb.poly import Polynomial, lead_exponents
 from multigb.ring import BlockRing, TermOrder, degrevlex, lex, weight_order
 
 
@@ -179,10 +179,15 @@ def _along_axes(values: list, dims: tuple, transform) -> None:
 
 def _at_one_minus(line: list) -> list:
     """Coefficients in z of the polynomial with coefficients ``line`` in y,
-    at y = 1 - z."""
-    return [(-1) ** j * sum(math.comb(b, j) * c
-                            for b, c in enumerate(line[j:], j))
-            for j in range(len(line))]
+    at y = 1 - z, by Horner's rule from the top coefficient down: each step
+    multiplies by 1 - z and adds the next coefficient."""
+    out = []
+    for c in reversed(line):
+        out.append(0)
+        for k in range(len(out) - 1, 0, -1):
+            out[k] -= out[k - 1]
+        out[0] += c
+    return out
 
 
 def _staircase(h: list, dims: tuple, strides: tuple) -> tuple:
@@ -442,9 +447,10 @@ def ugb_check(candidates: Sequence[Polynomial], I: Ideal, n_orders: int = 200,
     """Sampled universal-GB check: under every sampled order, the candidate
     lead terms must generate the initial ideal of I.
 
-    Each order is settled by ``_sampled_records`` from the candidates' lead
-    terms; only an order that ran Buchberger can miss a lead term, and a
-    failure names it."""
+    The candidates' lead terms are scored under all sampled orders at once
+    (``poly.lead_exponents``), and ``_sampled_records`` settles the orders
+    as one batch, with one numerator memo; only an order that ran
+    Buchberger can miss a lead term, and a failure names it."""
     ring = I.ring
     candidates = [c for c in candidates if not c.is_zero]
     if not candidates:
@@ -463,8 +469,7 @@ def ugb_check(candidates: Sequence[Polynomial], I: Ideal, n_orders: int = 200,
                 "candidates do not generate the ideal")
     orders = sample_orders(ring, n_orders, seed=seed,
                            include_permutations=include_permutations)
-    settled = _sampled_records(
-        I, orders, lambda o: [c.lead_exp(o) for c in candidates])
+    settled = _sampled_records(I, orders, lead_exponents(candidates, orders))
     return UGBReport(
         orders_tested=len(orders),
         order_names=[o.name for o in orders],
@@ -510,8 +515,10 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
 
     orders = sample_orders(I.ring, n_orders, seed=seed,
                            include_permutations=False)
+    # lazy: each truncated run starts after _sampled_records has the series,
+    # so it keeps the series cutoff
     records = [record for _, record, _ in _sampled_records(
-        I, orders, lambda o: I._truncated_leads(o, bound))]
+        I, orders, (I._truncated_leads(o, bound) for o in orders))]
     violations = [{"where": record["order"], "degree": d}
                   for record in records for d in record["gb_multidegrees"]
                   if not fits(d)]
@@ -521,34 +528,38 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
 
 
 def _sampled_records(I: Ideal, orders: Sequence[TermOrder],
-                     leads_of) -> list:
+                     leads: Iterable[list]) -> list:
     """(lead ideal, record, certified) for each of ``orders``.
 
-    ``leads_of(o)`` gives lead terms of elements of I under o, so they
-    generate a subideal of in_o(I).  For multigraded I the two are equal
+    ``leads`` holds, aligned with ``orders``, lead terms of elements of I
+    under each order, so they generate a subideal of in_o(I); it is read
+    only after I's series is known.  For multigraded I the two are equal
     exactly when their Hilbert series are (Macaulay); then the leads are
     those of the reduced basis, sorted as the basis is, each element of
     which has its lead's multidegree, and the order is certified.  Any
     other order, and every order when I is not multigraded, runs
-    Buchberger.  A record holds the order's name, the leads of its
-    reduced basis and the multidegree of each element."""
+    Buchberger.  The numerators of all lead sets share one memo of the
+    numerator recursion.  A record holds the order's name, the leads of
+    its reduced basis and the multidegree of each element."""
     series = I.hilbert_series() if I.is_multihomogeneous else None
     numerators: dict = {}  # memoized by lead set
+    recursion: dict = {}  # the sub-ideals every lead set's recursion shares
     out = []
-    for o in orders:
-        leads = MonomialIdeal(I.ring, leads_of(o))
-        if series is not None and leads not in numerators:
-            numerators[leads] = hilbert_numerator(leads)
-        certified = series is not None and numerators[leads] == series
+    for o, exps in zip(orders, leads):
+        lead_ideal = MonomialIdeal(I.ring, exps)
+        if series is not None and lead_ideal not in numerators:
+            numerators[lead_ideal] = hilbert_numerator(lead_ideal,
+                                                       _memo=recursion)
+        certified = series is not None and numerators[lead_ideal] == series
         if certified:
-            top = max((max(e) for e in leads.gens), default=0)
+            top = max((max(e) for e in lead_ideal.gens), default=0)
             key = kernel.layout(o.rows, kernel.fields(1, top).bits).key
-            lead_exps = sorted(leads.gens, key=key, reverse=True)
+            lead_exps = sorted(lead_ideal.gens, key=key, reverse=True)
             degrees = [I.ring.multidegree(e) for e in lead_exps]
         else:
             gb = I.groebner_basis(o)
             lead_exps = gb.lead_exponents()
             degrees = [g.multidegree() for g in gb]
-        out.append((leads, {"order": o.name, "lead_exps": lead_exps,
-                            "gb_multidegrees": degrees}, certified))
+        out.append((lead_ideal, {"order": o.name, "lead_exps": lead_exps,
+                                 "gb_multidegrees": degrees}, certified))
     return out

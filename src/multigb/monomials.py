@@ -332,7 +332,8 @@ class HilbertNumerator:
         return f"HilbertNumerator({self})"
 
 
-def hilbert_numerator(I: MonomialIdeal) -> HilbertNumerator:
+def hilbert_numerator(I: MonomialIdeal, *,
+                      _memo: dict | None = None) -> HilbertNumerator:
     """K-polynomial of S/I (Bigatti; Bayer-Stillman).
 
     Generators that fall into groups of pairwise disjoint support give the
@@ -348,6 +349,12 @@ def hilbert_numerator(I: MonomialIdeal) -> HilbertNumerator:
     y-degrees packed by ``kernel.Fields`` of one field per block, sized by
     the block degrees of the lcm of all generators, which bound every term
     the recursion makes.
+
+    The recursion memoizes each sub-ideal's numerator.  Calls that pass one
+    ``_memo`` dict share it (``csideals._sampled_records`` passes one for
+    all its lead sets); it is keyed by everything the packed recursion
+    reads: the ring's blocks, the exponent fields and the y-degree fields.
+    A memoized numerator is shared, so the recursion never mutates one.
     """
     ring = I.ring
     n, v = ring.nvars, ring.v
@@ -360,7 +367,8 @@ def hilbert_numerator(I: MonomialIdeal) -> HilbertNumerator:
     below_guard = guard - sum(units)  # g + below_guard sets g's support guards
     ydegrees = kernel.fields(v, max(ring.multidegree(lcm)))
     ydeg = [ydegrees.units[ring.var_pair(k)[0] - 1] for k in range(n)]
-    memo: dict = {}
+    memo = {} if _memo is None else _memo.setdefault(
+        (ring.block_sizes, fields.bits, ydegrees.bits), {})
 
     def rec(gens: tuple) -> dict:
         out = memo.get(gens)

@@ -7,8 +7,8 @@ ring's storage order.  The zero polynomial has an empty term list.
 
 from __future__ import annotations
 
-from operator import mul
-from typing import Iterable, Mapping
+from operator import add, mul
+from typing import Iterable, Mapping, Sequence
 
 from multigb import kernel
 from multigb.errors import RingMismatchError
@@ -267,3 +267,39 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def lead_exponents(polys: Sequence[Polynomial],
+                   orders: Sequence[TermOrder]) -> list:
+    """The lead exponents of ``polys`` under each of ``orders``, one list
+    per order: ``[p.lead_exp(o) for p in polys]`` for every o.
+
+    Every term of a polynomial is scored under the first rows of all
+    orders at once: column v holds variable v's entry in each first row,
+    and a term's scores add its support's columns, scaled by the exponent.
+    A matrix order compares the first row first, so a unique top score
+    marks the lead; a tie falls back to ``lead_term`` for that order."""
+    if not orders:
+        return []
+    columns = list(zip(*(o.rows[0] for o in orders)))
+    zeros = [0] * len(orders)
+    out = [[] for _ in orders]
+    for p in polys:
+        terms = p._terms
+        if not terms:
+            raise ValueError("zero polynomial has no lead term")
+        per_term = []
+        for exp, _ in terms:
+            scores = zeros
+            for v, e in enumerate(exp):
+                if e:
+                    column = columns[v]
+                    if e > 1:
+                        column = [e * c for c in column]
+                    scores = list(map(add, scores, column))
+            per_term.append(scores)
+        for leads, o, scores in zip(out, orders, zip(*per_term)):
+            best = max(scores)
+            leads.append(terms[scores.index(best)][0]
+                         if scores.count(best) == 1 else p.lead_exp(o))
+    return out

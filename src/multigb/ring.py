@@ -17,7 +17,7 @@ sampling, elimination internals).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from multigb.errors import RingMismatchError
@@ -217,6 +217,13 @@ def degrevlex(ring_or_n, priority=None) -> TermOrder:
     return TermOrder(name, tuple(rows))
 
 
+@lru_cache(maxsize=64)
+def _degrevlex_rows(n: int) -> tuple:
+    """The rows of ``degrevlex(n)``, the tie-break of weight and
+    elimination orders, built once per n."""
+    return degrevlex(n).rows
+
+
 def weight_order(ring_or_n, weights: Sequence[int]) -> TermOrder:
     """Weight vector order with degrevlex ties."""
     n = ring_or_n.nvars if isinstance(ring_or_n, BlockRing) else int(ring_or_n)
@@ -225,7 +232,7 @@ def weight_order(ring_or_n, weights: Sequence[int]) -> TermOrder:
         raise ValueError("weight vector length does not match variable count")
     if any(x <= 0 for x in w):
         raise ValueError("weights must be positive")
-    return TermOrder(f"weight{list(w)}+degrevlex", (w,) + degrevlex(n).rows)
+    return TermOrder(f"weight{list(w)}+degrevlex", (w,) + _degrevlex_rows(n))
 
 
 def elimination_order(n: int, front: Iterable[int]) -> TermOrder:
@@ -236,4 +243,4 @@ def elimination_order(n: int, front: Iterable[int]) -> TermOrder:
         raise ValueError("front variable set is empty")
     indicator = tuple(1 if k in front else 0 for k in range(n))
     return TermOrder(f"elim{sorted(front)}+degrevlex",
-                     (indicator,) + degrevlex(n).rows)
+                     (indicator,) + _degrevlex_rows(n))

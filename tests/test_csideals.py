@@ -26,7 +26,7 @@ from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                hilbert_numerator,
                                is_extended_from_first_variables,
                                is_radical_monomial)
-from multigb.poly import Polynomial
+from multigb.poly import Polynomial, lead_exponents
 from multigb.ring import BlockRing
 from oracles import degrevlex_blocks_reversed, quotient_by_linear_form
 
@@ -730,6 +730,39 @@ def test_degree_bound_check_falls_back_where_the_certificate_fails():
     ok, details = assert_degree_bound_matches_oracle(I, (1, 2), 6, 0)
     assert not ok
     assert 1 < len(I._gb_cache) < len(details["orders"])
+
+
+def ugb_lead_sets():
+    # the candidates' lead sets of the ugb benchmark instance at seed 0
+    B = build_column_graded(3, (3, 3, 3, 3, 3), seed=7)
+    orders = sample_orders(B.ring, 200, seed=0, include_permutations=False)
+    return [MonomialIdeal(B.ring, leads)
+            for leads in lead_exponents(minors(B, 3), orders)]
+
+
+def truncated_lead_sets():
+    # the truncated leads degree_bound_check reads on the column 2-minors
+    A = build_column_graded(3, (3, 3, 3, 3), seed=5)
+    I = Ideal(A.ring, minors(A, 2))
+    I.hilbert_series()
+    return [MonomialIdeal(A.ring, I._truncated_leads(o, (1, 1, 1, 1)))
+            for o in sample_orders(A.ring, 8, seed=3,
+                                   include_permutations=False)]
+
+
+@pytest.mark.parametrize("lead_sets", [ugb_lead_sets, truncated_lead_sets],
+                         ids=["ugb", "degree-bound-2-minors"])
+def test_shared_numerator_memo_matches_fresh_numerators(lead_sets):
+    # _sampled_records shares one recursion memo among all its lead sets;
+    # a second pass in reverse order through the same memo reads the
+    # shared results again, so a mutated one would show
+    sets = lead_sets()
+    fresh = [hilbert_numerator(J) for J in sets]
+    memo: dict = {}
+    assert [hilbert_numerator(J, _memo=memo) for J in sets] == fresh
+    assert [hilbert_numerator(J, _memo=memo) for J in reversed(sets)] == \
+        fresh[::-1]
+    assert memo
 
 
 def test_degree_bound_check_rejects_inhomogeneous_input():

@@ -1,9 +1,9 @@
 """Source hygiene: no module imports a name it never reads, every public
 name has a reader, only the kernel packs exponents into ints, only
 ``groebner._packed_run`` packs a run's inputs, only
-``csideals._sampled_records`` settles a sampled order, only groebner
-stores an ideal's series, and README lists the script commands, calls
-and options the code accepts."""
+``csideals._sampled_records`` settles a sampled order, csideals selects
+lead terms only in batches, only groebner stores an ideal's series, and
+README lists the script commands, calls and options the code accepts."""
 
 import ast
 import re
@@ -197,6 +197,31 @@ def test_settling_outside_the_step_is_found():
                      "    return I.groebner_basis(o), I.minimal_generators()\n")
     assert settling_outside_the_step(tree, "csideals") == [4, 5]
     assert settling_outside_the_step(tree, "determinantal") == [2, 5, 5]
+
+
+def per_order_leads(tree: ast.Module) -> list:
+    """Lines that call ``.lead_exp`` or ``.lead_term``, which select the
+    lead of one polynomial under one order."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("lead_exp", "lead_term"))
+
+
+def test_csideals_selects_leads_in_batches():
+    # poly.lead_exponents scores every candidate under all sampled orders
+    # at once; a per-order call is the cost it removed
+    path = ROOT / "src" / "multigb" / "csideals.py"
+    assert per_order_leads(ast.parse(path.read_text())) == []
+
+
+def test_per_order_leads_are_found():
+    # line 2 is the per-order callback ugb_check once passed
+    tree = ast.parse("settled = _sampled_records(\n"
+                     "    I, orders, lambda o: [c.lead_exp(o) for c in C])\n"
+                     "t = f.lead_term(o)\nc = f.lead_coeff(o)\n"
+                     "e = lead_exponents(C, orders)\n")
+    assert per_order_leads(tree) == [2, 3]
 
 
 def series_stores(tree: ast.Module) -> list:

@@ -193,6 +193,24 @@ def test_polarize_hilbert_consistency():
     assert by_total(nI) == by_total(nP)
 
 
+def test_shared_memo_keeps_field_widths_and_blocks_apart():
+    # each pair packs a (sub-)ideal to the same ints and differs in one part
+    # of the memo key: (x[1,1]x[1,3]) and (x[1,1]x[1,2]^2) in the exponent
+    # field width; (x[2,1]) and its sub-ideal in (x[1,1]x[1,2], x[2,1]) in
+    # the y-degree field width; the last two in the ring's blocks.  One
+    # memo must not mix their sub-ideals.
+    pairs = [(M(BlockRing((3,)), (1, 0, 1)), M(BlockRing((3,)), (1, 2, 0))),
+             (M(BlockRing((2, 1)), (0, 0, 1)),
+              M(BlockRing((2, 1)), (1, 1, 0), (0, 0, 1))),
+             (M(BlockRing((2, 1)), (1, 1, 0), (0, 0, 2)),
+              M(BlockRing((1, 2)), (1, 1, 0), (0, 0, 2)))]
+    for pair in pairs:
+        memo: dict = {}
+        for J in pair:
+            assert hilbert_numerator(J, _memo=memo) == hilbert_numerator(J)
+        assert len(memo) == 2
+
+
 def test_hilbert_numerator_frozen():
     # leads of (x11x22 - x12x21, x13x21) under the default order:
     # numerator 1 - 2 y1 y2 + y1^2 y2^2

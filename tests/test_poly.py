@@ -5,9 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from multigb.csideals import sample_orders
 from multigb.errors import RingMismatchError
-from multigb.poly import Polynomial
-from multigb.ring import BlockRing, TermOrder, degrevlex, lex, weight_order
+from multigb.poly import Polynomial, lead_exponents
+from multigb.ring import (BlockRing, TermOrder, degrevlex, elimination_order,
+                          lex, weight_order)
 
 
 @pytest.fixture
@@ -150,6 +152,46 @@ def test_lead_term_is_max_of_order_keys(case):
     f, order = case
     assert f.lead_term(order) == max(
         f.terms, key=lambda t: oracles.order_key(order, t[0]))
+
+
+@st.composite
+def polys_and_order_lists(draw):
+    """Polynomials (non-squarefree, inhomogeneous, single-term, constant)
+    and a list of orders whose first rows tie on many terms: lex and
+    degrevlex under permutations, an elimination order, and a weight order
+    with a constant weight, whose first row ties every term of a degree."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    R = BlockRing(sizes)
+    n = R.nvars
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    polys = [Polynomial(R, terms) for terms in draw(st.lists(
+        st.lists(st.tuples(exps, st.integers(1, 100)), min_size=1,
+                 max_size=12), max_size=4))]
+    polys.append(Polynomial.monomial(R, draw(exps), draw(st.integers(1, 100))))
+    polys.append(Polynomial.constant(R, draw(st.integers(1, 100))))
+    orders = sample_orders(R, draw(st.integers(0, 5)),
+                           seed=draw(st.integers(0, 99)),
+                           include_permutations=True)
+    orders.append(elimination_order(n, draw(st.sets(st.integers(0, n - 1),
+                                                    min_size=1))))
+    orders.append(weight_order(R, (draw(st.integers(1, 5)),) * n))
+    return draw(st.permutations(polys)), orders
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polys_and_order_lists())
+def test_lead_exponents_equal_lead_exp_under_every_order(case):
+    polys, orders = case
+    assert lead_exponents(polys, orders) == [
+        [f.lead_exp(o) for f in polys] for o in orders]
+
+
+def test_lead_exponents_edge_cases(R):
+    f = x(R, 1, 1) + x(R, 2, 1)
+    assert lead_exponents([f], []) == []
+    assert lead_exponents([], [lex(R), degrevlex(R)]) == [[], []]
+    with pytest.raises(ValueError, match="zero polynomial"):
+        lead_exponents([f, Polynomial.zero(R)], [lex(R)])
 
 
 @st.composite
