@@ -45,18 +45,20 @@ def _monic(f: list, p: int) -> list:
 
 
 def _gm_update(basis: list, pairs: dict, f: tuple, layout: kernel.Layout,
-               bound: Callable | None = None) -> None:
+               multidegree: Callable | None = None) -> None:
     """Add the element ``f`` to the basis, pruning S-pairs by the
     Gebauer-Moeller criteria (lcm chain rule, duplicate-lcm collapse,
     coprime leads).
 
-    ``pairs`` maps ``(i, j)`` to ``(total degree, order key, lcm)`` of the
-    pair's lcm, computed once when the pair is made.  Leads and lcms are
-    packed monomials; the candidate lcms are visited in increasing packed
-    value, which puts every divisor before its multiples.  A pair whose lcm
-    fails ``bound`` is never made: the criteria drop a pair only on account
-    of pairs whose lcms divide its own, and every multiple of an lcm
-    outside a multidegree bound is outside it too.
+    ``pairs`` maps ``(i, j)`` to ``(total degree, order key, lcm,
+    multidegree)`` of the pair's lcm, computed once when the pair is made;
+    the multidegree is ``multidegree`` of the lcm's exponents, or None
+    without it.  Leads and lcms are packed monomials; the candidate lcms
+    are visited in increasing packed value, which puts every divisor before
+    its multiples.  A pair whose lcm ``multidegree`` maps to None (outside
+    a bound, ``_within``) is never made: the criteria drop a pair only on
+    account of pairs whose lcms divide its own, and every multiple of an
+    lcm outside a multidegree bound is outside it too.
     """
     m = len(basis)
     guard, lcm = layout.guard, layout.lcm
@@ -85,9 +87,12 @@ def _gm_update(basis: list, pairs: dict, f: tuple, layout: kernel.Layout,
         if any(gamma == leads[i] + lf for i in group):
             continue
         exp = layout.exponents(gamma)
-        if bound is not None and not bound(exp):
-            continue
-        survivors[(group[0], m)] = sum(exp), layout.key(exp), gamma
+        a = None
+        if multidegree is not None:
+            a = multidegree(exp)
+            if a is None:
+                continue
+        survivors[(group[0], m)] = sum(exp), layout.key(exp), gamma, a
 
     basis.append(f)
     pairs.clear()
@@ -124,9 +129,9 @@ class _SeriesCutoff:
         self.leads: list = []  # (exponents, multidegree) of basis[k]'s lead
         self.degrees: dict = {}  # a -> [leads seen, in(G)_a, kernel.Fields]
 
-    def settled(self, lcm: int, basis: list) -> bool:
+    def settled(self, a: tuple, basis: list) -> bool:
+        """Whether the leads of ``basis`` settle multidegree ``a``."""
         ring, layout = self.ring, self.layout
-        a = ring.multidegree(layout.exponents(lcm))
         if a in self.full:
             return True
         state = self.degrees.get(a)
@@ -180,9 +185,15 @@ def _packed_run(polys: Sequence[list], matrix: tuple, run):
 
 
 def _within(ring: BlockRing, b: Sequence[int]) -> Callable:
-    """The test "multidegree <= b", coordinatewise, on exponent tuples."""
+    """The truncation at b: the multidegree of an exponent tuple when it is
+    <= b coordinatewise, else None."""
     b = tuple(b)
-    return lambda exp: all(map(le, ring.multidegree(exp), b))
+
+    def multidegree(exp: tuple) -> tuple | None:
+        a = ring.multidegree(exp)
+        return a if all(map(le, a, b)) else None
+
+    return multidegree
 
 
 def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
@@ -193,23 +204,28 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
 
     Pairs are selected by lowest lcm total degree, then by order.  With
     ``series`` (multihomogeneous generators only), pairs of a multidegree
-    it settles are skipped.  With ``bound``, the test ``_within(ring, b)``
-    of a multidegree b (multihomogeneous generators only), generators of
-    multidegree not <= b are dropped and pairs whose lcm is not <= b are
-    never made: the result is the b-truncated, unreduced Groebner basis,
-    enough to decide membership in multidegrees <= b, and its leads
-    generate in(I) whenever the reduced basis of I fits b.  A resource
-    abort reports the basis size, pending pairs and the lcm degree reached.
+    it settles are skipped.  With ``bound``, the truncation
+    ``_within(ring, b)`` at a multidegree b (multihomogeneous generators
+    only), generators of multidegree not <= b are dropped and pairs whose
+    lcm is not <= b are never made: the result is the b-truncated,
+    unreduced Groebner basis, enough to decide membership in multidegrees
+    <= b, and its leads generate in(I) whenever the reduced basis of I
+    fits b.  A resource abort reports the basis size, pending pairs and the
+    lcm degree reached.
     """
     basis: list = []
     pairs: dict = {}
     degree = 0
     guard = layout.guard
+    multidegree = bound  # of each pair's lcm, read by the bound and series
     if series is not None:
         series.start(layout)
+        if bound is None:
+            multidegree = series.ring.multidegree
 
     def grow(r: list) -> None:
-        _gm_update(basis, pairs, layout.element(_monic(r, p)), layout, bound)
+        _gm_update(basis, pairs, layout.element(_monic(r, p)), layout,
+                   multidegree)
         if len(basis) > limits.max_basis:
             raise ResourceLimitError(
                 f"basis exceeded {limits.max_basis} elements")
@@ -220,7 +236,7 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
                 continue
             lead = layout.exponents(g[0][1])
             degree = sum(lead)
-            if bound is not None and not bound(lead):
+            if bound is not None and bound(lead) is None:
                 continue
             r = kernel.normal_form(g, basis, layout, p, limits.max_terms) if basis else g
             if r:
@@ -228,8 +244,8 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
 
         while pairs:
             best = min(pairs, key=pairs.__getitem__)
-            degree, _, lcm = pairs.pop(best)
-            if series is not None and series.settled(lcm, basis):
+            degree, _, _, a = pairs.pop(best)
+            if series is not None and series.settled(a, basis):
                 continue
             s = kernel.spoly(basis[best[0]], basis[best[1]], layout, p)
             r = kernel.normal_form(s, basis, layout, p, limits.max_terms)

@@ -1,17 +1,20 @@
 """Combinatorics of monomial ideals in a block-graded ring.
 
 Monomials are exponent tuples (the kernel convention).  A MonomialIdeal
-stores the unique minimal generating antichain.  Minimalization,
-``alexander_dual`` and ``hilbert_numerator`` run on ints packed by
-``kernel.Fields``, so a divisibility test is one subtraction.  Beyond that
-packing nothing comes from the Groebner engine; everything here is exact
-combinatorics and serves as an independent oracle for it.
+stores the unique minimal generating antichain.  Minimalization and
+``alexander_dual`` run on ints packed by ``kernel.Fields``, so a
+divisibility test is one subtraction.  ``hilbert_numerator`` runs on the
+polarization of an ideal, squarefree monomials packed one bit per
+position by ``kernel.Fields``, so a support test is one AND.  Beyond
+that packing nothing comes from the Groebner engine; everything here is
+exact combinatorics and serves as an independent oracle for it.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
+from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from multigb import kernel
@@ -50,11 +53,11 @@ class MonomialIdeal:
     __slots__ = ("ring", "gens")
 
     def __init__(self, ring: BlockRing, gens: Iterable[tuple], *, _minimal: bool = False):
-        exps = [tuple(int(x) for x in e) for e in gens]
+        exps = [tuple(map(int, e)) for e in gens]
         for e in exps:
             if len(e) != ring.nvars:
                 raise RingMismatchError("exponent length does not match ring")
-            if any(x < 0 for x in e):
+            if min(e) < 0:
                 raise ValueError("negative exponent")
         if not _minimal:
             exps = _minimal_antichain(exps)
@@ -332,55 +335,82 @@ class HilbertNumerator:
         return f"HilbertNumerator({self})"
 
 
+@lru_cache(maxsize=1024)
+def _polarization(block_sizes: tuple, top: tuple) -> tuple:
+    """How monomials with exponents up to ``top`` polarize, as
+    (powers, blocks, guard, ydegrees, ydeg).
+
+    Variable k owns one position per occurrence, up to ``top[k]``, and each
+    position lies in k's block (0-based, ``blocks``).  A polarized monomial
+    is a 0/1 vector over the positions, packed by ``kernel.fields(positions,
+    1)`` (``guard`` is its guard mask), so it is its own support;
+    ``powers[k][e]`` is the packed product of k's first e positions, the
+    polarization of x_k^e.  Each position takes its block's degree
+    (``ydeg``: the packed y-degree of each packed position), and
+    ``ydegrees`` packs y-degrees up to those of the product of all
+    positions.  Built once per key; ``ydeg`` is only read."""
+    blocks, widths, start = [], [], 0
+    for b, n in enumerate(block_sizes):
+        width = sum(top[start:start + n])
+        blocks += [b] * width
+        widths.append(width)
+        start += n
+    fields = kernel.fields(len(blocks), 1)
+    units = fields.units
+    powers, start = [], 0
+    for c in top:
+        powers.append((0, *accumulate(units[start:start + c])))
+        start += c
+    ydegrees = kernel.fields(len(block_sizes), max(widths))
+    ydeg = dict(zip(units, map(ydegrees.units.__getitem__, blocks)))
+    return tuple(powers), tuple(blocks), fields.guard, ydegrees, ydeg
+
+
 def hilbert_numerator(I: MonomialIdeal, *,
                       _memo: dict | None = None) -> HilbertNumerator:
     """K-polynomial of S/I (Bigatti; Bayer-Stillman).
 
-    Generators that fall into groups of pairwise disjoint support give the
-    product of the groups' K-polynomials.  A group that does not split is
-    split at the pivot variable x that most of its generators hold (the
-    first such variable on ties):
+    The recursion runs on the polarization of I (``_polarization``): each
+    new variable takes the degree of the variable it splits off, which
+    keeps the multigraded K-polynomial (Miller-Sturmfels, ch. 3), and every
+    generator is squarefree.  Generators that fall into groups of pairwise
+    disjoint support give the product of the groups' K-polynomials.  A
+    group that does not split is split at the pivot variable x that most of
+    its generators hold (the lowest such position on ties):
     K(S/I) = y^{deg x} * K(S/(I:x)) + K(S/(I+(x))).
 
-    The recursion runs on monomials packed by ``kernel.Fields``: the colon
-    subtracts x from every generator that holds it, the sum drops every
-    generator x divides, and supports compare as guard-bit masks, never as
-    exponent bits.  Numerators are ``{packed y-degree: coefficient}``, the
-    y-degrees packed by ``kernel.Fields`` of one field per block, sized by
-    the block degrees of the lcm of all generators, which bound every term
-    the recursion makes.
+    A packed squarefree monomial is its own support: g holds x iff
+    ``g & x``, the colon takes g to ``g & ~x`` and is minimalized
+    (``_minimal``), and the sum drops every generator that holds x.
+    Numerators are ``{packed y-degree: coefficient}``, the y-degrees packed
+    by ``kernel.Fields`` of one field per block, sized by the block degrees
+    of the lcm of all generators, which bound every term the recursion
+    makes.
 
     The recursion memoizes each sub-ideal's numerator.  Calls that pass one
     ``_memo`` dict share it (``csideals._sampled_records`` passes one for
-    all its lead sets); it is keyed by everything the packed recursion
-    reads: the ring's blocks, the exponent fields and the y-degree fields.
-    A memoized numerator is shared, so the recursion never mutates one.
+    all its lead sets); it is keyed by everything the recursion reads: the
+    block of each position and the y-degree field width.  A memoized
+    numerator is shared, so the recursion never mutates one.
     """
-    ring = I.ring
-    n, v = ring.nvars, ring.v
+    v = I.ring.v
     if not I.gens:
         return HilbertNumerator.one(v)
-    lcm = tuple(map(max, zip(*I.gens)))
-    fields = kernel.fields(n, max(lcm))
-    guard, units, exponents = fields.guard, fields.units, fields.exponents
-    holds = [u * fields.field_max for u in units]  # the guard bit of each field
-    below_guard = guard - sum(units)  # g + below_guard sets g's support guards
-    ydegrees = kernel.fields(v, max(ring.multidegree(lcm)))
-    ydeg = [ydegrees.units[ring.var_pair(k)[0] - 1] for k in range(n)]
+    powers, blocks, guard, ydegrees, ydeg = _polarization(
+        I.ring.block_sizes, tuple(map(max, zip(*I.gens))))
     memo = {} if _memo is None else _memo.setdefault(
-        (ring.block_sizes, fields.bits, ydegrees.bits), {})
+        (blocks, ydegrees.bits), {})
 
     def rec(gens: tuple) -> dict:
         out = memo.get(gens)
         if out is not None:
             return out
-        masks = [(g + below_guard) & guard for g in gens]
-        groups = []  # [support mask, generators] of disjoint supports
-        for g, m in zip(gens, masks):
-            joined = [m, [g]]
+        groups = []  # [support, generators] of disjoint supports
+        for g in gens:
+            joined = [g, [g]]
             apart = []
             for group in groups:
-                if group[0] & m:
+                if group[0] & g:
                     joined[0] |= group[0]
                     joined[1] += group[1]
                 else:
@@ -388,8 +418,12 @@ def hilbert_numerator(I: MonomialIdeal, *,
             apart.append(joined)
             groups = apart
         if len(gens) == 1:
-            g = gens[0]
-            out = {0: 1, sum(map(mul, exponents(g), ydeg)): -1} if g else {}
+            g, degree = gens[0], 0
+            while g:  # the y-degree of g, one position at a time
+                x = g & -g
+                degree += ydeg[x]
+                g ^= x
+            out = {0: 1, degree: -1} if gens[0] else {}
         elif len(groups) > 1:
             out = {0: 1}
             for _, members in groups:
@@ -399,23 +433,28 @@ def hilbert_numerator(I: MonomialIdeal, *,
                         prod[a + b] = prod.get(a + b, 0) + c * d
                 out = {a: c for a, c in prod.items() if c}
         else:
-            counts = [sum([1 for m in masks if m & h]) for h in holds]
-            pivot = counts.index(max(counts))
-            x, hold = units[pivot], holds[pivot]
-            colon = [g - x if m & hold else g for g, m in zip(gens, masks)]
-            plus = [g for g, m in zip(gens, masks) if not m & hold]
+            counts: dict = {}  # how many generators hold each position
+            for g in gens:
+                while g:
+                    y = g & -g
+                    counts[y] = counts.get(y, 0) + 1
+                    g ^= y
+            most = max(counts.values())
+            x = min([y for y, c in counts.items() if c == most])
+            plus = [g for g in gens if not g & x]
             plus.append(x)
             out = dict(rec(tuple(sorted(plus))))
-            shift = ydeg[pivot]
-            for a, c in rec(tuple(_minimal(colon, guard))).items():
+            shift, off = ydeg[x], ~x
+            colon = tuple(_minimal([g & off for g in gens], guard))
+            for a, c in rec(colon).items():
                 out[a + shift] = out.get(a + shift, 0) + c
             out = {a: c for a, c in out.items() if c}
         memo[gens] = out
         return out
 
-    return HilbertNumerator(v, {
-        ydegrees.exponents(a): c
-        for a, c in rec(tuple(sorted(map(fields.monomial, I.gens)))).items()})
+    gens = sorted([sum(map(tuple.__getitem__, powers, g)) for g in I.gens])
+    return HilbertNumerator(v, {ydegrees.exponents(a): c for a, c in
+                                rec(tuple(gens)).items()})
 
 
 def ambient_dimension(ring: BlockRing, a: Sequence[int]) -> int:

@@ -16,7 +16,7 @@ from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
 from multigb.gin import BorelElement
 from multigb.groebner import (Ideal, project_out_variable,
                               ring_without_variable)
-from multigb.monomials import (HilbertNumerator, MonomialIdeal,
+from multigb.monomials import (HilbertNumerator, MonomialIdeal, _minimal,
                                is_radical_monomial, support)
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing, TermOrder, degrevlex, exp_divides
@@ -175,6 +175,70 @@ def hilbert_numerator_inclusion_exclusion(I: MonomialIdeal) -> HilbertNumerator:
         sign = -1 if len(chosen) % 2 else 1
         out = out + HilbertNumerator.monomial(v, ring.multidegree(lcm), sign)
     return out
+
+
+def hilbert_numerator_packed(I: MonomialIdeal) -> HilbertNumerator:
+    """Oracle: Bigatti's pivot recursion on I itself, not its polarization.
+
+    Monomials are packed by ``kernel.Fields`` with one exponent field per
+    variable; supports compare as guard-bit masks.  Groups of disjoint
+    support multiply; a group that does not split is split at the variable
+    x most of its generators hold (the first on ties):
+    K(S/I) = y^{deg x} * K(S/(I:x)) + K(S/(I+(x))), where the colon
+    subtracts x from every generator that holds it."""
+    ring = I.ring
+    n, v = ring.nvars, ring.v
+    if not I.gens:
+        return HilbertNumerator.one(v)
+    lcm = tuple(map(max, zip(*I.gens)))
+    fields = kernel.fields(n, max(lcm))
+    guard, units, exponents = fields.guard, fields.units, fields.exponents
+    holds = [u * fields.field_max for u in units]  # guard bit of each field
+    below_guard = guard - sum(units)  # g + below_guard sets g's support guards
+    ydegrees = kernel.fields(v, max(ring.multidegree(lcm)))
+    ydeg = [ydegrees.units[ring.var_pair(k)[0] - 1] for k in range(n)]
+
+    def rec(gens: tuple) -> dict:
+        masks = [(g + below_guard) & guard for g in gens]
+        groups = []  # [support mask, generators] of disjoint supports
+        for g, m in zip(gens, masks):
+            joined = [m, [g]]
+            apart = []
+            for group in groups:
+                if group[0] & m:
+                    joined[0] |= group[0]
+                    joined[1] += group[1]
+                else:
+                    apart.append(group)
+            apart.append(joined)
+            groups = apart
+        if len(gens) == 1:
+            g = gens[0]
+            return {0: 1, sum(map(mul, exponents(g), ydeg)): -1} if g else {}
+        if len(groups) > 1:
+            out = {0: 1}
+            for _, members in groups:
+                prod: dict = {}
+                for b, d in rec(tuple(sorted(members))).items():
+                    for a, c in out.items():
+                        prod[a + b] = prod.get(a + b, 0) + c * d
+                out = {a: c for a, c in prod.items() if c}
+            return out
+        counts = [sum([1 for m in masks if m & h]) for h in holds]
+        pivot = counts.index(max(counts))
+        x, hold = units[pivot], holds[pivot]
+        colon = [g - x if m & hold else g for g, m in zip(gens, masks)]
+        plus = [g for g, m in zip(gens, masks) if not m & hold]
+        plus.append(x)
+        out = dict(rec(tuple(sorted(plus))))
+        shift = ydeg[pivot]
+        for a, c in rec(tuple(_minimal(colon, guard))).items():
+            out[a + shift] = out.get(a + shift, 0) + c
+        return {a: c for a, c in out.items() if c}
+
+    return HilbertNumerator(v, {
+        ydegrees.exponents(a): c
+        for a, c in rec(tuple(sorted(map(fields.monomial, I.gens)))).items()})
 
 
 def graded_dimension(I: MonomialIdeal, a: Sequence[int]) -> int:

@@ -14,7 +14,8 @@ from multigb.csideals import (MembershipReport, closure_suite,
 from multigb.determinantal import (build_column_graded, build_row_graded,
                                    minors, variable_matrix)
 from multigb.errors import (HypothesisNotSatisfiedError,
-                            InternalConsistencyError, NotSquarefreeError)
+                            InternalConsistencyError, NotSquarefreeError,
+                            RingMismatchError)
 from multigb.groebner import (GroebnerBasis, Ideal, coordinate_section,
                               ideal_from_monomials, regular_sequence_test)
 from multigb.instances import (cs_instance_pool, csstar_instance_pool,
@@ -602,6 +603,41 @@ def test_ugb_check_maximal_minors_run_buchberger_once():
     assert rep.passed
     assert rep.certified == rep.orders_tested == 202
     assert len(I._gb_cache) == 1
+
+
+def test_sampled_records_build_one_lead_ideal_per_lead_set(monkeypatch):
+    # the ugb benchmark instance at seed 0: its 202 orders give 143
+    # distinct lead sets, and each builds one lead ideal; the records are
+    # those of a fresh Buchberger run under every order
+    B = build_column_graded(3, (3, 3, 3, 3, 3), seed=7)
+    cands = minors(B, 3)
+    I = Ideal(B.ring, cands)
+    orders = sample_orders(B.ring, 200, seed=0, include_permutations=False)
+    builds = []
+
+    def counted(ring, gens, **kwargs):
+        builds.append(gens)
+        return MonomialIdeal(ring, gens, **kwargs)
+
+    monkeypatch.setattr(csideals, "MonomialIdeal", counted)
+    rep = ugb_check(cands, I, n_orders=200, seed=0,
+                    include_permutations=False)
+    lead_sets = {frozenset(leads)
+                 for leads in lead_exponents(cands, orders)}
+    assert (len(orders), len(lead_sets), len(builds)) == (202, 143, 143)
+    assert_matches_oracle(rep, cands, I, orders)
+
+
+def test_sampled_records_reject_malformed_leads():
+    # a lead set is validated when its lead ideal is built
+    R = BlockRing((2, 2))
+    I = Ideal(R, [x(R, 1, 1) * x(R, 2, 1)])
+    orders = sample_orders(R, 1, seed=0)
+    with pytest.raises(RingMismatchError, match="exponent length"):
+        csideals._sampled_records(I, orders, [[(1, 0, 1)]] * len(orders))
+    with pytest.raises(ValueError, match="negative exponent"):
+        csideals._sampled_records(I, orders,
+                                  [[(1, 0, -1, 0)]] * len(orders))
 
 
 def test_ugb_check_hypothesis_errors():

@@ -354,8 +354,8 @@ def test_trial_with_the_series_cutoff_equals_one_without(monkeypatch):
     skipped = [0]
     inner = groebner._SeriesCutoff.settled
 
-    def spy(self, lcm, basis):
-        done = inner(self, lcm, basis)
+    def spy(self, a, basis):
+        done = inner(self, a, basis)
         skipped[0] += done
         return done
 
@@ -381,6 +381,6 @@ def test_gin_guard_catches_a_candidate_without_the_series(monkeypatch):
                   x(R, 2, 1) * x(R, 3, 2) - x(R, 2, 2) * x(R, 3, 1)])
     I.groebner_basis()
     monkeypatch.setattr(groebner._SeriesCutoff, "settled",
-                        lambda self, lcm, basis: True)
+                        lambda self, a, basis: True)
     with pytest.raises(InternalConsistencyError, match="Hilbert series"):
         gin(I, seed=1)

@@ -1,5 +1,6 @@
 """Monomial-ideal combinatorics: duals, polarization, Hilbert numerators."""
 
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,8 @@ from multigb.monomials import (HilbertNumerator, MonomialIdeal, alexander_dual,
                                support)
 from multigb.ring import BlockRing, exp_divides
 from oracles import (alexander_dual_bruteforce, graded_dimension,
-                     hilbert_numerator_inclusion_exclusion, intersect_monomial)
+                     hilbert_numerator_inclusion_exclusion,
+                     hilbert_numerator_packed, intersect_monomial)
 
 
 def M(R, *gens):
@@ -194,11 +196,12 @@ def test_polarize_hilbert_consistency():
 
 
 def test_shared_memo_keeps_field_widths_and_blocks_apart():
-    # each pair packs a (sub-)ideal to the same ints and differs in one part
-    # of the memo key: (x[1,1]x[1,3]) and (x[1,1]x[1,2]^2) in the exponent
-    # field width; (x[2,1]) and its sub-ideal in (x[1,1]x[1,2], x[2,1]) in
-    # the y-degree field width; the last two in the ring's blocks.  One
-    # memo must not mix their sub-ideals.
+    # the memo key is the block of each polarized position and the
+    # y-degree field width, and each pair differs in it: (x[1,1]x[1,3])
+    # and (x[1,1]x[1,2]^2) polarize to two and three positions; (x[2,1])
+    # and (x[1,1]x[1,2], x[2,1]) to positions in blocks (2) and (1, 1, 2);
+    # the last two to blocks (1, 1, 2, 2) and (1, 2, 2, 2).  One memo must
+    # not mix their sub-ideals.
     pairs = [(M(BlockRing((3,)), (1, 0, 1)), M(BlockRing((3,)), (1, 2, 0))),
              (M(BlockRing((2, 1)), (0, 0, 1)),
               M(BlockRing((2, 1)), (1, 1, 0), (0, 0, 1))),
@@ -299,6 +302,72 @@ def test_hilbert_numerator_matches_inclusion_exclusion(case):
         assert num == HilbertNumerator.one(I.ring.v)
     if kind == "unit":
         assert num.is_zero
+
+
+@st.composite
+def polarization_cases(draw):
+    """A monomial ideal in 2..4 blocks of 1 or 2 variables, exponents up to
+    3: the zero or the unit ideal, a pure power, or random generators, one
+    of them squarefree and one not when the kind is "mixed"."""
+    R = BlockRing(draw(st.lists(st.integers(1, 2), min_size=2, max_size=4)))
+    n = R.nvars
+    kind = draw(st.sampled_from(["zero", "unit", "power", "mixed", "random"]))
+    if kind == "zero":
+        return MonomialIdeal(R, [])
+    if kind == "unit":
+        return MonomialIdeal(R, [(0,) * n])
+    if kind == "power":
+        var, c = draw(st.integers(0, n - 1)), draw(st.integers(1, 3))
+        return MonomialIdeal(R, [tuple(c if k == var else 0
+                                       for k in range(n))])
+    exponents = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    gens = draw(st.lists(exponents.filter(any), min_size=1, max_size=5))
+    if kind == "mixed":
+        squarefree = draw(st.lists(st.integers(0, 1), min_size=n,
+                                   max_size=n).filter(any))
+        powered = draw(exponents.filter(lambda e: max(e) >= 2))
+        gens += [squarefree, powered]
+    return MonomialIdeal(R, [tuple(g) for g in gens])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polarization_cases())
+def test_polarized_numerator_matches_the_unpolarized_recursion(I):
+    # the polarized recursion gives the numerator of the recursion on I's
+    # own exponents, and it counts standard monomials degree by degree
+    num = hilbert_numerator(I)
+    assert num == hilbert_numerator_packed(I)
+    top = I.ring.multidegree(tuple(map(max, zip(*I.gens)))) if I.gens \
+        else (0,) * I.ring.v
+    for a in itertools.product(*(range(min(d, 2) + 1) for d in top)):
+        assert quotient_dimension_from_numerator(num, I.ring, a) == \
+            graded_dimension(I, a)
+
+
+def test_one_memo_serves_lead_sets_of_every_polarization():
+    # one memo over squarefree sets, sets holding x^2 and x^3 in one ring,
+    # and sets of two rings with other block sizes: each matches a fresh
+    # numerator, and a second pass in reverse order reads the shared
+    # results again, so a mutated one would show.  The second and third
+    # sets hold other variables but polarize to positions in the same
+    # blocks, so they share one key
+    R, S = BlockRing((2, 2)), BlockRing((1, 3))
+    sets = [M(R, (1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)),
+            M(R, (1, 1, 0, 0), (0, 1, 0, 1)),
+            M(R, (1, 1, 0, 0), (1, 0, 1, 0)),
+            M(R, (2, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)),
+            M(R, (3, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)),
+            M(R, (2, 1, 0, 0), (0, 3, 0, 1), (0, 0, 1, 1)),
+            M(S, (1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)),
+            M(S, (2, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)),
+            M(S, (1, 1, 0, 0), (0, 1, 0, 1))]
+    fresh = [hilbert_numerator(J) for J in sets]
+    assert fresh == [hilbert_numerator_inclusion_exclusion(J) for J in sets]
+    memo: dict = {}
+    assert [hilbert_numerator(J, _memo=memo) for J in sets] == fresh
+    assert [hilbert_numerator(J, _memo=memo) for J in reversed(sets)] == \
+        fresh[::-1]
+    assert 1 < len(memo) < len(sets)
 
 
 def test_hilbert_numerator_shared_variable_with_disjoint_exponent_bits():
