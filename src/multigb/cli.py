@@ -184,6 +184,9 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
     # without orders=, each command samples its function's default count
     orders_kw = ({"n_orders": _int_option(cmd, "orders", 0)}
                  if "orders" in cmd.options else {})
+    expect = cmd.options.get("expect")  # only cs, csstar and member take it
+    if expect not in (None, "yes", "no"):
+        raise ScriptError("expect= takes yes or no", cmd.line)
     report = {
         "command": cmd.name,
         "inputs": [_arg_text(a) for a in cmd.args],
@@ -323,10 +326,7 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
     else:
         raise ScriptError(f"unknown command {cmd.name!r}", cmd.line)
 
-    expect = cmd.options.get("expect")
-    if expect is not None:  # only cs, csstar and member read it
-        if expect not in ("yes", "no"):
-            raise ScriptError("expect= takes yes or no", cmd.line)
+    if expect is not None:
         ok = report["verdict"] == expect
         report["evidence"]["expected"] = expect
     report["asserted"] = ok is not None

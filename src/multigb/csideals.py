@@ -538,13 +538,12 @@ def _sampled_records(I: Ideal, orders: Sequence[TermOrder],
     those of the reduced basis, sorted as the basis is, each element of
     which has its lead's multidegree, and the order is certified.  Any
     other order, and every order when I is not multigraded, runs
-    Buchberger.  Each distinct lead set builds one lead ideal, each
-    distinct lead ideal one numerator, and the numerators share one memo
-    of the numerator recursion.  A record holds the order's name, the
-    leads of its reduced basis and the multidegree of each element."""
+    Buchberger.  Each distinct lead set builds one lead ideal and one
+    numerator, and the numerators share one memo of the numerator
+    recursion.  A record holds the order's name, the leads of its reduced
+    basis and the multidegree of each element."""
     series = I.hilbert_series() if I.is_multihomogeneous else None
     ideals: dict = {}  # (lead ideal, certified) by lead set
-    numerators: dict = {}  # by lead ideal: lead sets may differ, ideals not
     recursion: dict = {}  # the sub-ideals every lead set's recursion shares
     degree_of: dict = {}  # multidegree by lead exponent
     out = []
@@ -553,12 +552,9 @@ def _sampled_records(I: Ideal, orders: Sequence[TermOrder],
         hit = ideals.get(lead_set)
         if hit is None:
             lead_ideal = MonomialIdeal(I.ring, exps)
-            if series is not None and lead_ideal not in numerators:
-                numerators[lead_ideal] = hilbert_numerator(lead_ideal,
-                                                           _memo=recursion)
             hit = ideals[lead_set] = (
-                lead_ideal,
-                series is not None and numerators[lead_ideal] == series)
+                lead_ideal, series is not None and hilbert_numerator(
+                    lead_ideal, _memo=recursion) == series)
         lead_ideal, certified = hit
         if certified:
             top = max((max(e) for e in lead_ideal.gens), default=0)

@@ -53,9 +53,9 @@ def _gm_update(basis: list, pairs: dict, f: tuple, layout: kernel.Layout,
     ``pairs`` maps ``(i, j)`` to ``(total degree, order key, lcm,
     multidegree)`` of the pair's lcm, computed once when the pair is made;
     the multidegree is ``multidegree`` of the lcm's exponents, or None
-    without it.  Leads and lcms are packed monomials; the candidate lcms
-    are visited in increasing packed value, which puts every divisor before
-    its multiples.  A pair whose lcm ``multidegree`` maps to None (outside
+    without it.  Leads and lcms are packed monomials; only the minimal
+    candidate lcms (``kernel.minimal``) make pairs, in increasing packed
+    value.  A pair whose lcm ``multidegree`` maps to None (outside
     a bound, ``_within``) is never made: the criteria drop a pair only on
     account of pairs whose lcms divide its own, and every multiple of an
     lcm outside a multidegree bound is outside it too.
@@ -77,12 +77,7 @@ def _gm_update(basis: list, pairs: dict, f: tuple, layout: kernel.Layout,
     by_lcm: dict = {}
     for i, gamma in enumerate(lcms):
         by_lcm.setdefault(gamma, []).append(i)
-    kept = []
-    for gamma in sorted(by_lcm):
-        above = gamma | guard
-        if any((above - mu) & guard == guard for mu in kept):
-            continue
-        kept.append(gamma)
+    for gamma in kernel.minimal(by_lcm, guard):
         group = by_lcm[gamma]
         if any(gamma == leads[i] + lf for i in group):
             continue
@@ -257,15 +252,10 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
         if bound is not None:
             return basis
 
-        # minimal heads, then full tail reduction
-        leads = [g[0][0][1] for g in basis]
-        keep = []
-        for i, lead in enumerate(leads):
-            above = lead | guard
-            if any(j != i and (above - other) & guard == guard
-                   and (other != lead or j < i) for j, other in enumerate(leads)):
-                continue
-            keep.append(basis[i])
+        # minimal heads, then full tail reduction; the leads are distinct,
+        # since every element enters fully reduced
+        heads = set(kernel.minimal([g[0][0][1] for g in basis], guard))
+        keep = [g for g in basis if g[0][0][1] in heads]
         reduced = []
         for i, (g, _) in enumerate(keep):
             others = keep[:i] + keep[i + 1:]
@@ -570,23 +560,19 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
         raise ValueError("exact division by zero")
     ring = g.ring
     p = ring.characteristic
-    matrix = ring.storage_order.rows
-    fraw = f.terms
-    work = g.terms
-    quotient: list = []
-    flead, flc = fraw[0]
+    flead, flc = f.lead_term()
     inv = pow(flc, p - 2, p)
-    while work:
-        lead, lc = work[0]
+    quotient = Polynomial.zero(ring)
+    while g:
+        lead, lc = g.lead_term()
         if not exp_divides(flead, lead):
             raise InternalConsistencyError(
                 "exact division left a nonzero remainder")
-        shift = tuple(a - b for a, b in zip(lead, flead))
-        c = lc * inv % p
-        quotient.append((shift, c))
-        work = kernel.poly_sub(work, kernel.poly_mul_term(fraw, shift, c, p),
-                               matrix, p)
-    return Polynomial(ring, quotient)
+        q = Polynomial.monomial(ring, tuple(a - b for a, b in zip(lead, flead)),
+                                lc * inv)
+        quotient += q
+        g -= q * f
+    return quotient
 
 
 def ideal_from_monomials(M: MonomialIdeal, limits: EngineLimits = DEFAULT_LIMITS) -> Ideal:
@@ -659,6 +645,8 @@ def _graded_linear_block(L: Polynomial) -> int:
 
 
 def ring_without_variable(ring: BlockRing, var: int) -> BlockRing:
+    if not 0 <= var < ring.nvars:
+        raise RingMismatchError(f"variable {var} is not in the ring")
     block, _ = ring.var_pair(var)
     if ring.block_sizes[block - 1] == 1:
         raise HypothesisNotSatisfiedError(

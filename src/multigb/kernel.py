@@ -1,9 +1,11 @@
 """Polynomial kernel.
 
 This module implements the hot inner loops of the Groebner engine: term
-sorting and arithmetic on exponent tuples for ``Polynomial`` (terms are
-summed in a dict, then sorted), merge-based s-polynomials and multivariate
-division on packed terms for the Buchberger loop, and the expansion of a
+sorting and products of tuple polynomials for ``Polynomial`` (terms are
+summed in a dict, then sorted, so a sum of polynomials is ``sort_terms``
+of their joined term lists), merge-based s-polynomials and multivariate
+division on packed terms for the Buchberger loop, the minimal elements of
+packed monomials under divisibility (``minimal``), and the expansion of a
 substitution of variables (``expand``) on packed monomials for
 ``Polynomial.substitute``.
 
@@ -49,40 +51,6 @@ def sort_terms(terms, matrix, p):
     for exp, coeff in terms:
         acc[exp] = (acc.get(exp, 0) + coeff) % p
     return _sorted(acc, matrix)
-
-
-def poly_neg(f, p):
-    return [(e, p - c) for e, c in f]
-
-
-def poly_scale(f, c, p):
-    c %= p
-    if c == 0:
-        return []
-    return [(e, (k * c) % p) for e, k in f]
-
-
-def poly_mul_term(f, shift, c, p):
-    """Multiply by a single term; preserves sortedness (orders are multiplicative)."""
-    c %= p
-    if c == 0:
-        return []
-    return [
-        (tuple(a + b for a, b in zip(e, shift)), (k * c) % p)
-        for e, k in f
-    ]
-
-
-def poly_add(f, g, matrix, p):
-    """Sum of two sorted term lists."""
-    acc = dict(f)
-    for exp, coeff in g:
-        acc[exp] = (acc.get(exp, 0) + coeff) % p
-    return _sorted(acc, matrix)
-
-
-def poly_sub(f, g, matrix, p):
-    return poly_add(f, poly_neg(g, p), matrix, p)
 
 
 def poly_mul(f, g, matrix, p):
@@ -135,8 +103,9 @@ class Fields:
 
     * b divides a iff ``((a | guard) - b) & guard == guard``: each field
       borrows from its own guard bit only, and keeps it iff a_k >= b_k.
-      So a divisor is never larger than its multiple.  Hot loops inline
-      this test with ``guard`` read into a local;
+      So a divisor is never larger than its multiple.  ``minimal``,
+      ``normal_form`` and the chain criterion of ``groebner._gm_update``
+      inline this test with ``guard`` read into a local;
     * lcm(a, b): ``d = ((a | guard) - b) & guard`` marks the fields where
       a_k >= b_k, ``m = d - (d >> (bits - 1))`` widens each mark to its
       field's value bits, and the lcm is ``(a & m) | (b & ~m)``;
@@ -171,6 +140,21 @@ class Fields:
         d = ((a | self.guard) - b) & self.guard
         m = d - (d >> (self.bits - 1))
         return (a & m) | (b & ~m)
+
+
+def minimal(packed, guard):
+    """The minimal elements of packed monomials under divisibility, in
+    ascending order, each once; one ascending pass meets every divisor
+    first."""
+    out = []
+    for b in sorted(set(packed)):
+        b_guarded = b | guard
+        for a in out:
+            if (b_guarded - a) & guard == guard:
+                break
+        else:
+            out.append(b)
+    return out
 
 
 class Layout(Fields):

@@ -23,20 +23,6 @@ from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
 from multigb.ring import BlockRing, exp_divides
 
 
-def _minimal(packed: Iterable[int], guard: int) -> list:
-    """The minimal elements of packed monomials under divisibility, in
-    ascending order; one ascending pass meets every divisor first."""
-    out = []
-    for b in sorted(set(packed)):
-        b_guarded = b | guard
-        for a in out:
-            if (b_guarded - a) & guard == guard:
-                break
-        else:
-            out.append(b)
-    return out
-
-
 def _minimal_antichain(exps: Iterable[tuple]) -> list:
     """Drop duplicates and anything divisible by another element."""
     exps = list(exps)
@@ -44,7 +30,7 @@ def _minimal_antichain(exps: Iterable[tuple]) -> list:
         return []
     fields = kernel.fields(len(exps[0]), max(map(max, exps)))
     back = {fields.monomial(e): e for e in exps}
-    return [back[b] for b in _minimal(back, fields.guard)]
+    return [back[b] for b in kernel.minimal(back, fields.guard)]
 
 
 class MonomialIdeal:
@@ -187,8 +173,8 @@ def alexander_dual(I: MonomialIdeal) -> MonomialIdeal:
         if current is None:
             current = prime
         else:
-            current = _minimal([fields.lcm(a, b) for a in current
-                                for b in prime], fields.guard)
+            current = kernel.minimal([fields.lcm(a, b) for a in current
+                                     for b in prime], fields.guard)
     return MonomialIdeal(I.ring, map(fields.exponents, current),
                          _minimal=True)
 
@@ -381,7 +367,7 @@ def hilbert_numerator(I: MonomialIdeal, *,
 
     A packed squarefree monomial is its own support: g holds x iff
     ``g & x``, the colon takes g to ``g & ~x`` and is minimalized
-    (``_minimal``), and the sum drops every generator that holds x.
+    (``kernel.minimal``), and the sum drops every generator that holds x.
     Numerators are ``{packed y-degree: coefficient}``, the y-degrees packed
     by ``kernel.Fields`` of one field per block, sized by the block degrees
     of the lcm of all generators, which bound every term the recursion
@@ -445,7 +431,7 @@ def hilbert_numerator(I: MonomialIdeal, *,
             plus.append(x)
             out = dict(rec(tuple(sorted(plus))))
             shift, off = ydeg[x], ~x
-            colon = tuple(_minimal([g & off for g in gens], guard))
+            colon = tuple(kernel.minimal([g & off for g in gens], guard))
             for a, c in rec(colon).items():
                 out[a + shift] = out.get(a + shift, 0) + c
             out = {a: c for a, c in out.items() if c}

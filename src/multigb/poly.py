@@ -167,32 +167,32 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        raw = kernel.poly_add(self._terms, other._terms,
-                              self.ring.storage_order.rows, self.ring.characteristic)
+        raw = kernel.sort_terms(self._terms + other._terms,
+                                self.ring.storage_order.rows, self.ring.characteristic)
         return Polynomial(self.ring, raw, _normalized=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        raw = kernel.poly_neg(self._terms, self.ring.characteristic)
-        return Polynomial(self.ring, raw, _normalized=True)
+        p = self.ring.characteristic
+        return Polynomial(self.ring, [(e, p - c) for e, c in self._terms],
+                          _normalized=True)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        raw = kernel.poly_sub(self._terms, other._terms,
-                              self.ring.storage_order.rows, self.ring.characteristic)
-        return Polynomial(self.ring, raw, _normalized=True)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            raw = kernel.poly_scale(self._terms, other % self.ring.characteristic,
-                                    self.ring.characteristic)
-            return Polynomial(self.ring, raw, _normalized=True)
+            p = self.ring.characteristic
+            c = other % p
+            terms = [(e, k * c % p) for e, k in self._terms] if c else []
+            return Polynomial(self.ring, terms, _normalized=True)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -241,6 +241,8 @@ def elimination_order(n: int, front: Iterable[int]) -> TermOrder:
     front = frozenset(front)
     if not front:
         raise ValueError("front variable set is empty")
+    if not front <= frozenset(range(n)):
+        raise ValueError(f"front variables must lie in 0..{n - 1}")
     indicator = tuple(1 if k in front else 0 for k in range(n))
     return TermOrder(f"elim{sorted(front)}+degrevlex",
                      (indicator,) + _degrevlex_rows(n))

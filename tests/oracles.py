@@ -16,7 +16,7 @@ from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
 from multigb.gin import BorelElement
 from multigb.groebner import (Ideal, project_out_variable,
                               ring_without_variable)
-from multigb.monomials import (HilbertNumerator, MonomialIdeal, _minimal,
+from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                is_radical_monomial, support)
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing, TermOrder, degrevlex, exp_divides
@@ -232,7 +232,7 @@ def hilbert_numerator_packed(I: MonomialIdeal) -> HilbertNumerator:
         plus.append(x)
         out = dict(rec(tuple(sorted(plus))))
         shift = ydeg[pivot]
-        for a, c in rec(tuple(_minimal(colon, guard))).items():
+        for a, c in rec(tuple(kernel.minimal(colon, guard))).items():
             out[a + shift] = out.get(a + shift, 0) + c
         return {a: c for a, c in out.items() if c}
 
@@ -248,6 +248,13 @@ def graded_dimension(I: MonomialIdeal, a: Sequence[int]) -> int:
 
 
 # -- the Buchberger kernel on exponent tuples --------------------------------
+
+def _times_term(f, shift, c, p):
+    """The tuple polynomial f times c * x^shift, c a unit mod p; a term
+    order is multiplicative, so the terms stay sorted."""
+    return [(tuple(a + b for a, b in zip(e, shift)), k * c % p)
+            for e, k in f]
+
 
 def normal_form(f, basis, matrix, p, limit=None):
     """Tuple-term reference for ``kernel.normal_form``: the largest term
@@ -270,11 +277,11 @@ def normal_form(f, basis, matrix, p, limit=None):
         glead, glc = hit[0]
         shift = tuple(a - b for a, b in zip(exp, glead))
         factor = (coeff * pow(glc, p - 2, p)) % p
-        tail = kernel.poly_mul_term(hit[1:], shift, p - factor, p)
+        tail = _times_term(hit[1:], shift, p - factor, p)
         top = max([top] + [max(e) for e, _ in tail])
         if limit is not None and top >= limit:
             return None, top
-        work = kernel.poly_add(work[1:], tail, matrix, p)
+        work = kernel.sort_terms(work[1:] + tail, matrix, p)
     return out, top
 
 
@@ -283,11 +290,11 @@ def spoly(f, g, matrix, p):
     ef, cf = f[0]
     eg, cg = g[0]
     lcm = exp_lcm(ef, eg)
-    sf = kernel.poly_mul_term(f, tuple(l - a for l, a in zip(lcm, ef)),
-                              pow(cf, p - 2, p), p)
-    sg = kernel.poly_mul_term(g, tuple(l - a for l, a in zip(lcm, eg)),
-                              pow(cg, p - 2, p), p)
-    return kernel.poly_sub(sf, sg, matrix, p)
+    sf = _times_term(f, tuple(l - a for l, a in zip(lcm, ef)),
+                     pow(cf, p - 2, p), p)
+    sg = _times_term(g, tuple(l - a for l, a in zip(lcm, eg)),
+                     p - pow(cg, p - 2, p), p)
+    return kernel.sort_terms(sf + sg, matrix, p)
 
 
 def groebner_basis(gens, matrix, p):
@@ -315,6 +322,7 @@ def groebner_basis(gens, matrix, p):
     reduced = []
     for i, g in enumerate(minimal):
         r, _ = normal_form(g, minimal[:i] + minimal[i + 1:], matrix, p)
-        reduced.append(kernel.poly_scale(r, pow(r[0][1], p - 2, p), p))
+        inv = pow(r[0][1], p - 2, p)
+        reduced.append([(e, c * inv % p) for e, c in r])
     return sorted(reduced, key=lambda g: [sum(map(mul, row, g[0][0]))
                                           for row in matrix], reverse=True)

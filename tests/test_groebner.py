@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from multigb import groebner, kernel
 from multigb.errors import (HypothesisNotSatisfiedError,
-                            InternalConsistencyError, ResourceLimitError)
+                            InternalConsistencyError, ResourceLimitError,
+                            RingMismatchError)
 from multigb.csideals import gamma_sequence, sample_orders
 from multigb.determinantal import build_column_graded, minors
 from multigb.groebner import (EngineLimits, Ideal, _buchberger,
@@ -20,7 +21,8 @@ from multigb.instances import (cs_instance_pool, random_graded_ideal,
                                random_ring)
 from multigb.monomials import MonomialIdeal, colon_monomial
 from multigb.poly import Polynomial
-from multigb.ring import BlockRing, degrevlex, lex, weight_order
+from multigb.ring import (BlockRing, degrevlex, elimination_order, lex,
+                          weight_order)
 from oracles import groebner_basis as groebner_basis_oracle
 from oracles import intersect_monomial, quotient_by_linear_form
 from oracles import normal_form as normal_form_oracle
@@ -321,6 +323,20 @@ def test_coordinate_section_series_from_elimination_leads():
             assert S._series is not None and not S._gb_cache
             assert S._series == Ideal(S.ring, S.gens).hilbert_series()
     assert sections == 87
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda I: elimination_order(4, {9}), ValueError),
+    (lambda I: I.eliminate({9}), ValueError),
+    (lambda I: I.eliminate({-1}), ValueError),
+    (lambda I: coordinate_section(I, 4), RingMismatchError),
+    (lambda I: coordinate_section(I, -1), RingMismatchError),
+], ids=["order", "eliminate-9", "eliminate--1", "section-4", "section--1"])
+def test_variable_indices_outside_the_ring_are_rejected(call, error):
+    R = BlockRing((2, 2))
+    I = Ideal(R, [x(R, 1, 2) * x(R, 2, 1), x(R, 1, 1) * x(R, 2, 2)])
+    with pytest.raises(error, match="0..3|not in the ring"):
+        call(I)
 
 
 def test_regular_sequence_test():

@@ -105,7 +105,7 @@ def test_fields_arithmetic_matches_exponent_tuples(data):
     guard = fields.guard
     divides = ((ea | guard) - eb) & guard == guard
     assert divides == exp_divides(b, a)
-    # _minimal and _gm_update meet every divisor first in ascending order
+    # kernel.minimal meets every divisor first in ascending order
     assert not divides or eb <= ea
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from multigb.csideals import sample_orders
 from multigb.errors import RingMismatchError
+from multigb.groebner import exact_divide
 from multigb.poly import Polynomial, lead_exponents
 from multigb.ring import (BlockRing, TermOrder, degrevlex, elimination_order,
                           lex, weight_order)
@@ -64,6 +65,73 @@ def test_arithmetic_identities(R):
     assert f * Polynomial.zero(R) == Polynomial.zero(R)
     assert (f + g) * (f - g) == f * f - g * g
     assert -(-f) == f
+
+
+def normalized(R, terms):
+    """The term list of a ``{exponents: coefficient mod p}`` dict with its
+    zeros dropped, descending under the storage order."""
+    return sorted([(e, c) for e, c in terms.items() if c],
+                  key=lambda t: oracles.order_key(R.storage_order, t[0]),
+                  reverse=True)
+
+
+def combination(p, *parts):
+    """Sum of ``scale * terms`` over ``(scale, terms)`` pairs of a scalar
+    and a term dict, coefficients mod p."""
+    out = {}
+    for scale, terms in parts:
+        for e, c in terms.items():
+            out[e] = (out.get(e, 0) + scale * c) % p
+    return out
+
+
+@st.composite
+def arithmetic_cases(draw):
+    """Polynomials f, g of one ring in characteristic 2, 3 or 32003, where
+    g cancels a leading part of f, possibly all of it, and an integer c
+    that may be 0 or a multiple of p."""
+    p = draw(st.sampled_from([2, 3, 32003]))
+    R = BlockRing(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)),
+                  p)
+    terms = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * R.nvars),
+                               st.integers(-2 * p, 2 * p)), max_size=6)
+    f = Polynomial(R, draw(terms))
+    cancelled = f.terms[:draw(st.integers(0, len(f)))]
+    g = Polynomial(R, draw(terms) + [(e, -c) for e, c in cancelled])
+    c = draw(st.one_of(st.integers(-5, 5),
+                       st.integers(-3, 3).map(lambda k: k * p)))
+    return f, g, c
+
+
+S = BlockRing((2, 1), 3)
+F = Polynomial(S, [((1, 0, 1), 1), ((0, 1, 0), 2), ((0, 0, 0), 1)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arithmetic_cases())
+@example((F, -F, 0))
+@example((F, F, 3))
+@example((F, Polynomial.zero(S), -6))
+def test_arithmetic_matches_term_dicts(case):
+    f, g, c = case
+    R, p = f.ring, f.ring.characteristic
+    fd, gd = dict(f.terms), dict(g.terms)
+    one = {(0,) * R.nvars: 1}
+    assert (f + g).terms == normalized(R, combination(p, (1, fd), (1, gd)))
+    assert (f - g).terms == normalized(R, combination(p, (1, fd), (-1, gd)))
+    assert (-f).terms == normalized(R, combination(p, (-1, fd)))
+    assert (c * f).terms == (f * c).terms == normalized(
+        R, combination(p, (c, fd)))
+    assert (c - f).terms == normalized(R, combination(p, (c, one), (-1, fd)))
+    assert (f + c).terms == normalized(R, combination(p, (1, fd), (c, one)))
+    if g:
+        product = {}
+        for e, a in fd.items():
+            for e2, b in gd.items():
+                k = tuple(map(sum, zip(e, e2)))
+                product[k] = (product.get(k, 0) + a * b) % p
+        assert (f * g).terms == normalized(R, product)
+        assert exact_divide(f * g, g).terms == normalized(R, fd)
 
 
 def test_pow(R):

@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -193,6 +197,39 @@ def test_cli_expect_mismatch_fails(tmp_path):
             "ideal I = x[1,1]\n"
             "cs I expect=no\n")
     assert run_cli(tmp_path, text) == 1
+
+
+def test_cli_checks_expect_before_the_command_runs(tmp_path, capsys,
+                                                   monkeypatch):
+    def never(I):
+        pytest.fail("is_cs ran before expect= was checked")
+
+    monkeypatch.setattr("multigb.cli.is_cs", never)
+    text = ("ring v=1 blocks=[2] char=32003\n"
+            "ideal I = x[1,1]\n"
+            "cs I expect=maybe\n")
+    assert run_cli(tmp_path, text) == 2
+    assert "line 3: expect= takes yes or no" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, code, verdicts", [
+    ("cs I expect=yes", 0, ["yes"]),
+    ("cs I expect=no", 1, ["yes"]),
+    ("cs I expect=maybe", 2, []),
+])
+def test_cli_process_reads_stdin_and_exits_with_its_code(command, code,
+                                                         verdicts):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "multigb.cli", "-", "--json"],
+        input=f"ring v=1 blocks=[2] char=32003\nideal I = x[1,1]\n{command}\n",
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == code, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["schema"] == 1 and payload["blocks"] == [2]
+    assert [r["verdict"] for r in payload["reports"]] == verdicts
 
 
 def test_cli_informational_commands_do_not_fail(tmp_path, capsys):
