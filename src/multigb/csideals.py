@@ -494,7 +494,9 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
     I must be multigraded (else ``HypothesisNotSatisfiedError``).  Each
     order is settled by ``_sampled_records`` from the leads of its basis
     truncated at the bound (Buchberger with the series cutoff on): when
-    they are certified, every reduced element fits the bound.  Every
+    they are certified, every reduced element fits the bound.  The
+    truncated runs of one call share what no order decides: the packed
+    generators and the data of each pair lcm.  Every
     reduced basis has an element of each minimal generator's multidegree,
     so the bound also holds for the minimal generators when ``ok``.
     Returns (ok, details).
@@ -518,7 +520,7 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
     # lazy: each truncated run starts after _sampled_records has the series,
     # so it keeps the series cutoff
     records = [record for _, record, _ in _sampled_records(
-        I, orders, (I._truncated_leads(o, bound) for o in orders))]
+        I, orders, I._truncated_leads(orders, bound))]
     violations = [{"where": record["order"], "degree": d}
                   for record in records for d in record["gb_multidegrees"]
                   if not fits(d)]

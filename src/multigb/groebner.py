@@ -11,6 +11,9 @@ results structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from heapq import heapify, heappop, heappush
+from itertools import count
 from operator import le
 from typing import Callable, Iterable, Sequence
 
@@ -44,54 +47,107 @@ def _monic(f: list, p: int) -> list:
     return [(k, e, d * inv % p) for k, e, d in f]
 
 
-def _gm_update(basis: list, pairs: dict, f: tuple, layout: kernel.Layout,
-               multidegree: Callable | None = None) -> None:
+def _gm_update(basis: list, pairs: dict, heap: list, f: tuple,
+               layout: kernel.Layout, lcm_data: Callable, seq) -> None:
     """Add the element ``f`` to the basis, pruning S-pairs by the
     Gebauer-Moeller criteria (lcm chain rule, duplicate-lcm collapse,
     coprime leads).
 
-    ``pairs`` maps ``(i, j)`` to ``(total degree, order key, lcm,
-    multidegree)`` of the pair's lcm, computed once when the pair is made;
-    the multidegree is ``multidegree`` of the lcm's exponents, or None
-    without it.  Leads and lcms are packed monomials; only the minimal
-    candidate lcms (``kernel.minimal``) make pairs, in increasing packed
-    value.  A pair whose lcm ``multidegree`` maps to None (outside
-    a bound, ``_within``) is never made: the criteria drop a pair only on
-    account of pairs whose lcms divide its own, and every multiple of an
-    lcm outside a multidegree bound is outside it too.
+    ``pairs`` maps the creation number of each pending pair to ``(i, j,
+    lcm, multidegree)``, and ``heap`` holds ``(total degree, order key,
+    lcm, creation number)`` of every pair made, pending or not: a pair the
+    chain rule drops leaves ``pairs`` only, and ``_buchberger`` skips its
+    heap entry when it surfaces.  Once dropped entries outnumber pending
+    ones, the heap is rebuilt from the pending ones.  ``seq`` numbers the
+    new pairs.  Leads and lcms are packed monomials; the lcms with each
+    basis lead are computed inline (``kernel.Fields``), and only the minimal
+    ones (``kernel.minimal``) make pairs, in increasing packed value.
+    ``lcm_data`` gives a pair's total degree, exponents and multidegree
+    (see ``_lcm_data``); a pair whose lcm it maps to None (outside a bound,
+    ``_within``) is never made: the criteria drop a pair only on account of
+    pairs whose lcms divide its own, and every multiple of an lcm outside a
+    multidegree bound is outside it too.
     """
     m = len(basis)
-    guard, lcm = layout.guard, layout.lcm
+    guard, shift = layout.guard, layout.bits - 1
     lf = f[0][0][1]
     leads = [g[0][0][1] for g in basis]
-    lcms = [lcm(a, lf) for a in leads]
+    lcms = []
+    for a in leads:
+        d = ((a | guard) - lf) & guard
+        d -= d >> shift
+        lcms.append(a & d | lf & ~d)
 
-    survivors = {}
-    for (i, j), key in pairs.items():
-        gamma = key[2]
-        if (((gamma | guard) - lf) & guard == guard
-                and gamma != lcms[i] and gamma != lcms[j]):
-            continue
-        survivors[(i, j)] = key
+    for s in [s for s, (i, j, gamma, _) in pairs.items()
+              if ((gamma | guard) - lf) & guard == guard
+              and gamma != lcms[i] and gamma != lcms[j]]:
+        del pairs[s]
 
     by_lcm: dict = {}
     for i, gamma in enumerate(lcms):
         by_lcm.setdefault(gamma, []).append(i)
+    key = layout.key
     for gamma in kernel.minimal(by_lcm, guard):
         group = by_lcm[gamma]
         if any(gamma == leads[i] + lf for i in group):
             continue
-        exp = layout.exponents(gamma)
-        a = None
-        if multidegree is not None:
-            a = multidegree(exp)
-            if a is None:
-                continue
-        survivors[(group[0], m)] = sum(exp), layout.key(exp), gamma, a
+        data = lcm_data(gamma)
+        if data is None:
+            continue
+        degree, exp, a = data
+        s = next(seq)
+        pairs[s] = group[0], m, gamma, a
+        heappush(heap, (degree, key(exp), gamma, s))
 
     basis.append(f)
-    pairs.clear()
-    pairs.update(survivors)
+    if len(heap) > 2 * len(pairs):
+        heap[:] = [entry for entry in heap if entry[3] in pairs]
+        heapify(heap)
+
+
+def _lcm_data(fields: kernel.Fields, multidegree: Callable | None) -> Callable:
+    """The function mapping a packed monomial to its total degree,
+    exponents and ``multidegree`` (``()`` without one), or to None when
+    ``multidegree`` maps it to None.  No order decides them, only the field
+    width, so runs on the same generators under different orders can share
+    one memoized copy (``_Shared``).  To keep that copy small, exponents
+    that fit a byte are kept as ``bytes`` and equal multidegrees as one
+    tuple."""
+    exponents = fields.exponents
+    small = fields.field_max <= 256
+    multidegrees: dict = {}
+
+    def data(m: int) -> tuple | None:
+        exp = exponents(m)
+        a = multidegree(exp) if multidegree is not None else ()
+        if a is None:
+            return None
+        return (sum(exp), bytes(exp) if small else exp,
+                multidegrees.setdefault(a, a))
+
+    return data
+
+
+class _Shared:
+    """What runs of ``_packed_run`` on the same generators and bound share
+    under different orders, since no order decides it: the width
+    ``kernel.bits_for`` gives the generators and, for each width a run
+    tries, the packed monomials of their terms (``monomials``) and the
+    memoized ``_lcm_data`` of the bound (``lcm_data``).  A batch of runs
+    keeps one in a local, so it dies with the batch."""
+
+    def __init__(self, multidegree: Callable | None = None):
+        self.multidegree = multidegree
+        self.bits: int | None = None
+        self.monomials: dict = {}  # width -> packed monomials of each term
+        self._memos: dict = {}  # width -> memoized _lcm_data
+
+    def lcm_data(self, layout: kernel.Layout) -> Callable:
+        data = self._memos.get(layout.bits)
+        if data is None:
+            data = self._memos[layout.bits] = cache(
+                _lcm_data(layout, self.multidegree))
+        return data
 
 
 class _SeriesCutoff:
@@ -125,10 +181,9 @@ class _SeriesCutoff:
         self.degrees: dict = {}  # a -> [leads seen, in(G)_a, kernel.Fields]
 
     def settled(self, a: tuple, basis: list) -> bool:
-        """Whether the leads of ``basis`` settle multidegree ``a``."""
+        """Whether the leads of ``basis`` settle multidegree ``a``, which is
+        not in ``full`` (the multidegrees settled already)."""
         ring, layout = self.ring, self.layout
-        if a in self.full:
-            return True
         state = self.degrees.get(a)
         if state is None:
             state = self.degrees[a] = [0, set(),
@@ -158,19 +213,31 @@ class _SeriesCutoff:
         return False
 
 
-def _packed_run(polys: Sequence[list], matrix: tuple, run):
+def _packed_run(polys: Sequence[list], matrix: tuple, run,
+                shared: _Shared | None = None):
     """``run(layout, packed)``: ``packed`` holds the normalized term lists
     ``polys``, packed and sorted under the layout of ``matrix`` with fields
     ``kernel.bits_for(polys)`` wide.  When the inputs or the run outgrow
     those fields, it repacks and restarts with fields twice as wide.  An
-    overflow of any other fields is a bug, not a reason to widen.  Every
+    overflow of any other fields is a bug, not a reason to widen.  With
+    ``shared``, kept by the caller across runs on the same ``polys`` under
+    other orders, the width and each width's packed monomials are computed
+    once, and each run only computes its order keys and sorts.  Every
     packed run enters here, so only this function packs a run's inputs."""
-    bits = kernel.bits_for(polys)
+    if shared is None:
+        shared = _Shared()
+    if shared.bits is None:
+        shared.bits = kernel.bits_for(polys)
+    bits = shared.bits
     while True:
         layout = kernel.layout(matrix, bits)
         try:
-            return run(layout, [sorted(layout.pack(f), reverse=True)
-                                for f in polys])
+            monomials = shared.monomials.get(bits)
+            if monomials is None:
+                monomials = shared.monomials[bits] = [
+                    [layout.monomial(e) for e, _ in f] for f in polys]
+            return run(layout, [sorted(layout.pack(f, m), reverse=True)
+                                for f, m in zip(polys, monomials)])
         except kernel.FieldOverflow as e:
             if e.fields is not layout:
                 raise InternalConsistencyError(
@@ -193,23 +260,29 @@ def _within(ring: BlockRing, b: Sequence[int]) -> Callable:
 
 def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
                 limits: EngineLimits, series: _SeriesCutoff | None = None,
-                bound: Callable | None = None) -> list:
+                bound: Callable | None = None,
+                lcm_data: Callable | None = None) -> list:
     """Reduced Groebner basis of packed generators, as basis elements
     ``(terms, ceiling)`` sorted by lead.
 
-    Pairs are selected by lowest lcm total degree, then by order.  With
-    ``series`` (multihomogeneous generators only), pairs of a multidegree
-    it settles are skipped.  With ``bound``, the truncation
-    ``_within(ring, b)`` at a multidegree b (multihomogeneous generators
-    only), generators of multidegree not <= b are dropped and pairs whose
-    lcm is not <= b are never made: the result is the b-truncated,
-    unreduced Groebner basis, enough to decide membership in multidegrees
-    <= b, and its leads generate in(I) whenever the reduced basis of I
-    fits b.  A resource abort reports the basis size, pending pairs and the
-    lcm degree reached.
+    Pairs are selected by lowest lcm total degree, then by order, then by
+    creation, from a heap (``_gm_update``); the S-polynomial gets the lcm
+    and order key the pair holds.  With ``series`` (multihomogeneous
+    generators only), pairs of a multidegree it settles are skipped.  With
+    ``bound``, the truncation ``_within(ring, b)`` at a multidegree b
+    (multihomogeneous generators only), generators of multidegree not <= b
+    are dropped and pairs whose lcm is not <= b are never made: the result
+    is the b-truncated, unreduced Groebner basis, enough to decide
+    membership in multidegrees <= b, and its leads generate in(I) whenever
+    the reduced basis of I fits b.  ``lcm_data`` may give a memoized
+    ``_lcm_data`` of the run's fields and bound, shared with runs under
+    other orders (``_Shared``).  A resource abort reports the basis size,
+    pending pairs and the lcm degree reached.
     """
     basis: list = []
     pairs: dict = {}
+    heap: list = []
+    seq = count()
     degree = 0
     guard = layout.guard
     multidegree = bound  # of each pair's lcm, read by the bound and series
@@ -217,10 +290,12 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
         series.start(layout)
         if bound is None:
             multidegree = series.ring.multidegree
+    if lcm_data is None:
+        lcm_data = _lcm_data(layout, multidegree)
 
     def grow(r: list) -> None:
-        _gm_update(basis, pairs, layout.element(_monic(r, p)), layout,
-                   multidegree)
+        _gm_update(basis, pairs, heap, layout.element(_monic(r, p)), layout,
+                   lcm_data, seq)
         if len(basis) > limits.max_basis:
             raise ResourceLimitError(
                 f"basis exceeded {limits.max_basis} elements")
@@ -229,20 +304,25 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
         for g in gens:
             if not g:
                 continue
-            lead = layout.exponents(g[0][1])
-            degree = sum(lead)
-            if bound is not None and bound(lead) is None:
+            data = lcm_data(g[0][1])
+            if data is None:
                 continue
+            degree = data[0]
             r = kernel.normal_form(g, basis, layout, p, limits.max_terms) if basis else g
             if r:
                 grow(r)
 
         while pairs:
-            best = min(pairs, key=pairs.__getitem__)
-            degree, _, _, a = pairs.pop(best)
-            if series is not None and series.settled(a, basis):
+            entry = heappop(heap)
+            pair = pairs.pop(entry[3], None)
+            if pair is None:
                 continue
-            s = kernel.spoly(basis[best[0]], basis[best[1]], layout, p)
+            degree, key, gamma, _ = entry
+            i, j, _, a = pair
+            if series is not None and (a in series.full
+                                       or series.settled(a, basis)):
+                continue
+            s = kernel.spoly(basis[i], basis[j], gamma, key, layout, p)
             r = kernel.normal_form(s, basis, layout, p, limits.max_terms)
             if r:
                 if len(r) > limits.max_terms:
@@ -387,18 +467,26 @@ class Ideal:
         return _SeriesCutoff(self.ring, self.hilbert_series(), self._dims,
                              self._monomials)
 
-    def _truncated_leads(self, order: TermOrder, b: Sequence[int]) -> list:
-        """Lead exponents of the b-truncated basis under ``order``
-        (multihomogeneous ideals only), with the series cutoff on once a
-        basis is cached: they generate in(I) in every multidegree <= b."""
+    def _truncated_leads(self, orders: Iterable[TermOrder],
+                         b: Sequence[int]):
+        """Lazily, for each of ``orders``, the lead exponents of the
+        b-truncated basis (multihomogeneous ideals only), with the series
+        cutoff on once a basis is cached: they generate in(I) in every
+        multidegree <= b.  The runs share one ``_Shared``, which dies with
+        the generator."""
         p = self.ring.characteristic
-        series, bound = self._series_cutoff(), _within(self.ring, b)
+        bound = _within(self.ring, b)
+        shared = _Shared(bound)
+        gens = [g.terms for g in self.gens]
+        for order in orders:
+            series = self._series_cutoff()
 
-        def leads(layout, packed):
-            return [layout.exponents(g[0][1]) for g, _ in _buchberger(
-                packed, layout, p, self.limits, series, bound)]
+            def leads(layout, packed):
+                return [layout.exponents(g[0][1]) for g, _ in _buchberger(
+                    packed, layout, p, self.limits, series, bound,
+                    shared.lcm_data(layout))]
 
-        return _packed_run([g.terms for g in self.gens], order.rows, leads)
+            yield _packed_run(gens, order.rows, leads, shared)
 
     def initial_ideal(self, order: TermOrder | None = None) -> MonomialIdeal:
         gb = self.groebner_basis(order)
@@ -645,8 +733,6 @@ def _graded_linear_block(L: Polynomial) -> int:
 
 
 def ring_without_variable(ring: BlockRing, var: int) -> BlockRing:
-    if not 0 <= var < ring.nvars:
-        raise RingMismatchError(f"variable {var} is not in the ring")
     block, _ = ring.var_pair(var)
     if ring.block_sizes[block - 1] == 1:
         raise HypothesisNotSatisfiedError(

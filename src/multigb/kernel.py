@@ -109,6 +109,7 @@ class Fields:
     * lcm(a, b): ``d = ((a | guard) - b) & guard`` marks the fields where
       a_k >= b_k, ``m = d - (d >> (bits - 1))`` widens each mark to its
       field's value bits, and the lcm is ``(a & m) | (b & ~m)``;
+      ``groebner._gm_update`` inlines it;
     * a and b are coprime iff lcm(a, b) == a + b (the gcd is a + b - lcm);
     * the product is a + b; a sum field reaches its guard bit exactly when
       it overflows, and ``normal_form`` and ``spoly`` raise
@@ -184,10 +185,16 @@ class Layout(Fields):
         """Order key of an exponent tuple."""
         return sum(map(mul, exp, self.cols))
 
-    def pack(self, f):
-        """Packed terms of a tuple polynomial sorted under the matrix."""
-        cols, monomial = self.cols, self.monomial
-        return [(sum(map(mul, e, cols)), monomial(e), c) for e, c in f]
+    def pack(self, f, monomials=None):
+        """Packed terms of a tuple polynomial sorted under the matrix.
+        ``monomials`` may give the packed monomials of its terms: they
+        depend on the field width only, so runs under other orders of the
+        same width can share them."""
+        cols = self.cols
+        if monomials is None:
+            monomials = map(self.monomial, [e for e, _ in f])
+        return [(sum(map(mul, e, cols)), m, c)
+                for (e, c), m in zip(f, monomials)]
 
     def unpack(self, f):
         """The tuple polynomial of packed terms."""
@@ -288,17 +295,16 @@ def _merge(f, g, p):
     return out
 
 
-def spoly(f, g, layout, p):
-    """S-polynomial of two basis elements (leads cancel)."""
+def spoly(f, g, lcm, key, layout, p):
+    """S-polynomial of two basis elements (leads cancel), given the packed
+    lcm of their leads and its order key, which the pair already holds."""
     (ft, fceil), (gt, gceil) = f, g
     fk, fe, fc = ft[0]
     gk, ge, gc = gt[0]
-    lcm = layout.lcm(fe, ge)
     sf, sg = lcm - fe, lcm - ge
     if (fceil + sf) & layout.guard or (gceil + sg) & layout.guard:
         raise _overflow(layout)
-    lk = layout.key(layout.exponents(lcm))
-    kf, kg = lk - fk, lk - gk
+    kf, kg = key - fk, key - gk
     cf = pow(fc, p - 2, p)
     cg = p - pow(gc, p - 2, p)
     return _merge([(k + kf, e + sf, c * cf % p) for k, e, c in ft[1:]],

@@ -217,14 +217,16 @@ class Polynomial:
     def substitute(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Replace each flat variable index in ``images`` by its image.
 
-        Every image must live in this polynomial's ring.  The expansion is
+        Every key must be a variable of this polynomial's ring, and every
+        image must live in it (else ``RingMismatchError``).  The expansion is
         ``kernel.expand`` on exponents packed by ``kernel.fields`` holding
         max(deg(self), 1) times the largest degree of an image, which
         bounds every exponent of the images and of the result, so no field
         overflows; the terms of the result are sorted once.
         """
         ring = self.ring
-        for image in images.values():
+        for v, image in images.items():
+            ring.check_var(v)
             if image.ring != ring:
                 raise RingMismatchError("substitution image in a different ring")
         if not self._terms:

@@ -86,12 +86,19 @@ class BlockRing:
                 f"position {pos} out of range 1..{self.block_sizes[block - 1]} in block {block}")
         return sum(self.block_sizes[:block - 1]) + pos - 1
 
+    def check_var(self, var: int) -> int:
+        """A flat variable index of the ring, or ``RingMismatchError``."""
+        if not 0 <= var < self.nvars:
+            raise RingMismatchError(
+                f"variable {var} is not in the ring, 0..{self.nvars - 1}")
+        return var
+
     def var_pair(self, var: int) -> tuple:
         """(block, pos), 1-based, of a flat variable index."""
-        return self._var_pairs[var]
+        return self._var_pairs[self.check_var(var)]
 
     def var_label(self, var: int) -> str:
-        i, j = self._var_pairs[var]
+        i, j = self.var_pair(var)
         return f"x[{i},{j}]"
 
     def monomial_str(self, exp: tuple) -> str:
@@ -113,7 +120,7 @@ class BlockRing:
 
     def unit_exp(self, var: int, power: int = 1) -> tuple:
         e = [0] * self.nvars
-        e[var] = power
+        e[self.check_var(var)] = power
         return tuple(e)
 
     def multidegree(self, exp: tuple) -> tuple:

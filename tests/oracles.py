@@ -12,7 +12,7 @@ from typing import Sequence
 
 from multigb import kernel
 from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
-                            RingMismatchError)
+                            ResourceLimitError, RingMismatchError)
 from multigb.gin import BorelElement
 from multigb.groebner import (Ideal, project_out_variable,
                               ring_without_variable)
@@ -295,6 +295,84 @@ def spoly(f, g, matrix, p):
     sg = _times_term(g, tuple(l - a for l, a in zip(lcm, eg)),
                      p - pow(cg, p - 2, p), p)
     return kernel.sort_terms(sf + sg, matrix, p)
+
+
+def min_scan_buchberger(gens, layout, p, limits, series=None, bound=None):
+    """Reference for the pair queue of ``groebner._buchberger``: the same
+    run on packed generators, with every pending pair in a dict and the
+    next one picked by a ``min`` scan over (total degree, order key, lcm,
+    multidegree), ties going to the pair first in the dict, which is the
+    pair made first.  The Gebauer-Moeller criteria are applied on exponent
+    tuples: the chain rule, one pair per minimal lcm, made in increasing
+    packed value, and none for coprime leads.  Returns the unreduced basis
+    in insertion order; a resource abort carries the basis size, the
+    pending pairs and the degree reached."""
+    basis, pairs = [], {}
+    multidegree = bound
+    if series is not None:
+        series.start(layout)
+        if bound is None:
+            multidegree = series.ring.multidegree
+    degree = 0
+
+    def grow(r):
+        inv = pow(r[0][2], p - 2, p)
+        f = layout.element([(k, e, c * inv % p) for k, e, c in r])
+        lf = f[0][0][1]
+        leads = [g[0][0][1] for g in basis]
+        lcms = [layout.lcm(a, lf) for a in leads]
+        ef = layout.exponents(lf)
+        for (i, j), value in list(pairs.items()):
+            gamma = value[2]
+            if (exp_divides(ef, layout.exponents(gamma))
+                    and gamma != lcms[i] and gamma != lcms[j]):
+                del pairs[(i, j)]
+        candidates = sorted(set(lcms))
+        for gamma in candidates:
+            exp = layout.exponents(gamma)
+            if any(other != gamma and exp_divides(layout.exponents(other), exp)
+                   for other in candidates):
+                continue
+            group = [i for i, c in enumerate(lcms) if c == gamma]
+            if any(gamma == leads[i] + lf for i in group):
+                continue
+            a = multidegree(exp) if multidegree is not None else None
+            if multidegree is not None and a is None:
+                continue
+            pairs[(group[0], len(basis))] = (sum(exp), layout.key(exp), gamma,
+                                             a)
+        basis.append(f)
+        if len(basis) > limits.max_basis:
+            raise ResourceLimitError("basis too large")
+
+    try:
+        for g in gens:
+            if not g:
+                continue
+            lead = layout.exponents(g[0][1])
+            degree = sum(lead)
+            if bound is not None and bound(lead) is None:
+                continue
+            r = kernel.normal_form(g, basis, layout, p, limits.max_terms)
+            if r:
+                grow(r)
+        while pairs:
+            i, j = min(pairs, key=pairs.__getitem__)
+            degree, key, gamma, a = pairs.pop((i, j))
+            if series is not None and (a in series.full
+                                       or series.settled(a, basis)):
+                continue
+            s = kernel.spoly(basis[i], basis[j], gamma, key, layout, p)
+            r = kernel.normal_form(s, basis, layout, p, limits.max_terms)
+            if r:
+                if len(r) > limits.max_terms:
+                    raise ResourceLimitError("element too large")
+                grow(r)
+    except ResourceLimitError as e:
+        raise ResourceLimitError(str(e), basis_size=len(basis),
+                                 pending_pairs=len(pairs),
+                                 degree=degree) from None
+    return basis
 
 
 def groebner_basis(gens, matrix, p):

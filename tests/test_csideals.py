@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigb import csideals, groebner
+from multigb import csideals, groebner, kernel
 from multigb.csideals import (MembershipReport, closure_suite,
                               degree_bound_check, gamma_sequence, is_cs,
                               is_csstar, sample_orders, stable_gin, ugb_check,
@@ -749,6 +749,53 @@ def test_degree_bound_check_certifies_every_order(make, t, bound, mode):
     assert len(I._gb_cache) == 1
 
 
+@pytest.mark.parametrize("make, t, b, series", [
+    (lambda: build_column_graded(3, (3, 3, 3, 3), seed=5), 2, (1, 1, 1, 1),
+     True),
+    (lambda: build_row_graded(4, (3, 3, 3), seed=5), 3, (1, 1, 1), True),
+    # squares fit the bound and no series skips their pairs, so runs
+    # started at 2-bit fields outgrow them midway
+    (lambda: build_column_graded(3, (3, 3, 3), seed=1), 2, (2, 2, 2),
+     False),
+], ids=["column-2-minors", "row-maximal-minors", "column-squares"])
+@pytest.mark.parametrize("start", [None, 1, 2])
+def test_shared_truncated_leads_equal_fresh_runs(make, t, b, series, start,
+                                                 monkeypatch):
+    # the truncated runs of one batch share the packed generators and the
+    # lcm data; each order must still get the leads a run of its own gets,
+    # also when a run repacks wider (1-bit fields hold no generator)
+    A = make()
+    I = Ideal(A.ring, minors(A, t))
+    if series:
+        I.hilbert_series()
+    orders = sample_orders(A.ring, 8, seed=3, include_permutations=False)
+    fresh = [next(I._truncated_leads([o], b)) for o in orders]
+    widths = []
+    inner = groebner._buchberger
+
+    def recorded(gens, layout, *args):
+        widths.append(layout.bits)
+        return inner(gens, layout, *args)
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    if start is not None:
+        monkeypatch.setattr(kernel, "bits_for", lambda polys: start)
+    assert list(I._truncated_leads(orders, b)) == fresh
+    if start == 1:
+        assert min(widths) == 2
+    elif start == 2 and not series:
+        assert widths == [2, 4] * len(orders)
+
+
+def test_degree_bound_check_keeps_no_cache_on_the_ideal():
+    # the truncated runs' shared data dies with the call
+    A = build_column_graded(3, (3, 3, 3, 3), seed=5)
+    I = Ideal(A.ring, minors(A, 2))
+    keys = set(vars(I))
+    degree_bound_check(I, (1, 1, 1, 1), n_orders=4, seed=0)
+    assert set(vars(I)) == keys
+
+
 def test_degree_bound_check_falls_back_where_the_certificate_fails():
     # a strict bound drops every generator, so no order is certified
     A = variable_matrix(2, 3, grading="column")
@@ -781,9 +828,9 @@ def truncated_lead_sets():
     A = build_column_graded(3, (3, 3, 3, 3), seed=5)
     I = Ideal(A.ring, minors(A, 2))
     I.hilbert_series()
-    return [MonomialIdeal(A.ring, I._truncated_leads(o, (1, 1, 1, 1)))
-            for o in sample_orders(A.ring, 8, seed=3,
-                                   include_permutations=False)]
+    return [MonomialIdeal(A.ring, leads) for leads in I._truncated_leads(
+        sample_orders(A.ring, 8, seed=3, include_permutations=False),
+        (1, 1, 1, 1))]
 
 
 @pytest.mark.parametrize("lead_sets", [ugb_lead_sets, truncated_lead_sets],

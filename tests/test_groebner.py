@@ -23,6 +23,8 @@ from multigb.monomials import MonomialIdeal, colon_monomial
 from multigb.poly import Polynomial
 from multigb.ring import (BlockRing, degrevlex, elimination_order, lex,
                           weight_order)
+import oracles
+from oracles import degrevlex_blocks_reversed
 from oracles import groebner_basis as groebner_basis_oracle
 from oracles import intersect_monomial, quotient_by_linear_form
 from oracles import normal_form as normal_form_oracle
@@ -103,7 +105,9 @@ def test_spoly_criterion_on_random_pairs():
         packed = [layout.element(layout.pack(g)) for g in raws]
         for i in range(len(packed)):
             for j in range(i + 1, len(packed)):
-                s = kernel.spoly(packed[i], packed[j], layout, p)
+                lcm = layout.lcm(packed[i][0][0][1], packed[j][0][0][1])
+                s = kernel.spoly(packed[i], packed[j], lcm,
+                                 layout.key(layout.exponents(lcm)), layout, p)
                 assert kernel.normal_form(s, packed, layout, p) == []
 
 
@@ -601,6 +605,116 @@ def test_driver_work_on_two_minors_is_pinned(column_graded_3x4, monkeypatch,
         I.groebner_basis(o)
         seen.append((normal_forms[0], spolys[0]))
     assert seen == work
+
+
+def _reduced_pairs(monkeypatch):
+    """The ``(lcm, i, j)`` of every S-pair reduced from now on:
+    ``kernel.spoly`` sees the pair's elements and lcm, and the normal form
+    that follows sees the basis they sit in."""
+    seen, pending = [], []
+    spoly, normal_form = kernel.spoly, kernel.normal_form
+
+    def recorded_spoly(f, g, lcm, *args):
+        pending.append((lcm, f, g))
+        return spoly(f, g, lcm, *args)
+
+    def recorded_normal_form(s, basis, *args):
+        if pending:
+            lcm, f, g = pending.pop()
+            index = {id(h): k for k, h in enumerate(basis)}
+            seen.append((lcm, index[id(f)], index[id(g)]))
+        return normal_form(s, basis, *args)
+
+    monkeypatch.setattr(kernel, "spoly", recorded_spoly)
+    monkeypatch.setattr(kernel, "normal_form", recorded_normal_form)
+    return seen
+
+
+def _pair_queue_cases():
+    A = build_column_graded(3, (3, 3, 3, 3), seed=2)
+    B = build_column_graded(2, (2, 3, 2, 3), seed=4)
+    weights = weight_order(A.ring, (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8))
+    for I, orders in [(Ideal(A.ring, minors(A, 2)),
+                       [A.ring.storage_order, weights, lex(A.ring)]),
+                      (Ideal(B.ring, minors(B, 2)),
+                       sample_orders(B.ring, 3, seed=1))]:
+        for order in orders:
+            yield I, order
+    for I in cs_instance_pool(6, seed=3):
+        yield I, degrevlex_blocks_reversed(I.ring)
+    # x0*x6 enters last and drops the ten pairs of the five generators
+    # before it, leaving five: the heap is compacted
+    yield _dropping_ideal(5), lex(BlockRing((7,)))
+
+
+def _dropping_ideal(k):
+    """x0*xi*x6 + xi^3 for i = 1..k, then x0*x6, whose lead divides the
+    lcms of the k(k-1)/2 pairs of the others: under lex the chain rule
+    drops them all when it enters, and k new pairs are made."""
+    R = BlockRing((7,))
+    v = [Polynomial.variable(R, 1, j) for j in range(1, 8)]
+    return Ideal(R, [v[0] * v[i] * v[6] + v[i] ** 3 for i in range(1, k + 1)]
+                 + [v[0] * v[6]])
+
+
+@pytest.mark.parametrize("series, bound", [
+    (False, None), (True, None), (False, 1), (True, 1)],
+    ids=["plain", "series", "bound", "series-bound"])
+def test_heap_driver_reduces_the_pairs_of_a_min_scan(series, bound,
+                                                     monkeypatch):
+    # the heap must pick the pair a min scan over the pending pairs picks,
+    # ties going to the pair made first; the compaction is exercised too
+    seen = _reduced_pairs(monkeypatch)
+    compactions = [0]
+    heapify = groebner.heapify
+
+    def counted(heap):
+        compactions[0] += 1
+        heapify(heap)
+
+    monkeypatch.setattr(groebner, "heapify", counted)
+    pairs = 0
+    for I, order in _pair_queue_cases():
+        R, p = I.ring, I.ring.characteristic
+        if series:
+            I.hilbert_series()
+        b = None if bound is None else groebner._within(R, (bound,) * R.v)
+        runs = []
+        for driver in (_buchberger, oracles.min_scan_buchberger):
+            seen.clear()
+            cutoff = I._series_cutoff() if series else None
+            basis = groebner._packed_run(
+                [g.terms for g in I.gens], order.rows,
+                lambda layout, packed: driver(packed, layout, p, I.limits,
+                                              cutoff, b))
+            runs.append((list(seen), basis if b is not None else None))
+        assert runs[0] == runs[1]
+        pairs += len(runs[0][0])
+    # a bound never makes the dropped pairs of the last case
+    assert pairs > 10 and (compactions[0] > 0 or bound is not None)
+
+
+def test_resource_abort_counts_pending_pairs_not_heap_entries():
+    # x0*x6 drops the three pairs of the generators before it and makes
+    # three: the heap holds six entries, not yet compacted, and three
+    # pending pairs, which the abort at the fourth element must report; the
+    # dropped entries stay in the heap through the later aborts
+    I = _dropping_ideal(3)
+    R, p = I.ring, I.ring.characteristic
+    aborts = []
+    for max_basis in range(3, 7):
+        limits = EngineLimits(max_basis=max_basis)
+        errors = []
+        for driver in (_buchberger, oracles.min_scan_buchberger):
+            with pytest.raises(ResourceLimitError) as info:
+                groebner._packed_run(
+                    [g.terms for g in I.gens], lex(R).rows,
+                    lambda layout, packed: driver(packed, layout, p, limits))
+            e = info.value
+            errors.append((e.basis_size, e.pending_pairs, e.degree))
+        assert errors[0] == errors[1]
+        aborts.append(errors[0])
+    assert aborts == [(4, 3, 2), (5, 2, 3), (6, 1, 3), (7, 0, 3)]
 
 
 def _driver_widths(monkeypatch):

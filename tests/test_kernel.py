@@ -141,11 +141,15 @@ def test_spoly_matches_tuple_oracle(data):
     top = max(max(x + y - z for x, y, z in zip(e, lcm, h[0][0]))
               for h in (f, g) for e, _ in h)
     f_packed, g_packed = (layout.element(layout.pack(h)) for h in (f, g))
+    # the lcm and its key as a pair holds them
+    packed_lcm = layout.lcm(f_packed[0][0][1], g_packed[0][0][1])
+    pair = packed_lcm, layout.key(lcm)
     if top >= layout.field_max:
         with pytest.raises(kernel.FieldOverflow):
-            kernel.spoly(f_packed, g_packed, layout, p)
+            kernel.spoly(f_packed, g_packed, *pair, layout, p)
     else:
-        assert layout.unpack(kernel.spoly(f_packed, g_packed, layout, p)) == \
+        assert layout.unpack(kernel.spoly(f_packed, g_packed, *pair, layout,
+                                          p)) == \
             oracles.spoly(f, g, order.rows, p)
 
 

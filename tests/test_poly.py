@@ -321,3 +321,15 @@ def test_substitute_rejects_image_in_another_ring(case, data):
     images[v] = Polynomial.variable(other, 1, 1)
     with pytest.raises(RingMismatchError):
         f.substitute(images)
+
+
+@pytest.mark.parametrize("key", [-1, 9])
+def test_substitute_rejects_keys_outside_the_ring(key):
+    # -1 once wrapped to no variable and 9 was ignored: both answered f
+    R = BlockRing((2, 2))
+    f = Polynomial.variable(R, 1, 1) * Polynomial.variable(R, 2, 2)
+    g = Polynomial.variable(R, 1, 2)
+    with pytest.raises(RingMismatchError, match="not in the ring"):
+        f.substitute({key: g})
+    with pytest.raises(RingMismatchError):
+        f.substitute({0: g, -1: g, 9: g})

@@ -42,6 +42,16 @@ def test_variable_indexing_round_trip():
         R.var_index(1, 3)
 
 
+@pytest.mark.parametrize("var", [-1, 4, 10])
+def test_flat_indices_outside_the_ring_are_rejected(var):
+    # unit_exp(-1) once gave x[2,2] and unit_exp(4) a bare IndexError
+    R = BlockRing((2, 2))
+    for call in (R.unit_exp, R.var_label, R.var_pair):
+        with pytest.raises(RingMismatchError, match="0..3"):
+            call(var)
+    assert R.unit_exp(3, 2) == (0, 0, 0, 2) and R.var_label(3) == "x[2,2]"
+
+
 def test_block_vars_rejects_out_of_range_blocks():
     R = BlockRing((2, 3))
     assert list(R.block_vars(1)) == [0, 1]
