@@ -236,9 +236,10 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
         report["evidence"] = {"generators": M.generator_strings()}
     elif cmd.name == "borel":
         M = I.monomial_ideal()
-        report["verdict"] = "yes" if is_borel_fixed(M) else "no"
+        borel = is_borel_fixed(M)
+        report["verdict"] = "yes" if borel else "no"
         report["evidence"] = {
-            "borel_fixed": is_borel_fixed(M),
+            "borel_fixed": borel,
             "strongly_stable": is_strongly_stable(M),
         }
     elif cmd.name == "dual":

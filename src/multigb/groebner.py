@@ -47,7 +47,7 @@ def _monic(f: list, p: int) -> list:
     return [(k, e, d * inv % p) for k, e, d in f]
 
 
-def _gm_update(basis: list, pairs: dict, heap: list, f: tuple,
+def _gm_update(basis: list, pairs: dict, heap: list, f: list,
                layout: kernel.Layout, lcm_data: Callable, seq) -> None:
     """Add the element ``f`` to the basis, pruning S-pairs by the
     Gebauer-Moeller criteria (lcm chain rule, duplicate-lcm collapse,
@@ -70,8 +70,8 @@ def _gm_update(basis: list, pairs: dict, heap: list, f: tuple,
     """
     m = len(basis)
     guard, shift = layout.guard, layout.bits - 1
-    lf = f[0][0][1]
-    leads = [g[0][0][1] for g in basis]
+    lf = f[0][1]
+    leads = [g[0][1] for g in basis]
     lcms = []
     for a in leads:
         d = ((a | guard) - lf) & guard
@@ -192,7 +192,7 @@ class _SeriesCutoff:
         if seen == len(basis):
             return False
         for g in basis[len(self.leads):]:
-            lead = layout.exponents(g[0][0][1])
+            lead = layout.exponents(g[0][1])
             self.leads.append((lead, ring.multidegree(lead)))
         for lead, degree in self.leads[seen:]:
             b = tuple(x - y for x, y in zip(a, degree))
@@ -262,8 +262,8 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
                 limits: EngineLimits, series: _SeriesCutoff | None = None,
                 bound: Callable | None = None,
                 lcm_data: Callable | None = None) -> list:
-    """Reduced Groebner basis of packed generators, as basis elements
-    ``(terms, ceiling)`` sorted by lead.
+    """Reduced Groebner basis of packed generators, as packed polynomials
+    sorted by lead.
 
     Pairs are selected by lowest lcm total degree, then by order, then by
     creation, from a heap (``_gm_update``); the S-polynomial gets the lcm
@@ -294,8 +294,7 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
         lcm_data = _lcm_data(layout, multidegree)
 
     def grow(r: list) -> None:
-        _gm_update(basis, pairs, heap, layout.element(_monic(r, p)), layout,
-                   lcm_data, seq)
+        _gm_update(basis, pairs, heap, _monic(r, p), layout, lcm_data, seq)
         if len(basis) > limits.max_basis:
             raise ResourceLimitError(
                 f"basis exceeded {limits.max_basis} elements")
@@ -334,20 +333,20 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
 
         # minimal heads, then full tail reduction; the leads are distinct,
         # since every element enters fully reduced
-        heads = set(kernel.minimal([g[0][0][1] for g in basis], guard))
-        keep = [g for g in basis if g[0][0][1] in heads]
+        heads = set(kernel.minimal([g[0][1] for g in basis], guard))
+        keep = [g for g in basis if g[0][1] in heads]
         reduced = []
-        for i, (g, _) in enumerate(keep):
+        for i, g in enumerate(keep):
             others = keep[:i] + keep[i + 1:]
             r = kernel.normal_form(g, others, layout, p, limits.max_terms)
-            reduced.append(layout.element(_monic(r, p)))
+            reduced.append(_monic(r, p))
     except ResourceLimitError as e:
         if e.basis_size is not None:
             raise
         raise ResourceLimitError(str(e), basis_size=len(basis),
                                  pending_pairs=len(pairs),
                                  degree=degree) from None
-    reduced.sort(key=lambda g: g[0][0][0], reverse=True)
+    reduced.sort(key=lambda g: g[0][0], reverse=True)
     return reduced
 
 
@@ -358,8 +357,8 @@ def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
     packed and sorted under ``matrix`` on entry, the basis unpacked on exit
     as term lists sorted under ``matrix``."""
     return _packed_run(gens, matrix, lambda layout, packed: [
-        layout.unpack(g) for g, _ in _buchberger(packed, layout, p, limits,
-                                                 series)])
+        layout.unpack(g) for g in _buchberger(packed, layout, p, limits,
+                                              series)])
 
 
 class GroebnerBasis:
@@ -400,8 +399,7 @@ class GroebnerBasis:
         return Polynomial(self.ring, _packed_run(
             [f.terms, *(g.terms for g in self.elements)], self.order.rows,
             lambda layout, packed: layout.unpack(kernel.normal_form(
-                packed[0], [layout.element(g) for g in packed[1:]], layout, p,
-                self._limits.max_terms))))
+                packed[0], packed[1:], layout, p, self._limits.max_terms))))
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -482,7 +480,7 @@ class Ideal:
             series = self._series_cutoff()
 
             def leads(layout, packed):
-                return [layout.exponents(g[0][1]) for g, _ in _buchberger(
+                return [layout.exponents(g[0][1]) for g in _buchberger(
                     packed, layout, p, self.limits, series, bound,
                     shared.lcm_data(layout))]
 

@@ -1,13 +1,15 @@
 """Polynomial kernel.
 
 This module implements the hot inner loops of the Groebner engine: term
-sorting and products of tuple polynomials for ``Polynomial`` (terms are
-summed in a dict, then sorted, so a sum of polynomials is ``sort_terms``
-of their joined term lists), merge-based s-polynomials and multivariate
-division on packed terms for the Buchberger loop, the minimal elements of
-packed monomials under divisibility (``minimal``), and the expansion of a
-substitution of variables (``expand``) on packed monomials for
-``Polynomial.substitute``.
+sorting and products of tuple polynomials for ``Polynomial``,
+s-polynomials and multivariate division on packed terms for the Buchberger
+loop, the minimal elements of packed monomials under divisibility
+(``minimal``), and the expansion of a substitution of variables
+(``expand``) on packed monomials for ``Polynomial.substitute``.  Terms
+are added one way throughout: summed in a dict keyed by monomial or order
+key (a sum of tuple polynomials is ``sort_terms`` of their joined term
+lists); ``normal_form`` also keeps a heap of its keys, to take the largest
+term still to reduce.
 
 Data conventions:
 
@@ -19,15 +21,13 @@ Data conventions:
   products;
 * a packed term is ``(K, E, c)``: E is a packed monomial (``Fields``) and
   K the order key, one int that compares as M·e does (see ``Layout``).
-  A packed polynomial is a list of packed terms strictly decreasing in K.
-  Polynomials are packed once when a computation starts and unpacked once
-  when it ends;
-* ``normal_form`` and ``spoly`` take basis elements ``(terms, ceiling)``:
-  a packed polynomial and the fieldwise maximum of its exponents
-  (``Layout.ceiling``), which bounds every term a shift of it creates.
+  A packed polynomial is a list of packed terms strictly decreasing in K;
+  a basis element is one.  Polynomials are packed once when a computation
+  starts and unpacked once when it ends.
 """
 
 from functools import lru_cache
+from heapq import heappop, heappush
 from operator import lshift, mul
 
 from multigb.errors import ResourceLimitError
@@ -200,17 +200,6 @@ class Layout(Fields):
         """The tuple polynomial of packed terms."""
         return [(self.exponents(e), c) for _, e, c in f]
 
-    def ceiling(self, f):
-        """Fieldwise maximum of the exponents of packed terms."""
-        top = 0
-        for _, e, _ in f:
-            top = self.lcm(top, e)
-        return top
-
-    def element(self, f):
-        """The basis element ``(terms, ceiling)`` of packed terms."""
-        return f, self.ceiling(f)
-
 
 def expand(f, images, p):
     """The tuple polynomial f with each variable v replaced by
@@ -253,103 +242,87 @@ def _overflow(layout):
                          f"a product outgrew {layout.bits - 1}-bit exponents")
 
 
-def _merge(f, g, p):
-    """Sum of two packed polynomials."""
-    if not f:
-        return g
-    if not g:
-        return f
-    out = []
-    append = out.append
-    i = j = 0
-    nf, ng = len(f), len(g)
-    a, b = f[0], g[0]
-    ka, kb = a[0], b[0]
-    while True:
-        if ka > kb:
-            append(a)
-            i += 1
-            if i == nf:
-                break
-            a = f[i]
-            ka = a[0]
-        elif ka < kb:
-            append(b)
-            j += 1
-            if j == ng:
-                break
-            b = g[j]
-            kb = b[0]
-        else:
-            c = (a[2] + b[2]) % p
-            if c:
-                append((ka, a[1], c))
-            i += 1
-            j += 1
-            if i == nf or j == ng:
-                break
-            a, b = f[i], g[j]
-            ka, kb = a[0], b[0]
-    out += f[i:]
-    out += g[j:]
-    return out
-
-
 def spoly(f, g, lcm, key, layout, p):
-    """S-polynomial of two basis elements (leads cancel), given the packed
-    lcm of their leads and its order key, which the pair already holds."""
-    (ft, fceil), (gt, gceil) = f, g
-    fk, fe, fc = ft[0]
-    gk, ge, gc = gt[0]
-    sf, sg = lcm - fe, lcm - ge
-    if (fceil + sf) & layout.guard or (gceil + sg) & layout.guard:
+    """S-polynomial of two packed polynomials (leads cancel), given the
+    packed lcm of their leads and its order key, which the pair already
+    holds.  The shifted tails are summed in a dict by order key."""
+    fk, fe, fc = f[0]
+    gk, ge, gc = g[0]
+    terms = {}
+    made = 0
+    for h, shift, sk, factor in ((f, lcm - fe, key - fk, pow(fc, p - 2, p)),
+                                 (g, lcm - ge, key - gk,
+                                  p - pow(gc, p - 2, p))):
+        for k, e, c in h[1:]:
+            k += sk
+            e += shift
+            # every term made counts, even one that cancels: the key of an
+            # overflowed monomial may equal another term's
+            made |= e
+            t = terms.get(k)
+            terms[k] = k, e, (c * factor if t is None
+                              else t[2] + c * factor) % p
+    if made & layout.guard:
         raise _overflow(layout)
-    kf, kg = key - fk, key - gk
-    cf = pow(fc, p - 2, p)
-    cg = p - pow(gc, p - 2, p)
-    return _merge([(k + kf, e + sf, c * cf % p) for k, e, c in ft[1:]],
-                  [(k + kg, e + sg, c * cg % p) for k, e, c in gt[1:]], p)
+    return sorted([t for t in terms.values() if t[2]], reverse=True)
 
 
 def normal_form(f, basis, layout, p, max_terms=0):
-    """Fully reduce packed ``f`` modulo a list of basis elements.
+    """Fully reduce packed ``f`` modulo a list of packed polynomials.
 
     Returns the unique remainder none of whose terms is divisible by a
     lead term of ``basis`` (unique given the basis and its element order;
     canonical when ``basis`` is a Groebner basis).  Each step reduces the
-    largest reducible term by the first element whose lead divides it.  A
-    positive ``max_terms`` aborts runaway intermediate growth.
+    largest reducible term by the first element whose lead divides it.
+    The terms still to reduce are summed in a dict by order key, beside a
+    heap of their negated keys; the key of a term that cancels stays in
+    the heap and is skipped when it comes to the top.  A positive
+    ``max_terms`` aborts runaway intermediate growth: more terms to reduce
+    and output than that.
     """
     if not f or not basis:
         return list(f)
     guard = layout.guard
-    leads = [g[0][1] for g, _ in basis]
-    work = f
-    pos = 0
+    leads = [g[0][1] for g in basis]
+    terms = {t[0]: t for t in f}
+    heap = [-k for k in terms]  # f descends, so this is a heap
     out = []
-    while pos < len(work):
-        term = work[pos]
-        e = term[1] | guard
+    while heap:
+        term = terms.pop(-heappop(heap), None)
+        if term is None:
+            continue
+        k, e, c = term
+        e_guarded = e | guard
         for idx, lead in enumerate(leads):
-            if (e - lead) & guard == guard:
+            if (e_guarded - lead) & guard == guard:
                 break
         else:
             out.append(term)
-            pos += 1
             continue
-        g, ceiling = basis[idx]
+        g = basis[idx]
         gk, ge, gc = g[0]
-        k, e, c = term
-        shift = e - ge
-        if (ceiling + shift) & guard:
-            raise _overflow(layout)
-        sk = k - gk
-        # term cancels against factor * x^shift * lead(g)
+        shift, sk = e - ge, k - gk
+        # term cancels against factor * x^shift * lead(g); every term
+        # made is smaller
         factor = p - (c if gc == 1 else c * pow(gc, p - 2, p) % p)
-        tail = [(tk + sk, te + shift, tc * factor % p) for tk, te, tc in g[1:]]
-        work = _merge(work[pos + 1:], tail, p)
-        pos = 0
-        if max_terms and len(work) + len(out) > max_terms:
+        made = 0
+        for tk, te, tc in g[1:]:
+            tk += sk
+            te += shift
+            made |= te
+            t = terms.get(tk)
+            if t is None:
+                terms[tk] = tk, te, tc * factor % p
+                heappush(heap, -tk)
+            else:
+                tc = (t[2] + tc * factor) % p
+                if tc:
+                    terms[tk] = tk, te, tc
+                else:
+                    del terms[tk]
+        if made & guard:
+            raise _overflow(layout)
+        if max_terms and len(terms) + len(out) > max_terms:
             raise ResourceLimitError(
                 f"reduction exceeded {max_terms} terms")
     return out

@@ -317,9 +317,9 @@ def min_scan_buchberger(gens, layout, p, limits, series=None, bound=None):
 
     def grow(r):
         inv = pow(r[0][2], p - 2, p)
-        f = layout.element([(k, e, c * inv % p) for k, e, c in r])
-        lf = f[0][0][1]
-        leads = [g[0][0][1] for g in basis]
+        f = [(k, e, c * inv % p) for k, e, c in r]
+        lf = f[0][1]
+        leads = [g[0][1] for g in basis]
         lcms = [layout.lcm(a, lf) for a in leads]
         ef = layout.exponents(lf)
         for (i, j), value in list(pairs.items()):

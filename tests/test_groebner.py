@@ -102,10 +102,10 @@ def test_spoly_criterion_on_random_pairs():
         p = R.characteristic
         raws = [kernel.sort_terms(g.terms, m, p) for g in G]
         layout = kernel.layout(m, kernel.bits_for(raws))
-        packed = [layout.element(layout.pack(g)) for g in raws]
+        packed = [layout.pack(g) for g in raws]
         for i in range(len(packed)):
             for j in range(i + 1, len(packed)):
-                lcm = layout.lcm(packed[i][0][0][1], packed[j][0][0][1])
+                lcm = layout.lcm(packed[i][0][1], packed[j][0][1])
                 s = kernel.spoly(packed[i], packed[j], lcm,
                                  layout.key(layout.exponents(lcm)), layout, p)
                 assert kernel.normal_form(s, packed, layout, p) == []
@@ -496,7 +496,7 @@ def test_truncated_basis_decides_membership_up_to_its_degree(column_graded_3x4):
 
         basis = _buchberger(packed, layout, p, I.limits,
                             bound=groebner._within(R, b))
-        assert all(fits(e) for g, _ in basis for e, _ in layout.unpack(g))
+        assert all(fits(e) for g in basis for e, _ in layout.unpack(g))
         for g in full:
             if fits(g.lead_exp()):
                 checked.add(g.total_degree())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from multigb import kernel
+from multigb.errors import ResourceLimitError
 from multigb.ring import (BlockRing, degrevlex, elimination_order, exp_divides,
                           lex, weight_order)
 from oracles import exp_lcm, order_key
@@ -119,7 +120,7 @@ def test_normal_form_matches_tuple_oracle(data):
                          for t in data.draw(st.lists(terms, max_size=4))) if g]
     expected, top = oracles.normal_form(f, basis, order.rows, p,
                                         layout.field_max)
-    packed = [layout.element(layout.pack(g)) for g in basis]
+    packed = [layout.pack(g) for g in basis]
     if top >= layout.field_max:
         # some created term outgrows its field: the guard must catch it
         with pytest.raises(kernel.FieldOverflow):
@@ -140,9 +141,9 @@ def test_spoly_matches_tuple_oracle(data):
     lcm = exp_lcm(f[0][0], g[0][0])
     top = max(max(x + y - z for x, y, z in zip(e, lcm, h[0][0]))
               for h in (f, g) for e, _ in h)
-    f_packed, g_packed = (layout.element(layout.pack(h)) for h in (f, g))
+    f_packed, g_packed = (layout.pack(h) for h in (f, g))
     # the lcm and its key as a pair holds them
-    packed_lcm = layout.lcm(f_packed[0][0][1], g_packed[0][0][1])
+    packed_lcm = layout.lcm(f_packed[0][1], g_packed[0][1])
     pair = packed_lcm, layout.key(lcm)
     if top >= layout.field_max:
         with pytest.raises(kernel.FieldOverflow):
@@ -160,8 +161,53 @@ def test_guard_catches_a_tail_term_that_overflows():
     g = [((1, 0), 1), ((0, 3), p - 1)]
     f = layout.pack([((3, 0), 1)])
     with pytest.raises(kernel.FieldOverflow):
-        kernel.normal_form(f, [layout.element(layout.pack(g))], layout, p)
+        kernel.normal_form(f, [layout.pack(g)], layout, p)
     wide = kernel.layout(lex(2).rows, 8)
     assert wide.unpack(kernel.normal_form(
-        wide.pack([((3, 0), 1)]), [wide.element(wide.pack(g))], wide, p)) \
+        wide.pack([((3, 0), 1)]), [wide.pack(g)], wide, p)) \
         == [((0, 9), 1)]
+
+
+@pytest.mark.parametrize("overflowing", ["f", "g"])
+def test_guard_catches_an_spoly_tail_term_that_overflows(overflowing):
+    # x0 + x1^7 and x0*x1 + x1^2 under lex: the S-polynomial shifts the
+    # first by x1, making x1^8, past 3-bit fields, and leaves the second's
+    # tail x1^2 as it is
+    p = 32003
+    f, g = [((1, 0), 1), ((0, 7), 1)], [((1, 1), 1), ((0, 2), 1)]
+    if overflowing == "g":
+        f, g = g, f
+    lcm = (1, 1)
+    narrow = kernel.layout(lex(2).rows, 4)
+    with pytest.raises(kernel.FieldOverflow):
+        kernel.spoly(narrow.pack(f), narrow.pack(g), narrow.monomial(lcm),
+                     narrow.key(lcm), narrow, p)
+    wide = kernel.layout(lex(2).rows, 8)
+    assert wide.unpack(kernel.spoly(wide.pack(f), wide.pack(g),
+                                    wide.monomial(lcm), wide.key(lcm), wide,
+                                    p)) == \
+        oracles.spoly(f, g, lex(2).rows, p)
+
+
+def test_normal_form_caps_the_terms_to_reduce_plus_the_output():
+    # under lex mod 7, x0 - x1 - x2 reduces x0 to x1 + x2
+    p = 7
+    layout = kernel.layout(lex(3).rows, 4)
+    x0, x1, x2 = ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)
+    g = [x0, ((0, 1, 0), 6), ((0, 0, 1), 6)]
+
+    def reduce(f, h, cap):
+        return layout.unpack(kernel.normal_form(
+            layout.pack(f), [layout.pack(h)], layout, p, cap))
+
+    # x0 leaves two terms to reduce
+    with pytest.raises(ResourceLimitError):
+        reduce([x0], g, 1)
+    assert reduce([x0], g, 2) == [x1, x2]
+    # x0 - x1: the tail's x1 cancels it, leaving x2 alone
+    assert reduce([x0, ((0, 1, 0), 6)], g, 1) == [x2]
+    # x0 + x1 modulo x1 - x2: the output x0 counts beside x2
+    h = [x1, ((0, 0, 1), 6)]
+    with pytest.raises(ResourceLimitError):
+        reduce([x0, x1], h, 1)
+    assert reduce([x0, x1], h, 2) == [x0, x2]
