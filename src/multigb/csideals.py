@@ -24,11 +24,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from multigb import kernel
 from multigb.errors import HypothesisNotSatisfiedError, NotSquarefreeError
 from multigb.gin import GinReport, gin
 from multigb.groebner import (Ideal, coordinate_section,
-                              ring_without_variable, _graded_linear_block)
+                              ring_without_variable, _by_order,
+                              _graded_linear_block)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                alexander_dual, hilbert_numerator,
                                is_radical_monomial, polarize)
@@ -559,9 +559,7 @@ def _sampled_records(I: Ideal, orders: Sequence[TermOrder],
                     lead_ideal, _memo=recursion) == series)
         lead_ideal, certified = hit
         if certified:
-            top = max((max(e) for e in lead_ideal.gens), default=0)
-            key = kernel.layout(o.rows, kernel.fields(1, top).bits).key
-            lead_exps = sorted(lead_ideal.gens, key=key, reverse=True)
+            lead_exps = _by_order(lead_ideal.gens, o.rows)
             for e in lead_exps:
                 if e not in degree_of:
                     degree_of[e] = I.ring.multidegree(e)

@@ -14,7 +14,9 @@ class ResourceLimitError(MultigbError):
 
     When raised by the Buchberger driver it carries the partial state at the
     abort: ``basis_size``, ``pending_pairs`` and ``degree`` (the lcm total
-    degree reached); all three are None otherwise.
+    degree reached).  A monomial ideal with more minimal generators than
+    ``max_basis`` reports their number, no pending pairs and their largest
+    degree.  All three are None otherwise.
     """
 
     def __init__(self, message: str, *, basis_size: int | None = None,

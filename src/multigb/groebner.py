@@ -350,6 +350,16 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
     return reduced
 
 
+def _by_order(exps: Iterable[tuple], matrix: tuple) -> list:
+    """Exponent tuples sorted descending under ``matrix``, as
+    ``_buchberger`` sorts the leads of a reduced basis: by the order key
+    of the narrowest ``kernel.layout`` holding their largest entry."""
+    exps = list(exps)
+    top = max((max(e) for e in exps), default=0)
+    key = kernel.layout(matrix, kernel.fields(1, top).bits).key
+    return sorted(exps, key=key, reverse=True)
+
+
 def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
                        limits: EngineLimits,
                        series: _SeriesCutoff | None = None) -> list:
@@ -448,11 +458,23 @@ class Ideal:
         hit = self._gb_cache.get(key)
         if hit is not None:
             return hit
-        p = self.ring.characteristic
-        raw = _reduced_basis_raw([g.terms for g in self.gens], order.rows, p,
-                                 self.limits, series=self._series_cutoff())
-        gb = GroebnerBasis(self.ring, order,
-                           [Polynomial(self.ring, g) for g in raw], self.limits)
+        if self.is_monomial:
+            # the monic minimal generators of a monomial ideal are its
+            # reduced basis under every order (Cox-Little-O'Shea, ch. 2 §7)
+            gens = self.monomial_ideal().gens
+            if len(gens) > self.limits.max_basis:
+                raise ResourceLimitError(
+                    f"basis exceeded {self.limits.max_basis} elements",
+                    basis_size=len(gens), pending_pairs=0,
+                    degree=max(map(sum, gens)))
+            elements = [Polynomial.monomial(self.ring, e)
+                        for e in _by_order(gens, key)]
+        else:
+            raw = _reduced_basis_raw([g.terms for g in self.gens], key,
+                                     self.ring.characteristic, self.limits,
+                                     series=self._series_cutoff())
+            elements = [Polynomial(self.ring, g) for g in raw]
+        gb = GroebnerBasis(self.ring, order, elements, self.limits)
         return self._gb_cache.setdefault(key, gb)
 
     def _series_cutoff(self) -> _SeriesCutoff | None:

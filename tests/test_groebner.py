@@ -1,6 +1,7 @@
 """Buchberger engine and derived ideal operations."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -855,6 +856,83 @@ def test_packed_driver_matches_tuple_buchberger(case):
         assume(False)
     assert [kernel.sort_terms(g.terms, order.rows, p) for g in G] == \
         groebner_basis_oracle([g.terms for g in gens], order.rows, p)
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Monomial generators in 2-4 blocks, exponents up to 3, scaled by a
+    unit, with at times a repeated generator, a multiple of a generator or
+    a constant, and at times none at all; an order of the ring, a set of
+    variables to eliminate and the variables a section can drop."""
+    R = BlockRing(draw(st.lists(st.integers(1, 2), min_size=2, max_size=4)),
+                  draw(st.sampled_from([7, 32003])))
+    n = R.nvars
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5))
+    if exps and draw(st.booleans()):
+        exps.append(draw(st.sampled_from(exps)))
+    if exps and draw(st.booleans()):
+        e, v = draw(st.sampled_from(exps)), draw(st.integers(0, n - 1))
+        exps.append(e[:v] + (e[v] + 1,) + e[v + 1:])
+    if draw(st.booleans()) and draw(st.booleans()):
+        exps.append((0,) * n)
+    units = st.integers(1, R.characteristic - 1)
+    gens = [Polynomial.monomial(R, e, draw(units))
+            for e in draw(st.permutations(exps))]
+    front = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    sections = [v for v in range(n) if R.block_sizes[R.var_pair(v)[0] - 1] > 1]
+    return R, draw(orders(R)), gens, front, sections
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(monomial_ideals())
+def test_monomial_basis_equals_the_engine_basis(case):
+    R, order, gens, front, sections = case
+    G = Ideal(R, gens).groebner_basis(order)
+    raw = groebner._reduced_basis_raw(
+        [g.terms for g in gens], order.rows, R.characteristic,
+        groebner.DEFAULT_LIMITS)
+    assert G.order is order
+    assert G.elements == tuple(Polynomial(R, g) for g in raw)
+
+    def derived(I):
+        out = [I.eliminate(front).gens, I.hilbert_series()]
+        for v in sections:
+            section = coordinate_section(I, v)
+            out += [section.gens, section.hilbert_series()]
+        return out
+
+    # the same constructions with every ideal sent through the engine
+    with mock.patch.object(Ideal, "is_monomial", property(lambda I: False)):
+        engine = derived(Ideal(R, gens))
+    assert derived(Ideal(R, gens)) == engine
+
+
+def test_monomial_ideals_never_enter_the_engine(monkeypatch):
+    R = BlockRing((2, 2))
+    entered = []
+    inner = groebner._buchberger
+
+    def spy(*args, **kwargs):
+        entered.append(len(args[0]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger", spy)
+    gens = [x(R, 1, 1) ** 2 * x(R, 2, 1), x(R, 1, 2) * x(R, 2, 2) * 3,
+            x(R, 1, 1) * x(R, 1, 2), x(R, 1, 1) ** 3 * x(R, 2, 1)]
+    I = Ideal(R, gens)
+    for order in (degrevlex(R), lex(R), weight_order(R, [3, 1, 4, 1])):
+        assert len(I.groebner_basis(order)) == 3
+        assert len(I.initial_ideal(order)) == 3
+    I.hilbert_series()
+    assert len(I.eliminate({1}).gens) == 1
+    coordinate_section(I, 0).hilbert_series()
+    assert I.contains(gens[0] * x(R, 2, 2)) and not I.contains(x(R, 1, 1))
+    assert I.equals(Ideal(R, gens[::-1])) and not I.is_unit_ideal
+    assert Ideal(R, gens + [Polynomial.one(R) * 5]).is_unit_ideal
+    assert entered == []
+    # one generator that is not a monomial sends the ideal to the engine
+    (I + (x(R, 1, 1) - x(R, 1, 2))).groebner_basis()
+    assert entered == [5]
 
 
 # -- colon and regularity by a linear form in moved coordinates -----------------

@@ -620,6 +620,23 @@ def test_cli_ugb_rejects_more_orders_than_weights(tmp_path, capsys):
     assert "n_weight" in capsys.readouterr().err
 
 
+def test_cli_max_basis_caps_a_monomial_reduced_basis(tmp_path, capsys):
+    # four generators, three of them minimal: the cap applies to the
+    # reduced basis, which a monomial ideal reads off without a run
+    text = ("ring v=2 blocks=[2,2] char=32003\n"
+            "ideal I = x[1,1]^3*x[2,2], 4*x[1,1]^2, x[1,1]*x[2,1], x[1,2]\n"
+            "gb I\n")
+    assert run_cli(tmp_path, text, "--max-basis", "2", "--json") == 3
+    aborted = json.loads(capsys.readouterr().out)["reports"][-1]
+    assert aborted["verdict"] == "aborted"
+    assert aborted["evidence"]["basis_size"] == 3
+    assert aborted["evidence"]["pending_pairs"] == 0
+    assert run_cli(tmp_path, text, "--max-basis", "3", "--json") == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["evidence"]["generators"] == [
+        "x[1,1]^2", "x[1,1]*x[2,1]", "x[1,2]"]
+
+
 def test_cli_resource_limit_json_ends_with_aborted_report(tmp_path, capsys):
     text = ("ring v=2 blocks=[3,3] char=32003\n"
             "matrix X rowgraded 2 x 3 {\n"
