@@ -44,7 +44,7 @@ from multigb.monomials import (alexander_dual, is_borel_fixed,
                                is_radical_monomial, is_strongly_stable,
                                polarize)
 from multigb.poly import Polynomial
-from multigb.ring import BlockRing, lex, weight_order
+from multigb.ring import BlockRing, TermOrder, lex, weight_order
 from multigb.script import (CALL_NAMES, CallNode, Command, IntNode,
                             MatrixDef, NameNode, OpNode, PolyDef, ScriptError,
                             SessionScript, VarNode, VectorNode, parse)
@@ -149,26 +149,29 @@ def _arg_text(arg) -> str:
         return f"{arg.func}({', '.join(_arg_text(a) for a in arg.args)})"
     if isinstance(arg, VectorNode):
         return "[" + ",".join(str(v) for v in arg.values) + "]"
-    if isinstance(arg, OpNode):
-        return "<polynomial>"
-    return str(arg)
+    return "<polynomial>"  # an OpNode
 
 
-def _resolve_order(cmd: Command, sess: _Session):
-    """The term order of ``order=``, or of ``--order`` without it."""
-    value, line = cmd.options.get("order", sess.flags.order), cmd.line
+def _term_order(value, ring: BlockRing) -> TermOrder:
+    """The term order an ``order=`` or ``--order`` value names; ValueError
+    for an unknown name, a weight vector of the wrong length or with an
+    entry below 1, or weights that break the block convention."""
     if value in (None, "degrevlex"):
-        return sess.ring.storage_order
+        return ring.storage_order
     if value == "lex":
-        return lex(sess.ring)
+        return lex(ring)
     if isinstance(value, tuple) and value[0] == "weight":
-        order = weight_order(sess.ring, value[1])
-        if not order.respects_block_convention(sess.ring):
-            raise ScriptError(
-                f"order {order.name} breaks x[i,j] > x[i,k] for j < k "
-                "within a block", line)
+        order = weight_order(ring, value[1])
+        if not order.respects_block_convention(ring):
+            raise ValueError(f"order {order.name} breaks x[i,j] > x[i,k] "
+                             "for j < k within a block")
         return order
-    raise ScriptError(f"unknown order {value!r}", line)
+    raise ValueError(f"unknown order {value!r}")
+
+
+def _resolve_order(cmd: Command, sess: _Session) -> TermOrder:
+    """The term order of ``order=``, or of ``--order`` without it."""
+    return _term_order(cmd.options.get("order", sess.flags.order), sess.ring)
 
 
 def _int_option(cmd: Command, key: str, default: int) -> int:
@@ -324,8 +327,6 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
         report["verdict"] = "pass" if ok else "fail"
         report["orders"] = [f"{transcript['orders']} sampled"]
         report["evidence"] = transcript
-    else:
-        raise ScriptError(f"unknown command {cmd.name!r}", cmd.line)
 
     if expect is not None:
         ok = report["verdict"] == expect
@@ -411,7 +412,7 @@ def run_script(script: SessionScript, flags, out=None, err=None) -> int:
         if flags.json:
             payload = {"schema": 1, "characteristic": ring.characteristic,
                        "blocks": list(ring.block_sizes), "reports": reports}
-            json.dump(payload, out, indent=2, default=_json_default)
+            json.dump(payload, out, indent=2)
             out.write("\n")
 
     try:
@@ -458,14 +459,6 @@ def run_script(script: SessionScript, flags, out=None, err=None) -> int:
         exit_code = 1
     flush_json()
     return exit_code
-
-
-def _json_default(obj):
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    if isinstance(obj, Polynomial):
-        return str(obj)
-    return repr(obj)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -520,8 +513,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        BlockRing(script.ring.blocks,
-                  flags.char or script.ring.characteristic)
+        ring = BlockRing(script.ring.blocks,
+                         flags.char or script.ring.characteristic)
+        _term_order(flags.order, ring)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

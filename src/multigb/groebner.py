@@ -31,7 +31,15 @@ from multigb.ring import (BlockRing, TermOrder, degrevlex, elimination_order,
 
 @dataclass(frozen=True)
 class EngineLimits:
-    """Caps that turn runaway computations into clean aborts."""
+    """Caps that turn runaway computations into clean aborts.
+
+    ``max_basis`` caps, during a Buchberger run, the working basis, whose
+    non-minimal and unreduced elements stay until the final pass, so a run
+    can abort on an ideal whose reduced basis fits the cap; for a monomial
+    ideal, which runs no Buchberger, it caps the minimal generators.
+    ``max_terms`` caps the terms of a reduction in progress and of each
+    element an S-pair adds.
+    """
     max_basis: int = 5000
     max_terms: int = 100_000
 
@@ -161,16 +169,15 @@ class _SeriesCutoff:
     ``kernel.fields`` holding the largest entry of a: each lead is
     multiplied out once per degree, when the degree is next checked.
     ``dims`` memoizes dim (S/I)_a and ``monomials`` the packed monomials of
-    each degree b, by ``(b, fields)``; both may be shared by runs on ideals
-    with the series of I, under any order.
+    each degree b, by ``(b, fields)``; no order decides them, so one cutoff
+    serves sequential runs under any order, each begun by ``start``.
     """
 
-    def __init__(self, ring: BlockRing, series: HilbertNumerator, dims: dict,
-                 monomials: dict):
+    def __init__(self, ring: BlockRing, series: HilbertNumerator):
         self.ring = ring
         self.series = series
-        self.dims = dims
-        self.monomials = monomials
+        self.dims: dict = {}
+        self.monomials: dict = {}
         self.start(None)
 
     def start(self, layout: kernel.Layout | None) -> None:
@@ -301,8 +308,6 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
 
     try:
         for g in gens:
-            if not g:
-                continue
             data = lcm_data(g[0][1])
             if data is None:
                 continue
@@ -331,23 +336,20 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
         if bound is not None:
             return basis
 
-        # minimal heads, then full tail reduction; the leads are distinct,
-        # since every element enters fully reduced
+        # minimal heads (distinct, since every element enters fully reduced
+        # and monic), then tail reduction by ascending lead: only smaller
+        # leads divide a tail term, and their elements are reduced already
         heads = set(kernel.minimal([g[0][1] for g in basis], guard))
-        keep = [g for g in basis if g[0][1] in heads]
-        reduced = []
-        for i, g in enumerate(keep):
-            others = keep[:i] + keep[i + 1:]
-            r = kernel.normal_form(g, others, layout, p, limits.max_terms)
-            reduced.append(_monic(r, p))
+        reduced: list = []
+        for g in sorted((g for g in basis if g[0][1] in heads),
+                        key=lambda g: g[0][0]):
+            reduced.append(kernel.normal_form(g, reduced, layout, p,
+                                              limits.max_terms))
     except ResourceLimitError as e:
-        if e.basis_size is not None:
-            raise
         raise ResourceLimitError(str(e), basis_size=len(basis),
                                  pending_pairs=len(pairs),
                                  degree=degree) from None
-    reduced.sort(key=lambda g: g[0][0], reverse=True)
-    return reduced
+    return reduced[::-1]
 
 
 def _by_order(exps: Iterable[tuple], matrix: tuple) -> list:
@@ -434,8 +436,7 @@ class Ideal:
         self.limits = limits if limits is not None else DEFAULT_LIMITS
         self._gb_cache: dict = {}
         self._series: HilbertNumerator | None = None
-        self._dims: dict = {}  # dim (S/I)_a by multidegree a
-        self._monomials: dict = {}  # packed monomials by (degree, fields)
+        self._cutoff: _SeriesCutoff | None = None
 
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"
@@ -478,14 +479,13 @@ class Ideal:
         return self._gb_cache.setdefault(key, gb)
 
     def _series_cutoff(self) -> _SeriesCutoff | None:
-        """Pair skipping by the Hilbert series, read off a basis already
-        cached under some order; None before the first basis or for an
-        ideal that is not multihomogeneous."""
-        if self._series is None and not (self._gb_cache
-                                         and self.is_multihomogeneous):
-            return None
-        return _SeriesCutoff(self.ring, self.hilbert_series(), self._dims,
-                             self._monomials)
+        """The ideal's one cutoff, shared by its runs and its gin trials
+        (moved ideals have its series); None until the series is known or a
+        basis is cached, and for an ideal that is not multihomogeneous."""
+        if self._cutoff is None and (self._series is not None or (
+                self._gb_cache and self.is_multihomogeneous)):
+            self._cutoff = _SeriesCutoff(self.ring, self.hilbert_series())
+        return self._cutoff
 
     def _truncated_leads(self, orders: Iterable[TermOrder],
                          b: Sequence[int]):

@@ -334,9 +334,7 @@ class _Parser:
         self.fail(f"expected a polynomial, found {tok.text!r}")
 
     def parse_call(self) -> CallNode:
-        tok = self.expect_ident()
-        if tok.text not in CALL_NAMES:
-            self.fail(f"unknown function {tok.text!r}", tok)
+        tok = self.advance()  # a name in CALL_NAMES (parse_call_arg)
         self.expect_sym("(")
         args = [] if self.at_sym(")") else self.parse_list(self.parse_call_arg)
         self.expect_sym(")")
@@ -467,9 +465,6 @@ class _Parser:
         script = SessionScript(self.parse_ring())
         names = set()
         while self.peek().kind != "EOF":
-            if self.peek().kind == "END":
-                self.advance()
-                continue
             tok = self.peek()
             if tok.kind != "IDENT":
                 self.fail(f"expected a statement, found {tok.text!r}")

@@ -375,6 +375,22 @@ def min_scan_buchberger(gens, layout, p, limits, series=None, bound=None):
     return basis
 
 
+def reduce_by_all_others(basis, layout, p):
+    """Reference for the final pass of ``groebner._buchberger``: of a packed
+    Groebner basis with distinct leads, the elements whose leads no other
+    lead divides, each reduced modulo all the other kept elements and made
+    monic, sorted by lead, largest first."""
+    leads = [layout.exponents(g[0][1]) for g in basis]
+    keep = [g for g, a in zip(basis, leads)
+            if not any(b != a and exp_divides(b, a) for b in leads)]
+    reduced = []
+    for i, g in enumerate(keep):
+        r = kernel.normal_form(g, keep[:i] + keep[i + 1:], layout, p)
+        inv = pow(r[0][2], p - 2, p)
+        reduced.append([(k, e, c * inv % p) for k, e, c in r])
+    return sorted(reduced, key=lambda g: g[0][0], reverse=True)
+
+
 def groebner_basis(gens, matrix, p):
     """Reduced Groebner basis of tuple term lists by Buchberger's algorithm,
     as monic term lists sorted under ``matrix``, largest lead first.  Pairs

@@ -87,6 +87,14 @@ def test_sample_orders_rejects_impossible_counts():
     assert len(sample_orders(R, 0)) == 2
 
 
+def test_sample_orders_caps_the_permutation_family():
+    # 2 block orders x 4! x 4! priorities, each with lex and degrevlex, are
+    # 2304 orders; the family stops at the cap, all of them distinct
+    orders = sample_orders(BlockRing((4, 4)), 0)
+    assert len({o.rows for o in orders}) == len(orders) == \
+        csideals.PERMUTATION_FAMILY_CAP == 1024
+
+
 def test_sample_orders_large_ring_skips_permutations():
     R = BlockRing((5, 4))
     orders = sample_orders(R, 3)

@@ -140,6 +140,13 @@ def test_intersect_principal():
     assert K.equals(Ideal(R, [a * b * b]))
 
 
+def test_intersect_with_the_zero_ideal():
+    R = BlockRing((2,))
+    I, zero = Ideal(R, [x(R, 1, 1)]), Ideal(R, [Polynomial.zero(R)])
+    for K in (I.intersect(zero), zero.intersect(I)):
+        assert K.is_zero_ideal and K.gens == ()
+
+
 def test_colon_vs_monomial_oracle():
     R = BlockRing((2, 2))
     I = Ideal(R, [x(R, 1, 1) * x(R, 2, 1) ** 2, x(R, 1, 2) * x(R, 2, 2)])
@@ -207,6 +214,12 @@ def test_minimal_generators_multidegrees(R33):
         (1, 1, 0), (1, 0, 1), (0, 1, 1)}
 
 
+def test_minimal_generators_need_multigraded_input(R33):
+    I = Ideal(R33, [x(R33, 1, 1) ** 2 - x(R33, 2, 1), x(R33, 1, 2)])
+    with pytest.raises(HypothesisNotSatisfiedError, match="multigraded"):
+        I.minimal_generators()
+
+
 def test_resource_limits(R33):
     gens = [two_minor(R33, rows, cols)
             for rows in ((1, 2), (1, 3), (2, 3))
@@ -230,6 +243,22 @@ def test_resource_limits(R33):
     with pytest.raises(ResourceLimitError) as info:
         Ideal(R33, gens, limits=EngineLimits(max_basis=2)).groebner_basis()
     assert info.value.basis_size > 2
+
+
+def test_max_terms_caps_an_element_that_needs_no_reduction():
+    # under lex the S-polynomial of the two generators is x[1,2]^2 -
+    # x[1,3]^2, which no lead divides: the reduction takes no step, so only
+    # the check on the new element sees its two terms
+    R = BlockRing((3,))
+    a, b, c = (x(R, 1, j) for j in (1, 2, 3))
+    spoly = mock.Mock(wraps=kernel.spoly)
+    with mock.patch.object(kernel, "spoly", spoly), \
+            pytest.raises(ResourceLimitError, match="element exceeded 1 "
+                          "terms") as info:
+        Ideal(R, [a * b + c, a * c + b],
+              EngineLimits(max_terms=1)).groebner_basis(lex(R))
+    assert spoly.call_count == 1
+    assert (info.value.basis_size, info.value.pending_pairs) == (2, 0)
 
 
 def test_max_basis_is_checked_as_the_basis_grows(R33):
@@ -856,6 +885,60 @@ def test_packed_driver_matches_tuple_buchberger(case):
         assume(False)
     assert [kernel.sort_terms(g.terms, order.rows, p) for g in G] == \
         groebner_basis_oracle([g.terms for g in gens], order.rows, p)
+
+
+@st.composite
+def driver_cases(draw):
+    """A ring of 2-3 blocks of 1-2 variables, lex, degrevlex or a weight
+    order, and 2-5 generators of up to four terms: either each of one
+    nonzero multidegree, up to 2 in each block, or with exponents up to
+    3."""
+    R = BlockRing(draw(st.lists(st.integers(1, 2), min_size=2, max_size=3)),
+                  draw(st.sampled_from([7, 32003])))
+    n = R.nvars
+    order = draw(st.sampled_from([
+        lex(R), degrevlex(R),
+        weight_order(R, draw(st.lists(st.integers(1, 1000), min_size=n,
+                                      max_size=n)))]))
+    homogeneous = draw(st.booleans())
+    gens = []
+    for _ in range(draw(st.integers(2, 5))):
+        if homogeneous:
+            a = draw(st.tuples(*[st.integers(0, 2)] * R.v).filter(any))
+            exps = st.sampled_from(list(R.monomials_of_multidegree(a)))
+        else:
+            exps = st.tuples(*[st.integers(0, 3)] * n)
+        terms = st.tuples(exps, st.integers(1, R.characteristic - 1))
+        gens.append(Polynomial(R, draw(st.lists(terms, min_size=1,
+                                                max_size=4))))
+    return R, order, gens
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(driver_cases())
+def test_final_pass_equals_reducing_by_all_others(case):
+    # the driver reduces each kept element modulo the smaller ones only;
+    # modulo all the others, the reduced basis is the same
+    R, order, gens = case
+    p = R.characteristic
+    limits = EngineLimits(max_basis=20, max_terms=200)
+    I = Ideal(R, gens, limits)
+    assume(I.gens)
+
+    def both(layout, packed):
+        basis = _buchberger(packed, layout, p, limits, cutoff)
+        unreduced = oracles.min_scan_buchberger(packed, layout, p, limits,
+                                                cutoff)
+        return basis, oracles.reduce_by_all_others(unreduced, layout, p)
+
+    try:
+        I.groebner_basis()
+        cutoff = I._series_cutoff()  # None unless I is multihomogeneous
+        basis, expect = groebner._packed_run([g.terms for g in I.gens],
+                                             order.rows, both)
+    except ResourceLimitError:
+        assume(False)
+    assert basis == expect
 
 
 @st.composite

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multigb.cli import _eval_poly, _Session, build_arg_parser, main
+from multigb.errors import InternalConsistencyError
 from multigb.groebner import Ideal, exact_divide
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing
@@ -157,6 +158,12 @@ def test_parse_polynomial_expressions():
     expect = (Polynomial.variable(R, 1, 2) ** 2
               - 3 * Polynomial.variable(R, 2, 1) + 7)
     assert f == expect
+
+
+def test_parse_parenthesized_polynomial():
+    R = BlockRing((2,))
+    a, b = Polynomial.variable(R, 1, 1), Polynomial.variable(R, 1, 2)
+    assert parsed_poly("(x[1,1] + x[1,2])^2", R) == (a + b) * (a + b)
 
 
 def test_parse_polynomial_unary_minus_binds_product():
@@ -404,6 +411,20 @@ def test_cli_order_flag(tmp_path, capsys):
     assert run_cli(tmp_path, text, "--order", "weight:1,3") == 2
 
 
+@pytest.mark.parametrize("order", ["foo", "weight:0,1,1,1", "weight:3,2,1",
+                                   "weight:1,2,1,1"])
+def test_cli_bad_order_flag_exits_2_before_any_command(tmp_path, capsys,
+                                                       order):
+    # an unknown name, a weight that is not positive, too few weights, and
+    # weights that break x[1,1] > x[1,2]; hilbert never reads an order
+    text = ("ring v=2 blocks=[2,2] char=32003\n"
+            "ideal I = x[1,1]*x[2,1]\n"
+            "hilbert I\n")
+    assert run_cli(tmp_path, text, "--order", order) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 def test_cli_ugb_and_bounds_and_closure(tmp_path, capsys):
     text = ("ring v=3 blocks=[2,2,2] char=32003\n"
             "matrix A colgraded 2 x 3 {\n"
@@ -585,6 +606,65 @@ def test_cli_extra_argument_exit_2(tmp_path, capsys, command):
         parse(SESSION + f"{command}\n")
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_cli_every_command_reports_a_verdict_in_plain_json(tmp_path, capsys,
+                                                           monkeypatch,
+                                                           command):
+    dumped = []
+    dump = json.dump
+    monkeypatch.setattr(json, "dump", lambda obj, fp, **kwargs: (
+        dumped.append(obj), dump(obj, fp, **kwargs)))
+    text = SESSION + f"{command} {MOST_ARGS[command]}\n"
+    assert run_cli(tmp_path, text, "--json") == 0
+    (payload,) = dumped
+    (report,) = payload["reports"]
+    assert report["command"] == command and report["verdict"] is not None
+    # every value is JSON-native: no default= is needed to write it
+    assert json.loads(json.dumps(payload)) == \
+        json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("gb I order=foo", "unknown order 'foo'"),
+    ("member I minors(I, 2)", "cannot evaluate minors(I, 2) as a polynomial"),
+    ("member I [1,2]", "cannot evaluate [1,2] as a polynomial"),
+    ("main-theorem x[1,1]", "expected a matrix name, found x[1,1]"),
+    ("ideal J = minors(A, x[1,1])",
+     "minors needs an integer second argument, found x[1,1]"),
+    ("42", "expected a statement, found '42'"),
+    ("gb I order=(", "expected an option value, found '('"),
+])
+def test_cli_misplaced_values_exit_2(tmp_path, capsys, statement, message):
+    assert run_cli(tmp_path, SESSION + statement + "\n") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 5") and message in err
+
+
+def test_cli_report_inputs_name_calls_and_polynomials(tmp_path, capsys):
+    text = SESSION + "member sum(I, f) x[1,1]*x[2,1] + f\n"
+    assert run_cli(tmp_path, text, "--json") == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["inputs"] == ["sum(I, f)", "<polynomial>"]
+    assert report["verdict"] == "yes"
+
+
+def test_cli_script_without_a_trailing_newline(tmp_path, capsys):
+    assert run_cli(tmp_path, SESSION + "member I x[1,2] expect=yes") == 0
+    assert capsys.readouterr().out == "[member] I x[1,2]: yes (ok)\n"
+
+
+def test_cli_internal_consistency_failure_exits_1(tmp_path, capsys,
+                                                  monkeypatch):
+    def broken(I):
+        raise InternalConsistencyError("criteria disagree")
+
+    monkeypatch.setattr("multigb.cli.is_cs", broken)
+    assert run_cli(tmp_path, SESSION + "gb I\ncs I\n", "--json") == 1
+    out, err = capsys.readouterr()
+    assert "internal consistency failure: criteria disagree" in err
+    assert [r["command"] for r in json.loads(out)["reports"]] == ["gb"]
+
+
 @pytest.mark.parametrize("statement", [
     "ideal J = sum(I)", "ideal J = colon(I, f, f)", "gb intersect(I, I, I)",
 ])
@@ -635,6 +715,23 @@ def test_cli_max_basis_caps_a_monomial_reduced_basis(tmp_path, capsys):
     (report,) = json.loads(capsys.readouterr().out)["reports"]
     assert report["evidence"]["generators"] == [
         "x[1,1]^2", "x[1,1]*x[2,1]", "x[1,2]"]
+
+
+def test_cli_max_basis_caps_the_working_basis(tmp_path, capsys):
+    # the first generator's lead x[1,1]^3*x[2,2] is a multiple of the
+    # second's: it stays in the working basis until the final pass, so a
+    # cap of 3 aborts at 4 elements although the reduced basis has 3
+    text = ("ring v=2 blocks=[2,2] char=7\n"
+            "ideal I = x[1,1]^3*x[2,2] + x[1,2]^3*x[2,2], x[1,1]^2, "
+            "x[1,1]*x[2,1], x[1,2]\n"
+            "gb I\n")
+    assert run_cli(tmp_path, text, "--max-basis", "3", "--json") == 3
+    aborted = json.loads(capsys.readouterr().out)["reports"][-1]
+    assert aborted["verdict"] == "aborted"
+    assert aborted["evidence"]["basis_size"] == 4
+    assert run_cli(tmp_path, text, "--max-basis", "4", "--json") == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["evidence"]["size"] == 3
 
 
 def test_cli_resource_limit_json_ends_with_aborted_report(tmp_path, capsys):
