@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -46,8 +47,8 @@ from multigb.monomials import (alexander_dual, is_borel_fixed,
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing, TermOrder, lex, weight_order
 from multigb.script import (CALL_NAMES, CallNode, Command, IntNode,
-                            MatrixDef, NameNode, OpNode, PolyDef, ScriptError,
-                            SessionScript, VarNode, VectorNode, parse)
+                            MatrixDef, NameNode, PolyDef, ScriptError,
+                            SessionScript, SumNode, VarNode, VectorNode, parse)
 
 ASSERTING = {"ugb", "closure", "bounds", "main-theorem"}
 _KIND_TEXT = {"poly": "a polynomial", "ideal": "an ideal",
@@ -83,19 +84,13 @@ def _eval_poly(node, sess: _Session, line: int) -> Polynomial:
         return Polynomial.variable(ring, node.block, node.pos)
     if isinstance(node, NameNode):
         return sess.lookup(node.name, line, "poly")
-    if isinstance(node, OpNode):
-        if node.op == "^":
-            return _eval_poly(node.args[0], sess, line) ** node.args[1].value
-        if node.op == "neg":
-            return -_eval_poly(node.args[0], sess, line)
-        a = _eval_poly(node.args[0], sess, line)
-        b = _eval_poly(node.args[1], sess, line)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
+    if isinstance(node, SumNode):
+        terms = []
+        for sign, factors in node.terms:
+            terms += math.prod((_eval_poly(atom, sess, line) if e is None else
+                                _eval_poly(atom, sess, line) ** e
+                                for atom, e in factors), start=sign).terms
+        return Polynomial(ring, terms)
     raise ScriptError(f"cannot evaluate {_arg_text(node)} as a polynomial",
                       line)
 
@@ -149,7 +144,7 @@ def _arg_text(arg) -> str:
         return f"{arg.func}({', '.join(_arg_text(a) for a in arg.args)})"
     if isinstance(arg, VectorNode):
         return "[" + ",".join(str(v) for v in arg.values) + "]"
-    return "<polynomial>"  # an OpNode
+    return "<polynomial>"  # a SumNode
 
 
 def _term_order(value, ring: BlockRing) -> TermOrder:

@@ -25,17 +25,28 @@ from multigb.errors import RingMismatchError
 DEFAULT_CHARACTERISTIC = 32003
 
 
+# Miller-Rabin with the first 13 primes as bases decides every n below
+# _PRIME_TEST_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
+@lru_cache
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic Miller-Rabin; ValueError at or above the bound where
+    its bases are proven to decide.  Cached, as rings of one characteristic
+    are built over and over."""
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"characteristic {n} is too large: primality is "
+                         f"decided only below {_PRIME_TEST_BOUND}")
+    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0  # n - 1 = d * 2**s with d odd
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return all(pow(a, d, n) == 1
+               or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _PRIME_BASES)
 
 
 # -- exponent-vector helpers -------------------------------------------------

@@ -26,11 +26,14 @@ its principal ideal.  An ideal definition accepts the same, or a list of
 two or more generator polyexprs.
 
 Parsing builds an AST only; name resolution and ring checks happen at
-execution time so every error can cite the statement's line.
+execution time so every error can cite the statement's line.  A polyexpr
+is one flat SumNode of signed products of powers, or the atom itself when
+it is a lone unsigned atom, so only parentheses and calls nest.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 # command -> (fewest, most) positional arguments, and the options it reads
@@ -49,7 +52,11 @@ COMMANDS = {
 
 CALL_NAMES = frozenset({"minors", "colon", "intersect", "sum", "eliminate"})
 
-_SYMBOLS = set("=[]{}(),;*+-^:")
+# one alternative per token kind; blanks and a comment at the end of the
+# text are skipped, and a comment before a newline is part of the newline
+_TOKEN = re.compile(r"(?P<SKIP>[ \t\r]+|#[^\n]*\Z)|(?P<NEWLINE>(?:#[^\n]*)?\n)"
+                    r"|(?P<INT>\d+)|(?P<IDENT>[^\W\d]\w*)"
+                    r"|(?P<SYM>[=\[\]{}(),;*+\-^:])|(?P<BAD>.)")
 
 
 class ScriptError(Exception):
@@ -73,64 +80,30 @@ class Token:
 
 def tokenize(text: str) -> list:
     """Token stream with statement separators resolved: newlines inside any
-    bracketing are soft, ';' at bracket depth zero ends a statement."""
-    raw = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            raw.append(Token("NEWLINE", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            raw.append(Token("INT", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            raw.append(Token("IDENT", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch in _SYMBOLS:
-            raw.append(Token("SYM", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ScriptError(f"unexpected character {ch!r}", line, col)
-
+    bracketing are soft, ';' at bracket depth zero ends a statement.  An END
+    after a comment carries the comment's first column."""
     out = []
-    depth = 0
-    for tok in raw:
-        if tok.kind == "SYM" and tok.text in "([{":
-            depth += 1
-        elif tok.kind == "SYM" and tok.text in ")]}":
-            depth = max(0, depth - 1)
-        if tok.kind == "NEWLINE":
+    line, line_start, last_line, depth = 1, 0, 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "SKIP":
+            continue
+        col = m.start() - line_start + 1
+        last_line = line
+        if kind == "BAD":
+            raise ScriptError(f"unexpected character {word!r}", line, col)
+        if kind == "NEWLINE":
             if depth == 0:
-                out.append(Token("END", ";", tok.line, tok.col))
+                out.append(Token("END", ";", line, col))
+            line, line_start = line + 1, m.end()
             continue
-        if tok.kind == "SYM" and tok.text == ";" and depth == 0:
-            out.append(Token("END", ";", tok.line, tok.col))
-            continue
-        out.append(tok)
-    last_line = raw[-1].line if raw else 1
+        if word in "([{":
+            depth += 1
+        elif word in ")]}":
+            depth = max(0, depth - 1)
+        elif word == ";" and depth == 0:
+            kind = "END"
+        out.append(Token(kind, word, line, col))
     out.append(Token("EOF", "", last_line, 0))
     return out
 
@@ -154,9 +127,8 @@ class NameNode:
 
 
 @dataclass(frozen=True)
-class OpNode:
-    op: str  # "+", "-", "*", "^", "neg"
-    args: tuple
+class SumNode:
+    terms: tuple  # (sign, factors) pairs; a factor is (atom, exponent|None)
 
 
 @dataclass(frozen=True)
@@ -285,30 +257,30 @@ class _Parser:
     # expression grammar: sum of products of powers of atoms
 
     def parse_poly(self):
-        node = self.parse_term()
+        """A SumNode, or the atom itself when the sum is one unsigned atom
+        with no exponent."""
+        signed = self.at_sym("-")
+        terms = [self.parse_term()]
         while self.at_sym("+") or self.at_sym("-"):
-            op = self.advance().text
-            rhs = self.parse_term()
-            node = OpNode(op, (node, rhs))
-        return node
+            terms.append(self.parse_term(-1 if self.advance().text == "-"
+                                         else 1))
+        (atom, exponent), *rest = terms[0][1]
+        if not signed and len(terms) == 1 and not rest and exponent is None:
+            return atom
+        return SumNode(tuple(terms))
 
-    def parse_term(self):
-        if self.at_sym("-"):
+    def parse_term(self, sign: int = 1) -> tuple:
+        while self.at_sym("-"):
             self.advance()
-            return OpNode("neg", (self.parse_term(),))
-        node = self.parse_power()
-        while self.at_sym("*"):
-            self.advance()
-            node = OpNode("*", (node, self.parse_power()))
-        return node
+            sign = -sign
+        return sign, tuple(self.parse_list(self.parse_power, "*"))
 
-    def parse_power(self):
-        base = self.parse_atom()
+    def parse_power(self) -> tuple:
+        atom = self.parse_atom()
         if self.at_sym("^"):
             self.advance()
-            exponent = self.expect_int()
-            return OpNode("^", (base, IntNode(exponent)))
-        return base
+            return atom, self.expect_int()
+        return atom, None
 
     def parse_atom(self):
         tok = self.peek()
@@ -488,5 +460,10 @@ class _Parser:
 
 
 def parse(text: str) -> SessionScript:
-    return _Parser(tokenize(text)).parse_script()
+    parser = _Parser(tokenize(text))
+    try:
+        return parser.parse_script()
+    except RecursionError:  # only parentheses and calls nest
+        raise ScriptError("expression nested too deeply",
+                          parser.peek().line) from None
 

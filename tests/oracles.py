@@ -20,6 +20,7 @@ from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                is_radical_monomial, support)
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing, TermOrder, degrevlex, exp_divides
+from multigb.script import ScriptError, Token
 
 
 def order_key(order: TermOrder, exp: tuple) -> tuple:
@@ -420,3 +421,71 @@ def groebner_basis(gens, matrix, p):
         reduced.append([(e, c * inv % p) for e, c in r])
     return sorted(reduced, key=lambda g: [sum(map(mul, row, g[0][0]))
                                           for row in matrix], reverse=True)
+
+
+def tokenize(text: str) -> list:
+    """The script tokenizer as two passes: a character loop that keeps
+    newlines as NEWLINE tokens, then a pass that tracks bracket depth and
+    turns a newline or ';' at depth zero into END.  A comment does not
+    advance the column, so an END after one carries its first column.  The
+    reference for ``script.tokenize`` on characters whose ``isdigit()``
+    equals their ``isdecimal()``."""
+    raw = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "\n":
+            raw.append(Token("NEWLINE", "\n", line, col))
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit():
+            start = i
+            while i < n and text[i].isdigit():
+                i += 1
+            raw.append(Token("INT", text[start:i], line, col))
+            col += i - start
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            raw.append(Token("IDENT", text[start:i], line, col))
+            col += i - start
+            continue
+        if ch in "=[]{}(),;*+-^:":
+            raw.append(Token("SYM", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ScriptError(f"unexpected character {ch!r}", line, col)
+
+    out = []
+    depth = 0
+    for tok in raw:
+        if tok.kind == "SYM" and tok.text in "([{":
+            depth += 1
+        elif tok.kind == "SYM" and tok.text in ")]}":
+            depth = max(0, depth - 1)
+        if tok.kind == "NEWLINE":
+            if depth == 0:
+                out.append(Token("END", ";", tok.line, tok.col))
+            continue
+        if tok.kind == "SYM" and tok.text == ";" and depth == 0:
+            out.append(Token("END", ";", tok.line, tok.col))
+            continue
+        out.append(tok)
+    last_line = raw[-1].line if raw else 1
+    out.append(Token("EOF", "", last_line, 0))
+    return out

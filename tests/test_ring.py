@@ -28,6 +28,31 @@ def test_ring_validation():
         BlockRing((2, 2), characteristic=1)
 
 
+
+@pytest.mark.parametrize("n", [10 ** 18 + 9, 2 ** 61 - 1, 32003, 2, 41, 43])
+def test_large_prime_characteristics_are_accepted(n):
+    assert BlockRing((2,), n).characteristic == n
+
+
+# 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to the bases 2, 3,
+# 5 and 7; 561 is a Carmichael number; the last is the primality bound
+@pytest.mark.parametrize("n", [10 ** 18 + 7, 561, 3215031751, 41 * 43,
+                               3317044064679887385961981, 10 ** 30])
+def test_composite_or_too_large_characteristics_are_rejected(n):
+    with pytest.raises(ValueError, match="characteristic"):
+        BlockRing((2,), n)
+
+
+def test_small_characteristics_match_trial_division():
+    for n in range(-2, 3000):
+        prime = n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        try:
+            BlockRing((1,), n)
+        except ValueError:
+            assert not prime, n
+        else:
+            assert prime, n
+
 def test_variable_indexing_round_trip():
     R = BlockRing((2, 3))
     assert R.var_index(1, 1) == 0

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from multigb.cli import _eval_poly, _Session, build_arg_parser, main
+from multigb.determinantal import build_column_graded, minors
 from multigb.errors import InternalConsistencyError
 from multigb.groebner import Ideal, exact_divide
 from multigb.poly import Polynomial
@@ -71,6 +74,37 @@ def test_tokenize_rejects_unknown_character():
     with pytest.raises(ScriptError) as e:
         tokenize("poly f = @")
     assert "line 1" in str(e.value)
+
+
+# every symbol, blanks, both kinds of digit and of letter, and words the
+# grammar reads; no character whose isdigit() differs from its isdecimal()
+TOKEN_PIECES = (list("abxyzXY_é19٣ \t\r\n\f#") + list("=[]{}(),;*+-^:")
+                + ["ring", "x[1,2]", "main-theorem"])
+
+
+def tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ScriptError as e:
+        return str(e)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=30).map("".join))
+@example("gb I  # trailing comment\ncs J")
+@example("f = (x;\n y) ; # last")
+def test_tokenize_equals_the_two_pass_tokenizer(text):
+    assert tokens_or_error(tokenize, text) == \
+        tokens_or_error(oracles.tokenize, text)
+
+
+def test_tokenize_reads_a_superscript_digit_as_a_name():
+    # isdigit() but not isdecimal(): not an integer, so it cannot be an
+    # exponent
+    assert [(t.kind, t.text) for t in tokenize("x^²")][1:3] == [
+        ("SYM", "^"), ("IDENT", "²")]
+    with pytest.raises(ScriptError, match="expected an integer, found '²'"):
+        parse("ring v=1 blocks=[2] char=101\npoly f = x[1,1]^²\n")
 
 
 # -- parser ----------------------------------------------------------------------
@@ -188,6 +222,50 @@ def test_polynomial_str_round_trips():
     ]
     for f in cases:
         assert parsed_poly(str(f), R) == f
+
+
+# an expression is (text, value, precedence); a subexpression below the
+# precedence its place needs is parenthesized
+SUM, NEG, PROD, POW, ATOM = range(5)
+
+
+def operand(expr, least):
+    text, value, prec = expr
+    return text if prec >= least else f"({text})"
+
+
+def combine(parts):
+    left, op, right = parts
+    if op == "*":
+        return (f"{operand(left, PROD)}*{operand(right, PROD)}",
+                left[1] * right[1], PROD)
+    value = left[1] + right[1] if op == "+" else left[1] - right[1]
+    return f"{operand(left, SUM)} {op} {operand(right, NEG)}", value, SUM
+
+
+def expressions(R):
+    atoms = (st.integers(0, 12).map(
+                 lambda c: (str(c), Polynomial.constant(R, c), ATOM))
+             | st.sampled_from([(R.var_label(k), Polynomial.variable(
+                 R, *R.var_pair(k)), ATOM) for k in range(R.nvars)]))
+
+    def extend(inner):
+        return (st.tuples(inner, st.sampled_from("+-*"), inner).map(combine)
+                | st.tuples(inner, st.integers(0, 3)).map(
+                    lambda a: (f"{operand(a[0], ATOM)}^{a[1]}",
+                               a[0][1] ** a[1], POW))
+                | inner.map(lambda a: (f"-{operand(a, NEG)}", -a[1], NEG))
+                | inner.map(lambda a: (f"({a[0]})", a[1], ATOM)))
+
+    return st.recursive(atoms, extend, max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expressions(BlockRing((2, 1), 7)))
+@example(("--x[1,1]", Polynomial.variable(BlockRing((2, 1), 7), 1, 1), NEG))
+def test_parsed_expressions_evaluate_to_the_polynomial_they_render(expr):
+    text, value, _ = expr
+    assert parsed_poly(text, BlockRing((2, 1), 7)) == value
 
 
 # -- CLI end to end ----------------------------------------------------------------
@@ -648,6 +726,19 @@ def test_cli_report_inputs_name_calls_and_polynomials(tmp_path, capsys):
     assert report["verdict"] == "yes"
 
 
+@pytest.mark.parametrize("expr, text", [
+    ("x[1,2]", "x[1,2]"), ("(x[1,2])", "x[1,2]"), ("((f))", "f"),
+    ("(7)", "7"), ("x[1,2]^1", "<polynomial>"),
+    ("(-x[1,2])", "<polynomial>"), ("(--x[1,2])", "<polynomial>"),
+    ("x[1,2]*1", "<polynomial>"),
+])
+def test_cli_report_inputs_name_only_a_lone_unsigned_atom(tmp_path, capsys,
+                                                           expr, text):
+    assert run_cli(tmp_path, SESSION + f"member I {expr}\n", "--json") == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["inputs"] == ["I", text]
+
+
 def test_cli_script_without_a_trailing_newline(tmp_path, capsys):
     assert run_cli(tmp_path, SESSION + "member I x[1,2] expect=yes") == 0
     assert capsys.readouterr().out == "[member] I x[1,2]: yes (ok)\n"
@@ -867,3 +958,83 @@ def test_cli_gb_of_a_huge_power(tmp_path, capsys):
     text = "ring v=1 blocks=[2] char=32003\nideal I = x[1,1]^40000\ngb I\n"
     assert run_cli(tmp_path, text) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["  x[1,1]^40000"]
+
+
+# -- the front end on long and deeply nested input -------------------------------
+
+def run_process(text, *flags):
+    """Run ``multigb.cli`` in a new process on ``text`` fed through stdin;
+    whatever the exit code, nothing may end in a traceback."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "multigb.cli", "-", *flags],
+                          input=text, capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert "Traceback" not in done.stderr, done.stderr
+    return done
+
+
+def test_cli_a_printed_maximal_minor_parses_back():
+    # a column-graded 5x5 maximal minor with blocks of 5 has 5^5 terms
+    A = build_column_graded(5, (5,) * 5, seed=0)
+    (f,) = minors(A, 5)
+    assert len(f) == 3125
+    assert parsed_poly(str(f), A.ring) == f
+    done = run_process("ring v=5 blocks=[5,5,5,5,5] char=32003\n"
+                       f"poly f = {f}\nideal I = f\ngb I\n", "--json")
+    assert done.returncode == 0, done.stderr
+    (report,) = json.loads(done.stdout)["reports"]
+    assert report["evidence"]["generators"] == [str(f.monic())]
+
+
+@pytest.mark.parametrize("expr, printed", [
+    ("*".join(["x[1,1]"] * 2000), "x[1,1]^2000"),
+    ("-" * 2000 + "x[1,2]", "x[1,2]"),
+    ("-" * 2001 + "x[1,2]", "x[1,2]"),
+])
+def test_cli_long_products_and_sign_runs(expr, printed):
+    done = run_process(f"ring v=1 blocks=[2] char=32003\nideal I = {expr}\n"
+                       "gb I\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1:] == [f"  {printed}"]
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("x[1,1]^²", "expected an integer, found '²'"),
+    ("(" * 3000 + "x[1,1]" + ")" * 3000,
+     "line 2: expression nested too deeply"),
+])
+def test_cli_bad_expressions_exit_2(expr, message):
+    done = run_process(f"ring v=1 blocks=[2] char=32003\npoly f = {expr}\n")
+    assert done.returncode == 2
+    assert message in done.stderr
+
+
+def test_cli_deeply_nested_calls_exit_2(tmp_path, capsys):
+    text = ("ring v=1 blocks=[2] char=32003\nideal I = "
+            + "sum(" * 3000 + "x[1,1]" + ", 0)" * 3000 + "\n")
+    assert run_cli(tmp_path, text) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+P18 = 10 ** 18 + 9  # prime, and P18 - 2 is not
+
+
+@pytest.mark.parametrize("char, flags, code", [
+    (P18, (), 0),
+    (101, ("--char", str(P18)), 0),
+    (P18 - 2, (), 2),
+    (101, ("--char", str(P18 - 2)), 2),
+    (2 ** 61 - 1, (), 0),
+    (3317044064679887385961981, (), 2),
+])
+def test_cli_large_characteristics_are_decided_at_once(tmp_path, capsys,
+                                                       char, flags, code):
+    started = time.perf_counter()
+    text = (f"ring v=1 blocks=[2] char={char}\n"
+            "ideal I = x[1,1]^2 - 3*x[1,2]^2\ngb I\n")
+    assert run_cli(tmp_path, text, *flags) == code
+    assert time.perf_counter() - started < 1
+    if code == 2:
+        assert "characteristic" in capsys.readouterr().err
