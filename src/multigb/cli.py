@@ -21,7 +21,8 @@ Exit codes: 0 all asserted checks pass; 1 a check failed or the engine
 detected an internal inconsistency; 2 usage, parse, or semantic error;
 3 resource-guard abort (partial JSON still flushed, ending with an
 "aborted" report for the command, or the call defining an ideal, that hit
-the guard).
+the guard); 141 stdout was closed before the output was written, as a
+shell reports a writer killed by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -514,7 +516,15 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return run_script(script, flags)
+    try:
+        code = run_script(script, flags)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # the reader left early; send what is left to devnull, so that the
+        # interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
+    return code
 
 
 if __name__ == "__main__":

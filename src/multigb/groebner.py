@@ -38,7 +38,8 @@ class EngineLimits:
     can abort on an ideal whose reduced basis fits the cap; for a monomial
     ideal, which runs no Buchberger, it caps the minimal generators.
     ``max_terms`` caps the terms of a reduction in progress and of each
-    element an S-pair adds.
+    element that enters the working basis, a generator that no reduction
+    step touched included.
     """
     max_basis: int = 5000
     max_terms: int = 100_000
@@ -301,6 +302,9 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
         lcm_data = _lcm_data(layout, multidegree)
 
     def grow(r: list) -> None:
+        if len(r) > limits.max_terms:
+            raise ResourceLimitError(
+                f"element exceeded {limits.max_terms} terms")
         _gm_update(basis, pairs, heap, _monic(r, p), layout, lcm_data, seq)
         if len(basis) > limits.max_basis:
             raise ResourceLimitError(
@@ -329,9 +333,6 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
             s = kernel.spoly(basis[i], basis[j], gamma, key, layout, p)
             r = kernel.normal_form(s, basis, layout, p, limits.max_terms)
             if r:
-                if len(r) > limits.max_terms:
-                    raise ResourceLimitError(
-                        f"element exceeded {limits.max_terms} terms")
                 grow(r)
         if bound is not None:
             return basis

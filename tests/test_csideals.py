@@ -1,5 +1,7 @@
 """Membership tests, duality, closure operations, sampled universal bases."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -514,6 +516,42 @@ def test_closure_suite_derived_series_equal_computed_ones(monkeypatch):
                 pass
             assert set(judged) == expected
     assert quotients > 30
+
+
+# SHA-256 of the transcripts below as closure_suite gave them when it read
+# every series afresh, I's own series included
+CLOSURE_TRANSCRIPTS = (
+    "0a9d782f51feb7ce233c551f492327d526669541996319407b4e074b118f2764")
+
+
+def test_closure_suite_reads_each_series_once_per_call(monkeypatch):
+    # a reading is a function of its model, ring and series, so a call
+    # reads each distinct one once; the next call reads them again
+    reads = []
+    for name in ("_radical_model", "_first_variables_model"):
+        def spy(ring, series, model=getattr(csideals, name), name=name):
+            reads.append((name, ring, series))
+            return model(ring, series)
+        monkeypatch.setattr(csideals, name, spy)
+
+    pool = cs_instance_pool(8, seed=4) + csstar_instance_pool(8, seed=8)
+    rng = random.Random(31)
+    transcripts, saved = [], 0
+    for I in pool:
+        R = I.ring
+        own = {(name, R, I.hilbert_series())
+               for name in ("_radical_model", "_first_variables_model")}
+        for L in (x(R, 1, R.block_sizes[0]), random_linear_form(R, rng)):
+            reads.clear()
+            out = closure_suite(I, L)
+            assert len(reads) == len(set(reads))
+            assert own <= set(reads)
+            saved += 2 + sum(c["applicable"] for c in out["checks"]) \
+                - len(reads)
+            transcripts.append(out)
+    assert saved > 0
+    text = json.dumps(transcripts, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLOSURE_TRANSCRIPTS
 
 
 def test_ugb_check_positive_for_maximal_minors():

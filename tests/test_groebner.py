@@ -230,12 +230,14 @@ def test_resource_limits(R33):
     J = Ideal(R33, gens, limits=EngineLimits(max_terms=1))
     with pytest.raises(ResourceLimitError):
         J.groebner_basis()
-    # the abort carries the driver's partial state, also in its message
-    for limits in (EngineLimits(max_basis=2), EngineLimits(max_terms=1)):
+    # the abort carries the driver's partial state, also in its message; a
+    # two-term minor meets max_terms=1 as it enters the empty basis
+    for limits, size in ((EngineLimits(max_basis=2), 3),
+                         (EngineLimits(max_terms=1), 0)):
         with pytest.raises(ResourceLimitError) as info:
             Ideal(R33, gens, limits=limits).groebner_basis()
         err = info.value
-        assert isinstance(err.basis_size, int) and err.basis_size >= 1
+        assert err.basis_size == size
         assert isinstance(err.pending_pairs, int) and err.pending_pairs >= 0
         assert err.degree >= 2
         assert (f"basis size {err.basis_size}, {err.pending_pairs} pending "
@@ -246,19 +248,39 @@ def test_resource_limits(R33):
 
 
 def test_max_terms_caps_an_element_that_needs_no_reduction():
-    # under lex the S-polynomial of the two generators is x[1,2]^2 -
-    # x[1,3]^2, which no lead divides: the reduction takes no step, so only
-    # the check on the new element sees its two terms
+    # under lex the S-polynomial of the two three-term generators is
+    # x[1,3]^2 + x[1,3] - x[1,2]^2 - x[1,2], which no lead divides: the
+    # reduction takes no step, so only the check on the new element sees
+    # its four terms
     R = BlockRing((3,))
     a, b, c = (x(R, 1, j) for j in (1, 2, 3))
+    one = Polynomial.one(R)
     spoly = mock.Mock(wraps=kernel.spoly)
     with mock.patch.object(kernel, "spoly", spoly), \
-            pytest.raises(ResourceLimitError, match="element exceeded 1 "
+            pytest.raises(ResourceLimitError, match="element exceeded 3 "
                           "terms") as info:
-        Ideal(R, [a * b + c, a * c + b],
-              EngineLimits(max_terms=1)).groebner_basis(lex(R))
+        Ideal(R, [a * b + c + one, a * c + b + one],
+              EngineLimits(max_terms=3)).groebner_basis(lex(R))
     assert spoly.call_count == 1
     assert (info.value.basis_size, info.value.pending_pairs) == (2, 0)
+
+
+def test_max_terms_caps_a_generator_that_enters_unreduced():
+    # a first generator enters the empty basis as it is, and no lead divides
+    # a term of a^2 + b + c after b^2 + c: no reduction step sees its terms
+    R = BlockRing((3,))
+    a, b, c = (x(R, 1, j) for j in (1, 2, 3))
+    f, g = a ** 2 + b + c, b ** 2 + c
+    with pytest.raises(ResourceLimitError, match="element exceeded 1 "
+                       "terms") as info:
+        Ideal(R, [f, g], EngineLimits(max_terms=1)).groebner_basis()
+    assert (info.value.basis_size, info.value.pending_pairs) == (0, 0)
+    with pytest.raises(ResourceLimitError, match="element exceeded 2 "
+                       "terms") as info:
+        Ideal(R, [g, f], EngineLimits(max_terms=2)).groebner_basis()
+    assert (info.value.basis_size, info.value.pending_pairs) == (1, 0)
+    G = Ideal(R, [f, g], EngineLimits(max_terms=3)).groebner_basis()
+    assert sorted(len(h.terms) for h in G) == [2, 3]
 
 
 def test_max_basis_is_checked_as_the_basis_grows(R33):

@@ -297,6 +297,14 @@ def test_cli_checks_expect_before_the_command_runs(tmp_path, capsys,
     assert "line 3: expect= takes yes or no" in capsys.readouterr().err
 
 
+def process_env() -> dict:
+    """The environment of a new process that imports this checkout's
+    ``multigb``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("command, code, verdicts", [
     ("cs I expect=yes", 0, ["yes"]),
     ("cs I expect=no", 1, ["yes"]),
@@ -304,17 +312,33 @@ def test_cli_checks_expect_before_the_command_runs(tmp_path, capsys,
 ])
 def test_cli_process_reads_stdin_and_exits_with_its_code(command, code,
                                                          verdicts):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-m", "multigb.cli", "-", "--json"],
         input=f"ring v=1 blocks=[2] char=32003\nideal I = x[1,1]\n{command}\n",
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=process_env(), timeout=60)
     assert done.returncode == code, done.stderr
     payload = json.loads(done.stdout)
     assert payload["schema"] == 1 and payload["blocks"] == [2]
     assert [r["verdict"] for r in payload["reports"]] == verdicts
+
+
+@pytest.mark.parametrize("flags", [["--json"], []])
+def test_cli_process_exits_141_when_stdout_closes_early(flags):
+    # the reader of stdout is gone before the script is even read, so the
+    # first write or flush to stdout meets a broken pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multigb.cli", "-", *flags],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=process_env())
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(
+            "ring v=2 blocks=[2,2] char=7\nideal I = x[1,1]*x[2,1]\n"
+            "cs I expect=yes\nclosure I\n", timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_cli_informational_commands_do_not_fail(tmp_path, capsys):
@@ -965,12 +989,9 @@ def test_cli_gb_of_a_huge_power(tmp_path, capsys):
 def run_process(text, *flags):
     """Run ``multigb.cli`` in a new process on ``text`` fed through stdin;
     whatever the exit code, nothing may end in a traceback."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "multigb.cli", "-", *flags],
-                          input=text, capture_output=True, text=True, env=env,
-                          timeout=120)
+                          input=text, capture_output=True, text=True,
+                          env=process_env(), timeout=120)
     assert "Traceback" not in done.stderr, done.stderr
     return done
 
