@@ -390,7 +390,8 @@ def closure_suite(I: Ideal, L: Polynomial, seed: int = 0) -> dict:
     ring = I.ring
     b = _graded_linear_block(L) - 1  # rejects zero and non-linear forms
     own = I.hilbert_series()
-    cs, star = is_cs(I).gin_result, is_csstar(I).gin_result
+    cs = _radical_model(ring, own)[0]
+    star = _first_variables_model(ring, own)[0]
     in_cs, in_star = cs is not None, star is not None
     if not (in_cs or in_star):
         raise HypothesisNotSatisfiedError(

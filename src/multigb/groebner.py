@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import count
-from operator import le
+from operator import le, mul
 from typing import Callable, Iterable, Sequence
 
 from multigb import kernel
@@ -355,10 +355,15 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
 
 def _by_order(exps: Iterable[tuple], matrix: tuple) -> list:
     """Exponent tuples sorted descending under ``matrix``, as
-    ``_buchberger`` sorts the leads of a reduced basis: by the order key
-    of the narrowest ``kernel.layout`` holding their largest entry."""
+    ``_buchberger`` sorts the leads of a reduced basis.  The first row
+    decides when no two exponents tie on it; else they are sorted by the
+    order key of the narrowest ``kernel.layout`` holding their largest
+    entry."""
     exps = list(exps)
-    top = max((max(e) for e in exps), default=0)
+    scores = [sum(map(mul, matrix[0], e)) for e in exps]
+    if len(set(scores)) == len(scores):
+        return [e for _, e in sorted(zip(scores, exps), reverse=True)]
+    top = max(map(max, exps))
     key = kernel.layout(matrix, kernel.fields(1, top).bits).key
     return sorted(exps, key=key, reverse=True)
 

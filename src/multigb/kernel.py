@@ -4,8 +4,10 @@ This module implements the hot inner loops of the Groebner engine: term
 sorting and products of tuple polynomials for ``Polynomial``,
 s-polynomials and multivariate division on packed terms for the Buchberger
 loop, the minimal elements of packed monomials under divisibility
-(``minimal``), and the expansion of a substitution of variables
-(``expand``) on packed monomials for ``Polynomial.substitute``.  Terms
+(``minimal``), the expansion of a substitution of variables (``expand``)
+on packed monomials for ``Polynomial.substitute``, and the top-scoring
+term of each polynomial under many order rows at once (``row_leads``) for
+``poly.lead_exponents``.  Terms
 are added one way throughout: summed in a dict keyed by monomial or order
 key (a sum of tuple polynomials is ``sort_terms`` of their joined term
 lists); ``normal_form`` also keeps a heap of its keys, to take the largest
@@ -26,7 +28,7 @@ Data conventions:
   starts and unpacked once when it ends.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from operator import lshift, mul
 
@@ -141,6 +143,49 @@ class Fields:
         d = ((a | self.guard) - b) & self.guard
         m = d - (d >> (self.bits - 1))
         return (a & m) | (b & ~m)
+
+
+def row_leads(polys, rows):
+    """For each nonzero tuple polynomial of ``polys``, a tuple with one
+    entry per row of ``rows`` (int vectors): 1 + the index of the one term
+    e with the largest ``row·e``, or 0 when several terms reach it, or the
+    row has a negative entry.
+
+    All rows are scored at once, in the lanes of one ``Fields`` with one
+    field per row: column v packs variable v's entry of every row, and a
+    term's packed score is the sum of its exponents times the columns.
+    The lane-wise maximum is the packed lcm of the scores.  The guard-bit
+    zero test of (maximum - score) marks, in each lane, the terms that
+    reach the maximum; their count and the sum of their 1-based indices
+    are summed lane-wise, and a lane of count 1 holds the index.  A lane
+    holds every score, count and index sum, so no lane carries into the
+    next.  A row with a negative entry is scored as the zero row, and its
+    lane reads 0."""
+    if not rows or not polys:
+        return [() for _ in polys]
+    scored = [min(row) >= 0 for row in rows]
+    rows = [row if ok else (0,) * len(row) for row, ok in zip(rows, scored)]
+    degree = max(1, max(sum(e) for f in polys for e, _ in f))
+    most = max(map(len, polys))
+    top = max(max(map(max, rows)) * degree, most * (most + 1) // 2)
+    lanes = fields(len(rows), top)
+    columns = [lanes.monomial(column) for column in zip(*rows)]
+    guard, low = lanes.guard, lanes.bits - 1
+    ones = sum(lanes.units)
+    scored_guard = sum(u for u, ok in zip(lanes.units, scored) if ok) << low
+    out = []
+    for f in polys:
+        scores = [sum(map(mul, e, columns)) for e, _ in f]
+        best = reduce(lanes.lcm, scores)
+        count = indices = 0
+        for index, s in enumerate(scores, 1):
+            # a zero lane of best - s borrows its guard bit away
+            hit = (guard ^ ((best - s | guard) - ones) & guard) >> low
+            count += hit
+            indices += index * hit
+        once = scored_guard ^ ((count - ones | guard) - ones) & scored_guard
+        out.append(lanes.exponents(indices & once - (once >> low)))
+    return out
 
 
 def minimal(packed, guard):

@@ -7,7 +7,7 @@ ring's storage order.  The zero polynomial has an empty term list.
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from multigb import kernel
@@ -276,32 +276,17 @@ def lead_exponents(polys: Sequence[Polynomial],
     """The lead exponents of ``polys`` under each of ``orders``, one list
     per order: ``[p.lead_exp(o) for p in polys]`` for every o.
 
-    Every term of a polynomial is scored under the first rows of all
-    orders at once: column v holds variable v's entry in each first row,
-    and a term's scores add its support's columns, scaled by the exponent.
-    A matrix order compares the first row first, so a unique top score
-    marks the lead; a tie falls back to ``lead_term`` for that order."""
-    if not orders:
-        return []
-    columns = list(zip(*(o.rows[0] for o in orders)))
-    zeros = [0] * len(orders)
-    out = [[] for _ in orders]
-    for p in polys:
-        terms = p._terms
-        if not terms:
-            raise ValueError("zero polynomial has no lead term")
-        per_term = []
-        for exp, _ in terms:
-            scores = zeros
-            for v, e in enumerate(exp):
-                if e:
-                    column = columns[v]
-                    if e > 1:
-                        column = [e * c for c in column]
-                    scores = list(map(add, scores, column))
-            per_term.append(scores)
-        for leads, o, scores in zip(out, orders, zip(*per_term)):
-            best = max(scores)
-            leads.append(terms[scores.index(best)][0]
-                         if scores.count(best) == 1 else p.lead_exp(o))
-    return out
+    A matrix order compares the first row first, so a term with the only
+    top first-row score is the lead.  ``kernel.row_leads`` scores every
+    term under the first rows of all orders at once; a tie, or a first row
+    with a negative entry, falls back to ``lead_exp`` for that order."""
+    if any(p.is_zero for p in polys):
+        raise ValueError("zero polynomial has no lead term")
+    firsts = kernel.row_leads([p._terms for p in polys],
+                              [o.rows[0] for o in orders])
+    per_poly = [[p._terms[k - 1][0] if k else p.lead_exp(o)
+                 for k, o in zip(ks, orders)]
+                for p, ks in zip(polys, firsts)]
+    if not per_poly:
+        return [[] for _ in orders]
+    return [list(leads) for leads in zip(*per_poly)]

@@ -7,7 +7,7 @@ library code it checks.
 from __future__ import annotations
 
 import itertools
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from multigb import kernel
@@ -27,6 +27,61 @@ def order_key(order: TermOrder, exp: tuple) -> tuple:
     """The order matrix times ``exp``; monomials compare by these vectors
     lexicographically.  The reference for the kernel's packed order keys."""
     return tuple(sum(map(mul, row, exp)) for row in order.rows)
+
+
+def lead_exponents(polys: Sequence[Polynomial],
+                   orders: Sequence[TermOrder]) -> list:
+    """Reference for ``poly.lead_exponents``: every term scored under the
+    first rows of all orders in a list of ints, one per order; a unique top
+    score marks the lead, and a tie falls back to ``lead_exp``."""
+    if not orders:
+        return []
+    columns = list(zip(*(o.rows[0] for o in orders)))
+    zeros = [0] * len(orders)
+    out = [[] for _ in orders]
+    for p in polys:
+        terms = p.terms
+        if not terms:
+            raise ValueError("zero polynomial has no lead term")
+        per_term = []
+        for exp, _ in terms:
+            scores = zeros
+            for v, e in enumerate(exp):
+                if e:
+                    column = columns[v]
+                    if e > 1:
+                        column = [e * c for c in column]
+                    scores = list(map(add, scores, column))
+            per_term.append(scores)
+        for leads, o, scores in zip(out, orders, zip(*per_term)):
+            best = max(scores)
+            leads.append(terms[scores.index(best)][0]
+                         if scores.count(best) == 1 else p.lead_exp(o))
+    return out
+
+
+def row_leads(polys: Sequence[list], rows: Sequence[tuple]) -> list:
+    """Reference for ``kernel.row_leads``: each row scored term by term."""
+    out = []
+    for f in polys:
+        leads = []
+        for row in rows:
+            scores = [sum(map(mul, row, e)) for e, _ in f]
+            best = max(scores)
+            unique = min(row) >= 0 and scores.count(best) == 1
+            leads.append(scores.index(best) + 1 if unique else 0)
+        out.append(tuple(leads))
+    return out
+
+
+def by_order(exps, matrix: tuple) -> list:
+    """Reference for ``groebner._by_order``: exponent tuples sorted
+    descending by the order key of the narrowest ``kernel.layout`` holding
+    their largest entry."""
+    exps = list(exps)
+    top = max((max(e) for e in exps), default=0)
+    key = kernel.layout(matrix, kernel.fields(1, top).bits).key
+    return sorted(exps, key=key, reverse=True)
 
 
 def degrevlex_blocks_reversed(ring: BlockRing) -> TermOrder:

@@ -277,7 +277,7 @@ def random_ideal(kind: str, characteristic: int, seed: int) -> Ideal:
     return ideal_from_monomials(random_squarefree_ideal(R, rng))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.sampled_from(["graded", "monomial", "squarefree"]),
        st.sampled_from([2, 3, 32003]), st.integers(0, 2 ** 32))
 def test_series_verdicts_match_gin_on_random_ideals(kind, characteristic,
@@ -448,6 +448,21 @@ def test_closure_suite_builds_neither_colon_nor_moved_copy(monkeypatch):
     assert [(c["item"], c["verdict"], c["detail"]) for c in out["checks"]
             if c["item"] in (1, 5) and c["detail"]] == [
         (1, "yes", "dropped x[1,2]"), (5, "yes", "dropped x[1,2]")]
+
+
+def test_closure_suite_formats_no_membership_report(monkeypatch):
+    # I's two model ideals are read directly: no report, so no generator
+    # strings for an evidence dict the suite would throw away
+    def refuse(*args):
+        raise AssertionError("closure_suite built a membership report")
+
+    pool = cs_instance_pool(4, seed=4) + csstar_instance_pool(4, seed=8)
+    for name in ("is_cs", "is_csstar"):
+        monkeypatch.setattr(csideals, name, refuse)
+    monkeypatch.setattr(MonomialIdeal, "generator_strings", refuse)
+    for I in pool:
+        R = I.ring
+        assert closure_suite(I, x(R, 1, R.block_sizes[0]))["passed"]
 
 
 def test_closure_suite_rejects_nonlinear_form():

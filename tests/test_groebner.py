@@ -29,7 +29,7 @@ from oracles import degrevlex_blocks_reversed
 from oracles import groebner_basis as groebner_basis_oracle
 from oracles import intersect_monomial, quotient_by_linear_form
 from oracles import normal_form as normal_form_oracle
-from test_kernel import orders
+from test_kernel import lead_cases, orders
 
 
 def x(R, i, j):
@@ -1096,7 +1096,7 @@ SCALED_COLON = (Ideal(R22, [x(R22, 1, 1) ** 2 * x(R22, 2, 2),
                 x(R22, 1, 1) * 5 + x(R22, 1, 2) * 7)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(graded_colons())
 @example(SCALED_COLON)
 def test_linear_colon_matches_elimination(case):
@@ -1104,7 +1104,7 @@ def test_linear_colon_matches_elimination(case):
     assert I.colon(L).equals(colon_by_elimination(I, L))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(graded_colons())
 @example(SCALED_COLON)
 def test_linear_colon_carries_its_hilbert_series(case):
@@ -1201,3 +1201,14 @@ def test_linear_colon_guard_catches_a_wrong_order(monkeypatch):
     monkeypatch.setattr(groebner, "_linear_move", first_not_last)
     with pytest.raises(InternalConsistencyError):
         I.colon(x(R, 1, 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lead_cases())
+def test_by_order_equals_the_layout_sort(case):
+    # first rows that tie: lex, degrevlex, elimination and small weights
+    polys, orders = case
+    exps = list({e for f in polys for e, _ in f.terms})
+    for o in orders:
+        assert groebner._by_order(exps, o.rows) == oracles.by_order(
+            exps, o.rows)

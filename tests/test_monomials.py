@@ -36,7 +36,7 @@ def test_minimal_antichain():
     assert not I.contains_monomial((0, 5, 5))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_minimal_generators_match_divisibility(data):
     n = data.draw(st.integers(1, 5))
@@ -292,7 +292,7 @@ def numerator_cases(draw):
     return MonomialIdeal(R, [tuple(e) for e in gens]), kind
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(numerator_cases())
 def test_hilbert_numerator_matches_inclusion_exclusion(case):
     I, kind = case

@@ -5,12 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from multigb.csideals import sample_orders
 from multigb.errors import RingMismatchError
 from multigb.groebner import exact_divide
 from multigb.poly import Polynomial, lead_exponents
-from multigb.ring import (BlockRing, TermOrder, degrevlex, elimination_order,
-                          lex, weight_order)
+from multigb.ring import BlockRing, TermOrder, degrevlex, lex, weight_order
+from test_kernel import lead_cases
 
 
 @pytest.fixture
@@ -214,7 +213,7 @@ def polys_and_orders(draw):
     return f, order
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(polys_and_orders())
 def test_lead_term_is_max_of_order_keys(case):
     f, order = case
@@ -222,36 +221,12 @@ def test_lead_term_is_max_of_order_keys(case):
         f.terms, key=lambda t: oracles.order_key(order, t[0]))
 
 
-@st.composite
-def polys_and_order_lists(draw):
-    """Polynomials (non-squarefree, inhomogeneous, single-term, constant)
-    and a list of orders whose first rows tie on many terms: lex and
-    degrevlex under permutations, an elimination order, and a weight order
-    with a constant weight, whose first row ties every term of a degree."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    R = BlockRing(sizes)
-    n = R.nvars
-    exps = st.tuples(*[st.integers(0, 3)] * n)
-    polys = [Polynomial(R, terms) for terms in draw(st.lists(
-        st.lists(st.tuples(exps, st.integers(1, 100)), min_size=1,
-                 max_size=12), max_size=4))]
-    polys.append(Polynomial.monomial(R, draw(exps), draw(st.integers(1, 100))))
-    polys.append(Polynomial.constant(R, draw(st.integers(1, 100))))
-    orders = sample_orders(R, draw(st.integers(0, 5)),
-                           seed=draw(st.integers(0, 99)),
-                           include_permutations=True)
-    orders.append(elimination_order(n, draw(st.sets(st.integers(0, n - 1),
-                                                    min_size=1))))
-    orders.append(weight_order(R, (draw(st.integers(1, 5)),) * n))
-    return draw(st.permutations(polys)), orders
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(polys_and_order_lists())
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lead_cases())
 def test_lead_exponents_equal_lead_exp_under_every_order(case):
     polys, orders = case
-    assert lead_exponents(polys, orders) == [
-        [f.lead_exp(o) for f in polys] for o in orders]
+    assert lead_exponents(polys, orders) == oracles.lead_exponents(
+        polys, orders) == [[f.lead_exp(o) for f in polys] for o in orders]
 
 
 def test_lead_exponents_edge_cases(R):
@@ -298,7 +273,7 @@ def substitutions(draw):
     return f, images
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(substitutions())
 # exponents that fill the bit field: one bit less overflows
 @example((Polynomial(BlockRing((1,)), [((4,), 1)]), {}))
@@ -312,7 +287,7 @@ def test_substitute_matches_polynomial_arithmetic(case):
     assert f.substitute(images) == oracles.substitute(f, images)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(substitutions(), st.data())
 def test_substitute_rejects_image_in_another_ring(case, data):
     f, images = case
