@@ -31,9 +31,9 @@ from multigb.groebner import (Ideal, coordinate_section,
                               _graded_linear_block)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                alexander_dual, hilbert_numerator,
-                               is_radical_monomial, polarize)
+                               is_radical_monomial, polarize, _numerator_key)
 from multigb.poly import Polynomial, lead_exponents
-from multigb.ring import BlockRing, TermOrder, degrevlex, lex, weight_order
+from multigb.ring import BlockRing, TermOrder, degrevlex, lex, _degrevlex_rows
 
 
 @dataclass
@@ -103,17 +103,18 @@ def sample_orders(ring: BlockRing, n_weight: int, seed: int = 0,
     else:
         orders.append(degrevlex(ring))
         orders.append(lex(ring))
-    rng = random.Random(seed)
-    seen = {o.rows for o in orders}
-    added = 0
-    while added < n_weight:
-        w = tuple(rng.randrange(1, 1001) for _ in range(ring.nvars))
-        o = weight_order(ring, w)
-        if o.rows in seen:
-            continue
-        seen.add(o.rows)
-        orders.append(o)
-        added += 1
+    # a weight order has one row more than a lex or degrevlex order, so it
+    # repeats a sampled order only when it repeats a drawn weight vector;
+    # each is built as weight_order builds it, on the one shared tie
+    randrange, n = random.Random(seed).randrange, ring.nvars
+    tie = _degrevlex_rows(n)
+    seen: set = set()
+    while len(seen) < n_weight:
+        w = tuple([randrange(1, 1001) for _ in range(n)])
+        if w not in seen:
+            seen.add(w)
+            orders.append(TermOrder(f"weight{list(w)}+degrevlex",
+                                    (w,) + tie))
     return orders
 
 
@@ -464,8 +465,9 @@ def ugb_check(candidates: Sequence[Polynomial], I: Ideal, n_orders: int = 200,
 
     The candidates' lead terms are scored under all sampled orders at once
     (``poly.lead_exponents``), and ``_sampled_records`` settles the orders
-    as one batch, with one numerator memo; only an order that ran
-    Buchberger can miss a lead term, and a failure names it."""
+    as one batch, with one numerator per numerator key of a lead set; only
+    an order that ran Buchberger can miss a lead term, and a failure names
+    it from that order's lead ideal."""
     ring = I.ring
     candidates = [c for c in candidates if not c.is_zero]
     if not candidates:
@@ -555,29 +557,47 @@ def _sampled_records(I: Ideal, orders: Sequence[TermOrder],
     those of the reduced basis, sorted as the basis is, each element of
     which has its lead's multidegree, and the order is certified.  Any
     other order, and every order when I is not multigraded, runs
-    Buchberger.  Each distinct lead set builds one lead ideal and one
-    numerator, and the numerators share one memo of the numerator
-    recursion.  A record holds the order's name, the leads of its reduced
-    basis and the multidegree of each element."""
+    Buchberger.  A lead set is certified by its numerator key
+    (``monomials._numerator_key``), which lead sets differing by an
+    order-keeping move of their variables inside a block share: each
+    distinct key computes one numerator, all through one memo of the
+    numerator recursion.  A lead ideal is built only for an order that
+    runs Buchberger (``ugb_check`` names a missing lead by it); a
+    certified order's is None.  A record holds the order's name, the
+    leads of its reduced basis (for a certified order, the minimal
+    generators of its own lead set) and the multidegree of each
+    element."""
+    ring = I.ring
     series = I.hilbert_series() if I.is_multihomogeneous else None
-    ideals: dict = {}  # (lead ideal, certified) by lead set
-    recursion: dict = {}  # the sub-ideals every lead set's recursion shares
+    settled: dict = {}  # (lead ideal, minimal leads, certified) by lead set
+    verdicts: dict = {}  # certified by numerator key
+    recursion: dict = {}  # the sub-ideals every numerator's recursion shares
     degree_of: dict = {}  # multidegree by lead exponent
     out = []
     for o, exps in zip(orders, leads):
         lead_set = frozenset(exps)
-        hit = ideals.get(lead_set)
+        hit = settled.get(lead_set)
         if hit is None:
-            lead_ideal = MonomialIdeal(I.ring, exps)
-            hit = ideals[lead_set] = (
-                lead_ideal, series is not None and hilbert_numerator(
-                    lead_ideal, _memo=recursion) == series)
-        lead_ideal, certified = hit
+            if series is None:
+                lead_ideal = MonomialIdeal(ring, exps)
+                hit = lead_ideal, lead_ideal.gens, False
+            else:
+                key, minimal = _numerator_key(ring, exps)
+                certified = verdicts.get(key)
+                if certified is None:
+                    certified = verdicts[key] = hilbert_numerator(
+                        MonomialIdeal(ring, minimal, _minimal=True),
+                        _memo=recursion) == series
+                hit = (None if certified else
+                       MonomialIdeal(ring, minimal, _minimal=True),
+                       minimal, certified)
+            settled[lead_set] = hit
+        lead_ideal, minimal, certified = hit
         if certified:
-            lead_exps = _by_order(lead_ideal.gens, o.rows)
+            lead_exps = _by_order(minimal, o.rows)
             for e in lead_exps:
                 if e not in degree_of:
-                    degree_of[e] = I.ring.multidegree(e)
+                    degree_of[e] = ring.multidegree(e)
             degrees = [degree_of[e] for e in lead_exps]
         else:
             gb = I.groebner_basis(o)

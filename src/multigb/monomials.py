@@ -352,6 +352,36 @@ def _polarization(block_sizes: tuple, top: tuple) -> tuple:
     return tuple(powers), tuple(blocks), fields.guard, ydegrees, ydeg
 
 
+def _numerator_key(ring: BlockRing, exps: Iterable[tuple]) -> tuple:
+    """(key, minimal) for the ideal that the exponents ``exps`` generate:
+    ``minimal`` lists its minimal generators, and ``key`` is the key under
+    which ``hilbert_numerator`` memoizes its numerator, (the block of each
+    position, the y-degree field width, the sorted packed polarized
+    minimal generators).  Equal keys give equal numerators.  The key keeps
+    the block of each position but not its variable, so ideals that differ
+    by moving the variables they use inside a block, keeping their order,
+    share one.
+
+    Rejects the exponents that ``MonomialIdeal`` rejects.  Polarization
+    preserves divisibility, so the packed polarized exponents are
+    minimalized; when that drops one, the minimal generators are keyed
+    again, as a dropped multiple may have held a variable's top power."""
+    exps = list(exps)
+    if not exps:
+        return ((), 0, ()), []
+    if set(map(len, exps)) != {ring.nvars}:
+        raise RingMismatchError("exponent length does not match ring")
+    if min(map(min, exps)) < 0:
+        raise ValueError("negative exponent")
+    powers, blocks, guard, ydegrees, _ = _polarization(
+        ring.block_sizes, tuple(map(max, zip(*exps))))
+    back = {sum([p[c] for p, c in zip(powers, e) if c]): e for e in exps}
+    gens = kernel.minimal(back, guard)
+    if len(gens) < len(back):
+        return _numerator_key(ring, [back[g] for g in gens])
+    return (blocks, ydegrees.bits, tuple(gens)), [back[g] for g in gens]
+
+
 def hilbert_numerator(I: MonomialIdeal, *,
                       _memo: dict | None = None) -> HilbertNumerator:
     """K-polynomial of S/I (Bigatti; Bayer-Stillman).
@@ -374,9 +404,11 @@ def hilbert_numerator(I: MonomialIdeal, *,
     makes.
 
     The recursion memoizes each sub-ideal's numerator.  Calls that pass one
-    ``_memo`` dict share it (``csideals._sampled_records`` passes one for
-    all its lead sets); it is keyed by everything the recursion reads: the
-    block of each position and the y-degree field width.  A memoized
+    ``_memo`` dict share it; it is keyed by everything the recursion reads:
+    the block of each position and the y-degree field width, then the
+    packed generators.  I's own entry sits under ``_numerator_key(I.ring,
+    I.gens)``, which ``csideals._sampled_records`` reads to call this once
+    per distinct key among its lead sets, all with one memo.  A memoized
     numerator is shared, so the recursion never mutates one.
     """
     v = I.ring.v

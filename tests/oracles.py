@@ -7,19 +7,24 @@ library code it checks.
 from __future__ import annotations
 
 import itertools
+import random
 from operator import add, mul
 from typing import Sequence
 
 from multigb import kernel
+from multigb.csideals import (PERMUTATION_FAMILY_CAP,
+                              _block_respecting_priorities)
 from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
                             ResourceLimitError, RingMismatchError)
 from multigb.gin import BorelElement
 from multigb.groebner import (Ideal, project_out_variable,
                               ring_without_variable)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
-                               is_radical_monomial, support)
+                               hilbert_numerator, is_radical_monomial,
+                               support)
 from multigb.poly import Polynomial
-from multigb.ring import BlockRing, TermOrder, degrevlex, exp_divides
+from multigb.ring import (BlockRing, TermOrder, degrevlex, exp_divides, lex,
+                          weight_order)
 from multigb.script import ScriptError, Token
 
 
@@ -82,6 +87,63 @@ def by_order(exps, matrix: tuple) -> list:
     top = max((max(e) for e in exps), default=0)
     key = kernel.layout(matrix, kernel.fields(1, top).bits).key
     return sorted(exps, key=key, reverse=True)
+
+
+def sample_orders(ring: BlockRing, n_weight: int, seed: int = 0,
+                  include_permutations: bool = True) -> list:
+    """Reference for ``csideals.sample_orders``: the lex and degrevlex
+    family as the library lists it, then every drawn weight vector built
+    into a ``weight_order`` and kept when its rows are new."""
+    orders = []
+    if include_permutations and ring.nvars <= 8:
+        for prio in _block_respecting_priorities(ring):
+            orders.append(lex(ring, prio))
+            orders.append(degrevlex(ring, prio))
+            if len(orders) >= PERMUTATION_FAMILY_CAP:
+                break
+    else:
+        orders.append(degrevlex(ring))
+        orders.append(lex(ring))
+    rng = random.Random(seed)
+    seen = {o.rows for o in orders}
+    added = 0
+    while added < n_weight:
+        w = tuple(rng.randrange(1, 1001) for _ in range(ring.nvars))
+        o = weight_order(ring, w)
+        if o.rows in seen:
+            continue
+        seen.add(o.rows)
+        orders.append(o)
+        added += 1
+    return orders
+
+
+def sampled_records(I: Ideal, orders: Sequence[TermOrder],
+                    leads) -> list:
+    """Reference for ``csideals._sampled_records``: each distinct lead set
+    builds its lead ideal and compares its own numerator with I's."""
+    series = I.hilbert_series() if I.is_multihomogeneous else None
+    ideals: dict = {}  # (lead ideal, certified) by lead set
+    out = []
+    for o, exps in zip(orders, leads):
+        lead_set = frozenset(exps)
+        hit = ideals.get(lead_set)
+        if hit is None:
+            lead_ideal = MonomialIdeal(I.ring, exps)
+            hit = ideals[lead_set] = (
+                lead_ideal, series is not None
+                and hilbert_numerator(lead_ideal) == series)
+        lead_ideal, certified = hit
+        if certified:
+            lead_exps = by_order(lead_ideal.gens, o.rows)
+            degrees = [I.ring.multidegree(e) for e in lead_exps]
+        else:
+            gb = I.groebner_basis(o)
+            lead_exps = gb.lead_exponents()
+            degrees = [g.multidegree() for g in gb]
+        out.append((lead_ideal, {"order": o.name, "lead_exps": lead_exps,
+                                 "gb_multidegrees": degrees}, certified))
+    return out
 
 
 def degrevlex_blocks_reversed(ring: BlockRing) -> TermOrder:

@@ -26,11 +26,12 @@ from multigb.instances import (cs_instance_pool, csstar_instance_pool,
                                random_multihomogeneous_polynomial, random_ring,
                                random_squarefree_ideal)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
-                               hilbert_numerator,
+                               _numerator_key, hilbert_numerator,
                                is_extended_from_first_variables,
                                is_radical_monomial)
 from multigb.poly import Polynomial, lead_exponents
-from multigb.ring import BlockRing
+from multigb.ring import BlockRing, lex
+import oracles
 from oracles import degrevlex_blocks_reversed, quotient_by_linear_form
 
 
@@ -101,6 +102,21 @@ def test_sample_orders_large_ring_skips_permutations():
     R = BlockRing((5, 4))
     orders = sample_orders(R, 3)
     assert len(orders) == 2 + 3
+
+
+@pytest.mark.parametrize("blocks, n_weight, seed, include", [
+    ((2, 2), 5, 1, True), ((2, 2), 5, 1, False), ((1, 2), 0, 0, True),
+    ((2,), 30, 11, True), ((2, 1, 2), 12, 4, False), ((4, 4), 3, 2, True),
+    ((3, 3, 3, 3, 3), 200, 0, False), ((3, 3, 3, 3, 3), 20, 5, True),
+    ((1,), 1000, 0, True), ((1,), 1000, 3, False)])
+def test_sample_orders_match_the_oracle(blocks, n_weight, seed, include):
+    # the same draws, orders and names as a weight_order per draw, kept
+    # when its rows are new; a one-variable ring at its cap draws all 1000
+    R = BlockRing(blocks)
+    assert sample_orders(R, n_weight, seed=seed,
+                         include_permutations=include) == \
+        oracles.sample_orders(R, n_weight, seed=seed,
+                              include_permutations=include)
 
 
 def test_gamma_sequence():
@@ -666,27 +682,31 @@ def test_ugb_check_maximal_minors_run_buchberger_once():
     assert len(I._gb_cache) == 1
 
 
-def test_sampled_records_build_one_lead_ideal_per_lead_set(monkeypatch):
+def test_sampled_records_compute_one_numerator_per_key(monkeypatch):
     # the ugb benchmark instance at seed 0: its 202 orders give 143
-    # distinct lead sets, and each builds one lead ideal; the records are
-    # those of a fresh Buchberger run under every order
+    # distinct lead sets, all with one numerator key, as in each block
+    # every lead uses one and the same variable; so one numerator certifies
+    # every order, no certified order builds a lead ideal, and the records
+    # are those of a fresh Buchberger run under every order
     B = build_column_graded(3, (3, 3, 3, 3, 3), seed=7)
     cands = minors(B, 3)
     I = Ideal(B.ring, cands)
     orders = sample_orders(B.ring, 200, seed=0, include_permutations=False)
-    builds = []
+    leads = lead_exponents(cands, orders)
+    numerators = []
 
-    def counted(ring, gens, **kwargs):
-        builds.append(gens)
-        return MonomialIdeal(ring, gens, **kwargs)
+    def counted(J, **kwargs):
+        numerators.append(J)
+        return hilbert_numerator(J, **kwargs)
 
-    monkeypatch.setattr(csideals, "MonomialIdeal", counted)
-    rep = ugb_check(cands, I, n_orders=200, seed=0,
-                    include_permutations=False)
-    lead_sets = {frozenset(leads)
-                 for leads in lead_exponents(cands, orders)}
-    assert (len(orders), len(lead_sets), len(builds)) == (202, 143, 143)
-    assert_matches_oracle(rep, cands, I, orders)
+    monkeypatch.setattr(csideals, "hilbert_numerator", counted)
+    settled = csideals._sampled_records(I, orders, leads)
+    lead_sets = {frozenset(exps) for exps in leads}
+    assert (len(orders), len(lead_sets), len(numerators)) == (202, 143, 1)
+    assert all(certified and lead_ideal is None
+               for lead_ideal, _, certified in settled)
+    assert [record for _, record, _ in settled] == \
+        ugb_oracle(cands, I, orders)[0]
 
 
 def test_sampled_records_reject_malformed_leads():
@@ -699,6 +719,82 @@ def test_sampled_records_reject_malformed_leads():
     with pytest.raises(ValueError, match="negative exponent"):
         csideals._sampled_records(I, orders,
                                   [[(1, 0, -1, 0)]] * len(orders))
+
+
+@st.composite
+def sampled_cases(draw):
+    """An ideal, multigraded or not, a few sampled orders and, for each, a
+    lead list: the leads of I's reduced basis with a duplicate and a
+    multiple added, drawn exponents, an earlier list with the variables
+    renamed inside each block, or nothing."""
+    R = BlockRing(draw(st.sampled_from([(2,), (2, 2), (1, 2), (3, 2)])))
+    I = random_graded_ideal(R, random.Random(draw(st.integers(0, 10**6))),
+                            max_gens=2)
+    if draw(st.booleans()):  # a constant term: not multigraded
+        one = Polynomial.monomial(R, (0,) * R.nvars, 1)
+        I = Ideal(R, [I.gens[0] + one, *I.gens[1:]])
+    orders = sample_orders(R, draw(st.integers(0, 3)),
+                           seed=draw(st.integers(0, 3)),
+                           include_permutations=False)
+    exps = st.tuples(*[st.integers(0, 2)] * R.nvars)
+    leads = []
+    for o in orders:
+        kind = draw(st.sampled_from(["basis", "drawn", "renamed", "empty"]))
+        if kind == "basis":
+            basis = I.groebner_basis(o).lead_exponents()
+            e = draw(st.sampled_from(basis))
+            more = tuple(a + b for a, b in zip(e, draw(exps)))
+            leads.append(basis + [e, more])
+        elif kind == "drawn":
+            leads.append(draw(st.lists(exps, max_size=4)))
+        elif kind == "renamed" and leads:
+            before = draw(st.sampled_from(leads))
+            moved = []  # moved[v]: the variable v is renamed to
+            for b in range(1, R.v + 1):
+                moved += draw(st.permutations(list(R.block_vars(b))))
+            leads.append([tuple(e[moved.index(v)] for v in range(R.nvars))
+                          for e in before])
+        else:
+            leads.append([])
+    return I, orders, leads
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sampled_cases())
+def test_sampled_records_match_the_oracle(case):
+    I, orders, leads = case
+    settled = csideals._sampled_records(I, orders, leads)
+    expected = oracles.sampled_records(I, orders, leads)
+    assert [s[1:] for s in settled] == [e[1:] for e in expected]
+    for (lead_ideal, _, certified), (oracle_ideal, _, _) in zip(settled,
+                                                                 expected):
+        assert lead_ideal is None if certified else lead_ideal == oracle_ideal
+
+
+def test_sampled_records_keep_each_lead_set_of_a_shared_key(monkeypatch):
+    # x11*x21 and x12*x22 differ by renaming inside each block, so they
+    # share one numerator key; each order still records its own lead
+    R = BlockRing((2, 2))
+    f = x(R, 1, 1) * x(R, 2, 1) + x(R, 1, 2) * x(R, 2, 2)
+    I = Ideal(R, [f])
+    orders = [lex(R), lex(R, (1, 0, 3, 2))]
+    leads = lead_exponents([f], orders)
+    assert leads == [[(1, 0, 1, 0)], [(0, 1, 0, 1)]]
+    assert _numerator_key(R, leads[0])[0] == _numerator_key(R, leads[1])[0]
+    numerators = []
+
+    def counted(J, **kwargs):
+        numerators.append(J)
+        return hilbert_numerator(J, **kwargs)
+
+    monkeypatch.setattr(csideals, "hilbert_numerator", counted)
+    settled = csideals._sampled_records(I, orders, leads)
+    assert len(numerators) == 1
+    assert [(record["lead_exps"], certified)
+            for _, record, certified in settled] == [
+        ([(1, 0, 1, 0)], True), ([(0, 1, 0, 1)], True)]
+    assert [record for _, record, _ in settled] == \
+        ugb_oracle([f], I, orders)[0]
 
 
 def test_ugb_check_hypothesis_errors():

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
-                            PolarizationCapacityError)
+                            PolarizationCapacityError, RingMismatchError)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal, alexander_dual,
-                               ambient_dimension, colon_monomial,
+                               _numerator_key, ambient_dimension,
+                               colon_monomial,
                                hilbert_numerator, is_borel_fixed,
                                is_extended_from_first_variables,
                                is_radical_monomial, is_strongly_stable,
@@ -368,6 +369,75 @@ def test_one_memo_serves_lead_sets_of_every_polarization():
     assert [hilbert_numerator(J, _memo=memo) for J in reversed(sets)] == \
         fresh[::-1]
     assert 1 < len(memo) < len(sets)
+
+
+@st.composite
+def lead_lists(draw):
+    """Exponent lists in 1..3 blocks of 1 or 2 variables, exponents up to 3,
+    with duplicates and multiples allowed; the same list with the
+    variables renamed inside each block; and the same list with the
+    variables it uses moved inside each block, keeping their order."""
+    R = BlockRing(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * R.nvars),
+                         max_size=5))
+    used = {v for e in exps for v, c in enumerate(e) if c}
+    renamed, moved = {}, {}  # the variable each variable goes to
+    for b in range(1, R.v + 1):
+        block = list(R.block_vars(b))
+        renamed.update(zip(block, draw(st.permutations(block))))
+        mine = [v for v in block if v in used]
+        to = sorted(draw(st.permutations(block))[:len(mine)])
+        moved.update(zip(mine, to))
+
+    def rename(to: dict) -> list:
+        out = []
+        for e in exps:
+            f = [0] * R.nvars
+            for v, c in enumerate(e):
+                if c:
+                    f[to[v]] = c
+            out.append(tuple(f))
+        return out
+
+    return R, exps, rename(renamed), rename(moved)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lead_lists())
+def test_numerator_key_is_the_memo_key_of_the_lead_ideal(case):
+    # the key is the one hilbert_numerator memoizes the lead ideal under,
+    # with the lead ideal's minimal generators; renaming variables inside
+    # a block keeps the numerator, and keeps the key too when the used
+    # variables keep their order
+    R, exps, renamed, moved = case
+    J = MonomialIdeal(R, exps)
+    key, minimal = _numerator_key(R, exps)
+    assert sorted(minimal) == list(J.gens)
+    memo: dict = {}
+    num = hilbert_numerator(J, _memo=memo)
+    if J.gens:
+        assert list(memo) == [key[:2]] and key[2] in memo[key[:2]]
+    else:
+        assert key == ((), 0, ()) and not memo
+    assert hilbert_numerator(MonomialIdeal(R, renamed)) == num
+    assert _numerator_key(R, moved)[0] == key
+
+
+def test_numerator_key_packs_again_without_a_dropped_power():
+    # x^3 is a multiple of x and the top power drops with it, so the key
+    # is that of (x), as hilbert_numerator packs it
+    R = BlockRing((2, 1))
+    key, minimal = _numerator_key(R, [(3, 0, 1), (1, 0, 0), (1, 0, 0)])
+    assert minimal == [(1, 0, 0)]
+    assert key == _numerator_key(R, [(1, 0, 0)])[0]
+
+
+def test_numerator_key_rejects_what_a_monomial_ideal_rejects():
+    R = BlockRing((2, 2))
+    with pytest.raises(RingMismatchError, match="exponent length"):
+        _numerator_key(R, [(1, 0, 1)])
+    with pytest.raises(ValueError, match="negative exponent"):
+        _numerator_key(R, [(1, 0, -1, 0)])
 
 
 def test_hilbert_numerator_shared_variable_with_disjoint_exponent_bits():
