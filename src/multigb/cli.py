@@ -36,7 +36,8 @@ import time
 
 from multigb.csideals import (closure_suite, degree_bound_check, is_cs,
                               is_csstar, ugb_check)
-from multigb.determinantal import GradedMatrix, minors, verify_main_theorem
+from multigb.determinantal import (GradedMatrix, minor_ideal,
+                                   verify_main_theorem)
 from multigb.errors import (HypothesisNotSatisfiedError,
                             InternalConsistencyError, NotSquarefreeError,
                             PolarizationCapacityError, ResourceLimitError,
@@ -125,7 +126,7 @@ def _eval_call(name: str, args: tuple | list, sess: _Session,
                           f"{_arg_text(b)}", line)
     if name == "minors":
         A = _eval_matrix(a, sess, line)
-        return Ideal(sess.ring, minors(A, b.value), sess.limits)
+        return minor_ideal(A, b.value, sess.limits)
     I = _eval_ideal(a, sess, line)
     if name == "colon":
         return I.colon(_eval_poly(b, sess, line))

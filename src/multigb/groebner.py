@@ -442,6 +442,7 @@ class Ideal:
         self.limits = limits if limits is not None else DEFAULT_LIMITS
         self._gb_cache: dict = {}
         self._series: HilbertNumerator | None = None
+        self._model: Ideal | None = None  # see transported_ideal
         self._cutoff: _SeriesCutoff | None = None
 
     def __repr__(self):
@@ -486,10 +487,12 @@ class Ideal:
 
     def _series_cutoff(self) -> _SeriesCutoff | None:
         """The ideal's one cutoff, shared by its runs and its gin trials
-        (moved ideals have its series); None until the series is known or a
-        basis is cached, and for an ideal that is not multihomogeneous."""
-        if self._cutoff is None and (self._series is not None or (
-                self._gb_cache and self.is_multihomogeneous)):
+        (moved ideals have its series); None until the series is known, or
+        can be read off a model (``transported_ideal``), or a basis is
+        cached, and for an ideal that is not multihomogeneous."""
+        if self._cutoff is None and (
+                self._series is not None or self._model is not None or (
+                    self._gb_cache and self.is_multihomogeneous)):
             self._cutoff = _SeriesCutoff(self.ring, self.hilbert_series())
         return self._cutoff
 
@@ -620,15 +623,27 @@ class Ideal:
                      self.limits)
 
     def hilbert_series(self) -> HilbertNumerator:
-        """K-polynomial of S/I, computed once and cached.  S/in(I) has the
-        same series under every order (Macaulay), so it is read off the first
-        cached basis, or a storage-order basis when none is cached."""
+        """K-polynomial of S/I, computed once and cached.  An ideal made by
+        ``transported_ideal`` (the minor ideals of
+        ``determinantal.minor_ideal`` under its rank check) takes its
+        model's series, padded with degree 0 in the blocks the model lacks.
+        Any other ideal's series is read off a basis: S/in(I) has the same
+        series under every order (Macaulay), so the first cached basis
+        serves, or a storage-order basis when none is cached."""
         if self._series is None:
             if not self.is_multihomogeneous:
                 raise HypothesisNotSatisfiedError(
                     "Hilbert series needs multigraded generators")
-            order = next((gb.order for gb in self._gb_cache.values()), None)
-            self._series = hilbert_numerator(self.initial_ideal(order))
+            if self._model is not None:
+                pad = (0,) * (self.ring.v - self._model.ring.v)
+                self._series = HilbertNumerator(self.ring.v, {
+                    a + pad: c for a, c in
+                    self._model.hilbert_series().coeffs.items()})
+                self._model = None
+            else:
+                order = next((gb.order for gb in self._gb_cache.values()),
+                             None)
+                self._series = hilbert_numerator(self.initial_ideal(order))
         return self._series
 
     def minimal_generators(self) -> list:
@@ -666,6 +681,27 @@ class Ideal:
         if not self.is_monomial:
             raise HypothesisNotSatisfiedError("generators are not monomials")
         return MonomialIdeal(self.ring, [g.lead_exp() for g in self.gens])
+
+
+def transported_ideal(model: Ideal, ring: BlockRing,
+                      gens: Iterable[Polynomial],
+                      limits: EngineLimits | None = None) -> Ideal:
+    """The ideal of ``gens`` in ``ring``, for a caller that has proved that
+    a change of coordinates inside each block takes it to the extension of
+    ``model`` by free variables.  ``model``'s blocks are the first blocks of
+    ``ring``, none larger than its counterpart; the other variables are the
+    free ones.  A graded change of coordinates keeps the multigraded
+    K-polynomial, and so does a free variable, which divides the Hilbert
+    series and its denominator alike by 1 - y; so the ideal takes
+    ``model``'s series when first asked for (``Ideal.hilbert_series``)."""
+    sizes = model.ring.block_sizes
+    if (len(sizes) > ring.v or model.ring.characteristic != ring.characteristic
+            or any(a > b for a, b in zip(sizes, ring.block_sizes))):
+        raise RingMismatchError(
+            "the model's ring is not made of leading blocks of the ring")
+    I = Ideal(ring, gens, limits)
+    I._model = model
+    return I
 
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:

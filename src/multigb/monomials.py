@@ -322,34 +322,41 @@ class HilbertNumerator:
 
 
 @lru_cache(maxsize=1024)
-def _polarization(block_sizes: tuple, top: tuple) -> tuple:
-    """How monomials with exponents up to ``top`` polarize, as
-    (powers, blocks, guard, ydegrees, ydeg).
+def _polarization(widths: tuple) -> tuple:
+    """The polarization layout when block b has ``widths[b]`` positions, as
+    (prefix, blocks, guard, ydegrees, ydeg).
 
-    Variable k owns one position per occurrence, up to ``top[k]``, and each
-    position lies in k's block (0-based, ``blocks``).  A polarized monomial
-    is a 0/1 vector over the positions, packed by ``kernel.fields(positions,
-    1)`` (``guard`` is its guard mask), so it is its own support;
-    ``powers[k][e]`` is the packed product of k's first e positions, the
-    polarization of x_k^e.  Each position takes its block's degree
-    (``ydeg``: the packed y-degree of each packed position), and
+    Positions are numbered block by block, and each lies in its block
+    (0-based, ``blocks``).  A polarized monomial is a 0/1 vector over the
+    positions, packed by ``kernel.fields(positions, 1)`` (``guard`` is its
+    guard mask), so it is its own support; ``prefix[i]`` is the packed
+    product of the first i positions.  Each position takes its block's
+    degree (``ydeg``: the packed y-degree of each packed position), and
     ``ydegrees`` packs y-degrees up to those of the product of all
     positions.  Built once per key; ``ydeg`` is only read."""
-    blocks, widths, start = [], [], 0
-    for b, n in enumerate(block_sizes):
-        width = sum(top[start:start + n])
-        blocks += [b] * width
-        widths.append(width)
-        start += n
+    blocks = [b for b, width in enumerate(widths) for _ in range(width)]
     fields = kernel.fields(len(blocks), 1)
-    units = fields.units
-    powers, start = [], 0
-    for c in top:
-        powers.append((0, *accumulate(units[start:start + c])))
-        start += c
-    ydegrees = kernel.fields(len(block_sizes), max(widths))
-    ydeg = dict(zip(units, map(ydegrees.units.__getitem__, blocks)))
-    return tuple(powers), tuple(blocks), fields.guard, ydegrees, ydeg
+    ydegrees = kernel.fields(len(widths), max(widths))
+    ydeg = dict(zip(fields.units, map(ydegrees.units.__getitem__, blocks)))
+    return ((0, *accumulate(fields.units)), tuple(blocks), fields.guard,
+            ydegrees, ydeg)
+
+
+def _polarized(ring: BlockRing, exps: list) -> tuple:
+    """The packed polarizations of the (nonempty) exponents ``exps``, with
+    the rest of their ``_polarization`` layout: (packed, blocks, guard,
+    ydegrees, ydeg).  Variable k owns one position per occurrence, up to
+    its top exponent in ``exps``, so its positions start at s, the number
+    of occurrences of the variables before it, and x_k^e polarizes to the
+    product of positions s .. s + e - 1: prefix[s + e] / prefix[s]."""
+    top = tuple(map(max, zip(*exps)))
+    ends = tuple(accumulate(ring.block_sizes))
+    prefix, *layout = _polarization(tuple(
+        sum(top[end - n:end]) for end, n in zip(ends, ring.block_sizes)))
+    starts = (0, *accumulate(top))
+    packed = [sum([prefix[s + c] - prefix[s] for s, c in zip(starts, e) if c])
+              for e in exps]
+    return (packed, *layout)
 
 
 def _numerator_key(ring: BlockRing, exps: Iterable[tuple]) -> tuple:
@@ -373,9 +380,8 @@ def _numerator_key(ring: BlockRing, exps: Iterable[tuple]) -> tuple:
         raise RingMismatchError("exponent length does not match ring")
     if min(map(min, exps)) < 0:
         raise ValueError("negative exponent")
-    powers, blocks, guard, ydegrees, _ = _polarization(
-        ring.block_sizes, tuple(map(max, zip(*exps))))
-    back = {sum([p[c] for p, c in zip(powers, e) if c]): e for e in exps}
+    packed, blocks, guard, ydegrees, _ = _polarized(ring, exps)
+    back = dict(zip(packed, exps))
     gens = kernel.minimal(back, guard)
     if len(gens) < len(back):
         return _numerator_key(ring, [back[g] for g in gens])
@@ -414,8 +420,7 @@ def hilbert_numerator(I: MonomialIdeal, *,
     v = I.ring.v
     if not I.gens:
         return HilbertNumerator.one(v)
-    powers, blocks, guard, ydegrees, ydeg = _polarization(
-        I.ring.block_sizes, tuple(map(max, zip(*I.gens))))
+    packed, blocks, guard, ydegrees, ydeg = _polarized(I.ring, I.gens)
     memo = {} if _memo is None else _memo.setdefault(
         (blocks, ydegrees.bits), {})
 
@@ -470,9 +475,8 @@ def hilbert_numerator(I: MonomialIdeal, *,
         memo[gens] = out
         return out
 
-    gens = sorted([sum(map(tuple.__getitem__, powers, g)) for g in I.gens])
     return HilbertNumerator(v, {ydegrees.exponents(a): c for a, c in
-                                rec(tuple(gens)).items()})
+                                rec(tuple(sorted(packed))).items()})
 
 
 def ambient_dimension(ring: BlockRing, a: Sequence[int]) -> int:

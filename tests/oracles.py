@@ -244,6 +244,36 @@ def determinant_leibniz(rows: list) -> Polynomial:
     return total
 
 
+def determinant_cofactor(rows: list) -> Polynomial:
+    """Cofactor expansion along the first row, through ``Polynomial``
+    arithmetic; the reference for ``determinantal.minors``."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    ring = rows[0][0].ring
+    total = Polynomial.zero(ring)
+    for j, f in enumerate(rows[0]):
+        if f.is_zero:
+            continue
+        sub = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
+        term = f * determinant_cofactor(sub)
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def minors(A, t: int, determinant=determinant_cofactor) -> list:
+    """The nonzero t-minors of the graded matrix A, one ``determinant`` per
+    row and column subset, in lexicographic row/column-subset order."""
+    m, n = A.shape
+    out = []
+    for rows in itertools.combinations(range(m), t):
+        for cols in itertools.combinations(range(n), t):
+            d = determinant([[A.entries[i][j] for j in cols] for i in rows])
+            if not d.is_zero:
+                out.append(d)
+    return out
+
+
 def intersect_monomial(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Pairwise-lcm rule; independent oracle for the engine's intersect."""
     if I.ring != J.ring:

@@ -1,17 +1,20 @@
 """Graded matrices of linear forms and their minor ideals."""
 
-import itertools
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multigb import determinantal
+import oracles
+
+from multigb import determinantal, groebner
 from multigb.csideals import MembershipReport
 from multigb.determinantal import (GradedMatrix, _rank_mod_p,
                                    build_column_graded, build_row_graded,
-                                   minors, variable_matrix,
+                                   minor_ideal, minors, variable_matrix,
                                    verify_main_theorem)
-from multigb.errors import HypothesisNotSatisfiedError, ResourceLimitError
-from multigb.groebner import EngineLimits, Ideal
+from multigb.errors import (HypothesisNotSatisfiedError, ResourceLimitError,
+                            RingMismatchError)
+from multigb.groebner import EngineLimits, Ideal, transported_ideal
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing
 from oracles import determinant_leibniz
@@ -159,15 +162,7 @@ def test_minor_multidegrees():
 
 def _leibniz_minors(A, t):
     """minors(A, t) computed by the permutation-sum oracle."""
-    m, n = A.shape
-    out = []
-    for rows in itertools.combinations(range(m), t):
-        for cols in itertools.combinations(range(n), t):
-            d = determinant_leibniz([[A.entries[i][j] for j in cols]
-                                     for i in rows])
-            if not d.is_zero:
-                out.append(d)
-    return out
+    return oracles.minors(A, t, determinant_leibniz)
 
 
 def test_cofactor_matches_leibniz():
@@ -175,8 +170,66 @@ def test_cofactor_matches_leibniz():
         A = variable_matrix(*shape, grading=grading)
         for t in range(1, shape[0] + 1):
             assert minors(A, t) == _leibniz_minors(A, t)
+            assert oracles.minors(A, t) == _leibniz_minors(A, t)
     B = build_column_graded(4, (2, 2, 2, 2), seed=8)
     assert minors(B, 4) == _leibniz_minors(B, 4)
+
+
+@st.composite
+def graded_matrices(draw):
+    """A row- or column-graded matrix of up to 4 x 5 linear forms over
+    F_7 (small, so that minors often cancel), some entries zero."""
+    grading = draw(st.sampled_from(["column", "row"]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    lines = n if grading == "column" else m
+    sizes = draw(st.lists(st.integers(1, 3), min_size=lines,
+                          max_size=lines))
+    R = BlockRing(sizes, 7)
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(n):
+            block = j + 1 if grading == "column" else i + 1
+            coeffs = draw(st.lists(st.integers(0, 6), min_size=sizes[block - 1],
+                                   max_size=sizes[block - 1]))
+            row.append(sum((c * x(R, block, k + 1)
+                            for k, c in enumerate(coeffs)),
+                           Polynomial.zero(R)))
+        rows.append(row)
+    return GradedMatrix(R, rows, grading)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(graded_matrices())
+def test_minors_match_the_cofactor_oracle(A):
+    # the shared expansion gives every minor the cofactor expansion gives,
+    # term for term, in the same order
+    for t in range(1, min(A.shape) + 1):
+        assert ([f.terms for f in minors(A, t)]
+                == [f.terms for f in oracles.minors(A, t)])
+
+
+@pytest.mark.parametrize("grading", ["column", "row"])
+def test_minors_match_the_cofactor_oracle_on_generic_instances(grading):
+    build = build_column_graded if grading == "column" else build_row_graded
+    A = build(3, (3, 4, 3, 5), seed=2)
+    for t in range(1, min(A.shape) + 1):
+        got, want = minors(A, t), oracles.minors(A, t)
+        assert len(got) == len(want) > 0
+        assert [f.terms for f in got] == [f.terms for f in want]
+
+
+def test_minors_of_a_rank_one_matrix_are_all_zero():
+    # rows 2 and 3 are multiples of row 1, so every minor of size 2 or 3
+    # vanishes; the 1-minors are the nonzero entries
+    R = BlockRing((2, 2, 2))
+    first = [x(R, 1, 1) + x(R, 1, 2), x(R, 2, 1), 3 * x(R, 3, 2)]
+    A = GradedMatrix(R, [first, [2 * f for f in first],
+                         [5 * f for f in first]], "column")
+    assert minors(A, 2) == oracles.minors(A, 2) == []
+    assert minors(A, 3) == oracles.minors(A, 3) == []
+    assert minors(A, 1) == oracles.minors(A, 1)
+    assert len(minors(A, 1)) == 9
 
 
 def test_ideal_of_minors_limits():
@@ -260,3 +313,112 @@ def test_verify_main_theorem_single_row():
     out = verify_main_theorem(A, n_orders=4, seed=1)
     assert out["items"]["two_minors_degree_bound"].get("skipped")
     assert out["passed"]
+
+
+# -- the series of a minor ideal read off the generic matrix -------------------
+
+SERIES_SHAPES = [
+    build_column_graded(2, (2, 2, 2), seed=1),
+    build_column_graded(3, (3, 5, 3, 5), seed=2),
+    build_column_graded(4, (4, 4, 4, 4, 4), seed=3),
+    build_column_graded(3, (3, 3, 3, 3, 3, 3), seed=4),
+    build_row_graded(3, (3, 4), seed=5),
+    build_row_graded(4, (4, 5, 4), seed=6),
+]
+
+
+@pytest.mark.parametrize("A", SERIES_SHAPES,
+                         ids=lambda A: f"{A.grading}-{A.nrows}x{A.ncols}-"
+                                       f"{'.'.join(map(str, A.ring.block_sizes))}")
+def test_minor_ideal_takes_the_generic_series(A):
+    # the rank check holds, and the series read off the generic matrix is
+    # the one the engine computes from A's own minors
+    assert determinantal._generic_shape(A)
+    for t in sorted({2, A.nrows}):
+        I = minor_ideal(A, t)
+        assert I._model is not None
+        assert list(I.gens) == minors(A, t)
+        assert I.hilbert_series() == Ideal(A.ring, minors(A, t)).hilbert_series()
+
+
+def _in_larger_ring(A, extra):
+    """A's entries in a ring with the extra blocks ``extra`` at the end,
+    which no column (row) of A uses."""
+    R = BlockRing(A.ring.block_sizes + extra, A.ring.characteristic)
+    pad = (0,) * sum(extra)
+    rows = [[Polynomial(R, [(e + pad, c) for e, c in f.terms]) for f in row]
+            for row in A.entries]
+    return GradedMatrix(R, rows, A.grading)
+
+
+@pytest.mark.parametrize("A", [
+    _in_larger_ring(build_column_graded(2, (2, 3, 2), seed=7), (2,)),
+    _in_larger_ring(build_row_graded(3, (3, 3), seed=8), (1, 2)),
+], ids=["column", "row"])
+def test_unused_blocks_are_free_variables(A):
+    # the generic matrix's series, with degree 0 in the blocks no column
+    # (row) uses, is the series of A's minors
+    v = A.ring.v
+    for t in (1, 2):
+        I = minor_ideal(A, t)
+        assert I._model is not None and I._model.ring.v < v
+        series = I.hilbert_series()
+        assert series.v == v
+        assert series == Ideal(A.ring, minors(A, t)).hilbert_series()
+
+
+def _with_entry(A, i, j, f):
+    rows = [list(row) for row in A.entries]
+    rows[i][j] = f
+    return GradedMatrix(A.ring, rows, A.grading)
+
+
+def _dependent_column():
+    # column 2's third entry is the sum of its first two
+    A = build_column_graded(3, (3, 4, 3), seed=9)
+    return _with_entry(A, 2, 1, A.entry(1, 2) + A.entry(2, 2))
+
+
+@pytest.mark.parametrize("A", [
+    _dependent_column(),
+    _with_entry(build_column_graded(2, (2, 2, 2), seed=10), 1, 2,
+                Polynomial.zero(BlockRing((2, 2, 2)))),
+    build_row_graded(4, (3, 3, 3), seed=0),
+], ids=["dependent-column", "zero-entry", "main-theorem-row"])
+def test_minor_ideal_falls_back_when_the_rank_check_fails(A):
+    # the main_theorem row instance has four entries in three variables per
+    # row; each of these ideals computes its series from its own basis
+    assert not determinantal._generic_shape(A)
+    for t in sorted({2, A.nrows}):
+        I = minor_ideal(A, t)
+        assert I._model is None
+        assert list(I.gens) == minors(A, t)
+        assert I.hilbert_series() == Ideal(A.ring, minors(A, t)).hilbert_series()
+
+
+def test_generic_series_runs_no_buchberger_on_the_minors(monkeypatch):
+    # every basis computed for the series is the generic matrix's, none is
+    # A's own (A's block sizes 3, 5, 3, 5 differ from the model's 3s)
+    runs = []
+    original = groebner._reduced_basis_raw
+    monkeypatch.setattr(groebner, "_reduced_basis_raw",
+                        lambda gens, *rest, **kw: runs.append(gens)
+                        or original(gens, *rest, **kw))
+    A = build_column_graded(3, (3, 5, 3, 5), seed=2)
+    I = minor_ideal(A, 2)
+    series = I.hilbert_series()
+    own = [f.terms for f in I.gens]
+    assert runs and all(gens != own for gens in runs)
+    nvars = [len(gens[0][0][0]) for gens in runs]
+    assert set(nvars) == {12} and A.ring.nvars == 16
+    runs.clear()
+    assert Ideal(A.ring, minors(A, 2)).hilbert_series() == series
+    assert runs == [own]
+
+
+def test_transported_ideal_checks_the_model_ring():
+    model = Ideal(BlockRing((2, 2)), [])
+    for ring in (BlockRing((2,)), BlockRing((1, 2)),
+                 BlockRing((2, 2), characteristic=7)):
+        with pytest.raises(RingMismatchError):
+            transported_ideal(model, ring, [])

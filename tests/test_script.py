@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from multigb import groebner
 from multigb.cli import _eval_poly, _Session, build_arg_parser, main
 from multigb.determinantal import build_column_graded, minors
 from multigb.errors import InternalConsistencyError
@@ -1059,3 +1060,38 @@ def test_cli_large_characteristics_are_decided_at_once(tmp_path, capsys,
     assert time.perf_counter() - started < 1
     if code == 2:
         assert "characteristic" in capsys.readouterr().err
+
+
+def test_cli_minors_call_reads_the_series_off_the_generic_matrix(
+        tmp_path, capsys, monkeypatch):
+    # the columns have independent entries in blocks of sizes 2, 3 and 2,
+    # so the minors' series comes from the generic 2 x 3 matrix (six
+    # variables, not seven); the reports match those of the same ideal
+    # written out by its generators
+    runs = []
+    original = groebner._reduced_basis_raw
+    monkeypatch.setattr(groebner, "_reduced_basis_raw",
+                        lambda gens, *rest, **kw: runs.append(gens)
+                        or original(gens, *rest, **kw))
+    head = ("ring v=3 blocks=[2,3,2] char=32003\n"
+            "matrix A colgraded 2 x 3 {\n"
+            "  x[1,1], x[2,1] + x[2,3], x[3,2] ;\n"
+            "  x[1,2], x[2,2], x[3,1]\n"
+            "}\n")
+    tail = "hilbert I\ncs I expect=yes\n"
+    assert run_cli(tmp_path, head + "minors A 2\n", "--json") == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    gens = ", ".join(report["evidence"]["minors"])
+    runs.clear()
+    assert run_cli(tmp_path, head + "ideal I = minors(A, 2)\n" + tail,
+                   "--json") == 0
+    shortcut = json.loads(capsys.readouterr().out)["reports"]
+    assert runs and {len(g[0][0][0]) for g in runs if g} == {6}
+    runs.clear()
+    assert run_cli(tmp_path, head + f"ideal I = {gens}\n" + tail,
+                   "--json") == 0
+    engine = json.loads(capsys.readouterr().out)["reports"]
+    assert {len(g[0][0][0]) for g in runs if g} == {7}
+    for r in shortcut + engine:
+        r.pop("timings", None)
+    assert shortcut == engine
