@@ -19,7 +19,7 @@ from multigb.csideals import degree_bound_check, is_cs, is_csstar, ugb_check
 from multigb.errors import HypothesisNotSatisfiedError
 from multigb.groebner import (DEFAULT_LIMITS, EngineLimits, Ideal,
                               transported_ideal)
-from multigb.monomials import regularity_strongly_stable
+from multigb.monomials import MonomialIdeal, regularity_strongly_stable
 from multigb.poly import Polynomial
 from multigb.ring import DEFAULT_CHARACTERISTIC, BlockRing
 
@@ -267,19 +267,25 @@ def minor_ideal(A: GradedMatrix, t: int,
     ``limits``.
 
     When ``_generic_shape`` holds, a change of coordinates inside each
-    block takes A to the generic matrix of its shape and grading plus free
-    variables, and neither changes the multigraded K-polynomial
-    (Bruns-Vetter, Determinantal Rings, LNM 1327).  The ideal then takes,
-    when first asked for, the series of the t-minors of that generic
-    matrix, whose blocks are the first blocks of A's ring
-    (``groebner.transported_ideal``), and runs no Buchberger of its own
-    for it.  Otherwise its series is computed from its own basis."""
+    block takes A to the generic matrix X of its shape and grading plus
+    free variables, and neither changes the multigraded K-polynomial
+    (Bruns-Vetter, Determinantal Rings, LNM 1327).  The t-minors of X are
+    a Groebner basis under a diagonal order, one that makes each minor's
+    main diagonal its lead (Sturmfels, Math. Z. 205, 1990), so the main
+    diagonals generate in(I_t(X)).  The ideal then takes, when first asked
+    for, the series of that monomial ideal, whose blocks are the first
+    blocks of A's ring (``groebner.transported_ideal``), and runs no
+    Buchberger for it.  Otherwise its series comes from its own basis."""
     gens = minors(A, t)
     if not _generic_shape(A):
         return Ideal(A.ring, gens, limits)
     m, n = A.shape
-    G = variable_matrix(m, n, A.grading, A.ring.characteristic)
-    return transported_ideal(Ideal(G.ring, minors(G, t), limits), A.ring,
+    X = variable_matrix(m, n, A.grading, A.ring.characteristic)
+    diagonals = [tuple(map(sum, zip(*[X.entries[i][j].lead_exp()
+                                      for i, j in zip(rows, cols)])))
+                 for rows in itertools.combinations(range(m), t)
+                 for cols in itertools.combinations(range(n), t)]
+    return transported_ideal(MonomialIdeal(X.ring, diagonals), A.ring,
                              gens, limits)
 
 
@@ -297,7 +303,10 @@ def verify_main_theorem(A: GradedMatrix, n_orders: int = 25, seed: int = 0,
     and its sampled GB degrees are bounded by (1,...,1); both ideals pass
     the radical-gin test, the column-case maximal-minor ideal passes the
     first-variables test; and the gin of the maximal-minor ideal has
-    regularity exactly m.  Both ideals are built with ``limits``.
+    regularity exactly m.  Both ideals are built by ``minor_ideal`` with
+    ``limits``, so when each column (row) of A holds independent forms of
+    its block, their series, which certifies sampled orders and decides
+    the gin items, is that of the generic matrix's minors.
     """
     ring = A.ring
     m, n = A.shape

@@ -442,7 +442,7 @@ class Ideal:
         self.limits = limits if limits is not None else DEFAULT_LIMITS
         self._gb_cache: dict = {}
         self._series: HilbertNumerator | None = None
-        self._model: Ideal | None = None  # see transported_ideal
+        self._model: MonomialIdeal | None = None  # see transported_ideal
         self._cutoff: _SeriesCutoff | None = None
 
     def __repr__(self):
@@ -625,11 +625,12 @@ class Ideal:
     def hilbert_series(self) -> HilbertNumerator:
         """K-polynomial of S/I, computed once and cached.  An ideal made by
         ``transported_ideal`` (the minor ideals of
-        ``determinantal.minor_ideal`` under its rank check) takes its
-        model's series, padded with degree 0 in the blocks the model lacks.
-        Any other ideal's series is read off a basis: S/in(I) has the same
-        series under every order (Macaulay), so the first cached basis
-        serves, or a storage-order basis when none is cached."""
+        ``determinantal.minor_ideal`` under its rank check) takes the
+        numerator of its monomial model, padded with degree 0 in the blocks
+        the model's ring lacks, and runs no Buchberger for it.  Any other
+        ideal's series is read off a basis: S/in(I) has the same series
+        under every order (Macaulay), so the first cached basis serves, or
+        a storage-order basis when none is cached."""
         if self._series is None:
             if not self.is_multihomogeneous:
                 raise HypothesisNotSatisfiedError(
@@ -638,7 +639,7 @@ class Ideal:
                 pad = (0,) * (self.ring.v - self._model.ring.v)
                 self._series = HilbertNumerator(self.ring.v, {
                     a + pad: c for a, c in
-                    self._model.hilbert_series().coeffs.items()})
+                    hilbert_numerator(self._model).coeffs.items()})
                 self._model = None
             else:
                 order = next((gb.order for gb in self._gb_cache.values()),
@@ -683,17 +684,19 @@ class Ideal:
         return MonomialIdeal(self.ring, [g.lead_exp() for g in self.gens])
 
 
-def transported_ideal(model: Ideal, ring: BlockRing,
+def transported_ideal(model: MonomialIdeal, ring: BlockRing,
                       gens: Iterable[Polynomial],
                       limits: EngineLimits | None = None) -> Ideal:
     """The ideal of ``gens`` in ``ring``, for a caller that has proved that
-    a change of coordinates inside each block takes it to the extension of
-    ``model`` by free variables.  ``model``'s blocks are the first blocks of
-    ``ring``, none larger than its counterpart; the other variables are the
-    free ones.  A graded change of coordinates keeps the multigraded
-    K-polynomial, and so does a free variable, which divides the Hilbert
-    series and its denominator alike by 1 - y; so the ideal takes
-    ``model``'s series when first asked for (``Ideal.hilbert_series``)."""
+    a change of coordinates inside each block takes it to the extension by
+    free variables of an ideal J with initial ideal ``model`` under some
+    order.  ``model``'s blocks are the first blocks of ``ring``, none
+    larger than its counterpart; the other variables are the free ones.
+    S/J and S/in(J) have one series (Macaulay), a graded change of
+    coordinates keeps the multigraded K-polynomial, and so does a free
+    variable, which divides the Hilbert series and its denominator alike
+    by 1 - y; so the ideal takes ``hilbert_numerator(model)`` as its series
+    when first asked for (``Ideal.hilbert_series``)."""
     sizes = model.ring.block_sizes
     if (len(sizes) > ring.v or model.ring.characteristic != ring.characteristic
             or any(a > b for a, b in zip(sizes, ring.block_sizes))):

@@ -1065,9 +1065,9 @@ def test_cli_large_characteristics_are_decided_at_once(tmp_path, capsys,
 def test_cli_minors_call_reads_the_series_off_the_generic_matrix(
         tmp_path, capsys, monkeypatch):
     # the columns have independent entries in blocks of sizes 2, 3 and 2,
-    # so the minors' series comes from the generic 2 x 3 matrix (six
-    # variables, not seven); the reports match those of the same ideal
-    # written out by its generators
+    # so the minors' series is read off the generic 2 x 3 matrix with no
+    # Buchberger run; the reports match those of the same ideal written out
+    # by its generators, whose series takes a run
     runs = []
     original = groebner._reduced_basis_raw
     monkeypatch.setattr(groebner, "_reduced_basis_raw",
@@ -1078,20 +1078,19 @@ def test_cli_minors_call_reads_the_series_off_the_generic_matrix(
             "  x[1,1], x[2,1] + x[2,3], x[3,2] ;\n"
             "  x[1,2], x[2,2], x[3,1]\n"
             "}\n")
-    tail = "hilbert I\ncs I expect=yes\n"
     assert run_cli(tmp_path, head + "minors A 2\n", "--json") == 0
     (report,) = json.loads(capsys.readouterr().out)["reports"]
     gens = ", ".join(report["evidence"]["minors"])
-    runs.clear()
-    assert run_cli(tmp_path, head + "ideal I = minors(A, 2)\n" + tail,
-                   "--json") == 0
-    shortcut = json.loads(capsys.readouterr().out)["reports"]
-    assert runs and {len(g[0][0][0]) for g in runs if g} == {6}
-    runs.clear()
-    assert run_cli(tmp_path, head + f"ideal I = {gens}\n" + tail,
-                   "--json") == 0
-    engine = json.loads(capsys.readouterr().out)["reports"]
-    assert {len(g[0][0][0]) for g in runs if g} == {7}
-    for r in shortcut + engine:
-        r.pop("timings", None)
-    assert shortcut == engine
+    reports, counts = {}, {}
+    for source in ("minors(A, 2)", gens):
+        for tail in ("hilbert I\n", "cs I expect=yes\n"):
+            runs.clear()
+            assert run_cli(tmp_path, f"{head}ideal I = {source}\n{tail}",
+                           "--json") == 0
+            (r,) = json.loads(capsys.readouterr().out)["reports"]
+            r.pop("timings", None)
+            reports[source, tail], counts[source, tail] = r, len(runs)
+    assert counts["minors(A, 2)", "hilbert I\n"] == 0
+    assert counts[gens, "hilbert I\n"] == 1
+    for tail in ("hilbert I\n", "cs I expect=yes\n"):
+        assert reports["minors(A, 2)", tail] == reports[gens, tail]
