@@ -209,19 +209,12 @@ def minors(A: GradedMatrix, t: int) -> list:
             for cols in itertools.combinations(range(n), len(rows)):
                 acc: dict = {}
                 for k, j in enumerate(cols):
-                    sub = below.get(cols[:k] + cols[k + 1:])
-                    if sub is None or not top[j]:
-                        continue
+                    sub = below.get(cols[:k] + cols[k + 1:], {})
                     for a, ca in top[j]:
-                        if k & 1:
-                            ca = p - ca
+                        ca = p - ca if k & 1 else ca
                         for b, cb in sub.items():
                             acc[a + b] = acc.get(a + b, 0) + ca * cb
-                det = {}
-                for e, c in acc.items():
-                    c %= p
-                    if c:
-                        det[e] = c
+                det = {e: c % p for e, c in acc.items() if c % p}
                 if det:
                     out[cols] = det
         tables[rows] = out
@@ -243,12 +236,11 @@ def _generic_shape(A: GradedMatrix) -> bool:
     generic matrix ``variable_matrix(m, n, A.grading)`` plus free
     variables: the entries of each column (each row, when row-graded) are
     linearly independent forms of its block, checked exactly by the rank
-    of their coefficient vectors mod p.  A zero entry fails the check."""
+    of their coefficient vectors mod p.  A zero entry has the zero vector,
+    so it fails the check."""
     ring = A.ring
     lines = zip(*A.entries) if A.grading == "column" else A.entries
     for block, forms in enumerate(lines, 1):
-        if any(f.is_zero for f in forms):
-            return False
         first = ring.var_index(block, 1)
         rows = []
         for f in forms:

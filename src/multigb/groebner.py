@@ -640,7 +640,6 @@ class Ideal:
                 self._series = HilbertNumerator(self.ring.v, {
                     a + pad: c for a, c in
                     hilbert_numerator(self._model).coeffs.items()})
-                self._model = None
             else:
                 order = next((gb.order for gb in self._gb_cache.values()),
                              None)
