@@ -350,9 +350,11 @@ def _polarized(ring: BlockRing, exps: list) -> tuple:
     of occurrences of the variables before it, and x_k^e polarizes to the
     product of positions s .. s + e - 1: prefix[s + e] / prefix[s]."""
     top = tuple(map(max, zip(*exps)))
-    ends = tuple(accumulate(ring.block_sizes))
-    prefix, *layout = _polarization(tuple(
-        sum(top[end - n:end]) for end, n in zip(ends, ring.block_sizes)))
+    widths, end = [], 0
+    for n in ring.block_sizes:
+        widths.append(sum(top[end:end + n]))
+        end += n
+    prefix, *layout = _polarization(tuple(widths))
     starts = (0, *accumulate(top))
     packed = [sum([prefix[s + c] - prefix[s] for s, c in zip(starts, e) if c])
               for e in exps]
