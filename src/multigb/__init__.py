@@ -45,8 +45,8 @@ __all__ = [
     "gin", "random_borel", "stable_gin", "is_cs", "is_csstar",
     "verify_dual_theorem", "closure_suite", "ugb_check", "degree_bound_check",
     "sample_orders", "gamma_sequence", "minors", "minor_ideal",
-    "build_column_graded",
-    "build_row_graded", "variable_matrix", "verify_main_theorem",
+    "build_column_graded", "build_row_graded", "variable_matrix",
+    "verify_main_theorem",
     "MultigbError", "RingMismatchError", "ResourceLimitError",
     "NotSquarefreeError", "PolarizationCapacityError",
     "HypothesisNotSatisfiedError", "InconclusiveError",

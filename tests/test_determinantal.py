@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-
 from multigb import determinantal, groebner
 from multigb.csideals import MembershipReport
 from multigb.determinantal import (GradedMatrix, _rank_mod_p,
