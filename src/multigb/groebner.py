@@ -487,12 +487,10 @@ class Ideal:
 
     def _series_cutoff(self) -> _SeriesCutoff | None:
         """The ideal's one cutoff, shared by its runs and its gin trials
-        (moved ideals have its series); None until the series is known, or
-        can be read off a model (``transported_ideal``), or a basis is
-        cached, and for an ideal that is not multihomogeneous."""
-        if self._cutoff is None and (
-                self._series is not None or self._model is not None or (
-                    self._gb_cache and self.is_multihomogeneous)):
+        (moved ideals have its series); None until the series is known or a
+        basis is cached, and for an ideal that is not multihomogeneous."""
+        if self._cutoff is None and (self._series is not None or (
+                self._gb_cache and self.is_multihomogeneous)):
             self._cutoff = _SeriesCutoff(self.ring, self.hilbert_series())
         return self._cutoff
 
