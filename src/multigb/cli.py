@@ -58,6 +58,12 @@ _KIND_TEXT = {"poly": "a polynomial", "ideal": "an ideal",
               "matrix": "a matrix"}
 
 
+def _asserting(cmd: Command) -> bool:
+    """Whether the command counts toward the exit code, finished or aborted:
+    an asserting command, or cs, csstar or member given expect=."""
+    return cmd.name in ASSERTING or "expect" in cmd.options
+
+
 class _Session:
     def __init__(self, ring: BlockRing, flags):
         self.ring = ring
@@ -329,7 +335,7 @@ def _execute_command(cmd: Command, sess: _Session) -> dict:
     if expect is not None:
         ok = report["verdict"] == expect
         report["evidence"]["expected"] = expect
-    report["asserted"] = ok is not None
+    report["asserted"] = _asserting(cmd)
     report["passed"] = ok
     return report
 
@@ -359,7 +365,8 @@ def _human_lines(report: dict) -> list:
     return lines
 
 
-def _aborted_report(name: str, args: list, e: ResourceLimitError) -> dict:
+def _aborted_report(name: str, args: list, e: ResourceLimitError,
+                    asserted: bool = False) -> dict:
     """Report of a command, or of the call defining an ideal, that hit a
     resource limit."""
     return {"command": name,
@@ -369,7 +376,7 @@ def _aborted_report(name: str, args: list, e: ResourceLimitError) -> dict:
                          "pending_pairs": e.pending_pairs,
                          "degree": e.degree},
             "seeds": [], "orders": [], "timings": {},
-            "asserted": name in ASSERTING, "passed": False}
+            "asserted": asserted, "passed": False}
 
 
 def _define(stmt, sess: _Session) -> None:
@@ -427,7 +434,8 @@ def run_script(script: SessionScript, flags, out=None, err=None) -> int:
             try:
                 report = _execute_command(stmt, sess)
             except ResourceLimitError as e:
-                reports.append(_aborted_report(stmt.name, stmt.args, e))
+                reports.append(_aborted_report(stmt.name, stmt.args, e,
+                                               _asserting(stmt)))
                 raise
             except (RingMismatchError, HypothesisNotSatisfiedError,
                     NotSquarefreeError, PolarizationCapacityError,

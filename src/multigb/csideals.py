@@ -31,7 +31,8 @@ from multigb.groebner import (Ideal, coordinate_section,
                               _graded_linear_block)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                alexander_dual, hilbert_numerator,
-                               is_radical_monomial, polarize, _numerator_key)
+                               is_radical_monomial, polarize,
+                               _numerator, _numerator_key)
 from multigb.poly import Polynomial, lead_exponents
 from multigb.ring import BlockRing, TermOrder, degrevlex, lex, _degrevlex_rows
 
@@ -560,9 +561,9 @@ def _sampled_records(I: Ideal, orders: Sequence[TermOrder],
     Buchberger.  A lead set is certified by its numerator key
     (``monomials._numerator_key``), which lead sets differing by an
     order-keeping move of their variables inside a block share: each
-    distinct key computes one numerator, all through one memo of the
-    numerator recursion.  A lead ideal is built only for an order that
-    runs Buchberger (``ugb_check`` names a missing lead by it); a
+    distinct key computes one numerator, from the key alone
+    (``monomials._numerator``).  A lead ideal is built only for an order
+    that runs Buchberger (``ugb_check`` names a missing lead by it); a
     certified order's is None.  A record holds the order's name, the
     leads of its reduced basis (for a certified order, the minimal
     generators of its own lead set) and the multidegree of each
@@ -571,7 +572,6 @@ def _sampled_records(I: Ideal, orders: Sequence[TermOrder],
     series = I.hilbert_series() if I.is_multihomogeneous else None
     settled: dict = {}  # (lead ideal, minimal leads, certified) by lead set
     verdicts: dict = {}  # certified by numerator key
-    recursion: dict = {}  # the sub-ideals every numerator's recursion shares
     degree_of: dict = {}  # multidegree by lead exponent
     out = []
     for o, exps in zip(orders, leads):
@@ -585,9 +585,7 @@ def _sampled_records(I: Ideal, orders: Sequence[TermOrder],
                 key, minimal = _numerator_key(ring, exps)
                 certified = verdicts.get(key)
                 if certified is None:
-                    certified = verdicts[key] = hilbert_numerator(
-                        MonomialIdeal(ring, minimal, _minimal=True),
-                        _memo=recursion) == series
+                    certified = verdicts[key] = _numerator(key) == series
                 hit = (None if certified else
                        MonomialIdeal(ring, minimal, _minimal=True),
                        minimal, certified)

@@ -124,8 +124,6 @@ def strongly_stable_closure(ring: BlockRing, exps: Sequence[tuple]) -> MonomialI
     seen = set()
     while todo:
         e = todo.pop()
-        if e in seen:
-            continue
         seen.add(e)
         for var, power in enumerate(e):
             if not power:

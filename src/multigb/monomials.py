@@ -324,52 +324,35 @@ class HilbertNumerator:
 @lru_cache(maxsize=1024)
 def _polarization(widths: tuple) -> tuple:
     """The polarization layout when block b has ``widths[b]`` positions, as
-    (prefix, blocks, guard, ydegrees, ydeg).
+    (prefix, guard, ydegrees, ydeg).
 
-    Positions are numbered block by block, and each lies in its block
-    (0-based, ``blocks``).  A polarized monomial is a 0/1 vector over the
-    positions, packed by ``kernel.fields(positions, 1)`` (``guard`` is its
-    guard mask), so it is its own support; ``prefix[i]`` is the packed
-    product of the first i positions.  Each position takes its block's
-    degree (``ydeg``: the packed y-degree of each packed position), and
-    ``ydegrees`` packs y-degrees up to those of the product of all
-    positions.  Built once per key; ``ydeg`` is only read."""
+    Positions are numbered block by block.  A polarized monomial is a 0/1
+    vector over the positions, packed by ``kernel.fields(positions, 1)``
+    (``guard`` is its guard mask), so it is its own support; ``prefix[i]``
+    is the packed product of the first i positions.  Each position takes
+    its block's degree (``ydeg``: the packed y-degree of each packed
+    position), and ``ydegrees`` packs y-degrees up to those of the product
+    of all positions.  Built once per key; ``ydeg`` is only read."""
     blocks = [b for b, width in enumerate(widths) for _ in range(width)]
     fields = kernel.fields(len(blocks), 1)
     ydegrees = kernel.fields(len(widths), max(widths))
     ydeg = dict(zip(fields.units, map(ydegrees.units.__getitem__, blocks)))
-    return ((0, *accumulate(fields.units)), tuple(blocks), fields.guard,
-            ydegrees, ydeg)
-
-
-def _polarized(ring: BlockRing, exps: list) -> tuple:
-    """The packed polarizations of the (nonempty) exponents ``exps``, with
-    the rest of their ``_polarization`` layout: (packed, blocks, guard,
-    ydegrees, ydeg).  Variable k owns one position per occurrence, up to
-    its top exponent in ``exps``, so its positions start at s, the number
-    of occurrences of the variables before it, and x_k^e polarizes to the
-    product of positions s .. s + e - 1: prefix[s + e] / prefix[s]."""
-    top = tuple(map(max, zip(*exps)))
-    widths, end = [], 0
-    for n in ring.block_sizes:
-        widths.append(sum(top[end:end + n]))
-        end += n
-    prefix, *layout = _polarization(tuple(widths))
-    starts = (0, *accumulate(top))
-    packed = [sum([prefix[s + c] - prefix[s] for s, c in zip(starts, e) if c])
-              for e in exps]
-    return (packed, *layout)
+    return (0, *accumulate(fields.units)), fields.guard, ydegrees, ydeg
 
 
 def _numerator_key(ring: BlockRing, exps: Iterable[tuple]) -> tuple:
     """(key, minimal) for the ideal that the exponents ``exps`` generate:
-    ``minimal`` lists its minimal generators, and ``key`` is the key under
-    which ``hilbert_numerator`` memoizes its numerator, (the block of each
-    position, the y-degree field width, the sorted packed polarized
-    minimal generators).  Equal keys give equal numerators.  The key keeps
-    the block of each position but not its variable, so ideals that differ
-    by moving the variables they use inside a block, keeping their order,
-    share one.
+    ``minimal`` lists its minimal generators, and ``key`` is everything
+    ``_numerator`` reads, (the number of positions of each block, the
+    sorted packed polarized minimal generators).  Equal keys give equal
+    numerators.  The key keeps the block of each position but not its
+    variable, so ideals that differ by moving the variables they use
+    inside a block, keeping their order, share one.
+
+    Variable k owns one position per occurrence, up to its top exponent
+    in ``exps``, so its positions start at s, the number of occurrences of
+    the variables before it, and x_k^e polarizes to the product of
+    positions s .. s + e - 1: prefix[s + e] / prefix[s] (``_polarization``).
 
     Rejects the exponents that ``MonomialIdeal`` rejects.  Polarization
     preserves divisibility, so the packed polarized exponents are
@@ -377,22 +360,34 @@ def _numerator_key(ring: BlockRing, exps: Iterable[tuple]) -> tuple:
     again, as a dropped multiple may have held a variable's top power."""
     exps = list(exps)
     if not exps:
-        return ((), 0, ()), []
+        return ((0,) * ring.v, ()), []
     if set(map(len, exps)) != {ring.nvars}:
         raise RingMismatchError("exponent length does not match ring")
     if min(map(min, exps)) < 0:
         raise ValueError("negative exponent")
-    packed, blocks, guard, ydegrees, _ = _polarized(ring, exps)
-    back = dict(zip(packed, exps))
+    top = tuple(map(max, zip(*exps)))
+    widths, end = [], 0
+    for n in ring.block_sizes:
+        widths.append(sum(top[end:end + n]))
+        end += n
+    prefix, guard, _, _ = _polarization(tuple(widths))
+    starts = (0, *accumulate(top))
+    back = {sum([prefix[s + c] - prefix[s] for s, c in zip(starts, e) if c]):
+            e for e in exps}
     gens = kernel.minimal(back, guard)
     if len(gens) < len(back):
         return _numerator_key(ring, [back[g] for g in gens])
-    return (blocks, ydegrees.bits, tuple(gens)), [back[g] for g in gens]
+    return (tuple(widths), tuple(gens)), [back[g] for g in gens]
 
 
-def hilbert_numerator(I: MonomialIdeal, *,
-                      _memo: dict | None = None) -> HilbertNumerator:
-    """K-polynomial of S/I (Bigatti; Bayer-Stillman).
+def hilbert_numerator(I: MonomialIdeal) -> HilbertNumerator:
+    """K-polynomial of S/I (Bigatti; Bayer-Stillman), computed from I's
+    numerator key (``_numerator``)."""
+    return _numerator(_numerator_key(I.ring, I.gens)[0])
+
+
+def _numerator(key: tuple) -> HilbertNumerator:
+    """K-polynomial of S/I from I's key (``_numerator_key``).
 
     The recursion runs on the polarization of I (``_polarization``): each
     new variable takes the degree of the variable it splits off, which
@@ -409,22 +404,14 @@ def hilbert_numerator(I: MonomialIdeal, *,
     Numerators are ``{packed y-degree: coefficient}``, the y-degrees packed
     by ``kernel.Fields`` of one field per block, sized by the block degrees
     of the lcm of all generators, which bound every term the recursion
-    makes.
-
-    The recursion memoizes each sub-ideal's numerator.  Calls that pass one
-    ``_memo`` dict share it; it is keyed by everything the recursion reads:
-    the block of each position and the y-degree field width, then the
-    packed generators.  I's own entry sits under ``_numerator_key(I.ring,
-    I.gens)``, which ``csideals._sampled_records`` reads to call this once
-    per distinct key among its lead sets, all with one memo.  A memoized
-    numerator is shared, so the recursion never mutates one.
+    makes.  The recursion memoizes each sub-ideal's numerator for this
+    call only; a memoized numerator is shared, so it is never mutated.
     """
-    v = I.ring.v
-    if not I.gens:
-        return HilbertNumerator.one(v)
-    packed, blocks, guard, ydegrees, ydeg = _polarized(I.ring, I.gens)
-    memo = {} if _memo is None else _memo.setdefault(
-        (blocks, ydegrees.bits), {})
+    widths, gens = key
+    if not gens:
+        return HilbertNumerator.one(len(widths))
+    _, guard, ydegrees, ydeg = _polarization(widths)
+    memo: dict = {}
 
     def rec(gens: tuple) -> dict:
         out = memo.get(gens)
@@ -477,8 +464,8 @@ def hilbert_numerator(I: MonomialIdeal, *,
         memo[gens] = out
         return out
 
-    return HilbertNumerator(v, {ydegrees.exponents(a): c for a, c in
-                                rec(tuple(sorted(packed))).items()})
+    return HilbertNumerator(len(widths), {ydegrees.exponents(a): c
+                                          for a, c in rec(gens).items()})
 
 
 def ambient_dimension(ring: BlockRing, a: Sequence[int]) -> int:

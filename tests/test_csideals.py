@@ -26,7 +26,8 @@ from multigb.instances import (cs_instance_pool, csstar_instance_pool,
                                random_multihomogeneous_polynomial, random_ring,
                                random_squarefree_ideal)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
-                               _numerator_key, hilbert_numerator,
+                               _numerator, _numerator_key,
+                               hilbert_numerator,
                                is_extended_from_first_variables,
                                is_radical_monomial)
 from multigb.poly import Polynomial, lead_exponents
@@ -695,11 +696,11 @@ def test_sampled_records_compute_one_numerator_per_key(monkeypatch):
     leads = lead_exponents(cands, orders)
     numerators = []
 
-    def counted(J, **kwargs):
-        numerators.append(J)
-        return hilbert_numerator(J, **kwargs)
+    def counted(key):
+        numerators.append(key)
+        return _numerator(key)
 
-    monkeypatch.setattr(csideals, "hilbert_numerator", counted)
+    monkeypatch.setattr(csideals, "_numerator", counted)
     settled = csideals._sampled_records(I, orders, leads)
     lead_sets = {frozenset(exps) for exps in leads}
     assert (len(orders), len(lead_sets), len(numerators)) == (202, 143, 1)
@@ -783,11 +784,11 @@ def test_sampled_records_keep_each_lead_set_of_a_shared_key(monkeypatch):
     assert _numerator_key(R, leads[0])[0] == _numerator_key(R, leads[1])[0]
     numerators = []
 
-    def counted(J, **kwargs):
-        numerators.append(J)
-        return hilbert_numerator(J, **kwargs)
+    def counted(key):
+        numerators.append(key)
+        return _numerator(key)
 
-    monkeypatch.setattr(csideals, "hilbert_numerator", counted)
+    monkeypatch.setattr(csideals, "_numerator", counted)
     settled = csideals._sampled_records(I, orders, leads)
     assert len(numerators) == 1
     assert [(record["lead_exps"], certified)
@@ -990,19 +991,36 @@ def truncated_lead_sets():
         (1, 1, 1, 1))]
 
 
-@pytest.mark.parametrize("lead_sets", [ugb_lead_sets, truncated_lead_sets],
-                         ids=["ugb", "degree-bound-2-minors"])
-def test_shared_numerator_memo_matches_fresh_numerators(lead_sets):
-    # _sampled_records shares one recursion memo among all its lead sets;
-    # a second pass in reverse order through the same memo reads the
-    # shared results again, so a mutated one would show
-    sets = lead_sets()
-    fresh = [hilbert_numerator(J) for J in sets]
-    memo: dict = {}
-    assert [hilbert_numerator(J, _memo=memo) for J in sets] == fresh
-    assert [hilbert_numerator(J, _memo=memo) for J in reversed(sets)] == \
-        fresh[::-1]
-    assert memo
+def mixed_polarization_sets():
+    # squarefree sets, sets holding x^2 and x^3 in one ring, and sets of
+    # two rings with other block sizes
+    R, S = BlockRing((2, 2)), BlockRing((1, 3))
+    return [MonomialIdeal(R, gens) for gens in [
+        [(1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)],
+        [(1, 1, 0, 0), (0, 1, 0, 1)],
+        [(1, 1, 0, 0), (1, 0, 1, 0)],
+        [(2, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)],
+        [(3, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)],
+        [(2, 1, 0, 0), (0, 3, 0, 1), (0, 0, 1, 1)]]] + [
+        MonomialIdeal(S, gens) for gens in [
+            [(1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)],
+            [(2, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)],
+            [(1, 1, 0, 0), (0, 1, 0, 1)]]]
+
+
+@pytest.mark.parametrize("lead_sets, oracle", [
+    (mixed_polarization_sets, oracles.hilbert_numerator_inclusion_exclusion),
+    (ugb_lead_sets, oracles.hilbert_numerator_packed),
+    (truncated_lead_sets, oracles.hilbert_numerator_packed)],
+    ids=["mixed-polarizations", "ugb", "degree-bound-2-minors"])
+def test_numerator_of_each_key_matches_the_oracles(lead_sets, oracle):
+    # the lead sets _sampled_records certifies by key: each key's
+    # numerator is its lead ideal's, by the public call and by an
+    # independent oracle (inclusion-exclusion where the sets are small,
+    # the recursion on the unpolarized exponents otherwise)
+    for J in lead_sets():
+        num = _numerator(_numerator_key(J.ring, J.gens)[0])
+        assert num == hilbert_numerator(J) == oracle(J)
 
 
 def test_degree_bound_check_rejects_inhomogeneous_input():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
                             PolarizationCapacityError, RingMismatchError)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal, alexander_dual,
-                               _numerator_key, ambient_dimension,
+                               _numerator, _numerator_key,
+                               ambient_dimension,
                                colon_monomial,
                                hilbert_numerator, is_borel_fixed,
                                is_extended_from_first_variables,
@@ -196,23 +197,23 @@ def test_polarize_hilbert_consistency():
     assert by_total(nI) == by_total(nP)
 
 
-def test_shared_memo_keeps_field_widths_and_blocks_apart():
-    # the memo key is the block of each polarized position and the
-    # y-degree field width, and each pair differs in it: (x[1,1]x[1,3])
-    # and (x[1,1]x[1,2]^2) polarize to two and three positions; (x[2,1])
-    # and (x[1,1]x[1,2], x[2,1]) to positions in blocks (2) and (1, 1, 2);
-    # the last two to blocks (1, 1, 2, 2) and (1, 2, 2, 2).  One memo must
-    # not mix their sub-ideals.
+def test_numerator_keys_keep_field_widths_and_blocks_apart():
+    # the key holds the number of polarized positions of each block, and
+    # each pair differs in it: (x[1,1]x[1,3]) and (x[1,1]x[1,2]^2) polarize
+    # to two and three positions; (x[2,1]) and (x[1,1]x[1,2], x[2,1]) to
+    # (0, 1) and (2, 1) positions per block; the last two to (2, 2) and
+    # (1, 3).  Each key gives its own ideal's numerator.
     pairs = [(M(BlockRing((3,)), (1, 0, 1)), M(BlockRing((3,)), (1, 2, 0))),
              (M(BlockRing((2, 1)), (0, 0, 1)),
               M(BlockRing((2, 1)), (1, 1, 0), (0, 0, 1))),
              (M(BlockRing((2, 1)), (1, 1, 0), (0, 0, 2)),
               M(BlockRing((1, 2)), (1, 1, 0), (0, 0, 2)))]
-    for pair in pairs:
-        memo: dict = {}
-        for J in pair:
-            assert hilbert_numerator(J, _memo=memo) == hilbert_numerator(J)
-        assert len(memo) == 2
+    widths = [((2,), (3,)), ((0, 1), (2, 1)), ((2, 2), (1, 3))]
+    for pair, expected in zip(pairs, widths):
+        keys = [_numerator_key(J.ring, J.gens)[0] for J in pair]
+        assert tuple(key[0] for key in keys) == expected
+        for J, key in zip(pair, keys):
+            assert _numerator(key) == hilbert_numerator_inclusion_exclusion(J)
 
 
 def test_hilbert_numerator_frozen():
@@ -345,32 +346,6 @@ def test_polarized_numerator_matches_the_unpolarized_recursion(I):
             graded_dimension(I, a)
 
 
-def test_one_memo_serves_lead_sets_of_every_polarization():
-    # one memo over squarefree sets, sets holding x^2 and x^3 in one ring,
-    # and sets of two rings with other block sizes: each matches a fresh
-    # numerator, and a second pass in reverse order reads the shared
-    # results again, so a mutated one would show.  The second and third
-    # sets hold other variables but polarize to positions in the same
-    # blocks, so they share one key
-    R, S = BlockRing((2, 2)), BlockRing((1, 3))
-    sets = [M(R, (1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)),
-            M(R, (1, 1, 0, 0), (0, 1, 0, 1)),
-            M(R, (1, 1, 0, 0), (1, 0, 1, 0)),
-            M(R, (2, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)),
-            M(R, (3, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)),
-            M(R, (2, 1, 0, 0), (0, 3, 0, 1), (0, 0, 1, 1)),
-            M(S, (1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)),
-            M(S, (2, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)),
-            M(S, (1, 1, 0, 0), (0, 1, 0, 1))]
-    fresh = [hilbert_numerator(J) for J in sets]
-    assert fresh == [hilbert_numerator_inclusion_exclusion(J) for J in sets]
-    memo: dict = {}
-    assert [hilbert_numerator(J, _memo=memo) for J in sets] == fresh
-    assert [hilbert_numerator(J, _memo=memo) for J in reversed(sets)] == \
-        fresh[::-1]
-    assert 1 < len(memo) < len(sets)
-
-
 @st.composite
 def lead_lists(draw):
     """Exponent lists in 1..3 blocks of 1 or 2 variables, exponents up to 3,
@@ -405,20 +380,20 @@ def lead_lists(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(lead_lists())
 def test_numerator_key_is_the_memo_key_of_the_lead_ideal(case):
-    # the key is the one hilbert_numerator memoizes the lead ideal under,
-    # with the lead ideal's minimal generators; renaming variables inside
-    # a block keeps the numerator, and keeps the key too when the used
-    # variables keep their order
+    # the key is the one csideals._sampled_records memoizes a lead set's
+    # verdict under, with the lead ideal's minimal generators, and its
+    # numerator is the lead ideal's; renaming variables inside a block
+    # keeps the numerator, and keeps the key too when the used variables
+    # keep their order
     R, exps, renamed, moved = case
     J = MonomialIdeal(R, exps)
     key, minimal = _numerator_key(R, exps)
     assert sorted(minimal) == list(J.gens)
-    memo: dict = {}
-    num = hilbert_numerator(J, _memo=memo)
-    if J.gens:
-        assert list(memo) == [key[:2]] and key[2] in memo[key[:2]]
-    else:
-        assert key == ((), 0, ()) and not memo
+    num = _numerator(key)
+    assert num == hilbert_numerator(J) == \
+        hilbert_numerator_inclusion_exclusion(J)
+    if not J.gens:
+        assert key == ((0,) * R.v, ())
     assert hilbert_numerator(MonomialIdeal(R, renamed)) == num
     assert _numerator_key(R, moved)[0] == key
 

@@ -918,6 +918,26 @@ def test_cli_resource_limit_in_definition_ends_with_aborted_report(
     assert f"basis size {evidence['basis_size']}" in evidence["error"]
 
 
+
+@pytest.mark.parametrize("option, asserted", [(" expect=yes", True),
+                                              ("", False)])
+def test_cli_aborted_command_asserts_as_it_would_have_finished(
+        tmp_path, capsys, option, asserted):
+    # cs asserts only when given expect=, whether it finishes or aborts;
+    # finished, the verdict is no, so expect=yes fails
+    text = ("ring v=1 blocks=[3] char=32003\n"
+            "ideal I = x[1,1]^2 + x[1,2]*x[1,3], x[1,2]^2 + x[1,1]*x[1,3], "
+            "x[1,3]^2 + x[1,1]*x[1,2]\n"
+            f"cs I{option}\n")
+    assert run_cli(tmp_path, text, "--max-basis", "2", "--json") == 3
+    aborted = json.loads(capsys.readouterr().out)["reports"][-1]
+    assert aborted["command"] == "cs"
+    assert aborted["verdict"] == "aborted"
+    assert aborted["asserted"] is asserted and aborted["passed"] is False
+    assert run_cli(tmp_path, text, "--json") == (1 if asserted else 0)
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["verdict"] == "no" and report["asserted"] is asserted
+
 # -- robustness: mutated scripts -----------------------------------------------
 
 VALID_SCRIPTS = [
