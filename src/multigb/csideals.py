@@ -30,9 +30,8 @@ from multigb.groebner import (Ideal, coordinate_section,
                               ring_without_variable, _by_order,
                               _graded_linear_block)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
-                               alexander_dual, hilbert_numerator,
-                               is_radical_monomial, polarize,
-                               _numerator, _numerator_key)
+                               alexander_dual, is_radical_monomial, polarize,
+                               _ideal_key, _numerator, _numerator_key)
 from multigb.poly import Polynomial, lead_exponents
 from multigb.ring import BlockRing, TermOrder, degrevlex, lex, _degrevlex_rows
 
@@ -213,9 +212,11 @@ def _staircase(h: list, dims: tuple, strides: tuple) -> tuple:
     return minimal, ""
 
 
-def _radical_model(ring: BlockRing, series: HilbertNumerator) -> tuple:
+def _radical_model(ring: BlockRing, series: HilbertNumerator,
+                   numerators: dict) -> tuple:
     """(J, "") for the radical Borel-fixed ideal J with Hilbert numerator
-    ``series``, or (None, the reason there is none).
+    ``series``, or (None, the reason there is none); J is checked with
+    ``numerators`` (``_checked``).
 
     J is the intersection of primes P_k = (x[i,1..k_i] : i) over an
     antichain of k <= (n_1..n_v), and inclusion-exclusion gives
@@ -241,13 +242,14 @@ def _radical_model(ring: BlockRing, series: HilbertNumerator) -> tuple:
             tuple(int(pos <= k[block - 1])
                   for block, pos in map(ring.var_pair, range(ring.nvars)))
             for k in ks]))
-    return _checked(J, series)
+    return _checked(J, series, numerators)
 
 
-def _first_variables_model(ring: BlockRing,
-                           series: HilbertNumerator) -> tuple:
+def _first_variables_model(ring: BlockRing, series: HilbertNumerator,
+                           numerators: dict) -> tuple:
     """(J, "") for the ideal J generated by monomials in the x[i,1] with
-    Hilbert numerator ``series``, or (None, the reason there is none).
+    Hilbert numerator ``series``, or (None, the reason there is none); J
+    is checked with ``numerators`` (``_checked``).
 
     J = J0*S with J0 in k[x[1,1]..x[v,1]], and K(S/J) = K(k[t]/J0), so h,
     the Hilbert function of k[t]/J0, is the prefix sum of the series, and
@@ -260,15 +262,31 @@ def _first_variables_model(ring: BlockRing,
     return _checked(MonomialIdeal(ring, [
         tuple(a[block - 1] if pos == 1 else 0
               for block, pos in map(ring.var_pair, range(ring.nvars)))
-        for a in zeros]), series)
+        for a in zeros]), series, numerators)
 
 
-def _checked(J: MonomialIdeal, series: HilbertNumerator) -> tuple:
+def _checked(J: MonomialIdeal, series: HilbertNumerator,
+             numerators: dict) -> tuple:
     """(J, "") when J has the Hilbert numerator ``series``, which the
-    construction promises; else (None, the reason)."""
-    if hilbert_numerator(J) != series:
+    construction promises; else (None, the reason).
+
+    J's numerator is computed by the recursion from J's own generators
+    (``_numerator_of``), or taken from ``numerators`` when an ideal with
+    J's numerator key was checked before in the same call: equal keys give
+    equal numerators, so the check is as strong either way."""
+    if _numerator_of(J, numerators) != series:
         return None, "the ideal read off the series has another series"
     return J, ""
+
+
+def _numerator_of(J: MonomialIdeal, numerators: dict) -> HilbertNumerator:
+    """J's Hilbert numerator, kept in ``numerators`` by numerator key
+    (``monomials._ideal_key``); a dict lives for one call of its owner."""
+    key = _ideal_key(J)
+    num = numerators.get(key)
+    if num is None:
+        num = numerators[key] = _numerator(key)
+    return num
 
 
 def _verdict(J: MonomialIdeal | None) -> str:
@@ -286,7 +304,7 @@ def is_cs(I: Ideal) -> MembershipReport:
     so a radical gin(I) would be such a J.  The verdict is deterministic.
     I must be multigraded (else ``HypothesisNotSatisfiedError``).
     """
-    J, reason = _radical_model(I.ring, I.hilbert_series())
+    J, reason = _radical_model(I.ring, I.hilbert_series(), {})
     if J is None:
         return MembershipReport(
             "no", "radical-gin",
@@ -308,7 +326,7 @@ def is_csstar(I: Ideal) -> MembershipReport:
     Hilbert series.  "no" needs no theorem, as for ``is_cs``.  I must be
     multigraded (else ``HypothesisNotSatisfiedError``).
     """
-    J, reason = _first_variables_model(I.ring, I.hilbert_series())
+    J, reason = _first_variables_model(I.ring, I.hilbert_series(), {})
     if J is None:
         return MembershipReport(
             "no", "first-variables-gin",
@@ -327,12 +345,16 @@ def verify_dual_theorem(I: MonomialIdeal) -> dict:
     """Check the duality biconditional on a squarefree ideal, and the gin
     identity gin(I)* = pol(gin(I*)) when the radical-gin side holds.  I is
     judged as ``is_cs`` judges an ideal, and I* as ``is_csstar`` does, by
-    the series of each."""
+    the series of each.  The four numerators of a call, those of I, I* and
+    the two models, share one dict by numerator key (``_numerator_of``)."""
     if not is_radical_monomial(I):
         raise NotSquarefreeError("the duality check needs a squarefree ideal")
-    gin_I, _ = _radical_model(I.ring, hilbert_numerator(I))
+    numerators: dict = {}
+    gin_I, _ = _radical_model(I.ring, _numerator_of(I, numerators),
+                              numerators)
     dual = alexander_dual(I)
-    gin_dual, _ = _first_variables_model(dual.ring, hilbert_numerator(dual))
+    gin_dual, _ = _first_variables_model(
+        dual.ring, _numerator_of(dual, numerators), numerators)
     biconditional = (gin_I is None) == (gin_dual is None)
     transcript = {
         "ideal": I.generator_strings(),
@@ -384,7 +406,9 @@ def closure_suite(I: Ideal, L: Polynomial, seed: int = 0) -> dict:
     often share a series: the colon has I's series when L is regular on
     S/I, and the section often has the quotient's.  So each distinct
     (model, ring, series) is read, and checked, once per call, I's own two
-    readings included; nothing is kept between calls.
+    readings included.  The checks share one dict of numerators by
+    numerator key (``_checked``), so distinct readings whose models have
+    one key compute its numerator once.  Nothing is kept between calls.
 
     Every verdict is deterministic, so ``seed`` is not read; it stays for
     the closure workload of ``perfbench``, which passes it.
@@ -392,8 +416,9 @@ def closure_suite(I: Ideal, L: Polynomial, seed: int = 0) -> dict:
     ring = I.ring
     b = _graded_linear_block(L) - 1  # rejects zero and non-linear forms
     own = I.hilbert_series()
-    cs = _radical_model(ring, own)[0]
-    star = _first_variables_model(ring, own)[0]
+    numerators: dict = {}
+    cs = _radical_model(ring, own, numerators)[0]
+    star = _first_variables_model(ring, own, numerators)[0]
     in_cs, in_star = cs is not None, star is not None
     if not (in_cs or in_star):
         raise HypothesisNotSatisfiedError(
@@ -410,7 +435,7 @@ def closure_suite(I: Ideal, L: Polynomial, seed: int = 0) -> dict:
         if small is not None:
             key = (model, small, series)
             if key not in readings:
-                readings[key] = model(small, series)[0]
+                readings[key] = model(small, series, numerators)[0]
             verdict = _verdict(readings[key])
         checks.append({"item": item, "description": description,
                        "applicable": small is not None, "verdict": verdict,

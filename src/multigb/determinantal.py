@@ -195,39 +195,45 @@ def minors(A: GradedMatrix, t: int) -> list:
     packed = [[[(fields.monomial(e), c) for e, c in f.terms] for f in row]
               for row in A.entries]
     tables: dict = {}  # row subset -> {column subset: {monomial: coeff}}
-
-    def table(rows: tuple) -> dict:
-        out = tables.get(rows)
-        if out is not None:
-            return out
-        top = packed[rows[0]]
-        if len(rows) == 1:
-            out = {(j,): dict(f) for j, f in enumerate(top) if f}
-        else:
-            below = table(rows[1:])
-            out = {}
-            for cols in itertools.combinations(range(n), len(rows)):
-                acc: dict = {}
-                for k, j in enumerate(cols):
-                    sub = below.get(cols[:k] + cols[k + 1:], {})
-                    for a, ca in top[j]:
-                        ca = p - ca if k & 1 else ca
-                        for b, cb in sub.items():
-                            acc[a + b] = acc.get(a + b, 0) + ca * cb
-                det = {e: c % p for e, c in acc.items() if c % p}
-                if det:
-                    out[cols] = det
-        tables[rows] = out
-        return out
-
     out = []
     for rows in itertools.combinations(range(m), t):
-        dets = table(rows)
+        dets = _minor_table(rows, tables, packed, n, p)
         for cols in itertools.combinations(range(n), t):
             det = dets.get(cols)
             if det:
                 out.append(Polynomial(ring, [(fields.exponents(e), c)
                                              for e, c in det.items()]))
+    return out
+
+
+def _minor_table(rows: tuple, tables: dict, packed: list, n: int,
+                 p: int) -> dict:
+    """{column subset: {packed monomial: coefficient}} for the nonzero
+    len(rows)-minors on ``rows`` of the packed n-column matrix ``packed``
+    mod p (``minors``), memoized in ``tables`` by row subset.  The memo is
+    the caller's local, which no function closes over, so it is freed when
+    the caller returns."""
+    out = tables.get(rows)
+    if out is not None:
+        return out
+    top = packed[rows[0]]
+    if len(rows) == 1:
+        out = {(j,): dict(f) for j, f in enumerate(top) if f}
+    else:
+        below = _minor_table(rows[1:], tables, packed, n, p)
+        out = {}
+        for cols in itertools.combinations(range(n), len(rows)):
+            acc: dict = {}
+            for k, j in enumerate(cols):
+                sub = below.get(cols[:k] + cols[k + 1:], {})
+                for a, ca in top[j]:
+                    ca = p - ca if k & 1 else ca
+                    for b, cb in sub.items():
+                        acc[a + b] = acc.get(a + b, 0) + ca * cb
+            det = {e: c % p for e, c in acc.items() if c % p}
+            if det:
+                out[cols] = det
+    tables[rows] = out
     return out
 
 

@@ -34,21 +34,26 @@ def _minimal_antichain(exps: Iterable[tuple]) -> list:
 
 
 class MonomialIdeal:
-    """A monomial ideal, kept as its minimal generators."""
+    """A monomial ideal, kept as its minimal generators, sorted.
+
+    ``gens`` are converted to int tuples, validated against the ring and
+    minimalized.  ``_minimal=True`` is for internal callers only: it takes
+    ``gens`` as they are, int tuples of the ring's length, nonnegative and
+    pairwise non-dividing, and only sorts them."""
 
     __slots__ = ("ring", "gens")
 
     def __init__(self, ring: BlockRing, gens: Iterable[tuple], *, _minimal: bool = False):
-        exps = [tuple(map(int, e)) for e in gens]
-        for e in exps:
-            if len(e) != ring.nvars:
-                raise RingMismatchError("exponent length does not match ring")
-            if min(e) < 0:
-                raise ValueError("negative exponent")
         if not _minimal:
-            exps = _minimal_antichain(exps)
+            gens = [tuple(map(int, e)) for e in gens]
+            for e in gens:
+                if len(e) != ring.nvars:
+                    raise RingMismatchError("exponent length does not match ring")
+                if min(e) < 0:
+                    raise ValueError("negative exponent")
+            gens = _minimal_antichain(gens)
         self.ring = ring
-        self.gens = tuple(sorted(exps))
+        self.gens = tuple(sorted(gens))
 
     def __eq__(self, other):
         return (isinstance(other, MonomialIdeal) and self.ring == other.ring
@@ -340,19 +345,36 @@ def _polarization(widths: tuple) -> tuple:
     return (0, *accumulate(fields.units)), fields.guard, ydegrees, ydeg
 
 
-def _numerator_key(ring: BlockRing, exps: Iterable[tuple]) -> tuple:
-    """(key, minimal) for the ideal that the exponents ``exps`` generate:
-    ``minimal`` lists its minimal generators, and ``key`` is everything
-    ``_numerator`` reads, (the number of positions of each block, the
-    sorted packed polarized minimal generators).  Equal keys give equal
-    numerators.  The key keeps the block of each position but not its
-    variable, so ideals that differ by moving the variables they use
-    inside a block, keeping their order, share one.
+def _polarized(ring: BlockRing, exps: list) -> tuple:
+    """(widths, guard, {packed polarized exponent: exponent}) for the
+    nonempty valid exponents ``exps``: ``widths`` is the number of
+    positions of each block, and ``guard`` the guard mask of their packing
+    (``_polarization``).
 
     Variable k owns one position per occurrence, up to its top exponent
     in ``exps``, so its positions start at s, the number of occurrences of
     the variables before it, and x_k^e polarizes to the product of
-    positions s .. s + e - 1: prefix[s + e] / prefix[s] (``_polarization``).
+    positions s .. s + e - 1: prefix[s + e] / prefix[s]."""
+    top = tuple(map(max, zip(*exps)))
+    widths, end = [], 0
+    for n in ring.block_sizes:
+        widths.append(sum(top[end:end + n]))
+        end += n
+    prefix, guard, _, _ = _polarization(tuple(widths))
+    starts = (0, *accumulate(top))
+    return tuple(widths), guard, {
+        sum([prefix[s + c] - prefix[s] for s, c in zip(starts, e) if c]): e
+        for e in exps}
+
+
+def _numerator_key(ring: BlockRing, exps: Iterable[tuple]) -> tuple:
+    """(key, minimal) for the ideal that the exponents ``exps`` generate:
+    ``minimal`` lists its minimal generators, and ``key`` is everything
+    ``_numerator`` reads, (the number of positions of each block, the
+    sorted packed polarized minimal generators; ``_polarized``).  Equal
+    keys give equal numerators.  The key keeps the block of each position
+    but not its variable, so ideals that differ by moving the variables
+    they use inside a block, keeping their order, share one.
 
     Rejects the exponents that ``MonomialIdeal`` rejects.  Polarization
     preserves divisibility, so the packed polarized exponents are
@@ -365,107 +387,123 @@ def _numerator_key(ring: BlockRing, exps: Iterable[tuple]) -> tuple:
         raise RingMismatchError("exponent length does not match ring")
     if min(map(min, exps)) < 0:
         raise ValueError("negative exponent")
-    top = tuple(map(max, zip(*exps)))
-    widths, end = [], 0
-    for n in ring.block_sizes:
-        widths.append(sum(top[end:end + n]))
-        end += n
-    prefix, guard, _, _ = _polarization(tuple(widths))
-    starts = (0, *accumulate(top))
-    back = {sum([prefix[s + c] - prefix[s] for s, c in zip(starts, e) if c]):
-            e for e in exps}
+    widths, guard, back = _polarized(ring, exps)
     gens = kernel.minimal(back, guard)
     if len(gens) < len(back):
         return _numerator_key(ring, [back[g] for g in gens])
-    return (tuple(widths), tuple(gens)), [back[g] for g in gens]
+    return (widths, tuple(gens)), [back[g] for g in gens]
+
+
+def _ideal_key(I: MonomialIdeal) -> tuple:
+    """The numerator key of I, equal to ``_numerator_key(I.ring, I.gens)[0]``
+    without its checks: I's generators are valid and minimal, and
+    polarization keeps divisibility both ways, so their packed
+    polarizations are minimal and distinct already."""
+    if not I.gens:
+        return (0,) * I.ring.v, ()
+    widths, _, back = _polarized(I.ring, I.gens)
+    return widths, tuple(sorted(back))
 
 
 def hilbert_numerator(I: MonomialIdeal) -> HilbertNumerator:
     """K-polynomial of S/I (Bigatti; Bayer-Stillman), computed from I's
-    numerator key (``_numerator``)."""
-    return _numerator(_numerator_key(I.ring, I.gens)[0])
+    numerator key (``_ideal_key``, ``_numerator``)."""
+    return _numerator(_ideal_key(I))
 
 
 def _numerator(key: tuple) -> HilbertNumerator:
     """K-polynomial of S/I from I's key (``_numerator_key``).
 
-    The recursion runs on the polarization of I (``_polarization``): each
-    new variable takes the degree of the variable it splits off, which
-    keeps the multigraded K-polynomial (Miller-Sturmfels, ch. 3), and every
-    generator is squarefree.  Generators that fall into groups of pairwise
-    disjoint support give the product of the groups' K-polynomials.  A
-    group that does not split is split at the pivot variable x that most of
-    its generators hold (the lowest such position on ties):
-    K(S/I) = y^{deg x} * K(S/(I:x)) + K(S/(I+(x))).
-
-    A packed squarefree monomial is its own support: g holds x iff
-    ``g & x``, the colon takes g to ``g & ~x`` and is minimalized
-    (``kernel.minimal``), and the sum drops every generator that holds x.
-    Numerators are ``{packed y-degree: coefficient}``, the y-degrees packed
-    by ``kernel.Fields`` of one field per block, sized by the block degrees
-    of the lcm of all generators, which bound every term the recursion
-    makes.  The recursion memoizes each sub-ideal's numerator for this
-    call only; a memoized numerator is shared, so it is never mutated.
+    The recursion (``_pivot``) runs on the polarization of I
+    (``_polarization``): each new variable takes the degree of the
+    variable it splits off, which keeps the multigraded K-polynomial
+    (Miller-Sturmfels, ch. 3), and every generator is squarefree.
+    Numerators are ``{packed y-degree: coefficient}``, the y-degrees
+    packed by ``kernel.Fields`` of one field per block, sized by the block
+    degrees of the lcm of all generators, which bound every term the
+    recursion makes.  The recursion memoizes each sub-ideal's numerator in
+    a dict local to this call, which no function closes over, so it is
+    freed when the call returns.
     """
     widths, gens = key
     if not gens:
         return HilbertNumerator.one(len(widths))
     _, guard, ydegrees, ydeg = _polarization(widths)
-    memo: dict = {}
+    return HilbertNumerator(len(widths), {
+        ydegrees.exponents(a): c
+        for a, c in _pivot(gens, {}, guard, ydeg).items()})
 
-    def rec(gens: tuple) -> dict:
-        out = memo.get(gens)
-        if out is not None:
-            return out
-        groups = []  # [support, generators] of disjoint supports
-        for g in gens:
-            joined = [g, [g]]
-            apart = []
-            for group in groups:
-                if group[0] & g:
-                    joined[0] |= group[0]
-                    joined[1] += group[1]
-                else:
-                    apart.append(group)
-            apart.append(joined)
-            groups = apart
-        if len(gens) == 1:
-            g, degree = gens[0], 0
-            while g:  # the y-degree of g, one position at a time
-                x = g & -g
-                degree += ydeg[x]
-                g ^= x
-            out = {0: 1, degree: -1} if gens[0] else {}
-        elif len(groups) > 1:
-            out = {0: 1}
-            for _, members in groups:
-                prod: dict = {}
-                for b, d in rec(tuple(sorted(members))).items():
-                    for a, c in out.items():
-                        prod[a + b] = prod.get(a + b, 0) + c * d
-                out = {a: c for a, c in prod.items() if c}
-        else:
-            counts: dict = {}  # how many generators hold each position
-            for g in gens:
-                while g:
-                    y = g & -g
-                    counts[y] = counts.get(y, 0) + 1
-                    g ^= y
-            most = max(counts.values())
-            x = min([y for y, c in counts.items() if c == most])
-            plus = [g for g in gens if not g & x]
-            plus.append(x)
-            out = dict(rec(tuple(sorted(plus))))
-            shift, off = ydeg[x], ~x
-            colon = tuple(kernel.minimal([g & off for g in gens], guard))
-            for a, c in rec(colon).items():
-                out[a + shift] = out.get(a + shift, 0) + c
-            out = {a: c for a, c in out.items() if c}
-        memo[gens] = out
+
+def _pivot(gens: tuple, memo: dict, guard: int, ydeg: dict) -> dict:
+    """K-polynomial of S/I for I generated by the sorted packed squarefree
+    monomials ``gens`` (``_numerator``), memoized in ``memo``.
+
+    Generators that fall into groups of pairwise disjoint support give the
+    product of the groups' K-polynomials.  A group that does not split is
+    split at the pivot variable x that most of its generators hold (the
+    lowest such position on ties), by Bigatti's step
+    K(S/I) = y^{deg x} * K(S/(I:x)) + K(S/(I+(x))).  x is coprime to the
+    generators that lack it, which generate I', so
+    K(S/(I+(x))) = (1 - y^{deg x}) * K(S/I'), with K(S/I') = 1 when every
+    generator holds x.
+
+    A packed squarefree monomial is its own support: g holds x iff
+    ``g & x``, the colon takes g to ``g & ~x`` and is minimalized
+    (``kernel.minimal``), and I' keeps every generator without x.  A
+    memoized numerator is shared, so it is never mutated.
+    """
+    out = memo.get(gens)
+    if out is not None:
         return out
-
-    return HilbertNumerator(len(widths), {ydegrees.exponents(a): c
-                                          for a, c in rec(gens).items()})
+    groups = []  # [support, generators] of disjoint supports
+    for g in gens:
+        joined = [g, [g]]
+        apart = []
+        for group in groups:
+            if group[0] & g:
+                joined[0] |= group[0]
+                joined[1] += group[1]
+            else:
+                apart.append(group)
+        apart.append(joined)
+        groups = apart
+    if len(gens) == 1:
+        g, degree = gens[0], 0
+        while g:  # the y-degree of g, one position at a time
+            x = g & -g
+            degree += ydeg[x]
+            g ^= x
+        out = {0: 1, degree: -1} if gens[0] else {}
+    elif len(groups) > 1:
+        out = {0: 1}
+        for _, members in groups:
+            prod: dict = {}
+            for b, d in _pivot(tuple(sorted(members)), memo, guard,
+                               ydeg).items():
+                for a, c in out.items():
+                    prod[a + b] = prod.get(a + b, 0) + c * d
+            out = {a: c for a, c in prod.items() if c}
+    else:
+        counts: dict = {}  # how many generators hold each position
+        for g in gens:
+            while g:
+                y = g & -g
+                counts[y] = counts.get(y, 0) + 1
+                g ^= y
+        most = max(counts.values())
+        x = min([y for y, c in counts.items() if c == most])
+        rest = tuple([g for g in gens if not g & x])
+        below = _pivot(rest, memo, guard, ydeg) if rest else {0: 1}
+        shift, off = ydeg[x], ~x
+        out = dict(below)
+        for a, c in below.items():
+            out[a + shift] = out.get(a + shift, 0) - c
+        colon = tuple(kernel.minimal([g & off for g in gens], guard))
+        for a, c in _pivot(colon, memo, guard, ydeg).items():
+            out[a + shift] = out.get(a + shift, 0) + c
+        out = {a: c for a, c in out.items() if c}
+    memo[gens] = out
+    return out
 
 
 def ambient_dimension(ring: BlockRing, a: Sequence[int]) -> int:

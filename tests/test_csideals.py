@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import traceback
 
 import pytest
 from hypothesis import given, settings
@@ -322,14 +323,14 @@ def test_a_flipped_series_coefficient_changes_the_verdict():
         series = I.hilbert_series()
         for model in (csideals._radical_model,
                       csideals._first_variables_model):
-            J, _ = model(I.ring, series)
+            J, _ = model(I.ring, series, {})
             if J is None:
                 continue
             for a, c in series.coeffs.items():
                 for flipped in (-c, c + 1):
                     mutant = HilbertNumerator(
                         series.v, {**series.coeffs, a: flipped})
-                    K, _ = model(I.ring, mutant)
+                    K, _ = model(I.ring, mutant, {})
                     assert K != J
                     assert K is None or hilbert_numerator(K) == mutant
                     mutants += 1
@@ -513,9 +514,9 @@ def test_closure_suite_derived_series_equal_computed_ones(monkeypatch):
     # the real ideal gives it
     judged = []
     for name in ("_radical_model", "_first_variables_model"):
-        def spy(ring, series, model=getattr(csideals, name)):
+        def spy(ring, series, numerators, model=getattr(csideals, name)):
             judged.append((ring, series))
-            return model(ring, series)
+            return model(ring, series, numerators)
         monkeypatch.setattr(csideals, name, spy)
 
     def fresh(J):
@@ -561,9 +562,10 @@ def test_closure_suite_reads_each_series_once_per_call(monkeypatch):
     # reads each distinct one once; the next call reads them again
     reads = []
     for name in ("_radical_model", "_first_variables_model"):
-        def spy(ring, series, model=getattr(csideals, name), name=name):
+        def spy(ring, series, numerators, model=getattr(csideals, name),
+                name=name):
             reads.append((name, ring, series))
-            return model(ring, series)
+            return model(ring, series, numerators)
         monkeypatch.setattr(csideals, name, spy)
 
     pool = cs_instance_pool(8, seed=4) + csstar_instance_pool(8, seed=8)
@@ -584,6 +586,94 @@ def test_closure_suite_reads_each_series_once_per_call(monkeypatch):
     assert saved > 0
     text = json.dumps(transcripts, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CLOSURE_TRANSCRIPTS
+
+
+def test_closure_suite_computes_each_numerator_key_once_per_call(
+        monkeypatch):
+    # the checks of one call share one dict of numerators by key, so no key
+    # is computed twice in a call; the dict dies with the call, so the next
+    # call computes the same keys again
+    computed, keyed = [], []
+
+    def counted(key):
+        computed.append(key)
+        return _numerator(key)
+
+    def key_of(J, inner=csideals._ideal_key):
+        keyed.append(J)
+        return inner(J)
+
+    monkeypatch.setattr(csideals, "_numerator", counted)
+    monkeypatch.setattr(csideals, "_ideal_key", key_of)
+    pool = cs_instance_pool(8, seed=4) + csstar_instance_pool(8, seed=8)
+    rng = random.Random(31)
+    shared = 0
+    for I in pool:
+        R = I.ring
+        for L in (x(R, 1, R.block_sizes[0]), random_linear_form(R, rng)):
+            calls = []
+            for _ in range(2):
+                computed.clear()
+                keyed.clear()
+                closure_suite(I, L)
+                calls.append(list(computed))
+                assert len(computed) == len(set(computed))
+                shared += len(keyed) - len(computed)
+            assert calls[0] == calls[1] and calls[0]
+    assert shared > 0
+
+
+def test_verify_dual_theorem_computes_each_numerator_key_once(monkeypatch):
+    # the four numerators of a call, of I, its dual and the two models,
+    # share one dict: a model with the key of I or of the dual takes it;
+    # these ideals are in the family, so both models exist
+    computed = []
+
+    def counted(key):
+        computed.append(key)
+        return _numerator(key)
+
+    monkeypatch.setattr(csideals, "_numerator", counted)
+    R = BlockRing((2, 2))
+    shared = 0
+    for gens in ([(1, 0, 1, 0)], [(1, 0, 1, 0), (0, 1, 1, 0)],
+                 [(1, 0, 0, 0)]):
+        computed.clear()
+        out = verify_dual_theorem(MonomialIdeal(R, gens))
+        assert out["passed"] and out["identity_checked"]
+        assert len(computed) == len(set(computed))
+        shared += 4 - len(computed)
+    assert shared > 0
+
+
+def test_minimal_generator_call_sites_pass_int_tuples(monkeypatch):
+    # MonomialIdeal(_minimal=True) takes its generators as they are, so each
+    # internal call site must pass minimal int tuples of the ring's length
+    sites = []
+    inner = MonomialIdeal.__init__
+
+    def checked(self, ring, gens, *, _minimal=False):
+        if _minimal:
+            gens = list(gens)
+            assert all(type(e) is tuple and len(e) == ring.nvars
+                       and all(type(c) is int and c >= 0 for c in e)
+                       for e in gens)
+            assert sorted(gens) == list(MonomialIdeal(ring, gens).gens)
+            sites.append(traceback.extract_stack(limit=2)[0].name)
+        inner(self, ring, gens, _minimal=_minimal)
+
+    monkeypatch.setattr(MonomialIdeal, "__init__", checked)
+    R, I = remark_matrix_ideal()
+    assert I.initial_ideal(lex(R)).gens  # groebner.Ideal.initial_ideal
+    assert stable_gin(I, seed=1).result.gens  # gin._trial
+    assert csideals.alexander_dual(MonomialIdeal(R, [(1,) * R.nvars])).gens
+    S = BlockRing((2,))
+    f = x(S, 1, 1) ** 2 - x(S, 1, 2) ** 2
+    g = x(S, 1, 1) * x(S, 1, 2)
+    assert not ugb_check([f, g], Ideal(S, [f, g]), n_orders=30,
+                         seed=11).passed  # csideals._sampled_records
+    assert set(sites) == {"initial_ideal", "_trial", "alexander_dual",
+                          "_sampled_records"}
 
 
 def test_ugb_check_positive_for_maximal_minors():

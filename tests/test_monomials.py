@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from multigb.errors import (HypothesisNotSatisfiedError, NotSquarefreeError,
                             PolarizationCapacityError, RingMismatchError)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal, alexander_dual,
-                               _numerator, _numerator_key,
+                               _ideal_key, _numerator, _numerator_key,
                                ambient_dimension,
                                colon_monomial,
                                hilbert_numerator, is_borel_fixed,
@@ -396,6 +396,20 @@ def test_numerator_key_is_the_memo_key_of_the_lead_ideal(case):
         assert key == ((0,) * R.v, ())
     assert hilbert_numerator(MonomialIdeal(R, renamed)) == num
     assert _numerator_key(R, moved)[0] == key
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_ideal_key_is_the_validating_key(data):
+    # hilbert_numerator keys a MonomialIdeal's minimal generators as they
+    # are; that key is the one _numerator_key finds after validating and
+    # minimalizing them, squarefree or not
+    R = BlockRing(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                     max_size=3)))
+    top = data.draw(st.sampled_from([1, 3]))
+    I = MonomialIdeal(R, data.draw(st.lists(
+        st.tuples(*[st.integers(0, top)] * R.nvars), max_size=6)))
+    assert _ideal_key(I) == _numerator_key(R, I.gens)[0]
 
 
 def test_numerator_key_packs_again_without_a_dropped_power():
