@@ -18,7 +18,7 @@ from multigb import kernel
 from multigb.csideals import degree_bound_check, is_cs, is_csstar, ugb_check
 from multigb.errors import HypothesisNotSatisfiedError
 from multigb.groebner import (DEFAULT_LIMITS, EngineLimits, Ideal,
-                              transported_ideal)
+                              ideal_with_series_of)
 from multigb.monomials import MonomialIdeal, regularity_strongly_stable
 from multigb.poly import Polynomial
 from multigb.ring import DEFAULT_CHARACTERISTIC, BlockRing
@@ -270,21 +270,27 @@ def minor_ideal(A: GradedMatrix, t: int,
     (Bruns-Vetter, Determinantal Rings, LNM 1327).  The t-minors of X are
     a Groebner basis under a diagonal order, one that makes each minor's
     main diagonal its lead (Sturmfels, Math. Z. 205, 1990), so the main
-    diagonals generate in(I_t(X)).  The ideal then takes, when first asked
-    for, the series of that monomial ideal, whose blocks are the first
-    blocks of A's ring (``groebner.transported_ideal``), and runs no
-    Buchberger for it.  Otherwise its series comes from its own basis."""
+    diagonals generate in(I_t(X)).  They are written straight into A's
+    ring, where entry (i, j) of X is x[j, i] when column-graded and x[i, j]
+    when row-graded (``_generic_shape`` makes these variables exist), and
+    that monomial ideal is the ideal's model
+    (``groebner.ideal_with_series_of``): the ideal runs no Buchberger for
+    its series, and its first basis already skips S-pairs by it.
+    Otherwise its series comes from its own basis."""
     gens = minors(A, t)
     if not _generic_shape(A):
         return Ideal(A.ring, gens, limits)
+    ring = A.ring
     m, n = A.shape
-    X = variable_matrix(m, n, A.grading, A.ring.characteristic)
-    diagonals = [tuple(map(sum, zip(*[X.entries[i][j].lead_exp()
-                                      for i, j in zip(rows, cols)])))
-                 for rows in itertools.combinations(range(m), t)
-                 for cols in itertools.combinations(range(n), t)]
-    return transported_ideal(MonomialIdeal(X.ring, diagonals), A.ring,
-                             gens, limits)
+    diagonals = []
+    for rows in itertools.combinations(range(m), t):
+        for cols in itertools.combinations(range(n), t):
+            e = [0] * ring.nvars
+            for i, j in zip(rows, cols):
+                block, k = (j, i) if A.grading == "column" else (i, j)
+                e[ring.var_index(block + 1, k + 1)] = 1
+            diagonals.append(tuple(e))
+    return ideal_with_series_of(MonomialIdeal(ring, diagonals), gens, limits)
 
 
 def verify_main_theorem(A: GradedMatrix, n_orders: int = 25, seed: int = 0,

@@ -73,8 +73,9 @@ def _trial(g: BorelElement, I: Ideal, order: TermOrder) -> MonomialIdeal:
     """in(g(I)) under ``order``: the generators are moved by
     ``Polynomial.substitute``, their reduced basis is computed by
     ``groebner._reduced_basis_raw``, and the initial ideal is read off its
-    leads.  g(I) has the Hilbert series of I, so the run skips pairs by it
-    once I has a basis cached."""
+    leads.  g(I) has the Hilbert series of I, so the run skips pairs by I's
+    cutoff (``Ideal._series_cutoff``) once I has a model or a basis
+    cached."""
     ring = I.ring
     images = {v: Polynomial(ring, terms) for v, terms in _variable_images(
         g, set().union(*(f.support_vars() for f in I.gens))).items()}
@@ -109,7 +110,7 @@ def gin(I: Ideal, order: TermOrder | None = None, trials: int = 3,
         seed: int = 0) -> GinReport:
     """in(b(I)) over ``trials`` random Borel elements; agreement required for
     a definitive result.  An agreeing result must be Borel fixed, and must
-    have I's Hilbert series when that is known.
+    have the series of I's cutoff when the trials had one to skip pairs by.
 
     A Borel-fixed monomial ideal is returned as its own gin without trials.
     """
@@ -131,10 +132,10 @@ def gin(I: Ideal, order: TermOrder | None = None, trials: int = 3,
     agreement = all(c == candidates[0] for c in candidates[1:])
     result = candidates[0] if agreement else None
     # a pair skipped by the series cutoff can only leave a candidate too
-    # small, which its series shows; I's series is known once it was asked
-    # for or a trial read it off a cached basis of I
-    if (agreement and I._series is not None
-            and hilbert_numerator(result) != I._series):
+    # small, which its series shows
+    cutoff = I._series_cutoff()
+    if (agreement and cutoff is not None
+            and hilbert_numerator(result) != cutoff.series):
         raise InternalConsistencyError(
             "agreeing gin candidate does not have the ideal's Hilbert "
             "series; the engine is wrong")

@@ -442,7 +442,7 @@ class Ideal:
         self.limits = limits if limits is not None else DEFAULT_LIMITS
         self._gb_cache: dict = {}
         self._series: HilbertNumerator | None = None
-        self._model: MonomialIdeal | None = None  # see transported_ideal
+        self._model: MonomialIdeal | None = None  # see ideal_with_series_of
         self._cutoff: _SeriesCutoff | None = None
 
     def __repr__(self):
@@ -487,9 +487,11 @@ class Ideal:
 
     def _series_cutoff(self) -> _SeriesCutoff | None:
         """The ideal's one cutoff, shared by its runs and its gin trials
-        (moved ideals have its series); None until the series is known or a
-        basis is cached, and for an ideal that is not multihomogeneous."""
-        if self._cutoff is None and (self._series is not None or (
+        (moved ideals have its series) and read by gin's guard; None until
+        the ideal has a model (``ideal_with_series_of``, or a series asked
+        for) or a cached basis, and for an ideal that is not
+        multihomogeneous."""
+        if self._cutoff is None and (self._model is not None or (
                 self._gb_cache and self.is_multihomogeneous)):
             self._cutoff = _SeriesCutoff(self.ring, self.hilbert_series())
         return self._cutoff
@@ -585,9 +587,10 @@ class Ideal:
         {g / x_v if x_v divides in(g), else g : g in G} is a basis of the
         moved I : x_v, mapped back with x_v -> f.  When f is multigraded,
         the change of coordinates stays in one block and keeps the
-        multigrading, so these leads give the colon its Hilbert series.
-        Any other input takes (1/f) * (I cap (f)), the intersection by
-        elimination.
+        multigrading, so the monomial ideal of these leads is the colon's
+        model (``ideal_with_series_of``), which gives it its Hilbert series
+        when first asked for.  Any other input takes (1/f) * (I cap (f)),
+        the intersection by elimination.
         """
         if f.is_zero:
             raise ValueError("colon by zero")
@@ -611,37 +614,32 @@ class Ideal:
                     lead = lead[:v] + (lead[v] - 1,) + lead[v + 1:]
                 leads.append(lead)
                 gens.append(g.substitute(back))
-            colon = Ideal(self.ring, gens, self.limits)
             if f.is_multihomogeneous:
-                colon._series = hilbert_numerator(
-                    MonomialIdeal(self.ring, leads))
-            return colon
+                return ideal_with_series_of(MonomialIdeal(self.ring, leads),
+                                            gens, self.limits)
+            return Ideal(self.ring, gens, self.limits)
         meet = self.intersect(Ideal(self.ring, [f], self.limits))
         return Ideal(self.ring, [exact_divide(g, f) for g in meet.gens],
                      self.limits)
 
     def hilbert_series(self) -> HilbertNumerator:
-        """K-polynomial of S/I, computed once and cached.  An ideal made by
-        ``transported_ideal`` (the minor ideals of
-        ``determinantal.minor_ideal`` under its rank check) takes the
-        numerator of its monomial model, padded with degree 0 in the blocks
-        the model's ring lacks, and runs no Buchberger for it.  Any other
-        ideal's series is read off a basis: S/in(I) has the same series
-        under every order (Macaulay), so the first cached basis serves, or
-        a storage-order basis when none is cached."""
+        """K-polynomial of S/I, computed once and cached; the only code that
+        stores it.  It is the numerator of the ideal's model, a monomial
+        ideal in the ideal's ring with its series: the one an
+        ``ideal_with_series_of`` construction gave it (a colon, a coordinate
+        section, a minor ideal under its rank check), which runs no
+        Buchberger for it, or else in(I).  S/in(I) has the same series under
+        every order (Macaulay), so the first cached basis serves, or a
+        storage-order basis when none is cached."""
         if self._series is None:
             if not self.is_multihomogeneous:
                 raise HypothesisNotSatisfiedError(
                     "Hilbert series needs multigraded generators")
-            if self._model is not None:
-                pad = (0,) * (self.ring.v - self._model.ring.v)
-                self._series = HilbertNumerator(self.ring.v, {
-                    a + pad: c for a, c in
-                    hilbert_numerator(self._model).coeffs.items()})
-            else:
+            if self._model is None:
                 order = next((gb.order for gb in self._gb_cache.values()),
                              None)
-                self._series = hilbert_numerator(self.initial_ideal(order))
+                self._model = self.initial_ideal(order)
+            self._series = hilbert_numerator(self._model)
         return self._series
 
     def minimal_generators(self) -> list:
@@ -681,25 +679,16 @@ class Ideal:
         return MonomialIdeal(self.ring, [g.lead_exp() for g in self.gens])
 
 
-def transported_ideal(model: MonomialIdeal, ring: BlockRing,
-                      gens: Iterable[Polynomial],
-                      limits: EngineLimits | None = None) -> Ideal:
-    """The ideal of ``gens`` in ``ring``, for a caller that has proved that
-    a change of coordinates inside each block takes it to the extension by
-    free variables of an ideal J with initial ideal ``model`` under some
-    order.  ``model``'s blocks are the first blocks of ``ring``, none
-    larger than its counterpart; the other variables are the free ones.
-    S/J and S/in(J) have one series (Macaulay), a graded change of
-    coordinates keeps the multigraded K-polynomial, and so does a free
-    variable, which divides the Hilbert series and its denominator alike
-    by 1 - y; so the ideal takes ``hilbert_numerator(model)`` as its series
-    when first asked for (``Ideal.hilbert_series``)."""
-    sizes = model.ring.block_sizes
-    if (len(sizes) > ring.v or model.ring.characteristic != ring.characteristic
-            or any(a > b for a, b in zip(sizes, ring.block_sizes))):
-        raise RingMismatchError(
-            "the model's ring is not made of leading blocks of the ring")
-    I = Ideal(ring, gens, limits)
+def ideal_with_series_of(model: MonomialIdeal, gens: Iterable[Polynomial],
+                         limits: EngineLimits | None = None) -> Ideal:
+    """The ideal of ``gens`` in ``model``'s ring, for a caller that has
+    proved that S/I has the Hilbert series of S/``model``: ``model`` is an
+    initial ideal of I (Macaulay), or of an ideal that a change of
+    coordinates inside each block takes I to, which keeps the multigraded
+    K-polynomial.  The ideal keeps ``model`` and reads its series off it
+    when first asked for (``Ideal.hilbert_series``); its runs skip S-pairs
+    by that series from the first basis on (``Ideal._series_cutoff``)."""
+    I = Ideal(model.ring, gens, limits)
     I._model = model
     return I
 
@@ -820,15 +809,15 @@ def coordinate_section(I: Ideal, var: int) -> Ideal:
 
     The kept elements of the elimination basis are a basis of the section
     under the order they inherit, so for I multihomogeneous their leads,
-    without the ``var`` coordinate, give the section its Hilbert series
-    (Macaulay), as the colon's leads give the colon its series."""
+    without the ``var`` coordinate, generate its initial ideal, which is
+    its model (``ideal_with_series_of``), as the colon's leads are the
+    colon's."""
     small = ring_without_variable(I.ring, var)
     section = I.eliminate({var})
-    out = Ideal(small, [project_out_variable(g, small, var)
-                        for g in section.gens], I.limits)
-    if I.is_multihomogeneous:
-        order = elimination_order(I.ring.nvars, {var})
-        leads = [g.lead_exp(order) for g in section.gens]
-        out._series = hilbert_numerator(MonomialIdeal(
-            small, [e[:var] + e[var + 1:] for e in leads]))
-    return out
+    gens = [project_out_variable(g, small, var) for g in section.gens]
+    if not I.is_multihomogeneous:
+        return Ideal(small, gens, I.limits)
+    order = elimination_order(I.ring.nvars, {var})
+    leads = [g.lead_exp(order) for g in section.gens]
+    return ideal_with_series_of(MonomialIdeal(
+        small, [e[:var] + e[var + 1:] for e in leads]), gens, I.limits)

@@ -246,10 +246,6 @@ class HilbertNumerator:
     def one(cls, v: int) -> "HilbertNumerator":
         return cls(v, {(0,) * v: 1})
 
-    @classmethod
-    def monomial(cls, v: int, a: tuple, c: int = 1) -> "HilbertNumerator":
-        return cls(v, {tuple(a): c})
-
     def __eq__(self, other):
         return (isinstance(other, HilbertNumerator) and self.v == other.v
                 and self.coeffs == other.coeffs)

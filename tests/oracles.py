@@ -321,7 +321,7 @@ def hilbert_numerator_inclusion_exclusion(I: MonomialIdeal) -> HilbertNumerator:
         for g in chosen:
             lcm = exp_lcm(lcm, g)
         sign = -1 if len(chosen) % 2 else 1
-        out = out + HilbertNumerator.monomial(v, ring.multidegree(lcm), sign)
+        out = out + HilbertNumerator(v, {ring.multidegree(lcm): sign})
     return out
 
 

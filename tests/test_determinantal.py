@@ -1,6 +1,8 @@
 """Graded matrices of linear forms and their minor ideals."""
 
 import gc
+import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,9 @@ from multigb.determinantal import (GradedMatrix, _rank_mod_p,
                                    verify_main_theorem)
 from multigb.errors import (HypothesisNotSatisfiedError, ResourceLimitError,
                             RingMismatchError)
-from multigb.groebner import EngineLimits, Ideal, transported_ideal
-from multigb.monomials import MonomialIdeal, _numerator, _numerator_key
+from multigb.groebner import EngineLimits, Ideal, ideal_with_series_of
+from multigb.monomials import (MonomialIdeal, _numerator, _numerator_key,
+                               quotient_dimension_from_numerator)
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing, lex
 from oracles import determinant_leibniz
@@ -382,6 +385,31 @@ def test_diagonals_give_the_series_of_the_generic_minors(grading):
                                                minors(X, t)).hilbert_series()
 
 
+SEGRE_SHAPES = ((2, 3), (2, 4), (2, 6), (3, 3), (3, 4), (3, 5), (3, 6))
+
+
+# column-graded 3 x 6 would read 4096 degrees off a numerator of 636 terms
+@pytest.mark.parametrize("grading, top, shapes", [
+    ("column", 3, SEGRE_SHAPES[:-1]), ("row", 2, SEGRE_SHAPES)],
+    ids=["column", "row"])
+def test_two_minors_of_the_generic_matrix_have_the_segre_series(
+        grading, top, shapes):
+    # rank-one matrices u w^T: S/I_2 is the Segre product, whose degree-a
+    # part has the dimension of the degree-|a| forms in the k coordinates
+    # of the vector spread along each block (k = m when column-graded,
+    # n when row-graded), an oracle outside the engine and the diagonals
+    for m, n in shapes:
+        X = variable_matrix(m, n, grading)
+        k = m if grading == "column" else n
+        I = minor_ideal(X, 2)
+        assert I._model is not None
+        series = I.hilbert_series()
+        for a in itertools.product(range(top + 1), repeat=X.ring.v):
+            d = sum(a)
+            assert quotient_dimension_from_numerator(series, X.ring, a) == \
+                math.comb(k + d - 1, d), (m, n, a)
+
+
 def _in_larger_ring(A, extra):
     """A's entries in a ring with the extra blocks ``extra`` at the end,
     which no column (row) of A uses."""
@@ -397,12 +425,15 @@ def _in_larger_ring(A, extra):
     _in_larger_ring(build_row_graded(3, (3, 3), seed=8), (1, 2)),
 ], ids=["column", "row"])
 def test_unused_blocks_are_free_variables(A):
-    # the generic matrix's series, with degree 0 in the blocks no column
-    # (row) uses, is the series of A's minors
+    # the diagonals are written in A's ring and use no variable of a block
+    # that no column (row) uses, and their series is that of A's minors
     v = A.ring.v
+    used = A.ncols if A.grading == "column" else A.nrows
+    unused = range(A.ring.var_index(used + 1, 1), A.ring.nvars)
     for t in (1, 2):
         I = minor_ideal(A, t)
-        assert I._model is not None and I._model.ring.v < v
+        assert I._model is not None and I._model.ring == A.ring
+        assert not any(e[k] for e in I._model.gens for k in unused)
         series = I.hilbert_series()
         assert series.v == v
         assert series == Ideal(A.ring, minors(A, t)).hilbert_series()
@@ -454,9 +485,28 @@ def test_generic_series_runs_no_buchberger(monkeypatch):
     assert runs == [[f.terms for f in I.gens]]
 
 
-def test_transported_ideal_checks_the_model_ring():
+def test_first_basis_of_a_minor_ideal_uses_the_cutoff(monkeypatch):
+    # the model comes with the ideal, so its first basis skips S-pairs by
+    # the series though nobody asked for it, and equals the basis the
+    # engine computes without a cutoff
+    checks = []
+    settled = groebner._SeriesCutoff.settled
+    monkeypatch.setattr(groebner._SeriesCutoff, "settled",
+                        lambda self, a, basis: checks.append(a)
+                        or settled(self, a, basis))
+    A = build_column_graded(3, (3, 4, 3, 4), seed=2)
+    I = minor_ideal(A, 2)
+    assert I._series is None
+    gb = I.groebner_basis()
+    assert checks
+    assert gb == Ideal(A.ring, minors(A, 2)).groebner_basis()
+
+
+def test_ideal_with_series_of_checks_the_model_ring():
+    # the ideal lives in the model's ring, so a generator from any other
+    # ring, one of another characteristic included, is rejected
     model = MonomialIdeal(BlockRing((2, 2)), [])
-    for ring in (BlockRing((2,)), BlockRing((1, 2)),
+    for ring in (BlockRing((2,)), BlockRing((1, 2)), BlockRing((2, 2, 1)),
                  BlockRing((2, 2), characteristic=7)):
         with pytest.raises(RingMismatchError):
-            transported_ideal(model, ring, [])
+            ideal_with_series_of(model, [x(ring, 1, 1)])

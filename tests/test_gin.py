@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from multigb import groebner, kernel
+from multigb.determinantal import build_column_graded, minor_ideal
 from multigb.errors import InconclusiveError, InternalConsistencyError
 from multigb.gin import BorelElement, GinReport, gin, random_borel
 from multigb.groebner import Ideal, ideal_from_monomials
@@ -380,6 +381,20 @@ def test_gin_guard_catches_a_candidate_without_the_series(monkeypatch):
     I = Ideal(R, [x(R, 1, 1) * x(R, 2, 2) - x(R, 1, 2) * x(R, 2, 1),
                   x(R, 2, 1) * x(R, 3, 2) - x(R, 2, 2) * x(R, 3, 1)])
     I.groebner_basis()
+    monkeypatch.setattr(groebner._SeriesCutoff, "settled",
+                        lambda self, a, basis: True)
+    with pytest.raises(InternalConsistencyError, match="Hilbert series"):
+        gin(I, seed=1)
+
+
+def test_gin_guard_follows_the_cutoff_of_a_minor_ideal(monkeypatch):
+    # a minor ideal under its rank check has a model from its construction,
+    # so its trials skip pairs by the cutoff and the guard compares with the
+    # cutoff's series, though nobody asked for the series (the 2-minors of
+    # a 3 x 3 matrix need S-pairs in moved coordinates)
+    A = build_column_graded(3, (3, 3, 3), seed=1)
+    I = minor_ideal(A, 2)
+    assert I._series is None and not I._gb_cache
     monkeypatch.setattr(groebner._SeriesCutoff, "settled",
                         lambda self, a, basis: True)
     with pytest.raises(InternalConsistencyError, match="Hilbert series"):

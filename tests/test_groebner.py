@@ -360,9 +360,12 @@ def test_coordinate_section():
     f = x(R, 1, 1) * x(R, 2, 2) - x(R, 1, 2) * x(R, 2, 1)
     Z = coordinate_section(Ideal(R, [f]), R.var_index(1, 2))
     assert Z.is_zero_ideal
-    # an ideal that is not multigraded gets no series
+    # an ideal that is not multigraded gets no model and has no series
     g = x(R, 1, 1) * x(R, 2, 2) - x(R, 1, 1)
-    assert coordinate_section(Ideal(R, [g]), R.var_index(1, 2))._series is None
+    N = coordinate_section(Ideal(R, [g]), R.var_index(1, 2))
+    assert N._model is None
+    with pytest.raises(HypothesisNotSatisfiedError):
+        N.hilbert_series()
 
 
 def test_coordinate_section_series_from_elimination_leads():
@@ -376,8 +379,10 @@ def test_coordinate_section_series_from_elimination_leads():
             except HypothesisNotSatisfiedError:
                 continue  # the only variable of its block
             sections += 1
-            assert S._series is not None and not S._gb_cache
-            assert S._series == Ideal(S.ring, S.gens).hilbert_series()
+            assert S._model is not None
+            assert S.hilbert_series() == \
+                Ideal(S.ring, S.gens).hilbert_series()
+            assert not S._gb_cache
     assert sections == 87
 
 
@@ -1112,12 +1117,12 @@ def test_linear_colon_carries_its_hilbert_series(case):
     # which keep the multigrading only for a multigraded form
     I, L = case
     colon = I.colon(L)
-    assert not colon._gb_cache
     if not L.is_multihomogeneous:
-        assert colon._series is None
+        assert colon._model is None
         return
-    assert colon._series is not None
+    assert colon._model is not None
     assert colon.hilbert_series() == Ideal(I.ring, colon.gens).hilbert_series()
+    assert not colon._gb_cache
 
 def test_linear_colon_matches_elimination_on_pool():
     rng = random.Random(3)

@@ -225,25 +225,30 @@ def test_per_order_leads_are_found():
 
 
 def series_stores(tree: ast.Module) -> list:
-    """Lines that store an attribute named ``_series``."""
+    """Lines that store an attribute named ``_series`` or ``_model``, or
+    read one named ``_series``."""
     return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "_series"
-                  and isinstance(node.ctx, ast.Store))
+                  if isinstance(node, ast.Attribute) and (
+                      node.attr == "_series" or node.attr == "_model"
+                      and isinstance(node.ctx, ast.Store)))
 
 
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.parent.name == "multigb"
              and p.name != "groebner.py"], ids=lambda p: p.name)
 def test_only_groebner_stores_a_series(path):
-    # the series cutoff and gin's guard trust a stored series, so it comes
-    # only from a basis or a construction in groebner, never from a caller
+    # the series cutoff and gin's guard trust a model and the series read
+    # off it, so a model comes only from a basis or a construction in
+    # groebner, never from a caller, and other modules ask the ideal for
+    # its series or its cutoff
     assert series_stores(ast.parse(path.read_text())) == []
 
 
 def test_series_store_is_found():
     tree = ast.parse("I._series = s\nJ._series: int = 0\n"
-                     "t = I._series\nK.series = t\n")
-    assert series_stores(tree) == [1, 2]
+                     "t = I._series\nK.series = t\n"
+                     "I._model = M\nm = I._model\n")
+    assert series_stores(tree) == [1, 2, 3, 5]
 
 
 def readme_paragraph(lead: str) -> str:
