@@ -500,9 +500,9 @@ class Ideal:
                          b: Sequence[int]):
         """Lazily, for each of ``orders``, the lead exponents of the
         b-truncated basis (multihomogeneous ideals only), with the series
-        cutoff on once a basis is cached: they generate in(I) in every
-        multidegree <= b.  The runs share one ``_Shared``, which dies with
-        the generator."""
+        cutoff on once the ideal has a model or a cached basis: they
+        generate in(I) in every multidegree <= b.  The runs share one
+        ``_Shared``, which dies with the generator."""
         p = self.ring.characteristic
         bound = _within(self.ring, b)
         shared = _Shared(bound)

@@ -1117,6 +1117,7 @@ def test_linear_colon_carries_its_hilbert_series(case):
     # which keep the multigrading only for a multigraded form
     I, L = case
     colon = I.colon(L)
+    assert not colon._gb_cache
     if not L.is_multihomogeneous:
         assert colon._model is None
         return
