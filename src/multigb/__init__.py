@@ -7,8 +7,8 @@ verification suites built on top of them.
 """
 
 from multigb.csideals import (MembershipReport, UGBReport, closure_suite,
-                              degree_bound_check, gamma_sequence, is_cs,
-                              is_csstar, sample_orders, stable_gin, ugb_check,
+                              degree_bound_check, is_cs, is_csstar,
+                              sample_orders, stable_gin, ugb_check,
                               verify_dual_theorem)
 from multigb.determinantal import (GradedMatrix, build_column_graded,
                                    build_row_graded, minor_ideal, minors,
@@ -44,7 +44,7 @@ __all__ = [
     "is_borel_fixed", "is_strongly_stable", "regularity_strongly_stable",
     "gin", "random_borel", "stable_gin", "is_cs", "is_csstar",
     "verify_dual_theorem", "closure_suite", "ugb_check", "degree_bound_check",
-    "sample_orders", "gamma_sequence", "minors", "minor_ideal",
+    "sample_orders", "minors", "minor_ideal",
     "build_column_graded", "build_row_graded", "variable_matrix",
     "verify_main_theorem",
     "MultigbError", "RingMismatchError", "ResourceLimitError",

@@ -70,10 +70,6 @@ class GradedMatrix:
     def shape(self) -> tuple:
         return (self.nrows, self.ncols)
 
-    def entry(self, i: int, j: int) -> Polynomial:
-        """1-based entry access."""
-        return self.entries[i - 1][j - 1]
-
     def entry_strings(self) -> list:
         return [[str(f) for f in row] for row in self.entries]
 
@@ -117,11 +113,11 @@ def _linear_form(ring: BlockRing, block: int, coeffs: Sequence[int]) -> Polynomi
 
 
 def _build_graded(k: int, block_sizes: Sequence[int], seed: int,
-                  characteristic: int, coefficient_matrices: Sequence | None,
-                  grading: str) -> GradedMatrix:
+                  characteristic: int, grading: str,
+                  coefficient_matrices: Sequence | None = None) -> GradedMatrix:
     """Block j contributes the k linear forms A_j x_j, for a k x n_j
     coefficient matrix A_j (random full-rank from the seed when not
-    supplied); they fill column j of a column-graded matrix, row j of a
+    given); they fill column j of a column-graded matrix, row j of a
     row-graded one."""
     ring = BlockRing(tuple(block_sizes), characteristic)
     if coefficient_matrices is None:
@@ -129,11 +125,6 @@ def _build_graded(k: int, block_sizes: Sequence[int], seed: int,
         coefficient_matrices = [
             _random_full_rank(rng, k, nj, ring.characteristic)
             for nj in ring.block_sizes]
-    if len(coefficient_matrices) != ring.v:
-        raise ValueError(f"need {ring.v} coefficient matrices")
-    for j, (A, nj) in enumerate(zip(coefficient_matrices, ring.block_sizes)):
-        if len(A) != k or any(len(row) != nj for row in A):
-            raise ValueError(f"coefficient matrix {j + 1} must be {k}x{nj}")
     forms = [[_linear_form(ring, j + 1, A[i]) for i in range(k)]
              for j, A in enumerate(coefficient_matrices)]
     rows = forms if grading == "row" else list(zip(*forms))
@@ -141,38 +132,29 @@ def _build_graded(k: int, block_sizes: Sequence[int], seed: int,
 
 
 def build_column_graded(m: int, block_sizes: Sequence[int], seed: int = 0,
-                        characteristic: int = DEFAULT_CHARACTERISTIC,
-                        coefficient_matrices: Sequence | None = None) -> GradedMatrix:
-    """m x v matrix whose column j is A_j x_j for an m x n_j coefficient
-    matrix A_j (random full-rank from the seed when not supplied)."""
-    return _build_graded(m, block_sizes, seed, characteristic,
-                         coefficient_matrices, "column")
+                        characteristic: int = DEFAULT_CHARACTERISTIC) -> GradedMatrix:
+    """m x v matrix whose column j is A_j x_j for a random full-rank
+    m x n_j coefficient matrix A_j from the seed."""
+    return _build_graded(m, block_sizes, seed, characteristic, "column")
 
 
 def build_row_graded(n: int, block_sizes: Sequence[int], seed: int = 0,
-                     characteristic: int = DEFAULT_CHARACTERISTIC,
-                     coefficient_matrices: Sequence | None = None) -> GradedMatrix:
+                     characteristic: int = DEFAULT_CHARACTERISTIC) -> GradedMatrix:
     """v x n matrix whose row i consists of n linear forms in the block-i
     variables, with full-rank n x n_i coefficient matrices."""
-    return _build_graded(n, block_sizes, seed, characteristic,
-                         coefficient_matrices, "row")
+    return _build_graded(n, block_sizes, seed, characteristic, "row")
 
 
 def variable_matrix(m: int, n: int, grading: str = "row",
                     characteristic: int = DEFAULT_CHARACTERISTIC) -> GradedMatrix:
     """The m x n matrix of distinct variables, row-graded with deg = e_row
-    (block sizes n) or column-graded with deg = e_column (block sizes m)."""
-    if grading == "row":
-        ring = BlockRing((n,) * m, characteristic)
-        rows = [[Polynomial.variable(ring, i + 1, j + 1) for j in range(n)]
-                for i in range(m)]
-    elif grading == "column":
-        ring = BlockRing((m,) * n, characteristic)
-        rows = [[Polynomial.variable(ring, j + 1, i + 1) for j in range(n)]
-                for i in range(m)]
-    else:
-        raise ValueError(f"unknown grading {grading!r}")
-    return GradedMatrix(ring, rows, grading)
+    (block sizes n) or column-graded with deg = e_column (block sizes m):
+    identity coefficient matrices, so entry (i, j) is x[i,j] row-graded
+    and x[j,i] column-graded."""
+    k, v = (n, m) if grading == "row" else (m, n)
+    identity = [[int(a == b) for b in range(k)] for a in range(k)]
+    return _build_graded(k, (k,) * v, 0, characteristic, grading,
+                         [identity] * v)
 
 
 def minors(A: GradedMatrix, t: int) -> list:

@@ -251,7 +251,7 @@ def _packed_run(polys: Sequence[list], matrix: tuple, run,
                 raise InternalConsistencyError(
                     f"packed exponents outgrew fields that do not depend on "
                     f"the run's width: {e}") from e
-            bits *= 2
+            bits = shared.bits = bits * 2
 
 
 def _within(ring: BlockRing, b: Sequence[int]) -> Callable:
@@ -441,7 +441,6 @@ class Ideal:
         self.gens = tuple(cleaned)
         self.limits = limits if limits is not None else DEFAULT_LIMITS
         self._gb_cache: dict = {}
-        self._series: HilbertNumerator | None = None
         self._model: MonomialIdeal | None = None  # see ideal_with_series_of
         self._cutoff: _SeriesCutoff | None = None
 
@@ -493,7 +492,7 @@ class Ideal:
         multihomogeneous."""
         if self._cutoff is None and (self._model is not None or (
                 self._gb_cache and self.is_multihomogeneous)):
-            self._cutoff = _SeriesCutoff(self.ring, self.hilbert_series())
+            self.hilbert_series()
         return self._cutoff
 
     def _truncated_leads(self, orders: Iterable[TermOrder],
@@ -623,15 +622,15 @@ class Ideal:
                      self.limits)
 
     def hilbert_series(self) -> HilbertNumerator:
-        """K-polynomial of S/I, computed once and cached; the only code that
-        stores it.  It is the numerator of the ideal's model, a monomial
-        ideal in the ideal's ring with its series: the one an
-        ``ideal_with_series_of`` construction gave it (a colon, a coordinate
-        section, a minor ideal under its rank check), which runs no
-        Buchberger for it, or else in(I).  S/in(I) has the same series under
-        every order (Macaulay), so the first cached basis serves, or a
+        """K-polynomial of S/I, computed once and kept by the ideal's series
+        cutoff, which this alone creates.  It is the numerator of the
+        ideal's model, a monomial ideal in the ideal's ring with its series:
+        the one an ``ideal_with_series_of`` construction gave it (a colon, a
+        coordinate section, a minor ideal under its rank check), which runs
+        no Buchberger for it, or else in(I).  S/in(I) has the same series
+        under every order (Macaulay), so the first cached basis serves, or a
         storage-order basis when none is cached."""
-        if self._series is None:
+        if self._cutoff is None:
             if not self.is_multihomogeneous:
                 raise HypothesisNotSatisfiedError(
                     "Hilbert series needs multigraded generators")
@@ -639,8 +638,9 @@ class Ideal:
                 order = next((gb.order for gb in self._gb_cache.values()),
                              None)
                 self._model = self.initial_ideal(order)
-            self._series = hilbert_numerator(self._model)
-        return self._series
+            self._cutoff = _SeriesCutoff(self.ring,
+                                         hilbert_numerator(self._model))
+        return self._cutoff.series
 
     def minimal_generators(self) -> list:
         """Irredundant subset of the (multihomogeneous) generators; for graded

@@ -1,4 +1,5 @@
-"""Deterministic random instance generators for the verification suites.
+"""Deterministic random inputs of the benchmark: the two verified instance
+pools, what they draw from, and random linear forms.
 
 Everything is driven by a caller-supplied ``random.Random`` or seed, so any
 sampled counterexample can be replayed from the recorded seed.
@@ -26,81 +27,6 @@ def random_ring(rng: random.Random, max_blocks: int = 3,
         sizes = tuple(rng.randint(1, max_block_size) for _ in range(v))
         if sum(sizes) <= max_vars:
             return BlockRing(sizes, characteristic)
-
-
-def random_monomial_exp(ring: BlockRing, rng: random.Random,
-                        max_block_degree: int = 2) -> tuple:
-    """A random nonconstant exponent tuple with each block degree bounded."""
-    while True:
-        exp = [0] * ring.nvars
-        for block in range(1, ring.v + 1):
-            for _ in range(rng.randint(0, max_block_degree)):
-                exp[rng.choice(ring.block_vars(block))] += 1
-        if any(exp):
-            return tuple(exp)
-
-
-def random_monomial_ideal(ring: BlockRing, rng: random.Random,
-                          max_gens: int = 4,
-                          max_block_degree: int = 2) -> MonomialIdeal:
-    """A random nonzero proper monomial ideal."""
-    gens = [random_monomial_exp(ring, rng, max_block_degree)
-            for _ in range(rng.randint(1, max_gens))]
-    return MonomialIdeal(ring, gens)
-
-
-def random_squarefree_exp(ring: BlockRing, rng: random.Random) -> tuple:
-    while True:
-        exp = tuple(rng.randint(0, 1) for _ in range(ring.nvars))
-        if any(exp):
-            return exp
-
-
-def random_squarefree_ideal(ring: BlockRing, rng: random.Random,
-                            max_gens: int = 4) -> MonomialIdeal:
-    gens = [random_squarefree_exp(ring, rng)
-            for _ in range(rng.randint(1, max_gens))]
-    return MonomialIdeal(ring, gens)
-
-
-def random_monomial_of_multidegree(ring: BlockRing, rng: random.Random,
-                                   degree: Sequence[int]) -> tuple:
-    exp = [0] * ring.nvars
-    for block, d in enumerate(degree, start=1):
-        for _ in range(d):
-            exp[rng.choice(ring.block_vars(block))] += 1
-    return tuple(exp)
-
-
-def random_multihomogeneous_polynomial(ring: BlockRing, rng: random.Random,
-                                       degree: Sequence[int],
-                                       max_terms: int = 3) -> Polynomial:
-    """A random nonzero multihomogeneous polynomial of the given degree."""
-    p = ring.characteristic
-    while True:
-        terms = {}
-        for _ in range(rng.randint(1, max_terms)):
-            exp = random_monomial_of_multidegree(ring, rng, degree)
-            terms[exp] = (terms.get(exp, 0) + rng.randrange(1, p)) % p
-        terms = [(e, c) for e, c in terms.items() if c]
-        if terms:
-            return Polynomial(ring, terms)
-
-
-def random_graded_ideal(ring: BlockRing, rng: random.Random,
-                        max_gens: int = 3, max_block_degree: int = 2,
-                        max_terms: int = 3) -> Ideal:
-    """A random multihomogeneous ideal with small nonzero degrees."""
-    gens = []
-    for _ in range(rng.randint(1, max_gens)):
-        while True:
-            degree = tuple(rng.randint(0, max_block_degree)
-                           for _ in range(ring.v))
-            if any(degree):
-                break
-        gens.append(random_multihomogeneous_polynomial(
-            ring, rng, degree, max_terms))
-    return Ideal(ring, gens)
 
 
 def random_linear_form(ring: BlockRing, rng: random.Random,

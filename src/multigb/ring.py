@@ -129,9 +129,9 @@ class BlockRing:
         start = sum(self.block_sizes[:block - 1])
         return range(start, start + self.block_sizes[block - 1])
 
-    def unit_exp(self, var: int, power: int = 1) -> tuple:
+    def unit_exp(self, var: int) -> tuple:
         e = [0] * self.nvars
-        e[self.check_var(var)] = power
+        e[self.check_var(var)] = 1
         return tuple(e)
 
     def multidegree(self, exp: tuple) -> tuple:

@@ -188,10 +188,6 @@ class SessionScript:
     ring: RingDecl
     statements: list = field(default_factory=list)
 
-    @property
-    def commands(self) -> list:
-        return [s for s in self.statements if isinstance(s, Command)]
-
 
 # -- parser --------------------------------------------------------------------
 

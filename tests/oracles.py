@@ -1,11 +1,13 @@
-"""Brute-force reference implementations the tests compare the library with.
+"""Brute-force reference implementations the tests compare the library with,
+and the random instances only the tests draw.
 
-Each one is exponential or otherwise slow, and shares no logic with the
-library code it checks.
+Each reference is exponential or otherwise slow, and shares no logic with
+the library code it checks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from operator import add, mul
@@ -174,11 +176,10 @@ def substitute(f: Polynomial, images: dict) -> Polynomial:
         if key not in cache:
             base = images.get(v)
             if base is None:
-                cache[key] = Polynomial.monomial(ring, ring.unit_exp(v, e))
-            else:
-                if base.ring != ring:
-                    raise RingMismatchError("substitution image in a different ring")
-                cache[key] = base ** e
+                base = Polynomial.monomial(ring, ring.unit_exp(v))
+            elif base.ring != ring:
+                raise RingMismatchError("substitution image in a different ring")
+            cache[key] = base ** e
         return cache[key]
 
     total = Polynomial.zero(ring)
@@ -227,6 +228,20 @@ def quotient_by_linear_form(I: Ideal, L: Polynomial) -> tuple:
                          for g in I.gens], I.limits), v
 
 
+def gamma_sequence(ring: BlockRing) -> list:
+    """The linear forms x[i,j] - x[i,1] for j >= 2, block by block.
+
+    A proper monomial ideal I is in the first-variables family exactly
+    when ``regular_sequence_test(I, gamma_sequence(ring))`` holds; the
+    reference for ``is_csstar``, which decides by the series alone."""
+    out = []
+    for block in range(1, ring.v + 1):
+        first = Polynomial.variable(ring, block, 1)
+        for j in range(2, ring.block_sizes[block - 1] + 1):
+            out.append(Polynomial.variable(ring, block, j) - first)
+    return out
+
+
 def determinant_leibniz(rows: list) -> Polynomial:
     """Permutation-sum determinant, the independent oracle."""
     n = len(rows)
@@ -272,6 +287,33 @@ def minors(A, t: int, determinant=determinant_cofactor) -> list:
             if not d.is_zero:
                 out.append(d)
     return out
+
+
+def cycle_binomials(X) -> list:
+    """The binomials of the even cycles of K_{m,n} on a matrix X of
+    distinct variables: a 2k-cycle through rows r_1..r_k and columns
+    c_1..c_k gives x[r_1 c_1]...x[r_k c_k] - x[r_2 c_1]...x[r_1 c_k].
+
+    I_2(X) is the toric ideal of K_{m,n}, whose matrix is unimodular, so
+    its universal Groebner basis is its set of circuits (Sturmfels,
+    *Groebner Bases and Convex Polytopes*, ch. 4 and 8), and the circuits
+    of a graph's toric ideal are its even cycles (Villarreal 1995).  There
+    are C(m,k) C(n,k) k! (k-1)! / 2 cycles of length 2k."""
+    m, n = X.shape
+    out: dict = {}
+    for k in range(2, min(m, n) + 1):
+        for rows in itertools.permutations(range(m), k):
+            if rows[0] != min(rows):
+                continue
+            for cols in itertools.permutations(range(n), k):
+                a, b = (
+                    functools.reduce(mul, (X.entries[r][c]
+                                           for r, c in zip(rs, cols)))
+                    for rs in (rows, rows[1:] + rows[:1]))
+                # the reversed cycle gives the same two monomials
+                out.setdefault(frozenset((a.terms[0][0], b.terms[0][0])),
+                               a - b)
+    return list(out.values())
 
 
 def intersect_monomial(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -636,3 +678,82 @@ def tokenize(text: str) -> list:
     last_line = raw[-1].line if raw else 1
     out.append(Token("EOF", "", last_line, 0))
     return out
+
+
+# -- random instances only the tests draw ------------------------------------
+
+
+
+def random_monomial_exp(ring: BlockRing, rng: random.Random,
+                        max_block_degree: int = 2) -> tuple:
+    """A random nonconstant exponent tuple with each block degree bounded."""
+    while True:
+        exp = [0] * ring.nvars
+        for block in range(1, ring.v + 1):
+            for _ in range(rng.randint(0, max_block_degree)):
+                exp[rng.choice(ring.block_vars(block))] += 1
+        if any(exp):
+            return tuple(exp)
+
+
+def random_monomial_ideal(ring: BlockRing, rng: random.Random,
+                          max_gens: int = 4,
+                          max_block_degree: int = 2) -> MonomialIdeal:
+    """A random nonzero proper monomial ideal."""
+    gens = [random_monomial_exp(ring, rng, max_block_degree)
+            for _ in range(rng.randint(1, max_gens))]
+    return MonomialIdeal(ring, gens)
+
+
+def random_squarefree_exp(ring: BlockRing, rng: random.Random) -> tuple:
+    while True:
+        exp = tuple(rng.randint(0, 1) for _ in range(ring.nvars))
+        if any(exp):
+            return exp
+
+
+def random_squarefree_ideal(ring: BlockRing, rng: random.Random,
+                            max_gens: int = 4) -> MonomialIdeal:
+    gens = [random_squarefree_exp(ring, rng)
+            for _ in range(rng.randint(1, max_gens))]
+    return MonomialIdeal(ring, gens)
+
+
+def random_monomial_of_multidegree(ring: BlockRing, rng: random.Random,
+                                   degree: Sequence[int]) -> tuple:
+    exp = [0] * ring.nvars
+    for block, d in enumerate(degree, start=1):
+        for _ in range(d):
+            exp[rng.choice(ring.block_vars(block))] += 1
+    return tuple(exp)
+
+
+def random_multihomogeneous_polynomial(ring: BlockRing, rng: random.Random,
+                                       degree: Sequence[int],
+                                       max_terms: int = 3) -> Polynomial:
+    """A random nonzero multihomogeneous polynomial of the given degree."""
+    p = ring.characteristic
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            exp = random_monomial_of_multidegree(ring, rng, degree)
+            terms[exp] = (terms.get(exp, 0) + rng.randrange(1, p)) % p
+        terms = [(e, c) for e, c in terms.items() if c]
+        if terms:
+            return Polynomial(ring, terms)
+
+
+def random_graded_ideal(ring: BlockRing, rng: random.Random,
+                        max_gens: int = 3, max_block_degree: int = 2,
+                        max_terms: int = 3) -> Ideal:
+    """A random multihomogeneous ideal with small nonzero degrees."""
+    gens = []
+    for _ in range(rng.randint(1, max_gens)):
+        while True:
+            degree = tuple(rng.randint(0, max_block_degree)
+                           for _ in range(ring.v))
+            if any(degree):
+                break
+        gens.append(random_multihomogeneous_polynomial(
+            ring, rng, degree, max_terms))
+    return Ideal(ring, gens)

@@ -13,24 +13,24 @@ import time
 
 import pytest
 
-from multigb.csideals import (closure_suite, degree_bound_check,
-                              gamma_sequence, is_cs, is_csstar, stable_gin,
-                              ugb_check, verify_dual_theorem)
+from multigb.csideals import (closure_suite, degree_bound_check, is_cs,
+                              is_csstar, stable_gin, ugb_check,
+                              verify_dual_theorem)
 from multigb.determinantal import (build_column_graded, build_row_graded,
                                    minors)
 from multigb.groebner import (Ideal, ideal_from_monomials,
                               regular_sequence_test)
 from multigb.instances import (cs_instance_pool, csstar_instance_pool,
-                               random_graded_ideal, random_linear_form,
-                               random_monomial_ideal, random_ring,
-                               random_squarefree_ideal)
+                               random_linear_form, random_ring)
 from multigb.monomials import (MonomialIdeal, alexander_dual,
                                hilbert_numerator,
                                quotient_dimension_from_numerator,
                                regularity_strongly_stable)
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing, exp_divides, lex, weight_order
-from oracles import degrevlex_blocks_reversed, graded_dimension
+from oracles import (degrevlex_blocks_reversed, gamma_sequence,
+                     graded_dimension, random_graded_ideal,
+                     random_monomial_ideal, random_squarefree_ideal)
 
 N_INSTANCES = 20
 

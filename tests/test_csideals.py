@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigb import csideals, groebner, kernel
+from multigb import csideals, groebner, kernel, monomials
 from multigb.csideals import (MembershipReport, closure_suite,
-                              degree_bound_check, gamma_sequence, is_cs,
-                              is_csstar, sample_orders, stable_gin, ugb_check,
+                              degree_bound_check, is_cs, is_csstar,
+                              sample_orders, stable_gin, ugb_check,
                               verify_dual_theorem)
 from multigb.determinantal import (build_column_graded, build_row_graded,
                                    minors, variable_matrix)
@@ -22,10 +22,7 @@ from multigb.errors import (HypothesisNotSatisfiedError,
 from multigb.groebner import (GroebnerBasis, Ideal, coordinate_section,
                               ideal_from_monomials, regular_sequence_test)
 from multigb.instances import (cs_instance_pool, csstar_instance_pool,
-                               random_graded_ideal, random_linear_form,
-                               random_monomial_ideal,
-                               random_multihomogeneous_polynomial, random_ring,
-                               random_squarefree_ideal)
+                               random_linear_form, random_ring)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
                                _numerator, _numerator_key,
                                hilbert_numerator,
@@ -34,7 +31,11 @@ from multigb.monomials import (HilbertNumerator, MonomialIdeal,
 from multigb.poly import Polynomial, lead_exponents
 from multigb.ring import BlockRing, lex
 import oracles
-from oracles import degrevlex_blocks_reversed, quotient_by_linear_form
+from oracles import (degrevlex_blocks_reversed, gamma_sequence,
+                     quotient_by_linear_form, random_graded_ideal,
+                     random_monomial_ideal,
+                     random_multihomogeneous_polynomial,
+                     random_squarefree_ideal)
 
 
 def x(R, i, j):
@@ -623,6 +624,29 @@ def test_closure_suite_computes_each_numerator_key_once_per_call(
     assert shared > 0
 
 
+def test_closure_suite_computes_the_sum_numerator_once_per_call(
+        monkeypatch):
+    # the numerator of in(I + L) joins the call's dict of numerators, so a
+    # model read off the sum's series, or any other model of that key,
+    # takes it instead of computing it again
+    computed = []
+    for module in (monomials, csideals):
+        def counted(key, inner=module._numerator):
+            computed.append(key)
+            return inner(key)
+        monkeypatch.setattr(module, "_numerator", counted)
+    pool = cs_instance_pool(8, seed=4) + csstar_instance_pool(8, seed=8)
+    rng = random.Random(31)
+    for I in pool:
+        R = I.ring
+        I.hilbert_series()
+        for L in (x(R, 1, R.block_sizes[0]), random_linear_form(R, rng)):
+            key = monomials._ideal_key((I + L).initial_ideal())
+            computed.clear()
+            closure_suite(I, L)
+            assert computed.count(key) == 1
+
+
 def test_verify_dual_theorem_computes_each_numerator_key_once(monkeypatch):
     # the four numerators of a call, of I, its dual and the two models,
     # share one dict: a model with the key of I or of the dual takes it;
@@ -1032,7 +1056,8 @@ def test_shared_truncated_leads_equal_fresh_runs(make, t, b, series, start,
     if start == 1:
         assert min(widths) == 2
     elif start == 2 and not series:
-        assert widths == [2, 4] * len(orders)
+        # a widened width holds for the rest of the batch
+        assert widths == [2] + [4] * len(orders)
 
 
 def test_degree_bound_check_keeps_no_cache_on_the_ideal():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from multigb import determinantal, groebner
-from multigb.csideals import MembershipReport
+from multigb.csideals import MembershipReport, sample_orders, ugb_check
 from multigb.determinantal import (GradedMatrix, _rank_mod_p,
                                    build_column_graded, build_row_graded,
                                    minor_ideal, minors, variable_matrix,
@@ -41,9 +41,8 @@ def test_column_graded_shape_and_degrees():
     assert A.shape == (3, 2)
     assert A.grading == "column"
     assert A.ring.block_sizes == (2, 3)
-    for i in range(1, 4):
-        for j in range(1, 3):
-            f = A.entry(i, j)
+    for row in A.entries:
+        for j, f in enumerate(row, start=1):
             assert f.is_zero or f.multidegree() == A.ring.unit_degree(j)
 
 
@@ -58,37 +57,36 @@ def test_column_graded_deterministic_per_seed():
 def test_column_graded_explicit_coefficients():
     # identity coefficient matrices give back the first variables
     coeffs = [((1, 0), (0, 1)), ((1, 0), (0, 1))]
-    A = build_column_graded(2, (2, 2), coefficient_matrices=coeffs)
+    A = determinantal._build_graded(2, (2, 2), 0, 32003, "column", coeffs)
     R = A.ring
-    assert A.entry(1, 1) == x(R, 1, 1)
-    assert A.entry(2, 1) == x(R, 1, 2)
-    assert A.entry(1, 2) == x(R, 2, 1)
-    assert A.entry(2, 2) == x(R, 2, 2)
+    assert A.entries[0][0] == x(R, 1, 1)
+    assert A.entries[1][0] == x(R, 1, 2)
+    assert A.entries[0][1] == x(R, 2, 1)
+    assert A.entries[1][1] == x(R, 2, 2)
 
 
 def test_row_graded_shape_and_degrees():
     A = build_row_graded(4, (2, 3), seed=2)
     assert A.shape == (2, 4)
     assert A.grading == "row"
-    for i in range(1, 3):
-        for j in range(1, 5):
-            f = A.entry(i, j)
+    for i, row in enumerate(A.entries, start=1):
+        for f in row:
             assert f.is_zero or f.multidegree() == A.ring.unit_degree(i)
 
 
 def test_variable_matrix_row():
     A = variable_matrix(2, 3, grading="row")
     assert A.ring.block_sizes == (3, 3)
-    assert A.entry(1, 2) == x(A.ring, 1, 2)
-    assert A.entry(2, 3) == x(A.ring, 2, 3)
+    assert A.entries[0][1] == x(A.ring, 1, 2)
+    assert A.entries[1][2] == x(A.ring, 2, 3)
 
 
 def test_variable_matrix_column():
     A = variable_matrix(2, 3, grading="column")
     assert A.ring.block_sizes == (2, 2, 2)
     # entry (i, j) is the i-th variable of block j
-    assert A.entry(1, 2) == x(A.ring, 2, 1)
-    assert A.entry(2, 3) == x(A.ring, 3, 2)
+    assert A.entries[0][1] == x(A.ring, 2, 1)
+    assert A.entries[1][2] == x(A.ring, 3, 2)
 
 
 def test_graded_matrix_validation():
@@ -410,6 +408,49 @@ def test_two_minors_of_the_generic_matrix_have_the_segre_series(
                 math.comb(k + d - 1, d), (m, n, a)
 
 
+# the number of even cycles of K_{m,n}: C(m,k) C(n,k) k! (k-1)! / 2 of
+# length 2k, summed over k
+CYCLE_COUNTS = {(2, 4): 6, (3, 3): 15, (3, 4): 42, (4, 4): 204}
+
+
+def test_cycle_binomials_count_the_even_cycles():
+    for (m, n), count in CYCLE_COUNTS.items():
+        assert count == sum(
+            math.comb(m, k) * math.comb(n, k) * math.factorial(k)
+            * math.factorial(k - 1) // 2 for k in range(2, min(m, n) + 1))
+        assert len(oracles.cycle_binomials(variable_matrix(m, n))) == count
+
+
+@pytest.mark.parametrize("grading", ["column", "row"])
+def test_cycle_binomials_are_a_universal_basis_of_the_two_minors(grading):
+    # the circuits of the unimodular toric ideal I_2(X) are its universal
+    # basis: the series certifies every sampled order, and the membership
+    # test of ugb_check reduces each binomial to zero by a basis of I_2(X)
+    for m, n in CYCLE_COUNTS:
+        X = variable_matrix(m, n, grading)
+        report = ugb_check(oracles.cycle_binomials(X), minor_ideal(X, 2),
+                           n_orders=50, seed=0, include_permutations=False)
+        assert report.passed
+        assert report.certified == report.orders_tested == 52, (m, n)
+
+
+@pytest.mark.parametrize("grading", ["column", "row"])
+def test_two_minors_alone_miss_the_six_cycles(grading):
+    # on 3 x 3 the 2-minors (the 4-cycles) leave 8 of 52 orders uncertified,
+    # and each lead they miss is the lead of a 6-cycle binomial
+    X = variable_matrix(3, 3, grading)
+    report = ugb_check(minors(X, 2), minor_ideal(X, 2), n_orders=50, seed=0,
+                       include_permutations=False)
+    assert report.certified == 44
+    assert len({f["order"] for f in report.failures}) == 8
+    orders = {o.name: o for o in sample_orders(X.ring, 50, seed=0,
+                                               include_permutations=False)}
+    six = [c for c in oracles.cycle_binomials(X) if c.total_degree() == 3]
+    for f in report.failures:
+        assert f["lead"] in {X.ring.monomial_str(c.lead_exp(orders[f["order"]]))
+                             for c in six}
+
+
 def _in_larger_ring(A, extra):
     """A's entries in a ring with the extra blocks ``extra`` at the end,
     which no column (row) of A uses."""
@@ -448,7 +489,7 @@ def _with_entry(A, i, j, f):
 def _dependent_column():
     # column 2's third entry is the sum of its first two
     A = build_column_graded(3, (3, 4, 3), seed=9)
-    return _with_entry(A, 2, 1, A.entry(1, 2) + A.entry(2, 2))
+    return _with_entry(A, 2, 1, A.entries[0][1] + A.entries[1][1])
 
 
 @pytest.mark.parametrize("A", [
@@ -496,7 +537,7 @@ def test_first_basis_of_a_minor_ideal_uses_the_cutoff(monkeypatch):
                         or settled(self, a, basis))
     A = build_column_graded(3, (3, 4, 3, 4), seed=2)
     I = minor_ideal(A, 2)
-    assert I._series is None
+    assert I._cutoff is None
     gb = I.groebner_basis()
     assert checks
     assert gb == Ideal(A.ring, minors(A, 2)).groebner_basis()

@@ -11,21 +11,21 @@ from multigb import groebner, kernel
 from multigb.errors import (HypothesisNotSatisfiedError,
                             InternalConsistencyError, ResourceLimitError,
                             RingMismatchError)
-from multigb.csideals import gamma_sequence, sample_orders
+from multigb.csideals import sample_orders
 from multigb.determinantal import build_column_graded, minors
 from multigb.groebner import (EngineLimits, Ideal, _buchberger,
                               coordinate_section, exact_divide,
                               ideal_from_monomials, regular_sequence_test)
-from multigb.instances import (cs_instance_pool, random_graded_ideal,
-                               random_linear_form, random_monomial_ideal,
-                               random_multihomogeneous_polynomial,
+from multigb.instances import (cs_instance_pool, random_linear_form,
                                random_ring)
 from multigb.monomials import MonomialIdeal, colon_monomial
 from multigb.poly import Polynomial
 from multigb.ring import (BlockRing, degrevlex, elimination_order, lex,
                           weight_order)
 import oracles
-from oracles import degrevlex_blocks_reversed
+from oracles import (degrevlex_blocks_reversed, gamma_sequence,
+                     random_graded_ideal, random_monomial_ideal,
+                     random_multihomogeneous_polynomial)
 from oracles import groebner_basis as groebner_basis_oracle
 from oracles import intersect_monomial, quotient_by_linear_form
 from oracles import normal_form as normal_form_oracle

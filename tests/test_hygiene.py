@@ -1,5 +1,7 @@
 """Source hygiene: no module imports a name it never reads, every public
-name has a reader, only the kernel packs exponents into ints, only
+name has a reader, every library function and method but a listed few is
+read by the library or the benchmark, only the kernel packs exponents
+into ints, only
 ``groebner._packed_run`` packs a run's inputs, only
 ``csideals._sampled_records`` settles a sampled order, csideals selects
 lead terms only in batches, only groebner stores an ideal's series, and
@@ -7,7 +9,9 @@ README lists the script commands, calls and options the code accepts."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -52,22 +56,27 @@ def test_unused_import_is_found():
     assert unused_imports(tree) == [(2, "os"), (3, "b")]
 
 
+def names_read(tree: ast.AST, strings: bool = False) -> Counter:
+    """How often each name is read under ``tree``: loaded names and
+    attribute names, and with ``strings`` string constants too."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            out[node.value] += 1
+    return out
+
+
 def reads(tree: ast.Module, strings: bool = False) -> set:
-    """Names a module reads (loaded names and attribute names, and with
-    ``strings`` string constants too), except reads inside the top-level
-    definition of the same name."""
+    """Names a module reads (``names_read``), except reads inside the
+    top-level definition of the same name."""
     out = set()
     for stmt in tree.body:
-        names = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif (strings and isinstance(node, ast.Constant)
-                  and isinstance(node.value, str)):
-                names.add(node.value)
-        out |= names - {getattr(stmt, "name", None)}
+        out |= set(names_read(stmt, strings)) - {getattr(stmt, "name", None)}
     return out
 
 
@@ -91,6 +100,91 @@ def test_every_public_name_has_a_reader():
     assert [name for name in multigb.__all__
             if name not in library | bench
             and not re.search(rf"\b{name}\b", readme)] == []
+
+
+def definitions(tree: ast.Module) -> list:
+    """(name, node) of each top-level function and of each method of a
+    top-level class, named ``Class.method``; dunder methods, which Python
+    calls by protocol, are left out."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, functions):
+            out.append((stmt.name, stmt))
+        elif isinstance(stmt, ast.ClassDef):
+            out += [(f"{stmt.name}.{f.name}", f) for f in stmt.body
+                    if isinstance(f, functions) and not f.name.startswith("__")]
+    return out
+
+
+def unread_definitions(library: dict, bench: Counter,
+                       kept: Iterable = ()) -> list:
+    """``module.name`` of each definition in the library modules
+    (``{module: tree}``) that the benchmark (``bench``, its reads with
+    strings) does not read and that no library code reads outside the
+    definition itself, counting only reads from definitions that are read
+    themselves or ``kept``."""
+    defs = [(f"{module}.{name}", name.rpartition(".")[2], node)
+            for module, tree in library.items()
+            for name, node in definitions(tree)]
+    total = sum((names_read(tree) for tree in library.values()), Counter())
+    unread: set = set()
+    while True:
+        found = [(full, node) for full, short, node in defs
+                 if full not in unread and not bench[short]
+                 and total[short] == names_read(node)[short]]
+        if not found:
+            return sorted(unread)
+        for full, node in found:
+            unread.add(full)
+            if full not in kept:
+                total -= names_read(node)
+
+
+# Library definitions that neither the library nor the benchmark reads, each
+# kept for the reason given; README names whom each one serves.
+UNREAD_ON_PURPOSE = {
+    "csideals.verify_dual_theorem":
+        "ROADMAP item 8 gives it a command or deletes it",
+    "determinantal.variable_matrix":
+        "the generic-matrix oracle of ROADMAP items 3, 5 and 10",
+    "gin.GinReport.require": "documented API of a gin verdict",
+    # perfbench/tracing.py wraps every public function of monomials by
+    # enumeration, so these three move in a change to the benchmark
+    "monomials.colon_monomial": "traced by enumeration",
+    "monomials.sum_monomial": "traced by enumeration",
+    "monomials.is_extended_from_first_variables": "traced by enumeration",
+}
+
+
+def test_every_library_definition_has_a_reader():
+    # a function or method that only tests call belongs in tests/oracles.py;
+    # README mentions are not readers
+    library = {p.stem: ast.parse(p.read_text()) for p in MODULES
+               if p.parent.name == "multigb" and p.name != "__init__.py"}
+    bench = sum((names_read(ast.parse(p.read_text()), strings=True)
+                 for p in (ROOT / "perfbench").glob("*.py")), Counter())
+    assert unread_definitions(library, bench, UNREAD_ON_PURPOSE) == \
+        sorted(UNREAD_ON_PURPOSE)
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in UNREAD_ON_PURPOSE
+            if f"`{name.partition('.')[2]}`" not in readme] == []
+
+
+def test_unread_definition_is_found():
+    # f reads only itself; k is read only by f, so it goes with f unless f
+    # is kept; h and g read each other and C.run is read by g
+    library = {"a": ast.parse("def f(n):\n    return f(n - 1) + k()\n"
+                              "def k():\n    return 1\n"
+                              "def g():\n    return h.run()\n"
+                              "class C:\n    def __eq__(self, o): ...\n"
+                              "    def run(self): ...\n"
+                              "    def size(self): ...\n"),
+               "b": ast.parse("def h():\n    return g\n")}
+    assert unread_definitions(library, Counter()) == ["a.C.size", "a.f", "a.k"]
+    assert unread_definitions(library, Counter(), ["a.f"]) == ["a.C.size",
+                                                               "a.f"]
+    assert unread_definitions(library, Counter(["f", "size"])) == []
 
 
 def exponent_packing(tree: ast.Module) -> list:
@@ -225,11 +319,11 @@ def test_per_order_leads_are_found():
 
 
 def series_stores(tree: ast.Module) -> list:
-    """Lines that store an attribute named ``_series`` or ``_model``, or
-    read one named ``_series``."""
+    """Lines that store an attribute named ``_cutoff`` or ``_model``, or
+    read one named ``_cutoff``."""
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and (
-                      node.attr == "_series" or node.attr == "_model"
+                      node.attr == "_cutoff" or node.attr == "_model"
                       and isinstance(node.ctx, ast.Store)))
 
 
@@ -240,14 +334,15 @@ def test_only_groebner_stores_a_series(path):
     # the series cutoff and gin's guard trust a model and the series read
     # off it, so a model comes only from a basis or a construction in
     # groebner, never from a caller, and other modules ask the ideal for
-    # its series or its cutoff
+    # its series or its cutoff (``_series_cutoff``)
     assert series_stores(ast.parse(path.read_text())) == []
 
 
 def test_series_store_is_found():
-    tree = ast.parse("I._series = s\nJ._series: int = 0\n"
-                     "t = I._series\nK.series = t\n"
-                     "I._model = M\nm = I._model\n")
+    tree = ast.parse("I._cutoff = s\nJ._cutoff: int = 0\n"
+                     "t = I._cutoff\nK.series = t\n"
+                     "I._model = M\nm = I._model\n"
+                     "c = I._series_cutoff()\n")
     assert series_stores(tree) == [1, 2, 3, 5]
 
 

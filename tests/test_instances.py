@@ -1,4 +1,5 @@
-"""Random instance generators used by the verification suites."""
+"""Random instance generators: the benchmark's pools in ``multigb.instances``
+and the generators only the tests draw, in ``oracles``."""
 
 import random
 
@@ -10,13 +11,13 @@ from multigb.errors import InternalConsistencyError
 from multigb.instances import (cs_instance_pool, csstar_instance_pool,
                                random_borel_fixed_squarefree,
                                random_first_variables_ideal,
-                               random_graded_ideal, random_linear_form,
-                               random_monomial_ideal, random_ring,
-                               random_squarefree_ideal,
+                               random_linear_form, random_ring,
                                strongly_stable_closure)
 from multigb.monomials import (is_extended_from_first_variables,
                                is_radical_monomial, is_strongly_stable)
 from multigb.ring import BlockRing
+from oracles import (random_graded_ideal, random_monomial_ideal,
+                     random_squarefree_ideal)
 
 
 def test_random_ring_bounds():

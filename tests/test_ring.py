@@ -74,7 +74,7 @@ def test_flat_indices_outside_the_ring_are_rejected(var):
     for call in (R.unit_exp, R.var_label, R.var_pair):
         with pytest.raises(RingMismatchError, match="0..3"):
             call(var)
-    assert R.unit_exp(3, 2) == (0, 0, 0, 2) and R.var_label(3) == "x[2,2]"
+    assert R.unit_exp(3) == (0, 0, 0, 1) and R.var_label(3) == "x[2,2]"
 
 
 def test_block_vars_rejects_out_of_range_blocks():

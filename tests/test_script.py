@@ -22,8 +22,8 @@ from multigb.errors import InternalConsistencyError
 from multigb.groebner import Ideal, exact_divide
 from multigb.poly import Polynomial
 from multigb.ring import BlockRing
-from multigb.script import (COMMANDS, PolyDef, RingDecl, ScriptError, parse,
-                            tokenize)
+from multigb.script import (COMMANDS, Command, PolyDef, RingDecl, ScriptError,
+                            parse, tokenize)
 
 REMARK = """\
 # 2-minors of a 3x3 matrix with three zero entries
@@ -110,6 +110,10 @@ def test_tokenize_reads_a_superscript_digit_as_a_name():
 
 # -- parser ----------------------------------------------------------------------
 
+def commands_of(script) -> list:
+    return [s for s in script.statements if isinstance(s, Command)]
+
+
 def test_parse_full_session():
     script = parse(REMARK)
     assert isinstance(script.ring, RingDecl)
@@ -122,7 +126,7 @@ def test_parse_full_session():
     matrix = script.statements[0]
     assert matrix.grading == "row"
     assert matrix.nrows == matrix.ncols == 3
-    commands = script.commands
+    commands = commands_of(script)
     assert [c.name for c in commands] == ["gb", "cs", "cs"]
     assert commands[1].options == {"expect": "yes"}
 
@@ -157,7 +161,7 @@ def test_parse_main_theorem_command():
             "matrix A colgraded 2 x 2 { x[1,1], x[2,1] ; x[1,2], x[2,2] }\n"
             "main-theorem A orders=5\n")
     script = parse(text)
-    cmd = script.commands[0]
+    (cmd,) = commands_of(script)
     assert cmd.name == "main-theorem"
     assert cmd.options == {"orders": 5}
 
@@ -166,7 +170,7 @@ def test_parse_vector_option():
     text = ("ring v=2 blocks=[2,2] char=101\n"
             "ideal I = x[1,1]\n"
             "bounds I le [1,1] orders=4\n")
-    cmd = parse(text).commands[0]
+    (cmd,) = commands_of(parse(text))
     assert cmd.name == "bounds"
     assert len(cmd.args) == 3
 
@@ -701,7 +705,7 @@ MOST_ARGS = {
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_cli_extra_argument_exit_2(tmp_path, capsys, command):
     args = MOST_ARGS[command]
-    (cmd,) = parse(SESSION + f"{command} {args}\n").commands
+    (cmd,) = commands_of(parse(SESSION + f"{command} {args}\n"))
     assert len(cmd.args) == COMMANDS[command][1]
     assert run_cli(tmp_path, SESSION + f"{command} {args} x[1,1]\n") == 2
     assert "line 5" in capsys.readouterr().err
