@@ -19,7 +19,7 @@ from multigb.errors import (HypothesisNotSatisfiedError, InconclusiveError,
                             ResourceLimitError, RingMismatchError)
 from multigb.gin import BorelElement, GinReport, gin, random_borel
 from multigb.groebner import (DEFAULT_LIMITS, EngineLimits, GroebnerBasis,
-                              Ideal, coordinate_section, exact_divide,
+                              Ideal, exact_divide,
                               ideal_from_monomials, regular_sequence_test)
 from multigb.kernel import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
@@ -39,7 +39,7 @@ __all__ = [
     "BorelElement", "MembershipReport", "UGBReport", "EngineLimits",
     "DEFAULT_LIMITS", "DEFAULT_CHARACTERISTIC", "KERNEL_IMPLEMENTATION", "lex",
     "degrevlex", "weight_order", "elimination_order", "exact_divide",
-    "ideal_from_monomials", "regular_sequence_test", "coordinate_section",
+    "ideal_from_monomials", "regular_sequence_test",
     "hilbert_numerator", "alexander_dual", "polarize", "is_radical_monomial",
     "is_borel_fixed", "is_strongly_stable", "regularity_strongly_stable",
     "gin", "random_borel", "stable_gin", "is_cs", "is_csstar",

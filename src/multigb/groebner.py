@@ -625,11 +625,11 @@ class Ideal:
         """K-polynomial of S/I, computed once and kept by the ideal's series
         cutoff, which this alone creates.  It is the numerator of the
         ideal's model, a monomial ideal in the ideal's ring with its series:
-        the one an ``ideal_with_series_of`` construction gave it (a colon, a
-        coordinate section, a minor ideal under its rank check), which runs
-        no Buchberger for it, or else in(I).  S/in(I) has the same series
-        under every order (Macaulay), so the first cached basis serves, or a
-        storage-order basis when none is cached."""
+        the one an ``ideal_with_series_of`` construction gave it (a colon or
+        a minor ideal under its rank check), which runs no Buchberger for
+        it, or else in(I).  S/in(I) has the same series under every order
+        (Macaulay), so the first cached basis serves, or a storage-order
+        basis when none is cached."""
         if self._cutoff is None:
             if not self.is_multihomogeneous:
                 raise HypothesisNotSatisfiedError(
@@ -802,22 +802,3 @@ def project_out_variable(f: Polynomial, small: BlockRing, var: int) -> Polynomia
         terms.append((e[:var] + e[var + 1:], c))
     return Polynomial(small, terms)
 
-
-def coordinate_section(I: Ideal, var: int) -> Ideal:
-    """I cap K[all variables but ``var``], as an ideal of the smaller
-    ring.
-
-    The kept elements of the elimination basis are a basis of the section
-    under the order they inherit, so for I multihomogeneous their leads,
-    without the ``var`` coordinate, generate its initial ideal, which is
-    its model (``ideal_with_series_of``), as the colon's leads are the
-    colon's."""
-    small = ring_without_variable(I.ring, var)
-    section = I.eliminate({var})
-    gens = [project_out_variable(g, small, var) for g in section.gens]
-    if not I.is_multihomogeneous:
-        return Ideal(small, gens, I.limits)
-    order = elimination_order(I.ring.nvars, {var})
-    leads = [g.lead_exp(order) for g in section.gens]
-    return ideal_with_series_of(MonomialIdeal(
-        small, [e[:var] + e[var + 1:] for e in leads]), gens, I.limits)

@@ -228,6 +228,17 @@ def quotient_by_linear_form(I: Ideal, L: Polynomial) -> tuple:
                          for g in I.gens], I.limits), v
 
 
+def coordinate_section(I: Ideal, var: int) -> Ideal:
+    """I cap K[all variables but ``var``], as an ideal of the ring without
+    ``var``: the elements of I's elimination basis free of ``var``.  The
+    reference for the section series that ``closure_suite`` reads off I's
+    elimination leads; the section has no model, so its series comes from
+    a basis of its own."""
+    small = ring_without_variable(I.ring, var)
+    return Ideal(small, [project_out_variable(g, small, var)
+                         for g in I.eliminate({var}).gens], I.limits)
+
+
 def gamma_sequence(ring: BlockRing) -> list:
     """The linear forms x[i,j] - x[i,1] for j >= 2, block by block.
 

@@ -19,8 +19,8 @@ from multigb.determinantal import (build_column_graded, build_row_graded,
 from multigb.errors import (HypothesisNotSatisfiedError,
                             InternalConsistencyError, NotSquarefreeError,
                             RingMismatchError)
-from multigb.groebner import (GroebnerBasis, Ideal, coordinate_section,
-                              ideal_from_monomials, regular_sequence_test)
+from multigb.groebner import (GroebnerBasis, Ideal, ideal_from_monomials,
+                              regular_sequence_test)
 from multigb.instances import (cs_instance_pool, csstar_instance_pool,
                                random_linear_form, random_ring)
 from multigb.monomials import (HilbertNumerator, MonomialIdeal,
@@ -539,7 +539,7 @@ def test_closure_suite_derived_series_equal_computed_ones(monkeypatch):
             if out["families"]["radical-gin"]:
                 expected.add(fresh(I + L))
                 try:
-                    expected.add(fresh(coordinate_section(
+                    expected.add(fresh(oracles.coordinate_section(
                         I, max(L.support_vars()))))
                 except HypothesisNotSatisfiedError:
                     pass
@@ -591,26 +591,28 @@ def test_closure_suite_reads_each_series_once_per_call(monkeypatch):
 
 def test_closure_suite_computes_each_numerator_key_once_per_call(
         monkeypatch):
-    # the checks of one call share one dict of numerators by key, so no key
-    # is computed twice in a call; the dict dies with the call, so the next
-    # call computes the same keys again
+    # every numerator of one call, the section's and the checks' included,
+    # is kept in one dict by key, so no key is computed twice in a call,
+    # whether in csideals or in monomials; the dict dies with the call, so
+    # the next call computes the same keys again
     computed, keyed = [], []
-
-    def counted(key):
-        computed.append(key)
-        return _numerator(key)
+    for module in (monomials, csideals):
+        def counted(key, inner=module._numerator):
+            computed.append(key)
+            return inner(key)
+        monkeypatch.setattr(module, "_numerator", counted)
 
     def key_of(J, inner=csideals._ideal_key):
         keyed.append(J)
         return inner(J)
 
-    monkeypatch.setattr(csideals, "_numerator", counted)
     monkeypatch.setattr(csideals, "_ideal_key", key_of)
     pool = cs_instance_pool(8, seed=4) + csstar_instance_pool(8, seed=8)
     rng = random.Random(31)
     shared = 0
     for I in pool:
         R = I.ring
+        I.hilbert_series()  # kept by I, so only the first call would ask
         for L in (x(R, 1, R.block_sizes[0]), random_linear_form(R, rng)):
             calls = []
             for _ in range(2):
