@@ -528,14 +528,14 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
     mode "le" checks coordinatewise <= bound; mode "eq" checks equality,
     which is the reading used for maximal minors in the row-graded case.
     I must be multigraded (else ``HypothesisNotSatisfiedError``).  Each
-    order is settled by ``_sampled_records`` from the leads of its basis
-    truncated at the bound (Buchberger with the series cutoff on): when
-    they are certified, every reduced element fits the bound.  The
-    truncated runs of one call share what no order decides: the packed
-    generators and the data of each pair lcm.  Every
-    reduced basis has an element of each minimal generator's multidegree,
-    so the bound also holds for the minimal generators when ``ok``.
-    Returns (ok, details).
+    order is settled by ``_sampled_records`` from the minimal generators
+    of in(I) that fit the bound, which a truncated run counts off I's
+    Hilbert series (``groebner._truncated_walk``): when they are
+    certified, every reduced element fits the bound.  The truncated runs
+    of one call share what no order decides: the packed generators and
+    the data of each pair lcm.  Every reduced basis has an element of each
+    minimal generator's multidegree, so the bound also holds for the
+    minimal generators when ``ok``.  Returns (ok, details).
     """
     if mode not in ("le", "eq"):
         raise ValueError("mode must be 'le' or 'eq'")
@@ -553,8 +553,6 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
 
     orders = sample_orders(I.ring, n_orders, seed=seed,
                            include_permutations=False)
-    # lazy: each truncated run starts after _sampled_records has the series,
-    # so it keeps the series cutoff
     records = [record for _, record, _ in _sampled_records(
         I, orders, I._truncated_leads(orders, bound))]
     violations = [{"where": record["order"], "degree": d}

@@ -1,8 +1,10 @@
 """Buchberger engine and the ideal operations built on it.
 
 The driver keeps the Gebauer-Moeller pair bookkeeping and the normal
-selection strategy in Python; per-term arithmetic lives in the kernel, on
-terms packed once per run (``kernel.Layout``).
+selection strategy in Python; truncated runs that know the ideal's
+Hilbert series instead count the leads each multidegree needs
+(``_truncated_walk``).  Per-term arithmetic lives in the kernel, on terms
+packed once per run (``kernel.Layout``).
 All computations are deterministic: the reduced Groebner basis of an
 ideal under an order is unique, so caches and cross-checks can compare
 results structurally.
@@ -33,10 +35,11 @@ from multigb.ring import (BlockRing, TermOrder, degrevlex, elimination_order,
 class EngineLimits:
     """Caps that turn runaway computations into clean aborts.
 
-    ``max_basis`` caps, during a Buchberger run, the working basis, whose
-    non-minimal and unreduced elements stay until the final pass, so a run
-    can abort on an ideal whose reduced basis fits the cap; for a monomial
-    ideal, which runs no Buchberger, it caps the minimal generators.
+    ``max_basis`` caps the working basis of a Buchberger run, whose
+    non-minimal and unreduced elements stay until the final pass (so a run
+    can abort on an ideal whose reduced basis fits the cap), and the
+    elements of a truncated walk; for a monomial ideal, which runs no
+    Buchberger, it caps the minimal generators.
     ``max_terms`` caps the terms of a reduction in progress and of each
     element that enters the working basis, a generator that no reduction
     step touched included.
@@ -138,17 +141,22 @@ def _lcm_data(fields: kernel.Fields, multidegree: Callable | None) -> Callable:
 
 
 class _Shared:
-    """What runs of ``_packed_run`` on the same generators and bound share
-    under different orders, since no order decides it: the width
-    ``kernel.bits_for`` gives the generators and, for each width a run
-    tries, the packed monomials of their terms (``monomials``) and the
-    memoized ``_lcm_data`` of the bound (``lcm_data``).  A batch of runs
-    keeps one in a local, so it dies with the batch."""
+    """What runs of ``_packed_run`` on the same generators share under
+    different orders, since no order decides it: the distinct exponents of
+    their terms (``exponents``), each term as the position of its exponent
+    there and its coefficient (``terms``), the width ``kernel.bits_for``
+    gives the generators and, for each width a run tries, the packed
+    monomial of each distinct exponent (``monomials``) and the memoized
+    ``_lcm_data`` of the bound (``lcm_data``), which ``_truncated_walk``
+    reads.  A batch of runs keeps one in a local, so it dies with the
+    batch."""
 
     def __init__(self, multidegree: Callable | None = None):
         self.multidegree = multidegree
         self.bits: int | None = None
-        self.monomials: dict = {}  # width -> packed monomials of each term
+        self.exponents: list = []
+        self.terms: list = []
+        self.monomials: dict = {}  # width -> packed monomial of each exponent
         self._memos: dict = {}  # width -> memoized _lcm_data
 
     def lcm_data(self, layout: kernel.Layout) -> Callable:
@@ -161,17 +169,20 @@ class _Shared:
 
 class _SeriesCutoff:
     """Decides when the Hilbert series of a multihomogeneous ideal I proves
-    that every S-polynomial of a multidegree reduces to zero (Traverso).
+    that every S-polynomial of a multidegree reduces to zero, and how many
+    leads a basis still needs in a multidegree (Traverso).
 
-    in(G) is inside in(I), so the monomials of degree a outside in(G) are
-    at least dim (S/I)_a; once the two counts agree, in(G)_a = in(I)_a and
-    a degree-a element of I has no nonzero normal form modulo G.  The
-    monomials of in(G)_a are collected incrementally, packed by the
-    ``kernel.fields`` holding the largest entry of a: each lead is
-    multiplied out once per degree, when the degree is next checked.
-    ``dims`` memoizes dim (S/I)_a and ``monomials`` the packed monomials of
-    each degree b, by ``(b, fields)``; no order decides them, so one cutoff
-    serves sequential runs under any order, each begun by ``start``.
+    in(G) is inside in(I), so the monomials of degree a in in(G) are at
+    most dim I_a; once the two counts agree, in(G)_a = in(I)_a and a
+    degree-a element of I has no nonzero normal form modulo G.  The
+    monomials of in(G)_a are packed by the ``kernel.fields`` holding the
+    largest entry of a.  ``settled`` collects them incrementally, each lead
+    multiplied out once per degree, when the degree is next checked;
+    ``missing`` counts them once, for a walk that visits each degree once
+    (``_truncated_walk``).  ``dims`` memoizes dim I_a and ``monomials``
+    the packed monomials of each degree b, by ``(b, fields)``; no order
+    decides them, so one cutoff serves sequential runs under any order,
+    each begun by ``start``.
     """
 
     def __init__(self, ring: BlockRing, series: HilbertNumerator):
@@ -188,6 +199,37 @@ class _SeriesCutoff:
         self.leads: list = []  # (exponents, multidegree) of basis[k]'s lead
         self.degrees: dict = {}  # a -> [leads seen, in(G)_a, kernel.Fields]
 
+    def dim(self, a: tuple) -> int:
+        """dim I_a."""
+        d = self.dims.get(a)
+        if d is None:
+            d = self.dims[a] = ambient_dimension(self.ring, a) - \
+                quotient_dimension_from_numerator(self.series, self.ring, a)
+        return d
+
+    def _cover(self, covered: set, fields: kernel.Fields, a: tuple,
+               leads: Iterable[tuple]) -> None:
+        """Add to ``covered`` the degree-a monomials, packed by ``fields``,
+        that ``leads`` ((exponents, multidegree) pairs) divide."""
+        ring = self.ring
+        for lead, degree in leads:
+            b = tuple(x - y for x, y in zip(a, degree))
+            if min(b) < 0:
+                continue
+            monomials = self.monomials.get((b, fields))
+            if monomials is None:
+                monomials = self.monomials[(b, fields)] = list(map(
+                    fields.monomial, ring.monomials_of_multidegree(b)))
+            covered.update(map(fields.monomial(lead).__add__, monomials))
+
+    def missing(self, a: tuple, leads: Sequence[tuple]) -> int:
+        """How many leads of multidegree a a basis needs beside ``leads``
+        ((exponents, multidegree) pairs): dim I_a minus the degree-a
+        monomials they divide."""
+        covered: set = set()
+        self._cover(covered, kernel.fields(self.ring.nvars, max(a)), a, leads)
+        return self.dim(a) - len(covered)
+
     def settled(self, a: tuple, basis: list) -> bool:
         """Whether the leads of ``basis`` settle multidegree ``a``, which is
         not in ``full`` (the multidegrees settled already)."""
@@ -202,19 +244,9 @@ class _SeriesCutoff:
         for g in basis[len(self.leads):]:
             lead = layout.exponents(g[0][1])
             self.leads.append((lead, ring.multidegree(lead)))
-        for lead, degree in self.leads[seen:]:
-            b = tuple(x - y for x, y in zip(a, degree))
-            if min(b) < 0:
-                continue
-            monomials = self.monomials.get((b, fields))
-            if monomials is None:
-                monomials = self.monomials[(b, fields)] = [
-                    fields.monomial(m) for m in ring.monomials_of_multidegree(b)]
-            covered.update(map(fields.monomial(lead).__add__, monomials))
+        self._cover(covered, fields, a, self.leads[seen:])
         state[0] = len(basis)
-        if a not in self.dims:
-            self.dims[a] = quotient_dimension_from_numerator(self.series, ring, a)
-        if ambient_dimension(ring, a) - len(covered) == self.dims[a]:
+        if len(covered) == self.dim(a):
             self.full.add(a)
             del self.degrees[a]
             return True
@@ -227,25 +259,33 @@ def _packed_run(polys: Sequence[list], matrix: tuple, run,
     ``polys``, packed and sorted under the layout of ``matrix`` with fields
     ``kernel.bits_for(polys)`` wide.  When the inputs or the run outgrow
     those fields, it repacks and restarts with fields twice as wide.  An
-    overflow of any other fields is a bug, not a reason to widen.  With
-    ``shared``, kept by the caller across runs on the same ``polys`` under
-    other orders, the width and each width's packed monomials are computed
-    once, and each run only computes its order keys and sorts.  Every
-    packed run enters here, so only this function packs a run's inputs."""
+    overflow of any other fields is a bug, not a reason to widen.  Order
+    keys and packed monomials are computed once per distinct exponent of
+    the terms.  With ``shared``, kept by the caller across runs on the same
+    ``polys`` under other orders, the distinct exponents, the width and
+    each width's packed monomials are computed once, and each run only
+    computes its order keys and sorts.  Every packed run enters here, so
+    only this function packs a run's inputs."""
     if shared is None:
         shared = _Shared()
     if shared.bits is None:
         shared.bits = kernel.bits_for(polys)
+        index: dict = {}
+        shared.terms = [[(index.setdefault(e, len(index)), c) for e, c in f]
+                        for f in polys]
+        shared.exponents = list(index)
     bits = shared.bits
     while True:
         layout = kernel.layout(matrix, bits)
         try:
             monomials = shared.monomials.get(bits)
             if monomials is None:
-                monomials = shared.monomials[bits] = [
-                    [layout.monomial(e) for e, _ in f] for f in polys]
-            return run(layout, [sorted(layout.pack(f, m), reverse=True)
-                                for f, m in zip(polys, monomials)])
+                monomials = shared.monomials[bits] = list(
+                    map(layout.monomial, shared.exponents))
+            keys = list(map(layout.key, shared.exponents))
+            return run(layout, [
+                sorted([(keys[i], monomials[i], c) for i, c in f],
+                       reverse=True) for f in shared.terms])
         except kernel.FieldOverflow as e:
             if e.fields is not layout:
                 raise InternalConsistencyError(
@@ -268,8 +308,7 @@ def _within(ring: BlockRing, b: Sequence[int]) -> Callable:
 
 def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
                 limits: EngineLimits, series: _SeriesCutoff | None = None,
-                bound: Callable | None = None,
-                lcm_data: Callable | None = None) -> list:
+                bound: Callable | None = None) -> list:
     """Reduced Groebner basis of packed generators, as packed polynomials
     sorted by lead.
 
@@ -281,11 +320,11 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
     (multihomogeneous generators only), generators of multidegree not <= b
     are dropped and pairs whose lcm is not <= b are never made: the result
     is the b-truncated, unreduced Groebner basis, enough to decide
-    membership in multidegrees <= b, and its leads generate in(I) whenever
-    the reduced basis of I fits b.  ``lcm_data`` may give a memoized
-    ``_lcm_data`` of the run's fields and bound, shared with runs under
-    other orders (``_Shared``).  A resource abort reports the basis size,
-    pending pairs and the lcm degree reached.
+    membership in multidegrees <= b (``Ideal.minimal_generators``).  Its
+    leads generate in(I) in every multidegree <= b, the ideal that the
+    leads ``_truncated_walk`` counts off the series minimally generate.
+    A resource abort reports the basis size, pending pairs and the lcm
+    degree reached.
     """
     basis: list = []
     pairs: dict = {}
@@ -298,8 +337,7 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
         series.start(layout)
         if bound is None:
             multidegree = series.ring.multidegree
-    if lcm_data is None:
-        lcm_data = _lcm_data(layout, multidegree)
+    lcm_data = _lcm_data(layout, multidegree)
 
     def grow(r: list) -> None:
         if len(r) > limits.max_terms:
@@ -351,6 +389,121 @@ def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
                                  pending_pairs=len(pairs),
                                  degree=degree) from None
     return reduced[::-1]
+
+
+def _truncated_walk(gens: Sequence[list], layout: kernel.Layout, p: int,
+                    limits: EngineLimits, series: _SeriesCutoff,
+                    lcm_data: Callable) -> list:
+    """Lead exponents of a b-truncated Groebner basis of the packed
+    generators of a multihomogeneous ideal I, counted off I's Hilbert
+    series (Traverso): the minimal generators of in(I) of multidegree <= b,
+    in the order they are found.  ``lcm_data`` is ``_lcm_data`` of the
+    truncation ``_within(ring, b)``.
+
+    Each generator, and each S-pair when its second element enters, is
+    filed under its multidegree, a pair's being that of the lcm of its
+    leads; coprime pairs and anything outside the bound are dropped.  The
+    walk visits only the multidegrees filed, by increasing total degree; a
+    pair's lcm lies strictly above both its elements, so nothing is filed
+    under a degree already visited.  At a, I_a needs ``series.missing``
+    leads beside those of the elements of multidegree <= a, which are the
+    only ones that reduce degree-a polynomials.  Every generator filed
+    there is reduced modulo them, then the pairs, each S-polynomial
+    getting its order key only now, until none are missing.  A nonzero
+    remainder has a lead no earlier lead divides, so it adds exactly one
+    monomial to in(G)_a, and enters.  By Buchberger's criterion the
+    elements generate in(I) in every multidegree <= b, and no lead divides
+    another.  A count that is negative, met before a generator enters, or
+    left unmet by the pairs of its degree means that the series is not
+    I's, and raises ``InternalConsistencyError``.  A resource abort, as in
+    ``_buchberger``, reports the basis size, the pairs filed and not yet
+    tried, and the total degree reached.
+    """
+    guard, shift = layout.guard, layout.bits - 1
+    levels: dict = {}  # total degree -> {multidegree: (generators, pairs)}
+    basis: list = []  # monic elements, in the order they enter
+    heads: list = []  # the packed lead of each element
+    leads: list = []  # (exponents, multidegree) of each element's lead
+    degree = pending = 0  # pending: pairs filed and not yet tried
+
+    def filed(data: tuple) -> tuple:
+        # the generators and pairs filed under the multidegree of data
+        return levels.setdefault(data[0], {}).setdefault(data[2], ([], []))
+
+    def enter(r: list, a: tuple) -> list:
+        nonlocal pending
+        if len(r) > limits.max_terms:
+            raise ResourceLimitError(
+                f"element exceeded {limits.max_terms} terms")
+        f = _monic(r, p)
+        lf = f[0][1]
+        m = len(basis)
+        for i, lg in enumerate(heads):
+            d = ((lg | guard) - lf) & guard
+            d -= d >> shift
+            gamma = lg & d | lf & ~d
+            if gamma != lg + lf:
+                data = lcm_data(gamma)
+                if data is not None:
+                    filed(data)[1].append((i, m, gamma, data[1]))
+                    pending += 1
+        basis.append(f)
+        heads.append(lf)
+        leads.append((layout.exponents(lf), a))
+        if len(basis) > limits.max_basis:
+            raise ResourceLimitError(
+                f"basis exceeded {limits.max_basis} elements")
+        return f
+
+    for g in gens:
+        data = lcm_data(g[0][1])
+        if data is not None:
+            filed(data)[0].append(g)
+    try:
+        while levels:
+            degree = min(levels)
+            for a, (generators, pairs) in levels.pop(degree).items():
+                below = [k for k, (_, c) in enumerate(leads)
+                         if all(map(le, c, a))]
+                reducers = [basis[k] for k in below]
+                missing = series.missing(a, [leads[k] for k in below])
+                if missing < 0:
+                    raise InternalConsistencyError(
+                        f"the leads cover more of degree {a} than the "
+                        f"ideal's Hilbert series allows")
+                for g in generators:
+                    r = kernel.normal_form(g, reducers, layout, p,
+                                           limits.max_terms) if reducers else g
+                    if r:
+                        if not missing:
+                            raise InternalConsistencyError(
+                                f"a generator of degree {a} adds a lead "
+                                f"the ideal's Hilbert series has no room for")
+                        reducers.append(enter(r, a))
+                        missing -= 1
+                tried = 0
+                for i, j, gamma, exp in pairs:
+                    if not missing:
+                        break
+                    tried += 1
+                    pending -= 1
+                    s = kernel.spoly(basis[i], basis[j], gamma,
+                                     layout.key(exp), layout, p)
+                    r = kernel.normal_form(s, reducers, layout, p,
+                                           limits.max_terms)
+                    if r:
+                        reducers.append(enter(r, a))
+                        missing -= 1
+                pending -= len(pairs) - tried
+                if missing:
+                    raise InternalConsistencyError(
+                        f"the S-pairs of degree {a} reduce to fewer leads "
+                        f"than the ideal's Hilbert series needs")
+    except ResourceLimitError as e:
+        raise ResourceLimitError(str(e), basis_size=len(basis),
+                                 pending_pairs=pending,
+                                 degree=degree) from None
+    return [exp for exp, _ in leads]
 
 
 def _by_order(exps: Iterable[tuple], matrix: tuple) -> list:
@@ -497,22 +650,22 @@ class Ideal:
 
     def _truncated_leads(self, orders: Iterable[TermOrder],
                          b: Sequence[int]):
-        """Lazily, for each of ``orders``, the lead exponents of the
-        b-truncated basis (multihomogeneous ideals only), with the series
-        cutoff on once the ideal has a model or a cached basis: they
-        generate in(I) in every multidegree <= b.  The runs share one
-        ``_Shared``, which dies with the generator."""
+        """Lazily, for each of ``orders``, the minimal generators of in(I) of
+        multidegree <= b (multihomogeneous ideals only), which
+        ``_truncated_walk`` counts off the ideal's Hilbert series, computed
+        before the first run when the ideal has none yet: they generate
+        in(I) in every multidegree <= b.  The runs share one ``_Shared``,
+        which dies with the generator."""
         p = self.ring.characteristic
-        bound = _within(self.ring, b)
-        shared = _Shared(bound)
+        shared = _Shared(_within(self.ring, b))
         gens = [g.terms for g in self.gens]
+        self.hilbert_series()
+        series = self._cutoff
         for order in orders:
-            series = self._series_cutoff()
 
             def leads(layout, packed):
-                return [layout.exponents(g[0][1]) for g in _buchberger(
-                    packed, layout, p, self.limits, series, bound,
-                    shared.lcm_data(layout))]
+                return _truncated_walk(packed, layout, p, self.limits, series,
+                                       shared.lcm_data(layout))
 
             yield _packed_run(gens, order.rows, leads, shared)
 

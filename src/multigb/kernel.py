@@ -204,7 +204,7 @@ def minimal(packed, guard):
 
 
 class Layout(Fields):
-    """``Fields`` with the order key of one order matrix, and term packing.
+    """``Fields`` with the order key of one order matrix.
 
     The order key is additive: K(e) = sum_k e_k * C_k with
     C_k = sum_i M[i][k] * 2^s_i.  Row i of M·e is digit i of K in signed
@@ -229,17 +229,6 @@ class Layout(Fields):
     def key(self, exp):
         """Order key of an exponent tuple."""
         return sum(map(mul, exp, self.cols))
-
-    def pack(self, f, monomials=None):
-        """Packed terms of a tuple polynomial sorted under the matrix.
-        ``monomials`` may give the packed monomials of its terms: they
-        depend on the field width only, so runs under other orders of the
-        same width can share them."""
-        cols = self.cols
-        if monomials is None:
-            monomials = map(self.monomial, [e for e, _ in f])
-        return [(sum(map(mul, e, cols)), m, c)
-                for (e, c), m in zip(f, monomials)]
 
     def unpack(self, f):
         """The tuple polynomial of packed terms."""

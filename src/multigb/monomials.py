@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate
+from operator import le
 from typing import Iterable, Sequence
 
 from multigb import kernel
@@ -514,7 +515,8 @@ def ambient_dimension(ring: BlockRing, a: Sequence[int]) -> int:
 
 def quotient_dimension_from_numerator(num: HilbertNumerator, ring: BlockRing,
                                       a: Sequence[int]) -> int:
-    """dim (S/I)_a read off the K-polynomial."""
+    """dim (S/I)_a read off the K-polynomial: only its terms of degree
+    b <= a contribute."""
     a = tuple(a)
     return sum(c * ambient_dimension(ring, tuple(x - y for x, y in zip(a, b)))
-               for b, c in num.coeffs.items())
+               for b, c in num.coeffs.items() if all(map(le, b, a)))

@@ -498,6 +498,13 @@ def spoly(f, g, matrix, p):
     return kernel.sort_terms(sf + sg, matrix, p)
 
 
+def pack(layout: kernel.Layout, f: list) -> list:
+    """The packed terms ``(order key, packed monomial, coefficient)`` of a
+    tuple polynomial, term by term, as ``groebner._packed_run`` packs the
+    inputs of a run."""
+    return [(layout.key(e), layout.monomial(e), c) for e, c in f]
+
+
 def min_scan_buchberger(gens, layout, p, limits, series=None, bound=None):
     """Reference for the pair queue of ``groebner._buchberger``: the same
     run on packed generators, with every pending pair in a dict and the

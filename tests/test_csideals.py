@@ -1023,43 +1023,82 @@ def test_degree_bound_check_certifies_every_order(make, t, bound, mode):
     assert len(I._gb_cache) == 1
 
 
-@pytest.mark.parametrize("make, t, b, series", [
-    (lambda: build_column_graded(3, (3, 3, 3, 3), seed=5), 2, (1, 1, 1, 1),
-     True),
-    (lambda: build_row_graded(4, (3, 3, 3), seed=5), 3, (1, 1, 1), True),
-    # squares fit the bound and no series skips their pairs, so runs
-    # started at 2-bit fields outgrow them midway
-    (lambda: build_column_graded(3, (3, 3, 3), seed=1), 2, (2, 2, 2),
-     False),
-], ids=["column-2-minors", "row-maximal-minors", "column-squares"])
+def test_degree_bound_check_far_above_the_claimed_bound(monkeypatch):
+    # every reduced basis of the column 2-minors fits (1, 1, 1, 1); at
+    # (5, 5, 5, 5) the truncated runs visit only the degrees of generators
+    # and pair lcms, at most 2 in each block, never the whole box, and
+    # certify every order still
+    A = build_column_graded(3, (3, 3, 3, 3), seed=5)
+    I = Ideal(A.ring, minors(A, 2))
+    visited = set()
+    inner = groebner._SeriesCutoff.missing
+
+    def spy(self, a, leads):
+        visited.add(a)
+        return inner(self, a, leads)
+
+    monkeypatch.setattr(groebner._SeriesCutoff, "missing", spy)
+    ok, _ = assert_degree_bound_matches_oracle(I, (5, 5, 5, 5), 8, 3)
+    assert ok
+    assert len(I._gb_cache) == 1
+    assert max(map(max, visited)) == 2
+
+
+def minor_ideal(A, t):
+    return Ideal(A.ring, minors(A, t))
+
+
+def squarefree_quadrics():
+    # two quadrics with squarefree terms in one block; their S-pairs reduce
+    # to leads with squares
+    R = BlockRing((4,), 32003)
+    x = [Polynomial.monomial(R, R.unit_exp(k)) for k in range(4)]
+    return Ideal(R, [x[0] * x[1] * -366 + x[0] * x[3] * 8485
+                     - x[2] * x[3] * 15249,
+                     x[0] * x[1] * 15618 + x[1] * x[2] * 11733
+                     - x[0] * x[3] * 290])
+
+
+@pytest.mark.parametrize("make, b, widens", [
+    (lambda: minor_ideal(build_column_graded(3, (3, 3, 3, 3), seed=5), 2),
+     (1, 1, 1, 1), False),
+    (lambda: minor_ideal(build_row_graded(4, (3, 3, 3), seed=5), 3),
+     (1, 1, 1), False),
+    # squares fit the bound, but the series settles every degree before the
+    # walk reaches one, so runs started at 2-bit fields keep them
+    (lambda: minor_ideal(build_column_graded(3, (3, 3, 3), seed=1), 2),
+     (2, 2, 2), False),
+    # runs started at 2-bit fields hold the generators and outgrow them
+    # midway, at the first square
+    (squarefree_quadrics, (3,), True),
+], ids=["column-2-minors", "row-maximal-minors", "column-squares",
+        "squarefree-quadrics"])
 @pytest.mark.parametrize("start", [None, 1, 2])
-def test_shared_truncated_leads_equal_fresh_runs(make, t, b, series, start,
+def test_shared_truncated_leads_equal_fresh_runs(make, b, widens, start,
                                                  monkeypatch):
     # the truncated runs of one batch share the packed generators and the
     # lcm data; each order must still get the leads a run of its own gets,
     # also when a run repacks wider (1-bit fields hold no generator)
-    A = make()
-    I = Ideal(A.ring, minors(A, t))
-    if series:
-        I.hilbert_series()
-    orders = sample_orders(A.ring, 8, seed=3, include_permutations=False)
+    I = make()
+    orders = sample_orders(I.ring, 8, seed=3, include_permutations=False)
     fresh = [next(I._truncated_leads([o], b)) for o in orders]
     widths = []
-    inner = groebner._buchberger
+    inner = groebner._truncated_walk
 
     def recorded(gens, layout, *args):
         widths.append(layout.bits)
         return inner(gens, layout, *args)
 
-    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    monkeypatch.setattr(groebner, "_truncated_walk", recorded)
     if start is not None:
         monkeypatch.setattr(kernel, "bits_for", lambda polys: start)
     assert list(I._truncated_leads(orders, b)) == fresh
     if start == 1:
         assert min(widths) == 2
-    elif start == 2 and not series:
+    elif start == 2:
         # a widened width holds for the rest of the batch
-        assert widths == [2] + [4] * len(orders)
+        assert widths == ([2] + [4] * len(orders) if widens
+                          else [2] * len(orders))
 
 
 def test_degree_bound_check_keeps_no_cache_on_the_ideal():

@@ -104,7 +104,7 @@ def test_spoly_criterion_on_random_pairs():
         p = R.characteristic
         raws = [kernel.sort_terms(g.terms, m, p) for g in G]
         layout = kernel.layout(m, kernel.bits_for(raws))
-        packed = [layout.pack(g) for g in raws]
+        packed = [oracles.pack(layout, g) for g in raws]
         for i in range(len(packed)):
             for j in range(i + 1, len(packed)):
                 lcm = layout.lcm(packed[i][0][1], packed[j][0][1])
@@ -557,7 +557,7 @@ def test_truncated_basis_decides_membership_up_to_its_degree(column_graded_3x4):
     extra = Polynomial.monomial(R, R.unit_exp(0)) ** 4
     gens = [g.terms for g in I.gens] + [extra.terms]
     layout = kernel.layout(matrix, kernel.bits_for(gens))
-    packed = [layout.pack(g) for g in gens]
+    packed = [oracles.pack(layout, g) for g in gens]
     checked = set()
     for b in ((1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1), (4, 0, 0, 0)):
         def fits(e):
@@ -569,12 +569,89 @@ def test_truncated_basis_decides_membership_up_to_its_degree(column_graded_3x4):
         for g in full:
             if fits(g.lead_exp()):
                 checked.add(g.total_degree())
-                assert not kernel.normal_form(layout.pack(g.terms), basis,
-                                              layout, p)
+                assert not kernel.normal_form(oracles.pack(layout, g.terms),
+                                              basis, layout, p)
         # x[1,1]^4 is a generator, of multidegree (4, 0, 0, 0)
-        assert bool(kernel.normal_form(layout.pack(extra.terms), basis,
-                                       layout, p)) == (b != (4, 0, 0, 0))
+        reduced = kernel.normal_form(oracles.pack(layout, extra.terms),
+                                     basis, layout, p)
+        assert bool(reduced) == (b != (4, 0, 0, 0))
     assert checked == {2, 3}
+
+
+@st.composite
+def truncation_cases(draw):
+    """A random multihomogeneous ideal (``oracles.random_graded_ideal``) in
+    a random ring of up to five variables, and a bound: all ones, all
+    twos, which lies above all ones, or drawn up to 3 in each block."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    R = random_ring(rng, max_vars=5,
+                    characteristic=draw(st.sampled_from([7, 32003])))
+    I = random_graded_ideal(R, rng, max_gens=4)
+    b = draw(st.sampled_from([(1,) * R.v, (2,) * R.v])
+             | st.tuples(*[st.integers(0, 3)] * R.v))
+    return I, b
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(truncation_cases())
+def test_truncated_walk_finds_the_minimal_leads_of_the_truncated_basis(case):
+    # the leads the walk counts off the series generate what the leads of
+    # the truncated Buchberger run generate, and are its minimal generators,
+    # which are those of in(I) that fit the bound
+    I, b = case
+    R, p = I.ring, I.ring.characteristic
+    bound = groebner._within(R, b)
+    orders = sample_orders(R, 3, seed=0, include_permutations=False)
+    for order, leads in zip(orders, I._truncated_leads(orders, b)):
+        cutoff = I._series_cutoff()
+        unreduced = groebner._packed_run(
+            [g.terms for g in I.gens], order.rows,
+            lambda layout, packed: [layout.exponents(g[0][1]) for g in
+                                    _buchberger(packed, layout, p, I.limits,
+                                                cutoff, bound)])
+        assert sorted(leads) == list(MonomialIdeal(R, unreduced).gens)
+        assert sorted(leads) == [e for e in I.initial_ideal(order).gens
+                                 if bound(e) is not None]
+
+
+def test_truncated_walk_checks_the_series_against_the_run():
+    # a cutoff carrying the series of a smaller ideal has no room for a
+    # generator; one of a larger ideal asks leads no S-pair gives
+    A = build_column_graded(3, (3, 3, 3, 3), seed=5)
+    R = A.ring
+    gens = minors(A, 2)
+    rng = random.Random(0)
+    larger = gens + [random_multihomogeneous_polynomial(R, rng, (1, 1, 0, 0))]
+    orders = sample_orders(R, 2, seed=0, include_permutations=False)
+    for other, message in ((gens[:-1], "no room"), (larger, "fewer leads")):
+        model = Ideal(R, other).initial_ideal()
+        I = groebner.ideal_with_series_of(model, gens)
+        with pytest.raises(InternalConsistencyError, match=message):
+            list(I._truncated_leads(orders, (1, 1, 1, 1)))
+    # the true series lets every run through
+    I = Ideal(R, gens)
+    assert len(list(I._truncated_leads(orders, (1, 1, 1, 1)))) == len(orders)
+
+
+def test_truncated_walk_aborts_with_the_pairs_it_filed():
+    # the three 2-minors of a column-graded 2 x 3 matrix sit in three
+    # degrees of total degree 2, and their leads share a variable pairwise:
+    # the third to enter makes the basis too large with three pairs filed
+    # above degree 2 and none tried; a minor that enters unreduced counts
+    # for max_terms
+    A = build_column_graded(2, (2, 2, 2), seed=0)
+    I = Ideal(A.ring, minors(A, 2))
+    model = I.initial_ideal()
+    aborts = []
+    for limits in (EngineLimits(max_basis=2), EngineLimits(max_terms=1)):
+        # the model gives the series, so only the walk runs
+        J = groebner.ideal_with_series_of(model, I.gens, limits)
+        with pytest.raises(ResourceLimitError) as info:
+            next(J._truncated_leads([degrevlex(A.ring)], (2, 2, 2)))
+        assert not J._gb_cache
+        e = info.value
+        aborts.append((e.basis_size, e.pending_pairs, e.degree))
+    assert aborts == [(3, 3, 2), (0, 0, 2)]
 
 
 def _count_normal_forms(monkeypatch):

@@ -126,9 +126,9 @@ def test_layout_packs_and_unpacks_exponents():
     layout = kernel.layout(lex(3).rows, 3)
     assert layout.field_max == 4
     f = [((3, 0, 1), 5), ((0, 3, 3), 2)]
-    assert layout.unpack(layout.pack(f)) == f
+    assert layout.unpack(oracles.pack(layout, f)) == f
     with pytest.raises(kernel.FieldOverflow):
-        layout.pack([((4, 0, 0), 1)])
+        oracles.pack(layout, [((4, 0, 0), 1)])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -138,7 +138,7 @@ def test_layout_arithmetic_matches_exponent_tuples(data):
     top = layout.field_max - 1
     exps = st.tuples(*[st.integers(0, top)] * R.nvars)
     a, b = data.draw(exps), data.draw(exps)
-    (ka, ea, _), (kb, eb, _) = layout.pack([(a, 1), (b, 1)])
+    (ka, ea, _), (kb, eb, _) = oracles.pack(layout, [(a, 1), (b, 1)])
     guard = layout.guard
     assert (((ea | guard) - eb) & guard == guard) == exp_divides(b, a)
     assert layout.exponents(layout.lcm(ea, eb)) == exp_lcm(a, b)
@@ -148,7 +148,8 @@ def test_layout_arithmetic_matches_exponent_tuples(data):
     assert (ka == kb) == (a == b)
     if max(x + y for x, y in zip(a, b)) <= top:
         product = tuple(x + y for x, y in zip(a, b))
-        assert (ka + kb, ea + eb) == tuple(layout.pack([(product, 1)])[0][:2])
+        assert (ka + kb, ea + eb) == \
+            tuple(oracles.pack(layout, [(product, 1)])[0][:2])
 
 
 @pytest.mark.parametrize("top", [0, 1] + [2 ** k - 1 for k in range(2, 7)]
@@ -197,14 +198,14 @@ def test_normal_form_matches_tuple_oracle(data):
                          for t in data.draw(st.lists(terms, max_size=4))) if g]
     expected, top = oracles.normal_form(f, basis, order.rows, p,
                                         layout.field_max)
-    packed = [layout.pack(g) for g in basis]
+    packed = [oracles.pack(layout, g) for g in basis]
     if top >= layout.field_max:
         # some created term outgrows its field: the guard must catch it
         with pytest.raises(kernel.FieldOverflow):
-            kernel.normal_form(layout.pack(f), packed, layout, p)
+            kernel.normal_form(oracles.pack(layout, f), packed, layout, p)
     else:
-        assert layout.unpack(kernel.normal_form(layout.pack(f), packed,
-                                                layout, p)) == expected
+        assert layout.unpack(kernel.normal_form(
+            oracles.pack(layout, f), packed, layout, p)) == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -218,7 +219,7 @@ def test_spoly_matches_tuple_oracle(data):
     lcm = exp_lcm(f[0][0], g[0][0])
     top = max(max(x + y - z for x, y, z in zip(e, lcm, h[0][0]))
               for h in (f, g) for e, _ in h)
-    f_packed, g_packed = (layout.pack(h) for h in (f, g))
+    f_packed, g_packed = (oracles.pack(layout, h) for h in (f, g))
     # the lcm and its key as a pair holds them
     packed_lcm = layout.lcm(f_packed[0][1], g_packed[0][1])
     pair = packed_lcm, layout.key(lcm)
@@ -236,12 +237,12 @@ def test_guard_catches_a_tail_term_that_overflows():
     layout = kernel.layout(lex(2).rows, 4)
     p = 32003
     g = [((1, 0), 1), ((0, 3), p - 1)]
-    f = layout.pack([((3, 0), 1)])
+    f = oracles.pack(layout, [((3, 0), 1)])
     with pytest.raises(kernel.FieldOverflow):
-        kernel.normal_form(f, [layout.pack(g)], layout, p)
+        kernel.normal_form(f, [oracles.pack(layout, g)], layout, p)
     wide = kernel.layout(lex(2).rows, 8)
     assert wide.unpack(kernel.normal_form(
-        wide.pack([((3, 0), 1)]), [wide.pack(g)], wide, p)) \
+        oracles.pack(wide, [((3, 0), 1)]), [oracles.pack(wide, g)], wide, p)) \
         == [((0, 9), 1)]
 
 
@@ -257,12 +258,12 @@ def test_guard_catches_an_spoly_tail_term_that_overflows(overflowing):
     lcm = (1, 1)
     narrow = kernel.layout(lex(2).rows, 4)
     with pytest.raises(kernel.FieldOverflow):
-        kernel.spoly(narrow.pack(f), narrow.pack(g), narrow.monomial(lcm),
-                     narrow.key(lcm), narrow, p)
+        kernel.spoly(oracles.pack(narrow, f), oracles.pack(narrow, g),
+                     narrow.monomial(lcm), narrow.key(lcm), narrow, p)
     wide = kernel.layout(lex(2).rows, 8)
-    assert wide.unpack(kernel.spoly(wide.pack(f), wide.pack(g),
-                                    wide.monomial(lcm), wide.key(lcm), wide,
-                                    p)) == \
+    assert wide.unpack(kernel.spoly(oracles.pack(wide, f),
+                                    oracles.pack(wide, g), wide.monomial(lcm),
+                                    wide.key(lcm), wide, p)) == \
         oracles.spoly(f, g, lex(2).rows, p)
 
 
@@ -275,7 +276,8 @@ def test_normal_form_caps_the_terms_to_reduce_plus_the_output():
 
     def reduce(f, h, cap):
         return layout.unpack(kernel.normal_form(
-            layout.pack(f), [layout.pack(h)], layout, p, cap))
+            oracles.pack(layout, f), [oracles.pack(layout, h)], layout, p,
+            cap))
 
     # x0 leaves two terms to reduce
     with pytest.raises(ResourceLimitError):

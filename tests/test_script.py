@@ -896,6 +896,28 @@ def test_cli_main_theorem_obeys_max_basis(tmp_path, capsys):
         aborted["evidence"])
 
 
+def test_cli_bounds_obeys_max_basis(tmp_path, capsys):
+    # the minor ideal has the series of the generic matrix, so the first
+    # run that grows a basis is a truncated run of the bound check
+    text = ("ring v=3 blocks=[2,2,2] char=32003\n"
+            "matrix A colgraded 2 x 3 {\n"
+            "  x[1,1], x[2,1], x[3,1] ;\n"
+            "  x[1,2], x[2,2], x[3,2]\n"
+            "}\n"
+            "ideal J = minors(A, 2)\n"
+            "bounds J [2,2,2]\n")
+    assert run_cli(tmp_path, text, "--max-basis", "3", "--json") == 0
+    capsys.readouterr()
+    assert run_cli(tmp_path, text, "--max-basis", "2", "--json") == 3
+    aborted = json.loads(capsys.readouterr().out)["reports"][-1]
+    assert aborted["command"] == "bounds"
+    assert aborted["verdict"] == "aborted"
+    assert aborted["asserted"] and not aborted["passed"]
+    evidence = aborted["evidence"]
+    assert set(evidence) == {"error", "basis_size", "pending_pairs", "degree"}
+    assert (evidence["basis_size"], evidence["degree"]) == (3, 2)
+
+
 def test_cli_resource_limit_in_definition_ends_with_aborted_report(
         tmp_path, capsys):
     text = ("ring v=3 blocks=[3,3,3] char=32003\n"
