@@ -530,7 +530,7 @@ def degree_bound_check(I: Ideal, bound: Sequence[int], n_orders: int = 20,
     I must be multigraded (else ``HypothesisNotSatisfiedError``).  Each
     order is settled by ``_sampled_records`` from the minimal generators
     of in(I) that fit the bound, which a truncated run counts off I's
-    Hilbert series (``groebner._truncated_walk``): when they are
+    Hilbert series (``groebner._walk``): when they are
     certified, every reduced element fits the bound.  The truncated runs
     of one call share what no order decides: the packed generators and
     the data of each pair lcm.  Every reduced basis has an element of each

@@ -12,11 +12,13 @@ class RingMismatchError(MultigbError):
 class ResourceLimitError(MultigbError):
     """A Groebner computation exceeded its configured resource guard.
 
-    When raised by the Buchberger driver it carries the partial state at the
-    abort: ``basis_size``, ``pending_pairs`` and ``degree`` (the lcm total
-    degree reached).  A monomial ideal with more minimal generators than
-    ``max_basis`` reports their number, no pending pairs and their largest
-    degree.  All three are None otherwise.
+    When raised by the Groebner driver it carries the partial state at the
+    abort: ``basis_size`` (the elements the run entered), ``pending_pairs``
+    (S-pairs filed and not yet tried) and ``degree`` (the sugar degree
+    reached, the total degree for multigraded input).  A monomial ideal
+    with more minimal generators than ``max_basis`` reports their number,
+    no pending pairs and their largest degree.  All three are None
+    otherwise.
     """
 
     def __init__(self, message: str, *, basis_size: int | None = None,

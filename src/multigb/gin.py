@@ -73,15 +73,14 @@ def _trial(g: BorelElement, I: Ideal, order: TermOrder) -> MonomialIdeal:
     """in(g(I)) under ``order``: the generators are moved by
     ``Polynomial.substitute``, their reduced basis is computed by
     ``groebner._reduced_basis_raw``, and the initial ideal is read off its
-    leads.  g(I) has the Hilbert series of I, so the run skips pairs by I's
-    cutoff (``Ideal._series_cutoff``) once I has a model or a basis
-    cached."""
+    leads.  g(I) has the multigrading and the Hilbert series of I, so the
+    run files and counts by I's (``Ideal._series_cutoff``, once I has a
+    model or a basis cached)."""
     ring = I.ring
     images = {v: Polynomial(ring, terms) for v, terms in _variable_images(
         g, set().union(*(f.support_vars() for f in I.gens))).items()}
     basis = groebner._reduced_basis_raw(
-        [f.substitute(images).terms for f in I.gens], order.rows,
-        ring.characteristic, I.limits, I._series_cutoff())
+        [f.substitute(images).terms for f in I.gens], order.rows, I)
     return MonomialIdeal(ring, [f[0][0] for f in basis], _minimal=True)
 
 

@@ -1,10 +1,12 @@
-"""Buchberger engine and the ideal operations built on it.
+"""Groebner engine and the ideal operations built on it.
 
-The driver keeps the Gebauer-Moeller pair bookkeeping and the normal
-selection strategy in Python; truncated runs that know the ideal's
-Hilbert series instead count the leads each multidegree needs
-(``_truncated_walk``).  Per-term arithmetic lives in the kernel, on terms
-packed once per run (``kernel.Layout``).
+One driver, ``_walk``, runs every basis.  It files the generators and
+S-pairs of a run by sugar and by multidegree (by sugar alone when the
+input has no multigrading) and visits them in that order.  A run that
+knows the ideal's Hilbert series counts the leads each multidegree needs
+(Traverso); any other drops pairs by Buchberger's chain criterion.
+Per-term arithmetic lives in the kernel, on terms packed once per run
+(``kernel.Layout``).
 All computations are deterministic: the reduced Groebner basis of an
 ideal under an order is unique, so caches and cross-checks can compare
 results structurally.
@@ -14,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from heapq import heapify, heappop, heappush
-from itertools import count
 from operator import le, mul
 from typing import Callable, Iterable, Sequence
 
@@ -35,14 +35,15 @@ from multigb.ring import (BlockRing, TermOrder, degrevlex, elimination_order,
 class EngineLimits:
     """Caps that turn runaway computations into clean aborts.
 
-    ``max_basis`` caps the working basis of a Buchberger run, whose
-    non-minimal and unreduced elements stay until the final pass (so a run
-    can abort on an ideal whose reduced basis fits the cap), and the
-    elements of a truncated walk; for a monomial ideal, which runs no
-    Buchberger, it caps the minimal generators.
+    ``max_basis`` caps the elements a run enters, in every run.  A run on
+    multihomogeneous input enters only leads no other lead divides, so
+    there it caps the reduced basis; on other input a run can enter an
+    element whose lead a later lead divides, and so abort on an ideal whose
+    reduced basis fits the cap.  For a monomial ideal, which runs no
+    engine, it caps the minimal generators.
     ``max_terms`` caps the terms of a reduction in progress and of each
-    element that enters the working basis, a generator that no reduction
-    step touched included.
+    element that enters a run, a generator that no reduction step touched
+    included.
     """
     max_basis: int = 5000
     max_terms: int = 100_000
@@ -59,83 +60,29 @@ def _monic(f: list, p: int) -> list:
     return [(k, e, d * inv % p) for k, e, d in f]
 
 
-def _gm_update(basis: list, pairs: dict, heap: list, f: list,
-               layout: kernel.Layout, lcm_data: Callable, seq) -> None:
-    """Add the element ``f`` to the basis, pruning S-pairs by the
-    Gebauer-Moeller criteria (lcm chain rule, duplicate-lcm collapse,
-    coprime leads).
-
-    ``pairs`` maps the creation number of each pending pair to ``(i, j,
-    lcm, multidegree)``, and ``heap`` holds ``(total degree, order key,
-    lcm, creation number)`` of every pair made, pending or not: a pair the
-    chain rule drops leaves ``pairs`` only, and ``_buchberger`` skips its
-    heap entry when it surfaces.  Once dropped entries outnumber pending
-    ones, the heap is rebuilt from the pending ones.  ``seq`` numbers the
-    new pairs.  Leads and lcms are packed monomials; the lcms with each
-    basis lead are computed inline (``kernel.Fields``), and only the minimal
-    ones (``kernel.minimal``) make pairs, in increasing packed value.
-    ``lcm_data`` gives a pair's total degree, exponents and multidegree
-    (see ``_lcm_data``); a pair whose lcm it maps to None (outside a bound,
-    ``_within``) is never made: the criteria drop a pair only on account of
-    pairs whose lcms divide its own, and every multiple of an lcm outside a
-    multidegree bound is outside it too.
-    """
-    m = len(basis)
-    guard, shift = layout.guard, layout.bits - 1
-    lf = f[0][1]
-    leads = [g[0][1] for g in basis]
-    lcms = []
-    for a in leads:
-        d = ((a | guard) - lf) & guard
-        d -= d >> shift
-        lcms.append(a & d | lf & ~d)
-
-    for s in [s for s, (i, j, gamma, _) in pairs.items()
-              if ((gamma | guard) - lf) & guard == guard
-              and gamma != lcms[i] and gamma != lcms[j]]:
-        del pairs[s]
-
-    by_lcm: dict = {}
-    for i, gamma in enumerate(lcms):
-        by_lcm.setdefault(gamma, []).append(i)
-    key = layout.key
-    for gamma in kernel.minimal(by_lcm, guard):
-        group = by_lcm[gamma]
-        if any(gamma == leads[i] + lf for i in group):
-            continue
-        data = lcm_data(gamma)
-        if data is None:
-            continue
-        degree, exp, a = data
-        s = next(seq)
-        pairs[s] = group[0], m, gamma, a
-        heappush(heap, (degree, key(exp), gamma, s))
-
-    basis.append(f)
-    if len(heap) > 2 * len(pairs):
-        heap[:] = [entry for entry in heap if entry[3] in pairs]
-        heapify(heap)
+def _unkeyed(exp: tuple) -> tuple:
+    """The key of every monomial of a run on input with no multigrading."""
+    return ()
 
 
-def _lcm_data(fields: kernel.Fields, multidegree: Callable | None) -> Callable:
+def _lcm_data(fields: kernel.Fields, key: Callable) -> Callable:
     """The function mapping a packed monomial to its total degree,
-    exponents and ``multidegree`` (``()`` without one), or to None when
-    ``multidegree`` maps it to None.  No order decides them, only the field
-    width, so runs on the same generators under different orders can share
-    one memoized copy (``_Shared``).  To keep that copy small, exponents
-    that fit a byte are kept as ``bytes`` and equal multidegrees as one
-    tuple."""
+    exponents and ``key``, or to None when ``key`` maps it to None.  The
+    key is a multidegree, ``()`` (``_unkeyed``) or a truncation
+    (``_within``).  No order decides them, only the field width, so runs
+    on the same generators under different orders can share one memoized
+    copy (``_Shared``).  To keep that copy small, exponents that fit a byte
+    are kept as ``bytes`` and equal keys as one tuple."""
     exponents = fields.exponents
     small = fields.field_max <= 256
-    multidegrees: dict = {}
+    keys: dict = {}
 
     def data(m: int) -> tuple | None:
         exp = exponents(m)
-        a = multidegree(exp) if multidegree is not None else ()
+        a = key(exp)
         if a is None:
             return None
-        return (sum(exp), bytes(exp) if small else exp,
-                multidegrees.setdefault(a, a))
+        return sum(exp), bytes(exp) if small else exp, keys.setdefault(a, a)
 
     return data
 
@@ -147,9 +94,8 @@ class _Shared:
     there and its coefficient (``terms``), the width ``kernel.bits_for``
     gives the generators and, for each width a run tries, the packed
     monomial of each distinct exponent (``monomials``) and the memoized
-    ``_lcm_data`` of the bound (``lcm_data``), which ``_truncated_walk``
-    reads.  A batch of runs keeps one in a local, so it dies with the
-    batch."""
+    ``_lcm_data`` of the bound (``lcm_data``), which ``_walk`` reads.  A
+    batch of runs keeps one in a local, so it dies with the batch."""
 
     def __init__(self, multidegree: Callable | None = None):
         self.multidegree = multidegree
@@ -168,21 +114,17 @@ class _Shared:
 
 
 class _SeriesCutoff:
-    """Decides when the Hilbert series of a multihomogeneous ideal I proves
-    that every S-polynomial of a multidegree reduces to zero, and how many
-    leads a basis still needs in a multidegree (Traverso).
+    """How many leads a basis of a multihomogeneous ideal I still needs in
+    a multidegree, counted off I's Hilbert series (Traverso).
 
     in(G) is inside in(I), so the monomials of degree a in in(G) are at
     most dim I_a; once the two counts agree, in(G)_a = in(I)_a and a
-    degree-a element of I has no nonzero normal form modulo G.  The
-    monomials of in(G)_a are packed by the ``kernel.fields`` holding the
-    largest entry of a.  ``settled`` collects them incrementally, each lead
-    multiplied out once per degree, when the degree is next checked;
-    ``missing`` counts them once, for a walk that visits each degree once
-    (``_truncated_walk``).  ``dims`` memoizes dim I_a and ``monomials``
-    the packed monomials of each degree b, by ``(b, fields)``; no order
-    decides them, so one cutoff serves sequential runs under any order,
-    each begun by ``start``.
+    degree-a element of I has no nonzero normal form modulo G.
+    ``missing`` packs the monomials of in(G)_a by the ``kernel.fields``
+    holding the largest entry of a, once per visit of a (``_walk``).
+    ``dims`` memoizes dim I_a and ``monomials`` the packed monomials of
+    each degree b, by ``(b, fields)``; no order decides them, so one cutoff
+    serves sequential runs under any order.
     """
 
     def __init__(self, ring: BlockRing, series: HilbertNumerator):
@@ -190,28 +132,14 @@ class _SeriesCutoff:
         self.series = series
         self.dims: dict = {}
         self.monomials: dict = {}
-        self.start(None)
 
-    def start(self, layout: kernel.Layout | None) -> None:
-        """Begin a run on basis elements packed by ``layout``."""
-        self.layout = layout
-        self.full: set = set()
-        self.leads: list = []  # (exponents, multidegree) of basis[k]'s lead
-        self.degrees: dict = {}  # a -> [leads seen, in(G)_a, kernel.Fields]
-
-    def dim(self, a: tuple) -> int:
-        """dim I_a."""
-        d = self.dims.get(a)
-        if d is None:
-            d = self.dims[a] = ambient_dimension(self.ring, a) - \
-                quotient_dimension_from_numerator(self.series, self.ring, a)
-        return d
-
-    def _cover(self, covered: set, fields: kernel.Fields, a: tuple,
-               leads: Iterable[tuple]) -> None:
-        """Add to ``covered`` the degree-a monomials, packed by ``fields``,
-        that ``leads`` ((exponents, multidegree) pairs) divide."""
+    def missing(self, a: tuple, leads: Sequence[tuple]) -> int:
+        """How many leads of multidegree a a basis needs beside ``leads``
+        ((exponents, multidegree) pairs): dim I_a minus the degree-a
+        monomials they divide."""
         ring = self.ring
+        fields = kernel.fields(ring.nvars, max(a))
+        covered: set = set()
         for lead, degree in leads:
             b = tuple(x - y for x, y in zip(a, degree))
             if min(b) < 0:
@@ -221,36 +149,11 @@ class _SeriesCutoff:
                 monomials = self.monomials[(b, fields)] = list(map(
                     fields.monomial, ring.monomials_of_multidegree(b)))
             covered.update(map(fields.monomial(lead).__add__, monomials))
-
-    def missing(self, a: tuple, leads: Sequence[tuple]) -> int:
-        """How many leads of multidegree a a basis needs beside ``leads``
-        ((exponents, multidegree) pairs): dim I_a minus the degree-a
-        monomials they divide."""
-        covered: set = set()
-        self._cover(covered, kernel.fields(self.ring.nvars, max(a)), a, leads)
-        return self.dim(a) - len(covered)
-
-    def settled(self, a: tuple, basis: list) -> bool:
-        """Whether the leads of ``basis`` settle multidegree ``a``, which is
-        not in ``full`` (the multidegrees settled already)."""
-        ring, layout = self.ring, self.layout
-        state = self.degrees.get(a)
-        if state is None:
-            state = self.degrees[a] = [0, set(),
-                                       kernel.fields(ring.nvars, max(a))]
-        seen, covered, fields = state
-        if seen == len(basis):
-            return False
-        for g in basis[len(self.leads):]:
-            lead = layout.exponents(g[0][1])
-            self.leads.append((lead, ring.multidegree(lead)))
-        self._cover(covered, fields, a, self.leads[seen:])
-        state[0] = len(basis)
-        if len(covered) == self.dim(a):
-            self.full.add(a)
-            del self.degrees[a]
-            return True
-        return False
+        dim = self.dims.get(a)
+        if dim is None:
+            dim = self.dims[a] = ambient_dimension(ring, a) - \
+                quotient_dimension_from_numerator(self.series, ring, a)
+        return dim - len(covered)
 
 
 def _packed_run(polys: Sequence[list], matrix: tuple, run,
@@ -306,137 +209,73 @@ def _within(ring: BlockRing, b: Sequence[int]) -> Callable:
     return multidegree
 
 
-def _buchberger(gens: Sequence[list], layout: kernel.Layout, p: int,
-                limits: EngineLimits, series: _SeriesCutoff | None = None,
-                bound: Callable | None = None) -> list:
-    """Reduced Groebner basis of packed generators, as packed polynomials
-    sorted by lead.
+def _walk(gens: Sequence[list], layout: kernel.Layout, p: int,
+          limits: EngineLimits, lcm_data: Callable,
+          series: _SeriesCutoff | None = None, reduced: bool = True) -> list:
+    """A Groebner basis of packed generators, by one walk over the sugar
+    degrees (Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar cube,
+    please", ISSAC 1991).
 
-    Pairs are selected by lowest lcm total degree, then by order, then by
-    creation, from a heap (``_gm_update``); the S-polynomial gets the lcm
-    and order key the pair holds.  With ``series`` (multihomogeneous
-    generators only), pairs of a multidegree it settles are skipped.  With
-    ``bound``, the truncation ``_within(ring, b)`` at a multidegree b
-    (multihomogeneous generators only), generators of multidegree not <= b
-    are dropped and pairs whose lcm is not <= b are never made: the result
-    is the b-truncated, unreduced Groebner basis, enough to decide
-    membership in multidegrees <= b (``Ideal.minimal_generators``).  Its
-    leads generate in(I) in every multidegree <= b, the ideal that the
-    leads ``_truncated_walk`` counts off the series minimally generate.
-    A resource abort reports the basis size, pending pairs and the lcm
+    ``lcm_data`` is ``_lcm_data`` of the key a monomial is filed under: its
+    multidegree for multihomogeneous generators, ``()`` for any others, or
+    the truncation ``_within(ring, b)`` at a multidegree b, which drops the
+    generators and pairs outside b.  Each generator is filed under its
+    sugar, its largest term degree, and the key of its lead; each S-pair,
+    when its second element enters, under its sugar, max(s_i - deg lead_i,
+    s_j - deg lead_j) + deg lcm, and the key of the lcm of its leads.
+    Coprime pairs are dropped.  The walk visits the keys filed by
+    increasing sugar, and at a key a it reduces modulo the elements of key
+    <= a, all of them under ``()``.  An element that enters there has key
+    a and the sugar visited.  For homogeneous input the sugar is the total
+    degree, and a pair's lcm lies strictly above both its elements, so no
+    key is filed again once visited.
+
+    Without ``series``, every generator and pair filed is reduced, unless
+    Buchberger's chain criterion drops the pair (i, j): the lead of an
+    element k other than i and j divides their lcm, and neither (i, k) nor
+    (j, k) is still pending.  It holds under any selection order.  With
+    ``series``, the Hilbert series of a multihomogeneous ideal I, I_a needs
+    ``series.missing`` leads beside those of the elements of key <= a.
+    The generators filed at a are reduced, then its pairs, each
+    S-polynomial getting its order key only now, until none are missing.
+    A nonzero remainder has a lead no earlier lead divides, so it adds
+    exactly one monomial to in(G)_a, and enters.  A count that is negative,
+    met before a generator enters, or left unmet by the pairs of its degree
+    means that the series is not I's, and raises
+    ``InternalConsistencyError``.
+
+    With ``reduced``, the result is the reduced basis, largest lead first:
+    the elements whose leads are minimal (distinct, since each entered
+    reduced), by ascending lead, each reduced modulo the smaller ones
+    already reduced, since only smaller leads divide a tail term.  Without
+    it, the result is the elements in the order they entered.  Under a
+    bound b they are a b-truncated Groebner basis, which decides membership
+    in multidegrees <= b; with ``series`` too, their leads are the minimal
+    generators of in(I) of multidegree <= b.  A resource abort reports the
+    elements entered, the pairs filed and not yet tried, and the sugar
     degree reached.
     """
-    basis: list = []
-    pairs: dict = {}
-    heap: list = []
-    seq = count()
-    degree = 0
-    guard = layout.guard
-    multidegree = bound  # of each pair's lcm, read by the bound and series
-    if series is not None:
-        series.start(layout)
-        if bound is None:
-            multidegree = series.ring.multidegree
-    lcm_data = _lcm_data(layout, multidegree)
-
-    def grow(r: list) -> None:
-        if len(r) > limits.max_terms:
-            raise ResourceLimitError(
-                f"element exceeded {limits.max_terms} terms")
-        _gm_update(basis, pairs, heap, _monic(r, p), layout, lcm_data, seq)
-        if len(basis) > limits.max_basis:
-            raise ResourceLimitError(
-                f"basis exceeded {limits.max_basis} elements")
-
-    try:
-        for g in gens:
-            data = lcm_data(g[0][1])
-            if data is None:
-                continue
-            degree = data[0]
-            r = kernel.normal_form(g, basis, layout, p, limits.max_terms) if basis else g
-            if r:
-                grow(r)
-
-        while pairs:
-            entry = heappop(heap)
-            pair = pairs.pop(entry[3], None)
-            if pair is None:
-                continue
-            degree, key, gamma, _ = entry
-            i, j, _, a = pair
-            if series is not None and (a in series.full
-                                       or series.settled(a, basis)):
-                continue
-            s = kernel.spoly(basis[i], basis[j], gamma, key, layout, p)
-            r = kernel.normal_form(s, basis, layout, p, limits.max_terms)
-            if r:
-                grow(r)
-        if bound is not None:
-            return basis
-
-        # minimal heads (distinct, since every element enters fully reduced
-        # and monic), then tail reduction by ascending lead: only smaller
-        # leads divide a tail term, and their elements are reduced already
-        heads = set(kernel.minimal([g[0][1] for g in basis], guard))
-        reduced: list = []
-        for g in sorted((g for g in basis if g[0][1] in heads),
-                        key=lambda g: g[0][0]):
-            reduced.append(kernel.normal_form(g, reduced, layout, p,
-                                              limits.max_terms))
-    except ResourceLimitError as e:
-        raise ResourceLimitError(str(e), basis_size=len(basis),
-                                 pending_pairs=len(pairs),
-                                 degree=degree) from None
-    return reduced[::-1]
-
-
-def _truncated_walk(gens: Sequence[list], layout: kernel.Layout, p: int,
-                    limits: EngineLimits, series: _SeriesCutoff,
-                    lcm_data: Callable) -> list:
-    """Lead exponents of a b-truncated Groebner basis of the packed
-    generators of a multihomogeneous ideal I, counted off I's Hilbert
-    series (Traverso): the minimal generators of in(I) of multidegree <= b,
-    in the order they are found.  ``lcm_data`` is ``_lcm_data`` of the
-    truncation ``_within(ring, b)``.
-
-    Each generator, and each S-pair when its second element enters, is
-    filed under its multidegree, a pair's being that of the lcm of its
-    leads; coprime pairs and anything outside the bound are dropped.  The
-    walk visits only the multidegrees filed, by increasing total degree; a
-    pair's lcm lies strictly above both its elements, so nothing is filed
-    under a degree already visited.  At a, I_a needs ``series.missing``
-    leads beside those of the elements of multidegree <= a, which are the
-    only ones that reduce degree-a polynomials.  Every generator filed
-    there is reduced modulo them, then the pairs, each S-polynomial
-    getting its order key only now, until none are missing.  A nonzero
-    remainder has a lead no earlier lead divides, so it adds exactly one
-    monomial to in(G)_a, and enters.  By Buchberger's criterion the
-    elements generate in(I) in every multidegree <= b, and no lead divides
-    another.  A count that is negative, met before a generator enters, or
-    left unmet by the pairs of its degree means that the series is not
-    I's, and raises ``InternalConsistencyError``.  A resource abort, as in
-    ``_buchberger``, reports the basis size, the pairs filed and not yet
-    tried, and the total degree reached.
-    """
     guard, shift = layout.guard, layout.bits - 1
-    levels: dict = {}  # total degree -> {multidegree: (generators, pairs)}
+    levels: dict = {}  # sugar -> {key: (generators, pairs)}
     basis: list = []  # monic elements, in the order they enter
     heads: list = []  # the packed lead of each element
-    leads: list = []  # (exponents, multidegree) of each element's lead
-    degree = pending = 0  # pending: pairs filed and not yet tried
+    leads: list = []  # (exponents, key) of each element's lead
+    excess: list = []  # each element's sugar minus its lead's degree
+    pending: set = set()  # (i, j) of the pairs filed and not yet tried
+    degree = 0  # the sugar visited
 
-    def filed(data: tuple) -> tuple:
-        # the generators and pairs filed under the multidegree of data
-        return levels.setdefault(data[0], {}).setdefault(data[2], ([], []))
+    def filed(sugar: int, a: tuple) -> tuple:
+        # the generators and pairs filed under sugar and key a
+        return levels.setdefault(sugar, {}).setdefault(a, ([], []))
 
     def enter(r: list, a: tuple) -> list:
-        nonlocal pending
         if len(r) > limits.max_terms:
             raise ResourceLimitError(
                 f"element exceeded {limits.max_terms} terms")
         f = _monic(r, p)
         lf = f[0][1]
+        lead = layout.exponents(lf)
+        t = degree - sum(lead)
         m = len(basis)
         for i, lg in enumerate(heads):
             d = ((lg | guard) - lf) & guard
@@ -445,20 +284,32 @@ def _truncated_walk(gens: Sequence[list], layout: kernel.Layout, p: int,
             if gamma != lg + lf:
                 data = lcm_data(gamma)
                 if data is not None:
-                    filed(data)[1].append((i, m, gamma, data[1]))
-                    pending += 1
+                    filed(max(excess[i], t) + data[0], data[2])[1].append(
+                        (i, m, gamma, data[1]))
+                    pending.add((i, m))
         basis.append(f)
         heads.append(lf)
-        leads.append((layout.exponents(lf), a))
+        leads.append((lead, a))
+        excess.append(t)
         if len(basis) > limits.max_basis:
             raise ResourceLimitError(
                 f"basis exceeded {limits.max_basis} elements")
         return f
 
+    def chained(i: int, j: int, gamma: int) -> bool:
+        gamma |= guard
+        return any((gamma - h) & guard == guard and k != i and k != j
+                   and (min(i, k), max(i, k)) not in pending
+                   and (min(j, k), max(j, k)) not in pending
+                   for k, h in enumerate(heads))
+
     for g in gens:
         data = lcm_data(g[0][1])
         if data is not None:
-            filed(data)[0].append(g)
+            # the terms of a generator filed by multidegree share its degree
+            sugar = data[0] if data[2] else max(
+                sum(layout.exponents(e)) for _, e, _ in g)
+            filed(sugar, data[2])[0].append(g)
     try:
         while levels:
             degree = min(levels)
@@ -466,52 +317,61 @@ def _truncated_walk(gens: Sequence[list], layout: kernel.Layout, p: int,
                 below = [k for k, (_, c) in enumerate(leads)
                          if all(map(le, c, a))]
                 reducers = [basis[k] for k in below]
-                missing = series.missing(a, [leads[k] for k in below])
-                if missing < 0:
-                    raise InternalConsistencyError(
-                        f"the leads cover more of degree {a} than the "
-                        f"ideal's Hilbert series allows")
+                missing = None
+                if series is not None:
+                    missing = series.missing(a, [leads[k] for k in below])
+                    if missing < 0:
+                        raise InternalConsistencyError(
+                            f"the leads cover more of degree {a} than the "
+                            f"ideal's Hilbert series allows")
                 for g in generators:
                     r = kernel.normal_form(g, reducers, layout, p,
                                            limits.max_terms) if reducers else g
                     if r:
-                        if not missing:
+                        if missing == 0:
                             raise InternalConsistencyError(
                                 f"a generator of degree {a} adds a lead "
                                 f"the ideal's Hilbert series has no room for")
                         reducers.append(enter(r, a))
-                        missing -= 1
-                tried = 0
+                        if missing:
+                            missing -= 1
                 for i, j, gamma, exp in pairs:
-                    if not missing:
-                        break
-                    tried += 1
-                    pending -= 1
+                    pending.discard((i, j))
+                    if missing == 0 or missing is None and chained(i, j,
+                                                                   gamma):
+                        continue
                     s = kernel.spoly(basis[i], basis[j], gamma,
                                      layout.key(exp), layout, p)
                     r = kernel.normal_form(s, reducers, layout, p,
                                            limits.max_terms)
                     if r:
                         reducers.append(enter(r, a))
-                        missing -= 1
-                pending -= len(pairs) - tried
+                        if missing:
+                            missing -= 1
                 if missing:
                     raise InternalConsistencyError(
                         f"the S-pairs of degree {a} reduce to fewer leads "
                         f"than the ideal's Hilbert series needs")
+        if not reduced:
+            return basis
+        minimal = set(kernel.minimal(heads, guard))
+        out: list = []
+        for g in sorted((g for g in basis if g[0][1] in minimal),
+                        key=lambda g: g[0][0]):
+            out.append(kernel.normal_form(g, out, layout, p,
+                                          limits.max_terms))
     except ResourceLimitError as e:
         raise ResourceLimitError(str(e), basis_size=len(basis),
-                                 pending_pairs=pending,
+                                 pending_pairs=len(pending),
                                  degree=degree) from None
-    return [exp for exp, _ in leads]
+    return out[::-1]
 
 
 def _by_order(exps: Iterable[tuple], matrix: tuple) -> list:
-    """Exponent tuples sorted descending under ``matrix``, as
-    ``_buchberger`` sorts the leads of a reduced basis.  The first row
-    decides when no two exponents tie on it; else they are sorted by the
-    order key of the narrowest ``kernel.layout`` holding their largest
-    entry."""
+    """Exponent tuples sorted descending under ``matrix``, as a full run of
+    ``_walk`` sorts the leads of a reduced basis.  The first row decides
+    when no two exponents tie on it; else they are sorted by the order key
+    of the narrowest ``kernel.layout`` holding their largest entry."""
     exps = list(exps)
     scores = [sum(map(mul, matrix[0], e)) for e in exps]
     if len(set(scores)) == len(scores):
@@ -521,15 +381,21 @@ def _by_order(exps: Iterable[tuple], matrix: tuple) -> list:
     return sorted(exps, key=key, reverse=True)
 
 
-def _reduced_basis_raw(gens: Sequence[list], matrix: tuple, p: int,
-                       limits: EngineLimits,
-                       series: _SeriesCutoff | None = None) -> list:
-    """``_buchberger`` on normalized term lists (``Polynomial.terms``):
-    packed and sorted under ``matrix`` on entry, the basis unpacked on exit
-    as term lists sorted under ``matrix``."""
+def _reduced_basis_raw(gens: Sequence[list], matrix: tuple,
+                       I: "Ideal") -> list:
+    """The reduced basis of normalized term lists (``Polynomial.terms``)
+    that generate I, or the image of I under a change of coordinates inside
+    each block, which keeps I's multigrading and Hilbert series: a full run
+    of ``_walk`` under I's limits, filing by multidegree when I is
+    multihomogeneous, with I's series cutoff (``Ideal._series_cutoff``).
+    The terms are packed and sorted under ``matrix`` on entry, and the
+    basis unpacked on exit as term lists sorted under ``matrix``."""
+    p, limits = I.ring.characteristic, I.limits
+    key = I.ring.multidegree if I.is_multihomogeneous else _unkeyed
+    series = I._series_cutoff()
     return _packed_run(gens, matrix, lambda layout, packed: [
-        layout.unpack(g) for g in _buchberger(packed, layout, p, limits,
-                                              series)])
+        layout.unpack(g) for g in _walk(packed, layout, p, limits,
+                                        _lcm_data(layout, key), series)])
 
 
 class GroebnerBasis:
@@ -630,9 +496,7 @@ class Ideal:
             elements = [Polynomial.monomial(self.ring, e)
                         for e in _by_order(gens, key)]
         else:
-            raw = _reduced_basis_raw([g.terms for g in self.gens], key,
-                                     self.ring.characteristic, self.limits,
-                                     series=self._series_cutoff())
+            raw = _reduced_basis_raw([g.terms for g in self.gens], key, self)
             elements = [Polynomial(self.ring, g) for g in raw]
         gb = GroebnerBasis(self.ring, order, elements, self.limits)
         return self._gb_cache.setdefault(key, gb)
@@ -651,11 +515,11 @@ class Ideal:
     def _truncated_leads(self, orders: Iterable[TermOrder],
                          b: Sequence[int]):
         """Lazily, for each of ``orders``, the minimal generators of in(I) of
-        multidegree <= b (multihomogeneous ideals only), which
-        ``_truncated_walk`` counts off the ideal's Hilbert series, computed
-        before the first run when the ideal has none yet: they generate
-        in(I) in every multidegree <= b.  The runs share one ``_Shared``,
-        which dies with the generator."""
+        multidegree <= b (multihomogeneous ideals only), which ``_walk``
+        counts off the ideal's Hilbert series, computed before the first
+        run when the ideal has none yet: they generate in(I) in every
+        multidegree <= b.  The runs share one ``_Shared``, which dies with
+        the generator."""
         p = self.ring.characteristic
         shared = _Shared(_within(self.ring, b))
         gens = [g.terms for g in self.gens]
@@ -664,8 +528,9 @@ class Ideal:
         for order in orders:
 
             def leads(layout, packed):
-                return _truncated_walk(packed, layout, p, self.limits, series,
-                                       shared.lcm_data(layout))
+                return [layout.exponents(g[0][1]) for g in _walk(
+                    packed, layout, p, self.limits, shared.lcm_data(layout),
+                    series, reduced=False)]
 
             yield _packed_run(gens, order.rows, leads, shared)
 
@@ -815,7 +680,8 @@ class Ideal:
 
             def reduces_to_zero(layout, packed,
                                 bound=_within(self.ring, f.multidegree())):
-                basis = _buchberger(packed[1:], layout, p, limits, bound=bound)
+                basis = _walk(packed[1:], layout, p, limits,
+                              _lcm_data(layout, bound), reduced=False)
                 return not kernel.normal_form(packed[0], basis, layout, p,
                                               limits.max_terms)
 

@@ -106,12 +106,12 @@ class Fields:
     * b divides a iff ``((a | guard) - b) & guard == guard``: each field
       borrows from its own guard bit only, and keeps it iff a_k >= b_k.
       So a divisor is never larger than its multiple.  ``minimal``,
-      ``normal_form`` and the chain criterion of ``groebner._gm_update``
+      ``normal_form`` and the chain criterion of ``groebner._walk``
       inline this test with ``guard`` read into a local;
     * lcm(a, b): ``d = ((a | guard) - b) & guard`` marks the fields where
       a_k >= b_k, ``m = d - (d >> (bits - 1))`` widens each mark to its
       field's value bits, and the lcm is ``(a & m) | (b & ~m)``;
-      ``groebner._gm_update`` inlines it;
+      ``groebner._walk`` inlines it;
     * a and b are coprime iff lcm(a, b) == a + b (the gcd is a + b - lcm);
     * the product is a + b; a sum field reaches its guard bit exactly when
       it overflows, and ``normal_form`` and ``spoly`` raise

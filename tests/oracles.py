@@ -506,22 +506,31 @@ def pack(layout: kernel.Layout, f: list) -> list:
 
 
 def min_scan_buchberger(gens, layout, p, limits, series=None, bound=None):
-    """Reference for the pair queue of ``groebner._buchberger``: the same
-    run on packed generators, with every pending pair in a dict and the
-    next one picked by a ``min`` scan over (total degree, order key, lcm,
-    multidegree), ties going to the pair first in the dict, which is the
-    pair made first.  The Gebauer-Moeller criteria are applied on exponent
-    tuples: the chain rule, one pair per minimal lcm, made in increasing
-    packed value, and none for coprime leads.  Returns the unreduced basis
-    in insertion order; a resource abort carries the basis size, the
-    pending pairs and the degree reached."""
+    """Reference Buchberger run on packed generators, independent of
+    ``groebner._walk``: the generators are reduced in the order given, then
+    every pending pair is kept in a dict and the next one picked by a
+    ``min`` scan over (total degree, order key, lcm, multidegree), ties
+    going to the pair first in the dict, which is the pair made first.  The
+    Gebauer-Moeller criteria are applied on exponent tuples: the chain
+    rule, one pair per minimal lcm, made in increasing packed value, and
+    none for coprime leads.  With ``series`` (multihomogeneous generators),
+    a pair is skipped when the leads of the basis already cover its
+    multidegree (``series.missing`` is 0).  With ``bound``, the truncation
+    ``groebner._within(ring, b)``, generators and pairs outside b are
+    dropped.  Returns the unreduced basis in insertion order; a resource
+    abort carries the basis size, the pending pairs and the degree
+    reached."""
     basis, pairs = [], {}
     multidegree = bound
-    if series is not None:
-        series.start(layout)
-        if bound is None:
-            multidegree = series.ring.multidegree
+    if series is not None and bound is None:
+        multidegree = series.ring.multidegree
     degree = 0
+
+    def settled(a):
+        ring = series.ring
+        leads = [layout.exponents(g[0][1]) for g in basis]
+        return series.missing(a, [(e, ring.multidegree(e))
+                                  for e in leads]) == 0
 
     def grow(r):
         inv = pow(r[0][2], p - 2, p)
@@ -567,8 +576,7 @@ def min_scan_buchberger(gens, layout, p, limits, series=None, bound=None):
         while pairs:
             i, j = min(pairs, key=pairs.__getitem__)
             degree, key, gamma, a = pairs.pop((i, j))
-            if series is not None and (a in series.full
-                                       or series.settled(a, basis)):
+            if series is not None and settled(a):
                 continue
             s = kernel.spoly(basis[i], basis[j], gamma, key, layout, p)
             r = kernel.normal_form(s, basis, layout, p, limits.max_terms)
@@ -584,7 +592,7 @@ def min_scan_buchberger(gens, layout, p, limits, series=None, bound=None):
 
 
 def reduce_by_all_others(basis, layout, p):
-    """Reference for the final pass of ``groebner._buchberger``: of a packed
+    """Reference for the final pass of ``groebner._walk``: of a packed
     Groebner basis with distinct leads, the elements whose leads no other
     lead divides, each reduced modulo all the other kept elements and made
     monic, sorted by lead, largest first."""

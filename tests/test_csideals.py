@@ -1083,13 +1083,13 @@ def test_shared_truncated_leads_equal_fresh_runs(make, b, widens, start,
     orders = sample_orders(I.ring, 8, seed=3, include_permutations=False)
     fresh = [next(I._truncated_leads([o], b)) for o in orders]
     widths = []
-    inner = groebner._truncated_walk
+    inner = groebner._walk
 
-    def recorded(gens, layout, *args):
+    def recorded(gens, layout, *args, **kwargs):
         widths.append(layout.bits)
-        return inner(gens, layout, *args)
+        return inner(gens, layout, *args, **kwargs)
 
-    monkeypatch.setattr(groebner, "_truncated_walk", recorded)
+    monkeypatch.setattr(groebner, "_walk", recorded)
     if start is not None:
         monkeypatch.setattr(kernel, "bits_for", lambda polys: start)
     assert list(I._truncated_leads(orders, b)) == fresh

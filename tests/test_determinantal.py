@@ -531,10 +531,10 @@ def test_first_basis_of_a_minor_ideal_uses_the_cutoff(monkeypatch):
     # the series though nobody asked for it, and equals the basis the
     # engine computes without a cutoff
     checks = []
-    settled = groebner._SeriesCutoff.settled
-    monkeypatch.setattr(groebner._SeriesCutoff, "settled",
-                        lambda self, a, basis: checks.append(a)
-                        or settled(self, a, basis))
+    missing = groebner._SeriesCutoff.missing
+    monkeypatch.setattr(groebner._SeriesCutoff, "missing",
+                        lambda self, a, leads: checks.append(a)
+                        or missing(self, a, leads))
     A = build_column_graded(3, (3, 4, 3, 4), seed=2)
     I = minor_ideal(A, 2)
     assert I._cutoff is None

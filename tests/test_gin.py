@@ -102,11 +102,11 @@ def test_gin_report_fields():
 
 def _no_buchberger(monkeypatch):
     """Make every packed run (a gin trial moves its generators inside one)
-    and every Buchberger run fail."""
+    and every run of the Groebner driver fail."""
     def refuse(*args, **kwargs):
         raise AssertionError("a gin that needs no trials ran one")
     monkeypatch.setattr(groebner, "_packed_run", refuse)
-    monkeypatch.setattr(groebner, "_buchberger", refuse)
+    monkeypatch.setattr(groebner, "_walk", refuse)
 
 
 def test_gin_of_borel_fixed_monomial_ideal_runs_no_trials(monkeypatch):
@@ -189,13 +189,13 @@ def test_gin_seed_determinism(monkeypatch):
     R = BlockRing((2, 2))
     f = x(R, 1, 1) * x(R, 2, 2) - x(R, 1, 2) * x(R, 2, 1)
     runs = []
-    raw = groebner._buchberger
+    raw = groebner._walk
 
     def counted(*args, **kwargs):
         runs.append(1)
         return raw(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "_buchberger", counted)
+    monkeypatch.setattr(groebner, "_walk", counted)
     a = gin(Ideal(R, [f]), seed=3)
     b = gin(Ideal(R, [f]), seed=3)
     assert len(runs) == 2 * 3
@@ -352,15 +352,16 @@ def test_trial_does_the_buchberger_work_of_the_moved_ideal(monkeypatch):
 
 
 def test_trial_with_the_series_cutoff_equals_one_without(monkeypatch):
+    # a degree whose count the leads below it meet skips all it has filed
     skipped = [0]
-    inner = groebner._SeriesCutoff.settled
+    inner = groebner._SeriesCutoff.missing
 
-    def spy(self, a, basis):
-        done = inner(self, a, basis)
-        skipped[0] += done
-        return done
+    def spy(self, a, leads):
+        missing = inner(self, a, leads)
+        skipped[0] += missing == 0
+        return missing
 
-    monkeypatch.setattr(groebner._SeriesCutoff, "settled", spy)
+    monkeypatch.setattr(groebner._SeriesCutoff, "missing", spy)
     pool = cs_instance_pool(6, seed=4) + csstar_instance_pool(6, seed=8)
     for k, I in enumerate(pool):
         R = I.ring
@@ -373,16 +374,24 @@ def test_trial_with_the_series_cutoff_equals_one_without(monkeypatch):
     assert skipped[0] > 0
 
 
+def _settle_above_the_quadrics(monkeypatch):
+    """Make the series cutoff find every degree above 2 settled, so the
+    walk's own count checks, which run where generators are filed, pass."""
+    inner = groebner._SeriesCutoff.missing
+    monkeypatch.setattr(groebner._SeriesCutoff, "missing",
+                        lambda self, a, leads:
+                        inner(self, a, leads) if sum(a) <= 2 else 0)
+
+
 def test_gin_guard_catches_a_candidate_without_the_series(monkeypatch):
-    # a cutoff that settles every degree skips the S-pairs the moved ideal
-    # needs: the trials agree on a candidate that is too small, and only its
-    # Hilbert series shows it
+    # a cutoff that finds every degree above the generators' settled skips
+    # the S-pairs the moved ideal needs: the trials agree on a candidate
+    # that is too small, and only its Hilbert series shows it
     R = BlockRing((2, 2, 2))
     I = Ideal(R, [x(R, 1, 1) * x(R, 2, 2) - x(R, 1, 2) * x(R, 2, 1),
                   x(R, 2, 1) * x(R, 3, 2) - x(R, 2, 2) * x(R, 3, 1)])
     I.groebner_basis()
-    monkeypatch.setattr(groebner._SeriesCutoff, "settled",
-                        lambda self, a, basis: True)
+    _settle_above_the_quadrics(monkeypatch)
     with pytest.raises(InternalConsistencyError, match="Hilbert series"):
         gin(I, seed=1)
 
@@ -395,7 +404,6 @@ def test_gin_guard_follows_the_cutoff_of_a_minor_ideal(monkeypatch):
     A = build_column_graded(3, (3, 3, 3), seed=1)
     I = minor_ideal(A, 2)
     assert I._cutoff is None and not I._gb_cache
-    monkeypatch.setattr(groebner._SeriesCutoff, "settled",
-                        lambda self, a, basis: True)
+    _settle_above_the_quadrics(monkeypatch)
     with pytest.raises(InternalConsistencyError, match="Hilbert series"):
         gin(I, seed=1)

@@ -13,9 +13,9 @@ from multigb.errors import (HypothesisNotSatisfiedError,
                             RingMismatchError)
 from multigb.csideals import closure_suite, sample_orders
 from multigb.determinantal import build_column_graded, minors
-from multigb.groebner import (EngineLimits, Ideal, _buchberger,
-                              exact_divide, ideal_from_monomials,
-                              regular_sequence_test, ring_without_variable)
+from multigb.groebner import (EngineLimits, Ideal, _walk, exact_divide,
+                              ideal_from_monomials, regular_sequence_test,
+                              ring_without_variable)
 from multigb.instances import (cs_instance_pool, random_linear_form,
                                random_ring)
 from multigb.monomials import MonomialIdeal, colon_monomial
@@ -563,8 +563,8 @@ def test_truncated_basis_decides_membership_up_to_its_degree(column_graded_3x4):
         def fits(e):
             return all(x <= y for x, y in zip(R.multidegree(e), b))
 
-        basis = _buchberger(packed, layout, p, I.limits,
-                            bound=groebner._within(R, b))
+        basis = _walk(packed, layout, p, I.limits, groebner._lcm_data(
+            layout, groebner._within(R, b)), reduced=False)
         assert all(fits(e) for g in basis for e, _ in layout.unpack(g))
         for g in full:
             if fits(g.lead_exp()):
@@ -596,7 +596,7 @@ def truncation_cases(draw):
 @given(truncation_cases())
 def test_truncated_walk_finds_the_minimal_leads_of_the_truncated_basis(case):
     # the leads the walk counts off the series generate what the leads of
-    # the truncated Buchberger run generate, and are its minimal generators,
+    # the truncated reference run generate, and are its minimal generators,
     # which are those of in(I) that fit the bound
     I, b = case
     R, p = I.ring, I.ring.characteristic
@@ -606,9 +606,9 @@ def test_truncated_walk_finds_the_minimal_leads_of_the_truncated_basis(case):
         cutoff = I._series_cutoff()
         unreduced = groebner._packed_run(
             [g.terms for g in I.gens], order.rows,
-            lambda layout, packed: [layout.exponents(g[0][1]) for g in
-                                    _buchberger(packed, layout, p, I.limits,
-                                                cutoff, bound)])
+            lambda layout, packed: [
+                layout.exponents(g[0][1]) for g in oracles.min_scan_buchberger(
+                    packed, layout, p, I.limits, cutoff, bound)])
         assert sorted(leads) == list(MonomialIdeal(R, unreduced).gens)
         assert sorted(leads) == [e for e in I.initial_ideal(order).gens
                                  if bound(e) is not None]
@@ -689,15 +689,15 @@ def test_series_cutoff_at_field_width_steps(k, monkeypatch):
     R = BlockRing((2, 2))
     degrees = [(2 ** k - 1, 1), (2 ** (k - 1), 1), (1, 2 ** (k - 1))]
     settled = set()
-    inner = groebner._SeriesCutoff.settled
+    inner = groebner._SeriesCutoff.missing
 
-    def spy(self, a, basis):
-        done = inner(self, a, basis)
-        if done:
+    def spy(self, a, leads):
+        missing = inner(self, a, leads)
+        if not missing:
             settled.add(max(a))
-        return done
+        return missing
 
-    monkeypatch.setattr(groebner._SeriesCutoff, "settled", spy)
+    monkeypatch.setattr(groebner._SeriesCutoff, "missing", spy)
     for seed in range(4):
         rng = random.Random(seed)
         gens = [random_multihomogeneous_polynomial(R, rng, d) for d in degrees]
@@ -725,13 +725,14 @@ def test_inhomogeneous_ideal_runs_without_series(R33, monkeypatch):
 
 
 @pytest.mark.parametrize("weights, work", [
-    (None, [(114, 75)]),
-    ((3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8), [(114, 75), (43, 4)]),
+    (None, [(109, 75)]),
+    ((3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8), [(109, 75), (38, 4)]),
 ])
 def test_driver_work_on_two_minors_is_pinned(column_graded_3x4, monkeypatch,
                                              weights, work):
-    # pair selection, Gebauer-Moeller pruning and the series cutoff decide
-    # how many S-polynomials and normal forms a basis takes
+    # the walk's filing, the chain criterion and the series count decide
+    # how many S-polynomials and normal forms a basis takes; a generator
+    # with no element of multidegree below its own enters unreduced
     A = column_graded_3x4
     order = A.ring.storage_order if weights is None else \
         weight_order(A.ring, weights)
@@ -753,29 +754,6 @@ def test_driver_work_on_two_minors_is_pinned(column_graded_3x4, monkeypatch,
     assert seen == work
 
 
-def _reduced_pairs(monkeypatch):
-    """The ``(lcm, i, j)`` of every S-pair reduced from now on:
-    ``kernel.spoly`` sees the pair's elements and lcm, and the normal form
-    that follows sees the basis they sit in."""
-    seen, pending = [], []
-    spoly, normal_form = kernel.spoly, kernel.normal_form
-
-    def recorded_spoly(f, g, lcm, *args):
-        pending.append((lcm, f, g))
-        return spoly(f, g, lcm, *args)
-
-    def recorded_normal_form(s, basis, *args):
-        if pending:
-            lcm, f, g = pending.pop()
-            index = {id(h): k for k, h in enumerate(basis)}
-            seen.append((lcm, index[id(f)], index[id(g)]))
-        return normal_form(s, basis, *args)
-
-    monkeypatch.setattr(kernel, "spoly", recorded_spoly)
-    monkeypatch.setattr(kernel, "normal_form", recorded_normal_form)
-    return seen
-
-
 def _pair_queue_cases():
     A = build_column_graded(3, (3, 3, 3, 3), seed=2)
     B = build_column_graded(2, (2, 3, 2, 3), seed=4)
@@ -788,91 +766,136 @@ def _pair_queue_cases():
             yield I, order
     for I in cs_instance_pool(6, seed=3):
         yield I, degrevlex_blocks_reversed(I.ring)
-    # x0*x6 enters last and drops the ten pairs of the five generators
-    # before it, leaving five: the heap is compacted
+    # the chain criterion drops pairs filed by sugar alone
     yield _dropping_ideal(5), lex(BlockRing((7,)))
 
 
 def _dropping_ideal(k):
-    """x0*xi*x6 + xi^3 for i = 1..k, then x0*x6, whose lead divides the
-    lcms of the k(k-1)/2 pairs of the others: under lex the chain rule
-    drops them all when it enters, and k new pairs are made."""
+    """x0 * (x1...xk) / xi + xi*x6 for i = 1..k, in one block of seven
+    variables.  Under lex every two leads have the lcm x0*x1...xk, and the
+    walk tries the pairs in the order they were filed: it reduces the pairs
+    of the first generator, and the chain criterion drops every other pair,
+    whose two pairs with the first generator are tried by then.  For
+    k >= 3 the generators are not homogeneous, so the walk files them by
+    sugar alone."""
     R = BlockRing((7,))
     v = [Polynomial.variable(R, 1, j) for j in range(1, 8)]
-    return Ideal(R, [v[0] * v[i] * v[6] + v[i] ** 3 for i in range(1, k + 1)]
-                 + [v[0] * v[6]])
+    prod = Polynomial.one(R)
+    for i in range(1, k + 1):
+        prod = prod * v[i]
+    return Ideal(R, [v[0] * exact_divide(prod, v[i]) + v[i] * v[6]
+                     for i in range(1, k + 1)])
 
 
 @pytest.mark.parametrize("series, bound", [
     (False, None), (True, None), (False, 1), (True, 1)],
     ids=["plain", "series", "bound", "series-bound"])
-def test_heap_driver_reduces_the_pairs_of_a_min_scan(series, bound,
-                                                     monkeypatch):
-    # the heap must pick the pair a min scan over the pending pairs picks,
-    # ties going to the pair made first; the compaction is exercised too
-    seen = _reduced_pairs(monkeypatch)
-    compactions = [0]
-    heapify = groebner.heapify
+def test_walk_equals_the_min_scan_reference(series, bound, monkeypatch):
+    # the walk, by sugar and multidegree, with the chain criterion or the
+    # series count, gives the reduced basis of the Gebauer-Moeller run that
+    # picks its pairs by a min scan; under a bound, a truncated basis whose
+    # leads generate what the reference's leads generate
+    spolys = [0]
+    inner = kernel.spoly
 
-    def counted(heap):
-        compactions[0] += 1
-        heapify(heap)
+    def counted(*args):
+        spolys[0] += 1
+        return inner(*args)
 
-    monkeypatch.setattr(groebner, "heapify", counted)
-    pairs = 0
+    cases = 0
     for I, order in _pair_queue_cases():
         R, p = I.ring, I.ring.characteristic
+        if (series or bound) and not I.is_multihomogeneous:
+            continue
         if series:
             I.hilbert_series()
+        cutoff = I._series_cutoff() if series else None
         b = None if bound is None else groebner._within(R, (bound,) * R.v)
-        runs = []
-        for driver in (_buchberger, oracles.min_scan_buchberger):
-            seen.clear()
-            cutoff = I._series_cutoff() if series else None
-            basis = groebner._packed_run(
-                [g.terms for g in I.gens], order.rows,
-                lambda layout, packed: driver(packed, layout, p, I.limits,
-                                              cutoff, b))
-            runs.append((list(seen), basis if b is not None else None))
-        assert runs[0] == runs[1]
-        pairs += len(runs[0][0])
-    # a bound never makes the dropped pairs of the last case
-    assert pairs > 10 and (compactions[0] > 0 or bound is not None)
+        key = b if b is not None else (
+            R.multidegree if I.is_multihomogeneous else groebner._unkeyed)
+
+        def both(layout, packed):
+            with monkeypatch.context() as mp:
+                mp.setattr(kernel, "spoly", counted)
+                walk = _walk(packed, layout, p, I.limits,
+                             groebner._lcm_data(layout, key), cutoff,
+                             reduced=b is None)
+            scan = oracles.min_scan_buchberger(packed, layout, p, I.limits,
+                                               cutoff, b)
+            if b is None:
+                return walk, oracles.reduce_by_all_others(scan, layout, p)
+            return [MonomialIdeal(R, [layout.exponents(g[0][1])
+                                      for g in basis])
+                    for basis in (walk, scan)]
+
+        walk, scan = groebner._packed_run([g.terms for g in I.gens],
+                                          order.rows, both)
+        assert walk == scan
+        cases += 1
+    assert cases >= 10 and spolys[0] > 10
 
 
 def test_resource_abort_counts_pending_pairs_not_heap_entries():
-    # x0*x6 drops the three pairs of the generators before it and makes
-    # three: the heap holds six entries, not yet compacted, and three
-    # pending pairs, which the abort at the fourth element must report; the
-    # dropped entries stay in the heap through the later aborts
-    I = _dropping_ideal(3)
+    # the pending pairs of an abort are the pairs filed and not yet tried:
+    # under lex the walk enters the four generators and files their six
+    # pairs under sugar 5, where it reduces the pairs of the first
+    # generator with the second and the third, drops the pair of those two
+    # by the chain criterion and reduces the pair with the fourth; each
+    # element entered files its own pairs first, and the abort at the
+    # seventh element counts neither the three pairs tried nor the one
+    # dropped
+    I = _dropping_ideal(4)
     R, p = I.ring, I.ring.characteristic
     aborts = []
-    for max_basis in range(3, 7):
+    for max_basis in range(4, 11):
         limits = EngineLimits(max_basis=max_basis)
-        errors = []
-        for driver in (_buchberger, oracles.min_scan_buchberger):
-            with pytest.raises(ResourceLimitError) as info:
-                groebner._packed_run(
-                    [g.terms for g in I.gens], lex(R).rows,
-                    lambda layout, packed: driver(packed, layout, p, limits))
-            e = info.value
-            errors.append((e.basis_size, e.pending_pairs, e.degree))
-        assert errors[0] == errors[1]
-        aborts.append(errors[0])
-    assert aborts == [(4, 3, 2), (5, 2, 3), (6, 1, 3), (7, 0, 3)]
+        with pytest.raises(ResourceLimitError) as info:
+            groebner._packed_run(
+                [g.terms for g in I.gens], lex(R).rows,
+                lambda layout, packed: _walk(
+                    packed, layout, p, limits,
+                    groebner._lcm_data(layout, groebner._unkeyed)))
+        e = info.value
+        aborts.append((e.basis_size, e.pending_pairs, e.degree))
+    assert aborts == [(5, 8, 5), (6, 11, 5), (7, 14, 5), (8, 12, 8),
+                      (9, 17, 8), (10, 25, 8), (11, 31, 9)]
+    assert len(I.groebner_basis(lex(R))) == 11
+
+
+def test_chain_criterion_drops_pairs_filed_by_sugar(monkeypatch):
+    # the generators of _dropping_ideal(4) are not homogeneous, so the walk
+    # files by sugar alone; of the 52 pairs its 11 elements file, it tries
+    # 27 and the chain criterion drops 25.  The normal forms are those of
+    # the 27 pairs, of the three generators after the first and of the
+    # final pass over the 11 elements
+    I = _dropping_ideal(4)
+    R = I.ring
+    normal_forms = _count_normal_forms(monkeypatch)
+    spolys = [0]
+    inner = kernel.spoly
+
+    def counted(*args):
+        spolys[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(kernel, "spoly", counted)
+    G = I.groebner_basis(lex(R))
+    assert (normal_forms[0], spolys[0]) == (41, 27)
+    assert [kernel.sort_terms(g.terms, lex(R).rows, R.characteristic)
+            for g in G] == groebner_basis_oracle(
+        [g.terms for g in I.gens], lex(R).rows, R.characteristic)
 
 
 def _driver_widths(monkeypatch):
-    """The field width of every Buchberger run from now on."""
+    """The field width of every run of the Groebner driver from now on."""
     widths = []
-    inner = groebner._buchberger
+    inner = groebner._walk
 
     def recorded(gens, layout, *args, **kwargs):
         widths.append(layout.bits)
         return inner(gens, layout, *args, **kwargs)
 
-    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    monkeypatch.setattr(groebner, "_walk", recorded)
     return widths
 
 
@@ -1034,15 +1057,18 @@ def driver_cases(draw):
 @given(driver_cases())
 def test_final_pass_equals_reducing_by_all_others(case):
     # the driver reduces each kept element modulo the smaller ones only;
-    # modulo all the others, the reduced basis is the same
+    # modulo all the others, the reduced basis of the reference run is the
+    # same
     R, order, gens = case
     p = R.characteristic
     limits = EngineLimits(max_basis=20, max_terms=200)
     I = Ideal(R, gens, limits)
     assume(I.gens)
+    key = R.multidegree if I.is_multihomogeneous else groebner._unkeyed
 
     def both(layout, packed):
-        basis = _buchberger(packed, layout, p, limits, cutoff)
+        basis = _walk(packed, layout, p, limits,
+                      groebner._lcm_data(layout, key), cutoff)
         unreduced = oracles.min_scan_buchberger(packed, layout, p, limits,
                                                 cutoff)
         return basis, oracles.reduce_by_all_others(unreduced, layout, p)
@@ -1087,9 +1113,8 @@ def monomial_ideals(draw):
 def test_monomial_basis_equals_the_engine_basis(case):
     R, order, gens, front, sections = case
     G = Ideal(R, gens).groebner_basis(order)
-    raw = groebner._reduced_basis_raw(
-        [g.terms for g in gens], order.rows, R.characteristic,
-        groebner.DEFAULT_LIMITS)
+    raw = groebner._reduced_basis_raw([g.terms for g in gens], order.rows,
+                                      Ideal(R, gens))
     assert G.order is order
     assert G.elements == tuple(Polynomial(R, g) for g in raw)
 
@@ -1109,13 +1134,13 @@ def test_monomial_basis_equals_the_engine_basis(case):
 def test_monomial_ideals_never_enter_the_engine(monkeypatch):
     R = BlockRing((2, 2))
     entered = []
-    inner = groebner._buchberger
+    inner = groebner._walk
 
     def spy(*args, **kwargs):
         entered.append(len(args[0]))
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "_buchberger", spy)
+    monkeypatch.setattr(groebner, "_walk", spy)
     gens = [x(R, 1, 1) ** 2 * x(R, 2, 1), x(R, 1, 2) * x(R, 2, 2) * 3,
             x(R, 1, 1) * x(R, 1, 2), x(R, 1, 1) ** 3 * x(R, 2, 1)]
     I = Ideal(R, gens)

@@ -147,7 +147,7 @@ UNREAD_ON_PURPOSE = {
     "csideals.verify_dual_theorem":
         "ROADMAP item 8 gives it a command or deletes it",
     "determinantal.variable_matrix":
-        "the generic-matrix oracle of ROADMAP items 3, 5 and 10",
+        "the generic-matrix oracle of ROADMAP items 2 and 11",
     "gin.GinReport.require": "documented API of a gin verdict",
     # perfbench/tracing.py wraps every public function of monomials by
     # enumeration, so these three move in a change to the benchmark

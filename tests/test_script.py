@@ -838,18 +838,29 @@ def test_cli_max_basis_caps_a_monomial_reduced_basis(tmp_path, capsys):
 
 
 def test_cli_max_basis_caps_the_working_basis(tmp_path, capsys):
-    # the first generator's lead x[1,1]^3*x[2,2] is a multiple of the
-    # second's: it stays in the working basis until the final pass, so a
-    # cap of 3 aborts at 4 elements although the reduced basis has 3
+    # the cap is on the elements a run enters.  These generators have no
+    # multigrading, so the run files by sugar alone and enters
+    # x[1,1]*x[2,1]*x[2,2] before x[1,1]*x[2,2], which divides it: a cap of
+    # 3 aborts at 4 elements although the reduced basis has 3
     text = ("ring v=2 blocks=[2,2] char=7\n"
-            "ideal I = x[1,1]^3*x[2,2] + x[1,2]^3*x[2,2], x[1,1]^2, "
-            "x[1,1]*x[2,1], x[1,2]\n"
+            "ideal I = x[1,1]*x[1,2]*x[2,1] + x[1,1], x[2,1]^2*x[2,2]\n"
             "gb I\n")
     assert run_cli(tmp_path, text, "--max-basis", "3", "--json") == 3
     aborted = json.loads(capsys.readouterr().out)["reports"][-1]
     assert aborted["verdict"] == "aborted"
     assert aborted["evidence"]["basis_size"] == 4
     assert run_cli(tmp_path, text, "--max-basis", "4", "--json") == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["evidence"]["size"] == 3
+    # a multihomogeneous run enters only leads that no other lead divides,
+    # since a divisor's multidegree lies below and is visited first: the
+    # first generator reduces to zero modulo x[1,1]^2 and x[1,2], and the
+    # cap of 3 holds the reduced basis
+    text = ("ring v=2 blocks=[2,2] char=7\n"
+            "ideal I = x[1,1]^3*x[2,2] + x[1,2]^3*x[2,2], x[1,1]^2, "
+            "x[1,1]*x[2,1], x[1,2]\n"
+            "gb I\n")
+    assert run_cli(tmp_path, text, "--max-basis", "3", "--json") == 0
     (report,) = json.loads(capsys.readouterr().out)["reports"]
     assert report["evidence"]["size"] == 3
 
